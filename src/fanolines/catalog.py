@@ -14,6 +14,7 @@ has nothing to do with the tables being checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 
 from .dsl import to_text
@@ -47,7 +48,12 @@ class Catalog:
         return iter(self.members)
 
     def __contains__(self, v: VarietyTerm) -> bool:
-        return normalize(v) in set(self.members)
+        return normalize(v) in self._member_set
+
+    @cached_property
+    def _member_set(self) -> frozenset[VarietyTerm]:
+        """Built on the first lookup only; sweeps iterate and never need it."""
+        return frozenset(self.members)
 
 
 def build_catalog(n_max: int, deg_max: int) -> Catalog:

@@ -4,7 +4,7 @@ Subcommands expose every engine operation; ``--json`` switches any of them
 to a structured envelope that validates against the schema shipped at
 ``fanolines/schemas/cli_output.schema.json``.  Exit codes: 0 on success or
 an all-pass verification, 1 on verification failures and domain errors, 2 on
-usage, parse, or term-validation errors.
+usage, parse, or term-validation errors, and on sizes above ``SIZE_CAPS``.
 
 The only randomized command is ``secant``; it requires a seed, which it
 echoes.  The default seed is fixed and can be overridden with the
@@ -29,6 +29,16 @@ from .secant import DEFAULT_SEED, RankConfig, secant_row, segre_veronese, scroll
 from .terms import dim, normalize
 
 CHAIN_SYMBOL = " ⊨ "  # the "has a family of lines" turnstile
+
+#: Largest accepted value of each size option, per subcommand.  The largest
+#: accepted input runs in about 10 s on a 2-vCPU host; beyond it the time
+#: grows fast (cubically in the secant coordinate count (d+1)m+1, and steeply
+#: in both catalog bounds), so larger inputs are rejected instead of hanging.
+SIZE_CAPS = {
+    "secant": {"-d": 12, "-m": 12, "--trials": 8},
+    "classify": {"--nmax": 32, "--degmax": 5},
+    "verify": {"--nmax": 32, "--degmax": 5},
+}
 
 
 def schema_path():
@@ -102,6 +112,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=5)
 
     return parser
+
+
+def _size_error(args) -> str | None:
+    for flag, cap in SIZE_CAPS.get(args.command, {}).items():
+        value = getattr(args, flag.lstrip("-"))
+        if value > cap:
+            return f"{flag} {value} is above the cap {cap}; larger inputs are rejected"
+    return None
 
 
 def _svalue_dict(sv) -> dict:
@@ -245,6 +263,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exit_:  # argparse handles usage errors itself
         return int(exit_.code or 0)
+    error = _size_error(args)
+    if error:
+        print(f"cli: {error}", file=sys.stderr)
+        return 2
     try:
         if args.command == "secant":
             seed = _resolve_seed(args.seed)

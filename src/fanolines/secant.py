@@ -17,6 +17,15 @@ must agree; neither is ever replaced by the other.
 
 Jacobians are those of the HOMOGENEOUS parameterization (cone convention),
 so every reported projective dimension subtracts exactly one from a rank.
+
+A Jacobian row costs one monomial evaluation: every partial is read off the
+monomial value as d/dx_j x^e = e_j x^e x_j^-1, the random coordinates being
+non-zero mod p.  Evaluation rows for the span are a lazy generator, and the
+streaming rank of ``modp`` stops pulling them at full column rank, so of the
+``2 * num_coords`` points allowed per trial only ``num_coords`` are drawn
+when the span fills its ambient space.  Every rank equals that of the full matrix: the early exit
+happens only at the largest rank possible, and each (trial, prime) pair has
+its own random generator, so no report depends on how many rows were pulled.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .errors import DegenerateRandomness, ValidationError
-from .modp import rank_mod_p
+from .modp import PRIME_LIMIT, is_prime, rank_mod_p
 from .reports import SuiteReport
 
 #: Three distinct primes just below 2^31; products of two entries of F_p fit
@@ -121,6 +130,13 @@ class RankConfig:
             raise ValidationError("RankConfig requires trials >= 3")
         if len(set(self.primes)) != len(self.primes) or not self.primes:
             raise ValidationError("RankConfig primes must be non-empty and distinct")
+        if not all(isinstance(q, int) and q < PRIME_LIMIT and is_prime(q)
+                   for q in self.primes):
+            raise ValidationError(
+                f"RankConfig primes must be primes below 2^64, got {list(self.primes)}"
+            )
+        if self.points_per_trial < 0:
+            raise ValidationError("RankConfig requires points_per_trial >= 0")
 
 
 def _rng(cfg: RankConfig, label: str, trial: int, p: int) -> random.Random:
@@ -139,18 +155,21 @@ def _eval_monomial(exp: tuple[int, ...], x: list[int], p: int) -> int:
     return out
 
 
-def _partial(exp: tuple[int, ...], j: int, x: list[int], p: int) -> int:
-    """d/dx_j of the monomial with exponents ``exp`` at ``x`` mod p."""
-    e = exp[j]
-    if e == 0:
-        return 0
-    out = e % p
-    for i, (ei, xi) in enumerate(zip(exp, x)):
-        if i == j:
-            ei -= 1
-        if ei:
-            out = (out * pow(xi, ei, p)) % p
-    return out
+def _gradient(
+    exp: tuple[int, ...], x: list[int], inv_x: list[int], p: int
+) -> tuple[int, list[int]]:
+    """The monomial ``x^exp`` mod p and all its partials at ``x``.
+
+    Each partial comes from the monomial value as d/dx_j x^e = e_j x^e x_j^-1;
+    ``inv_x`` holds the inverses of the coordinates of ``x``, which are all
+    non-zero mod p.
+    """
+    value = _eval_monomial(exp, x, p)
+    return value, [(e * value * inv) % p if e else 0 for e, inv in zip(exp, inv_x)]
+
+
+def _inverses(x: list[int], p: int) -> list[int]:
+    return [pow(xi, -1, p) for xi in x]
 
 
 def _stable_rank(ranks: list[int]) -> int:
@@ -165,15 +184,23 @@ def _stable_rank(ranks: list[int]) -> int:
 
 
 def span_dim_numeric(par: Parameterization, cfg: RankConfig = RankConfig()) -> int:
-    """Dimension of the projective linear span of the image."""
+    """Dimension of the projective linear span of the image.
+
+    Evaluation rows at random points are drawn lazily, at most
+    ``points_per_trial`` (default ``2 * num_coords``) of them; the rank stops
+    pulling rows once it reaches ``num_coords``.
+    """
     npts = cfg.points_per_trial or 2 * par.num_coords
+    if npts < par.num_coords:
+        raise ValidationError(
+            f"points_per_trial = {npts} is below the {par.num_coords} coordinates"
+            " and can only under-report the span"
+        )
     ranks = []
     for trial, p in iproduct(range(cfg.trials), cfg.primes):
         rng = _rng(cfg, f"span:{par.kind}:{par.d}:{par.m}", trial, p)
-        rows = []
-        for _ in range(npts):
-            x = _point(rng, par.num_params, p)
-            rows.append([_eval_monomial(mono, x, p) for mono in par.monomials])
+        points = (_point(rng, par.num_params, p) for _ in range(npts))
+        rows = ([_eval_monomial(mono, x, p) for mono in par.monomials] for x in points)
         ranks.append(rank_mod_p(rows, p))
     return _stable_rank(ranks) - 1
 
@@ -189,12 +216,11 @@ def secant_dim_terracini(par: Parameterization, cfg: RankConfig = RankConfig()) 
         rng = _rng(cfg, f"terracini:{par.kind}:{par.d}:{par.m}", trial, p)
         x = _point(rng, par.num_params, p)
         y = _point(rng, par.num_params, p)
-        rows = []
-        for mono in par.monomials:
-            rows.append(
-                [_partial(mono, j, x, p) for j in range(par.num_params)]
-                + [_partial(mono, j, y, p) for j in range(par.num_params)]
-            )
+        ix, iy = _inverses(x, p), _inverses(y, p)
+        rows = [
+            _gradient(mono, x, ix, p)[1] + _gradient(mono, y, iy, p)[1]
+            for mono in par.monomials
+        ]
         ranks.append(rank_mod_p(rows, p))
     return _stable_rank(ranks) - 1
 
@@ -210,13 +236,11 @@ def secant_dim_chordmap(par: Parameterization, cfg: RankConfig = RankConfig()) -
         x = _point(rng, par.num_params, p)
         y = _point(rng, par.num_params, p)
         t = rng.randrange(1, p)
+        ix, iy = _inverses(x, p), _inverses(y, p)
         rows = []
         for mono in par.monomials:
-            rows.append(
-                [(t * _partial(mono, j, x, p)) % p for j in range(par.num_params)]
-                + [_partial(mono, j, y, p) for j in range(par.num_params)]
-                + [_eval_monomial(mono, x, p)]
-            )
+            value, dx = _gradient(mono, x, ix, p)
+            rows.append([(t * g) % p for g in dx] + _gradient(mono, y, iy, p)[1] + [value])
         ranks.append(rank_mod_p(rows, p))
     return _stable_rank(ranks) - 1
 

@@ -1,10 +1,15 @@
 """End-to-end CLI behaviour: text output, JSON schema, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from jsonschema import validate
 
+import fanolines
 from fanolines.cli import load_schema, main
 
 
@@ -125,6 +130,50 @@ def test_parse_error_exits_2(capsys):
 def test_usage_error_exits_2(capsys):
     assert main(["verify", "--suite", "nonsense"]) == 2
     capsys.readouterr()
+
+
+# Each size option at its cap; the same command one above it must exit 2.
+SIZE_CAPPED = [
+    ("secant --kind scroll -m 2 -d {}", 12),
+    ("secant --kind segre -d 2 -m {}", 12),
+    ("secant --kind segre -d 2 -m 2 --trials {}", 8),
+    ("classify --dim 3 --s 1 --degmax 2 --nmax {}", 32),
+    ("classify --dim 3 --s 1 --nmax 6 --degmax {}", 5),
+    ("verify --suite lemmas --degmax 2 --nmax {}", 32),
+    ("verify --suite thm1 --nmax 6 --degmax {}", 5),
+]
+
+
+@pytest.mark.parametrize("command, cap", SIZE_CAPPED)
+def test_size_at_cap_is_accepted(capsys, command, cap):
+    code, out, err = run(capsys, *command.format(cap).split())
+    assert code == 0
+    assert out
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, cap", SIZE_CAPPED)
+def test_size_above_cap_exits_2(capsys, command, cap):
+    code, out, err = run(capsys, *command.format(cap + 1).split())
+    assert code == 2
+    assert out == ""
+    flag = command.split()[-2]
+    assert err == f"cli: {flag} {cap + 1} is above the cap {cap}; larger inputs are rejected\n"
+
+
+def test_oversized_secant_exits_2_from_a_fresh_process():
+    src = str(Path(fanolines.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "fanolines.cli", "secant", "--kind", "scroll",
+         "-d", "200", "-m", "1"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_domain_error_exits_1(capsys):

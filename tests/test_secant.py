@@ -1,14 +1,21 @@
 """Exact rank computations: spans, secant dimensions, stability rules."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+import fanolines.secant as secant_mod
 from fanolines.errors import DegenerateRandomness, ValidationError
-from fanolines.modp import rank_mod_p
+from fanolines.modp import is_prime, rank_mod_p
 from fanolines.secant import (
     RankConfig,
+    _eval_monomial,
+    _gradient,
     _stable_rank,
     scroll,
     secant_dim_chordmap,
@@ -63,6 +70,125 @@ def test_rank_mod_p_basics():
     assert rank_mod_p([[p, 2 * p]], p) == 0  # reduction happens mod p
 
 
+# Above every minor of the matrices below (at most 7 x 7, entries at most 63
+# in absolute value, so by Hadamard below 3.6e15): their F_p rank is their
+# rational rank.
+P61 = 2**61 - 1
+
+
+@st.composite
+def small_matrices(draw):
+    """Products L R with inner dimension k (rank-deficient when k is below
+    both sides), plus optional zero and duplicated rows."""
+    rows, cols, k = draw(st.integers(0, 7)), draw(st.integers(1, 7)), draw(st.integers(0, 7))
+    entry = st.integers(-3, 3)
+    left = [[draw(entry) for _ in range(k)] for _ in range(rows)]
+    right = [[draw(entry) for _ in range(cols)] for _ in range(k)]
+    mat = [[sum(a * b for a, b in zip(lrow, rcol)) for rcol in zip(*right)] if k else [0] * cols
+           for lrow in left]
+    for extra in draw(st.lists(st.sampled_from(["zero", "duplicate"]), max_size=3)):
+        row = [0] * cols if extra == "zero" or not mat else list(draw(st.sampled_from(mat)))
+        mat.insert(draw(st.integers(0, len(mat))), row)
+    return mat
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrices())
+def test_rank_mod_p_matches_rational_rank_property(mat):
+    assert rank_mod_p(mat, P61) == rank_over_q(mat)
+    assert rank_mod_p((row for row in mat), P61) == rank_over_q(mat)
+
+
+def _random_rows(rng, rows, cols):
+    return [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)]
+
+
+def _deficient(rng, rows, cols, k):
+    left, right = _random_rows(rng, rows, k), _random_rows(rng, k, cols)
+    return [[sum(a * b for a, b in zip(lrow, rcol)) for rcol in zip(*right)]
+            for lrow in left]
+
+
+SHAPES = {
+    "tall": lambda rng: _random_rows(rng, 9, 4),
+    "wide": lambda rng: _random_rows(rng, 3, 8),
+    "rank-deficient": lambda rng: _deficient(rng, 6, 6, 3),
+    "zero-rows": lambda rng: [[0] * 5, *_random_rows(rng, 2, 5), [0] * 5],
+    "duplicate-rows": lambda rng: 2 * _random_rows(rng, 3, 6),
+    "no-rows": lambda rng: [],
+}
+
+
+@pytest.mark.parametrize("as_generator", [False, True], ids=["list", "generator"])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_rank_mod_p_shapes_match_rational_rank(shape, as_generator):
+    rng = random.Random(shape)
+    for _ in range(10):
+        mat = SHAPES[shape](rng)
+        rows = (row for row in mat) if as_generator else mat
+        assert rank_mod_p(rows, P61) == rank_over_q(mat)
+
+
+def test_rank_mod_p_stops_pulling_rows_at_full_column_rank():
+    p, width = 2147483647, 12
+    rng = random.Random(5)
+    pulled = []
+
+    def rows():
+        for i in range(3 * width):
+            pulled.append(i)
+            yield [rng.randrange(p) for _ in range(width)]
+
+    assert rank_mod_p(rows(), p) == width
+    assert len(pulled) == width
+
+
+def test_span_draws_only_num_coords_points_per_trial(monkeypatch):
+    drawn = []
+
+    def counting_point(rng, k, p):
+        drawn.append(k)
+        return point(rng, k, p)
+
+    point = secant_mod._point
+    monkeypatch.setattr(secant_mod, "_point", counting_point)
+    par, cfg = scroll(2, 3), RankConfig()
+    assert span_dim_numeric(par, cfg) == par.num_coords - 1
+    assert len(drawn) == cfg.trials * len(cfg.primes) * par.num_coords
+
+
+# ---------------------------------------------------------------------------
+# monomial gradients against the per-partial product formula
+
+
+def partial_oracle(exp, j, x, p):
+    """d/dx_j of the monomial with exponents ``exp`` at ``x`` mod p, as one
+    product of powers per partial."""
+    e = exp[j]
+    if e == 0:
+        return 0
+    out = e % p
+    for i, (ei, xi) in enumerate(zip(exp, x)):
+        if i == j:
+            ei -= 1
+        if ei:
+            out = (out * pow(xi, ei, p)) % p
+    return out
+
+
+@pytest.mark.parametrize("p", [101, 2147483629])
+def test_gradient_matches_the_partial_product_formula(p):
+    rng = random.Random(p)
+    monomials = [*scroll(3, 3).monomials, *segre_veronese(2, 4).monomials]
+    monomials += [tuple(rng.randrange(0, 250) for _ in range(5)) for _ in range(20)]
+    for exp in monomials:
+        x = [rng.randrange(1, p) for _ in exp]
+        inv_x = [pow(xi, -1, p) for xi in x]
+        value, grad = _gradient(exp, x, inv_x, p)
+        assert value == _eval_monomial(exp, x, p)
+        assert grad == [partial_oracle(exp, j, x, p) for j in range(len(exp))]
+
+
 # ---------------------------------------------------------------------------
 # parameterizations
 
@@ -90,6 +216,37 @@ def test_builders_validate():
         RankConfig(trials=2)
     with pytest.raises(ValidationError):
         RankConfig(primes=(7, 7))
+
+
+@pytest.mark.parametrize("primes", [(4, 6, 9), (7, 9), (2147483647, 1), (2**64 + 13,), (7.0,)])
+def test_rank_config_rejects_non_primes(primes):
+    with pytest.raises(ValidationError):
+        RankConfig(primes=primes)
+
+
+def test_rank_config_rejects_negative_points_per_trial():
+    with pytest.raises(ValidationError):
+        RankConfig(points_per_trial=-3)
+
+
+def test_span_rejects_fewer_points_than_coordinates():
+    par = scroll(2, 3)
+    with pytest.raises(ValidationError):
+        span_dim_numeric(par, RankConfig(points_per_trial=par.num_coords - 1))
+    exact = RankConfig(points_per_trial=par.num_coords)
+    assert span_dim_numeric(par, exact) == par.num_coords - 1
+
+
+def test_is_prime_matches_trial_division_and_rejects_strong_pseudoprimes():
+    def by_trial_division(n):
+        return n >= 2 and all(n % q for q in range(2, int(n**0.5) + 1))
+
+    assert all(is_prime(n) == by_trial_division(n) for n in range(-3, 5000))
+    assert all(is_prime(q) for q in RankConfig().primes)
+    assert is_prime(2**61 - 1) and is_prime(2**64 - 59)
+    # strong pseudoprimes to every prime base up to 7, 11, 13 and 23
+    for n in (3215031751, 2152302898747, 3474749660383, 3825123056546413051):
+        assert not is_prime(n)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +367,16 @@ def test_verify_secant_dimensions_sweep():
     assert controls and all(r.passed for r in controls)
     reported = [r for r in rep.records if r.passed is None]
     assert reported  # the d = 1 secants are data, not assertions
+
+
+def test_verify_secant_dimensions_report_is_pinned():
+    # Recorded before the streaming rank and the gradient rows replaced the
+    # full-matrix elimination and the per-partial products; ranks are exact,
+    # so the report must not move by a byte.
+    doc = json.dumps(verify_secant_dimensions((2, 3), (2, 3, 4)).as_dict(), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "2fb091fbf351454071bf46f9ac272905a03f3dc72208aa455af4b15aef4dfb29"
+    )
 
 
 def test_verify_secant_dimensions_validates_ranges():
