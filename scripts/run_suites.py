@@ -18,12 +18,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from fanolines.catalog import build_catalog
-from fanolines.checks import (
-    golden_suite,
-    verify_classification,
-    verify_family_lemmas,
-    verify_next_to_maximal,
-)
+from fanolines.checks import SUITES, golden_suite
 from fanolines.secant import RankConfig, verify_secant_dimensions
 
 
@@ -43,10 +38,8 @@ def main() -> int:
     print(f"catalog: {len(cat)} members (n_max={args.nmax}, deg_max={args.degmax})")
 
     cfg = RankConfig(seed=args.seed) if args.seed is not None else RankConfig()
-    reports = [
-        verify_classification(cat),
-        verify_next_to_maximal(cat),
-        verify_family_lemmas(cat),
+    reports = [suite(cat) for suite in SUITES.values()]
+    reports += [
         golden_suite(args.golden_nmax, args.golden_mmax),
         verify_secant_dimensions((2, 3), (2, 3, 4), cfg),
     ]

@@ -8,11 +8,12 @@ the exact branches already attain the cap S <= dim placed on the unknown one.
 
 >>> from fanolines.terms import Quadric
 >>> s_invariant(Quadric(7))
-SValue(kind='exact', value=3)
+Bound(kind='exact', value=3)
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .dsl import to_text
@@ -24,26 +25,10 @@ from .terms import (
     at_least,
     covered_by_lines,
     dim,
+    exact,
     max_linear_in,
     normalize,
 )
-
-
-@dataclass(frozen=True)
-class SValue:
-    """Exact-or-lower-bound tagged value of the chain invariant."""
-
-    kind: str  # "exact" | "at_least"
-    value: int
-
-    @property
-    def is_exact(self) -> bool:
-        return self.kind == "exact"
-
-    def __str__(self) -> str:
-        if self.is_exact:
-            return f"S = {self.value} (exact)"
-        return f"S >= {self.value} (lower bound)"
 
 
 @dataclass(frozen=True)
@@ -75,14 +60,14 @@ class ChainEngine:
     Results are pure functions of the term, so concurrent use is safe up to
     idempotent re-insertion of identical memo entries.  Identical subchains
     (linear-space tails in particular) dominate the recursion, which is why
-    memo keys are normalized terms.
+    memo keys are normalized terms.  The invariant is the only memoized
+    quantity; trees and chains are rebuilt on every call, chains guided by it.
     """
 
     def __init__(self):
-        self._s_memo: dict[VarietyTerm, SValue] = {}
-        self._tree_memo: dict[VarietyTerm, ChainTree] = {}
+        self._s_memo: dict[VarietyTerm, Bound] = {}
 
-    def s_invariant(self, v: VarietyTerm) -> SValue:
+    def s_invariant(self, v: VarietyTerm) -> Bound:
         """Greatest chain length below ``v`` (0 when not covered by lines)."""
         key = normalize(v)
         cached = self._s_memo.get(key)
@@ -91,11 +76,11 @@ class ChainEngine:
         try:
             fams = line_families(v)
         except NotCoveredByLines:
-            out = SValue("exact", 0)
+            out = exact(0)
         except NoRule:
             # Covered by lines, so a chain of length one exists; nothing
             # more can be said without a rule.
-            out = SValue("at_least", 1)
+            out = at_least(1)
         else:
             best = 0
             caps: list[int] = []
@@ -106,69 +91,64 @@ class ChainEngine:
                     # The unknown branch can reach at most the dimension of
                     # its variety.
                     caps.append(1 + dim(fam.variety))
-            exact = all(cap <= best for cap in caps)
-            out = SValue("exact" if exact else "at_least", best)
+            out = exact(best) if all(cap <= best for cap in caps) else at_least(best)
         self._s_memo[key] = out
         return out
 
     def chain_tree(self, v: VarietyTerm) -> ChainTree:
-        """Full branching tree of families below ``v``."""
-        key = normalize(v)
-        cached = self._tree_memo.get(key)
-        if cached is not None:
-            return cached
+        """Full branching tree of families below ``v``, rooted at ``v`` itself."""
         try:
             fams = line_families(v)
         except NotCoveredByLines:
             reason = "is_point" if dim(v) == 0 else "not_covered"
-            tree = ChainTree(v, (), reason)
+            return ChainTree(v, (), reason)
         except NoRule:
-            tree = ChainTree(v, (), "no_rule")
-        else:
-            children = tuple((fam, self.chain_tree(fam.variety)) for fam in fams)
-            tree = ChainTree(v, children, None)
-        self._tree_memo[key] = tree
-        return tree
+            return ChainTree(v, (), "no_rule")
+        children = tuple((fam, self.chain_tree(fam.variety)) for fam in fams)
+        return ChainTree(v, children, None)
 
     def witness_chain(self, v: VarietyTerm) -> list[VarietyTerm]:
         """A maximal chain achieving the invariant, terminal object included.
 
-        Ties between equally deep branches are broken by the
-        lexicographically smallest canonical serialization, so the output is
-        reproducible.
+        This is the first of :meth:`realizing_chains`: ties between equally
+        deep branches go to the lexicographically smallest canonical
+        serialization, so the output is reproducible.
         """
         if not covered_by_lines(v):
             raise NotCoveredByLines(f"{to_text(v)} is not covered by lines")
-        chain = [v]
-        current = v
-        while True:
-            try:
-                fams = line_families(current)
-            except (NotCoveredByLines, NoRule):
-                break
-            ranked = sorted(
-                fams,
-                key=lambda f: (-self.s_invariant(f.variety).value, _family_sort_key(f)),
-            )
-            current = ranked[0].variety
-            chain.append(current)
-        return chain
+        return next(self.realizing_chains(v))
 
-    def realizing_chains(self, v: VarietyTerm) -> list[list[VarietyTerm]]:
-        """Every chain below ``v`` whose length attains the invariant's value."""
-        target = self.s_invariant(v).value
+    def realizing_chains(self, v: VarietyTerm) -> Iterator[list[VarietyTerm]]:
+        """Every chain below ``v`` whose length attains the invariant's value.
+
+        Depth first, with the families of each node in sort order.  Pending
+        nodes wait on an explicit stack; the one current path is copied only
+        when a chain is yielded.
+        """
+        top = self.s_invariant(v).value
+        path: list[VarietyTerm] = []
+        stack = [(v, 0)]  # (node, its depth on the path)
+        while stack:
+            node, depth = stack.pop()
+            del path[depth:]
+            path.append(node)
+            steps = self._realizing_steps(node, top - depth)
+            if steps:
+                stack.extend((step, depth + 1) for step in reversed(steps))
+            else:
+                yield list(path)
+
+    def _realizing_steps(self, v: VarietyTerm, target: int) -> list[VarietyTerm]:
+        """The families of ``v`` with invariant ``target - 1``, in sort order;
+        empty where a chain of length ``target`` ends at ``v``."""
         if target == 0:
-            return [[v]]
-        chains: list[list[VarietyTerm]] = []
+            return []
         try:
             fams = line_families(v)
         except (NotCoveredByLines, NoRule):
-            return [[v]]
-        for fam in sorted(fams, key=_family_sort_key):
-            if 1 + self.s_invariant(fam.variety).value == target:
-                for rest in self.realizing_chains(fam.variety):
-                    chains.append([v] + rest)
-        return chains
+            return []
+        return [fam.variety for fam in sorted(fams, key=_family_sort_key)
+                if 1 + self.s_invariant(fam.variety).value == target]
 
     def covering_ls_bound(self, v: VarietyTerm) -> Bound:
         """Lower bound on the dimension of covering linear spaces.
@@ -195,7 +175,7 @@ def default_engine() -> ChainEngine:
     return _DEFAULT_ENGINE
 
 
-def s_invariant(v: VarietyTerm, engine: ChainEngine | None = None) -> SValue:
+def s_invariant(v: VarietyTerm, engine: ChainEngine | None = None) -> Bound:
     return (engine or _DEFAULT_ENGINE).s_invariant(v)
 
 

@@ -11,13 +11,11 @@ from __future__ import annotations
 from .catalog import Catalog
 from .chains import ChainEngine, default_engine
 from .dsl import to_text
-from .errors import EngineError, NoRule, NotCoveredByLines
-from .families import line_families
+from .errors import EngineError, NoRule, NotCoveredByLines, ValidationError
+from .families import family_codim3_list, line_families, odd_dimension_list
 from .reports import SuiteReport
 from .terms import (
-    CompleteIntersection,
     Grassmann,
-    LinearSectionG25,
     LinearSpace,
     PolarizedProduct,
     ProjBundleP1,
@@ -26,6 +24,8 @@ from .terms import (
     VarietyTerm,
     dim,
     family_dim,
+    is_fano,
+    is_linear,
     max_linear_in,
     normalize,
     picard_number,
@@ -86,16 +86,7 @@ def verify_classification(cat: Catalog, engine: ChainEngine | None = None) -> Su
             rep.add(name, "classify.s-half", ok,
                     f"2S = n = {n}: quadric or G(2,C^{m+2}) required")
         elif 2 * s == n - 1:
-            m = s
-            allowed = {normalize(Quadric(n))}
-            if m >= 2:  # SG(2,C^4) does not exist separately; it is Q^3
-                allowed.add(normalize(SympGrassmann(2, m + 3)))
-            if m == 1:
-                allowed |= {
-                    CompleteIntersection((3,), 4),
-                    CompleteIntersection((2, 2), 5),
-                    LinearSectionG25(3),
-                }
+            allowed = odd_dimension_list(s)
             rep.add(name, "classify.s-below-half", v in allowed,
                     f"2S = n - 1 = {n - 1}: odd-dimensional list required",
                     conjecture_dependent=isinstance(v, SympGrassmann))
@@ -105,26 +96,12 @@ def verify_classification(cat: Catalog, engine: ChainEngine | None = None) -> Su
                 rep.add(name, "classify.trace", False, f"trace aborted: {err}")
             else:
                 rep.add(name, "classify.trace",
-                        _verdict_matches(trace.verdict, v, m),
+                        allowed.get(normalize(v)) == trace.verdict,
                         f"trace verdict ({trace.verdict}) via {trace.case_tag}",
                         conjecture_used=trace.conjecture_used)
         else:
             rep.bump("no_implication")
     return rep
-
-
-def _verdict_matches(verdict: str, v: VarietyTerm, m: int) -> bool:
-    if verdict == "a":
-        expected = normalize(Quadric(2 * m + 1))
-    elif verdict == "b":
-        expected = normalize(SympGrassmann(2, m + 3))
-    elif verdict == "c":
-        expected = CompleteIntersection((3,), 4)
-    elif verdict == "d":
-        expected = CompleteIntersection((2, 2), 5)
-    else:
-        expected = LinearSectionG25(3)
-    return expected == normalize(v)
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +145,7 @@ def verify_next_to_maximal(cat: Catalog, engine: ChainEngine | None = None) -> S
         rep.add(name, "next-to-max.form", _next_to_max_form(v),
                 "S = dim - 1 must normalize into list (i) or (ii)")
         if isinstance(v, ProjBundleP1):
-            tw = v.twists
-            rep.add(name, "next-to-max.fano-inequality",
-                    sum(tw) <= len(tw) * tw[-1] + 1,
+            rep.add(name, "next-to-max.fano-inequality", is_fano(v),
                     "sum of twists <= k * min + 1")
     for n in range(2, cat.n_max + 1):
         for d in range(1, cat.deg_max + 1):
@@ -242,8 +217,7 @@ def verify_family_lemmas(cat: Catalog, engine: ChainEngine | None = None) -> Sui
             rep.add(name, "families.dimH-is-n-2", isinstance(v, Quadric),
                     "family of dimension n-2: quadric required")
         elif fd == n - 3 and n >= 3:
-            allowed = v in _family_codim3_list(n)
-            rep.add(name, "families.dimH-is-n-3", allowed,
+            rep.add(name, "families.dimH-is-n-3", v in family_codim3_list(n),
                     "family of dimension n-3: cubic, 2-quadric intersection,"
                     " or G(2,5) section required")
 
@@ -262,7 +236,7 @@ def verify_family_lemmas(cat: Catalog, engine: ChainEngine | None = None) -> Sui
                 rep.add(name, "families.nondegenerate", fam.spans_ambient,
                         f"family of dimension {fdim} >= (n-1)/2 must span P^{n-1}")
             proper_linear = (
-                isinstance(normalize(fam.variety), LinearSpace)
+                is_linear(fam.variety)
                 and fdim >= 1
                 and fam.span_in_pt < fam.ambient_pt_dim
             )
@@ -275,21 +249,11 @@ def verify_family_lemmas(cat: Catalog, engine: ChainEngine | None = None) -> Sui
                 rep.bump("proper_linear_vacuous")
 
         ml = max_linear_in(v)
-        if ml.kind == "exact" and 2 * ml.value >= n >= 1:
+        if ml.is_exact and 2 * ml.value >= n >= 1:
             rep.add(name, "covering.half-dim-list", _sato_member(v, ml.value),
                     f"covered by P^{ml.value} with 2*{ml.value} >= n = {n}:"
                     " bundle/quadric/Grassmannian list required")
     return rep
-
-
-def _family_codim3_list(n: int) -> set[VarietyTerm]:
-    allowed = {
-        CompleteIntersection((3,), n + 1),
-        CompleteIntersection((2, 2), n + 2),
-    }
-    if 3 <= n <= 6:
-        allowed.add(normalize(LinearSectionG25(6 - n)))
-    return allowed
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +265,16 @@ def golden_suite(n_max: int = 40, m_max: int | None = None,
     """Closed-form chain invariants of the four classical families.
 
     S(P^n) = n and S(Q^n) = floor(n/2) for n <= n_max; S(G(2,C^{m+2})) = m
-    and S(SG(2,C^{m+3})) = m for m <= m_max.
+    and S(SG(2,C^{m+3})) = m for m <= m_max.  Raises ValidationError unless
+    n_max >= 1 and m_max >= 0, so an empty range never reads as a pass.
     """
     eng = engine or default_engine()
     if m_max is None:
         m_max = n_max
+    if n_max < 1 or m_max < 0:
+        raise ValidationError(
+            f"golden suite requires n_max >= 1 and m_max >= 0, got {n_max} and {m_max}"
+        )
     rep = SuiteReport("golden", {"n_max": n_max, "m_max": m_max})
 
     def check(v: VarietyTerm, expected: int):

@@ -4,7 +4,8 @@ Subcommands expose every engine operation; ``--json`` switches any of them
 to a structured envelope that validates against the schema shipped at
 ``fanolines/schemas/cli_output.schema.json``.  Exit codes: 0 on success or
 an all-pass verification, 1 on verification failures and domain errors, 2 on
-usage, parse, or term-validation errors, and on sizes above ``SIZE_CAPS``.
+usage, parse, or term-validation errors, on sizes above ``SIZE_CAPS``, and
+on terms too deep for the recursive chain engine.
 
 The only randomized command is ``secant``; it requires a seed, which it
 echoes.  The default seed is fixed and can be overridden with the
@@ -122,15 +123,11 @@ def _size_error(args) -> str | None:
     return None
 
 
-def _svalue_dict(sv) -> dict:
-    return {"kind": sv.kind, "value": sv.value}
-
-
 def _cmd_s(args):
     term = parse_variety(args.expr)
     sv = default_engine().s_invariant(term)
     payload = {"term": to_text(term), "canonical": to_text(normalize(term)),
-               "s": _svalue_dict(sv)}
+               "s": sv._asdict()}
     return 0, str(sv), payload
 
 
@@ -142,7 +139,7 @@ def _cmd_chain(args):
     text = CHAIN_SYMBOL.join(to_text(t) for t in chain)
     rel = "=" if sv.is_exact else ">="
     payload = {"term": to_text(term), "chain": [to_text(t) for t in chain],
-               "s": _svalue_dict(sv)}
+               "s": sv._asdict()}
     return 0, f"{text}, S {rel} {sv.value}", payload
 
 
@@ -281,6 +278,11 @@ def main(argv: list[str] | None = None) -> int:
     except EngineError as err:
         print(f"{err.component}: {err}", file=sys.stderr)
         return 1
+    except RecursionError:
+        print("cli: the term is too deep for the recursive chain engine"
+              " (chain invariant S above about 990); larger inputs are rejected",
+              file=sys.stderr)
+        return 2
     if args.json:
         print(json.dumps(envelope, indent=2, sort_keys=True))
     else:

@@ -12,6 +12,10 @@ Two constructors carry no rule (SG(k,N) with k >= 3 and the codimension-2
 linear section of G(2,5)): their families exist but fall outside the term
 algebra, so :func:`line_families` raises :class:`~fanolines.errors.NoRule`,
 which the chain engine treats as a first-class outcome.
+
+The classification lists live here too, defined once:
+:func:`family_codim3_list` and :func:`odd_dimension_list` with its verdict
+letters.  Recognition, the verification suites and the traces all read them.
 """
 
 from __future__ import annotations
@@ -140,14 +144,6 @@ def line_families(v: VarietyTerm) -> list[FamilyRecord]:
     raise TypeError(f"not a variety term: {v!r}")
 
 
-def try_line_families(v: VarietyTerm) -> list[FamilyRecord] | None:
-    """Like :func:`line_families` but returns None on NoRule / NotCovered."""
-    try:
-        return line_families(v)
-    except (NotCoveredByLines, NoRule):
-        return None
-
-
 @dataclass(frozen=True)
 class Recognition:
     """A candidate identification of the parent variety from one family."""
@@ -176,10 +172,7 @@ def recognize_from_family(n: int, rho: int, fam: FamilyRecord) -> list[Recogniti
     if rho == 1 and n >= 3 and fdim == n - 2:
         found.append(Recognition(Quadric(n)))
     if rho == 1 and n >= 3 and fdim == n - 3:
-        found.append(Recognition(CompleteIntersection((3,), n + 1)))
-        found.append(Recognition(CompleteIntersection((2, 2), n + 2)))
-        if 3 <= n <= 6:
-            found.append(Recognition(normalize(LinearSectionG25(6 - n))))
+        found.extend(Recognition(t) for t in family_codim3_list(n))
     if isinstance(fam.variety, ProjBundleP1):
         tw = fam.variety.twists
         m = len(tw)
@@ -192,6 +185,42 @@ def recognize_from_family(n: int, rho: int, fam: FamilyRecord) -> list[Recogniti
         if prev is None or (prev.conjectural and not rec.conjectural):
             best[rec.term] = rec
     return list(best.values())
+
+
+# ---------------------------------------------------------------------------
+# the classification lists
+
+
+def family_codim3_list(n: int) -> tuple[VarietyTerm, ...]:
+    """Picard-number-1 varieties of dimension n >= 3 whose family of lines has
+    dimension n - 3, in normal form: the cubic hypersurface, the intersection
+    of two quadrics and, for 3 <= n <= 6, the linear section of G(2,5)."""
+    found = (CompleteIntersection((3,), n + 1), CompleteIntersection((2, 2), n + 2))
+    if 3 <= n <= 6:
+        found += (normalize(LinearSectionG25(6 - n)),)
+    return found
+
+
+#: What each verdict letter of the odd-dimensional list names.
+VERDICT_NAMES = {
+    "a": "a quadric hypersurface",
+    "b": "the symplectic Grassmannian",
+    "c": "a cubic hypersurface in P^4",
+    "d": "an intersection of two quadrics in P^5",
+    "e": "a 3-dimensional linear section of G(2,5)",
+}
+
+
+def odd_dimension_list(m: int) -> dict[VarietyTerm, str]:
+    """The varieties of dimension 2m+1 >= 3 with chain invariant m, in normal
+    form, each mapped to its verdict letter: the quadric (a), SG(2,C^{m+3})
+    (b) for m >= 2, and the three del Pezzo threefolds (c, d, e) for m = 1."""
+    table = {normalize(Quadric(2 * m + 1)): "a"}
+    if m >= 2:  # SG(2,C^4) does not exist separately; it is Q^3
+        table[normalize(SympGrassmann(2, m + 3))] = "b"
+    if m == 1:
+        table.update(zip(family_codim3_list(3), "cde"))
+    return table
 
 
 #: Machine-readable provenance of every family rule.  ``status`` is one of

@@ -3,9 +3,9 @@
 A :data:`VarietyTerm` is one of nine immutable constructors, each of which
 fixes both an abstract variety and a projective embedding.  The operations in
 this module are total tables of classical invariants (dimension, Picard
-number, Fano-ness, line coverage, spans, maximal linear subspaces) plus a
-canonicalising rewrite :func:`normalize` that identifies terms denoting the
-same embedded variety.
+number, Fano-ness, line coverage, ambient spaces, maximal linear subspaces)
+plus a canonicalising rewrite :func:`normalize` that identifies terms
+denoting the same embedded variety.
 
 Complete-intersection and linear-section terms always denote GENERAL members
 of their families; every predicate is stated for the general member.
@@ -178,10 +178,23 @@ CONSTRUCTORS = (
 
 
 class Bound(NamedTuple):
-    """An exact value or a lower bound, tagged by ``kind``."""
+    """An exact value or a lower bound, tagged by ``kind``.
+
+    ``str`` renders it as a value of the chain invariant S, the one bound the
+    reports print whole.
+    """
 
     kind: str  # "exact" | "at_least"
     value: int
+
+    @property
+    def is_exact(self) -> bool:
+        return self.kind == "exact"
+
+    def __str__(self) -> str:
+        if self.is_exact:
+            return f"S = {self.value} (exact)"
+        return f"S >= {self.value} (lower bound)"
 
 
 def exact(value: int) -> Bound:
@@ -240,7 +253,11 @@ def dim(v: VarietyTerm) -> int:
 
 
 def ambient_dim(v: VarietyTerm) -> int:
-    """Dimension of the natural ambient projective space of the embedding."""
+    """Dimension of the natural ambient projective space of the embedding.
+
+    Every embedding is linearly normal and non-degenerate there, so this is
+    also the dimension of its linear span.
+    """
     match v:
         case Point():
             return 0
@@ -265,19 +282,6 @@ def ambient_dim(v: VarietyTerm) -> int:
         case LinearSectionG25(c):
             return 9 - c
     raise TypeError(f"not a variety term: {v!r}")
-
-
-def span_dim(v: VarietyTerm) -> int:
-    """Dimension of the linear span inside the ambient space.
-
-    Every catalog embedding is linearly normal and non-degenerate in its own
-    ambient space, so the span always fills it.  The interesting degeneracy
-    question (a family sitting inside a larger projectivised tangent space)
-    lives on family records, not here.
-    """
-    if isinstance(v, Point):
-        raise ValidationError("span_dim is undefined for a point")
-    return ambient_dim(v)
 
 
 def picard_number(v: VarietyTerm) -> int | None:

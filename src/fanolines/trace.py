@@ -20,26 +20,17 @@ from dataclasses import dataclass
 from .chains import ChainEngine, default_engine
 from .dsl import to_text
 from .errors import PreconditionFailed, TraceError
+from .families import VERDICT_NAMES, family_codim3_list, odd_dimension_list
 from .terms import (
-    CompleteIntersection,
-    LinearSectionG25,
-    LinearSpace,
     ProjBundleP1,
     Quadric,
     SympGrassmann,
     VarietyTerm,
     dim,
+    is_linear,
     normalize,
     picard_number,
 )
-
-VERDICT_NAMES = {
-    "a": "a quadric hypersurface",
-    "b": "the symplectic Grassmannian",
-    "c": "a cubic hypersurface in P^4",
-    "d": "an intersection of two quadrics in P^5",
-    "e": "a 3-dimensional linear section of G(2,5)",
-}
 
 
 @dataclass(frozen=True)
@@ -52,14 +43,10 @@ class TraceReport:
     conjecture_used: bool
 
 
-def _is_linear_term(t: VarietyTerm) -> bool:
-    return isinstance(normalize(t), LinearSpace)
-
-
 def _linear_step_index(chain: list[VarietyTerm], m: int) -> int | None:
     """Smallest i in 1..m-1 with H_i a linear space in P_i, if any."""
     for i in range(1, m):
-        if _is_linear_term(chain[i]):
+        if is_linear(chain[i]):
             return i
     return None
 
@@ -84,7 +71,7 @@ def classification_trace(v: VarietyTerm, engine: ChainEngine | None = None) -> T
             f"s_invariant({to_text(v)}) = exact {m} required, got {sv}"
         )
 
-    chains = eng.realizing_chains(v)
+    chains = list(eng.realizing_chains(v))
     if not chains or any(len(chain) - 1 != m for chain in chains):
         raise TraceError(
             f"no materialized chain below {to_text(v)} achieves the memoized"
@@ -133,56 +120,48 @@ def _trace_case1(v, eng, n, m, chain) -> TraceReport:
         line = "dim H_1 = n - 2 with Picard number 1: X is a quadric hypersurface"
         _require(nv == Quadric(n), line)
         lines.append(line)
-        return TraceReport(v, dims, "case1", tuple(lines), "a", False)
-
-    if delta != 3:
+    elif delta != 3:
         raise TraceError(f"case 1 with n_0 - n_1 = {delta}: outside the recognition lists")
-
-    lines.append(
-        "dim H_1 = n - 3 with Picard number 1: X is a cubic hypersurface,"
-        " an intersection of two quadrics, or a linear section of G(2,5)"
-    )
-    if m == 1:
-        verdicts = {
-            CompleteIntersection((3,), 4): "c",
-            CompleteIntersection((2, 2), 5): "d",
-            LinearSectionG25(3): "e",
-        }
-        verdict = verdicts.get(nv)
-        if verdict is None:
-            raise TraceError(f"{to_text(nv)} is not on the n = 3 recognition list")
-        lines.append(f"n = 3: X is {VERDICT_NAMES[verdict]}")
-        return TraceReport(v, dims, "case1", tuple(lines), verdict, False)
-    if m == 2:
-        cubic = CompleteIntersection((3,), 6)
-        two_quadrics = CompleteIntersection((2, 2), 7)
-        for cand, label in ((cubic, "a cubic hypersurface in P^6"),
-                            (two_quadrics, "an intersection of two quadrics in P^7")):
-            s_cand = eng.s_invariant(cand)
-            line = (
-                f"{label} has invariant {s_cand.value}, not {m}: the second"
-                " family is an intersection not covered by lines, so it is excluded"
-            )
-            _require(s_cand.is_exact and s_cand.value < m, line)
-            lines.append(line)
-        line = (
-            "the remaining candidate, a hyperplane section of G(2,5) in P^9,"
-            " is isomorphic to SG(2,C^5)"
+    elif m >= 3:
+        raise TraceError(
+            f"case 1 with n_0 - n_1 = 3 and m = {m} >= 3: the index-(n-1)"
+            " candidates cannot sustain a chain of length m"
         )
-        _require(nv == SympGrassmann(2, 5), line)
-        lines.append(line)
-        return TraceReport(v, dims, "case1", tuple(lines), "b", False)
-    raise TraceError(
-        f"case 1 with n_0 - n_1 = 3 and m = {m} >= 3: the index-(n-1)"
-        " candidates cannot sustain a chain of length m"
-    )
+    else:
+        lines.append(
+            "dim H_1 = n - 3 with Picard number 1: X is a cubic hypersurface,"
+            " an intersection of two quadrics, or a linear section of G(2,5)"
+        )
+        cubic, two_quadrics, section = family_codim3_list(n)  # n is 3 or 5
+        if m == 1:
+            if nv not in (cubic, two_quadrics, section):
+                raise TraceError(f"{to_text(nv)} is not on the n = 3 recognition list")
+            lines.append(f"n = 3: X is {VERDICT_NAMES[odd_dimension_list(m)[nv]]}")
+        else:
+            labels = (f"a cubic hypersurface in P^{cubic.N}",
+                      f"an intersection of two quadrics in P^{two_quadrics.N}")
+            for cand, label in zip((cubic, two_quadrics), labels):
+                s_cand = eng.s_invariant(cand)
+                line = (
+                    f"{label} has invariant {s_cand.value}, not {m}: the second"
+                    " family is an intersection not covered by lines, so it is excluded"
+                )
+                _require(s_cand.is_exact and s_cand.value < m, line)
+                lines.append(line)
+            line = (
+                "the remaining candidate, a hyperplane section of G(2,5) in P^9,"
+                " is isomorphic to SG(2,C^5)"
+            )
+            _require(nv == section, line)
+            lines.append(line)
+    return TraceReport(v, dims, "case1", tuple(lines), odd_dimension_list(m)[nv], False)
 
 
 def _trace_case2(v, eng, n, m, chain, i) -> TraceReport:
     dims = tuple(dim(t) for t in chain)
     lines = [f"chain dimensions n_0..n_m: {', '.join(map(str, dims))}"]
     line = f"H_{i} is a linear space in P_{i} (minimal such index, i = {i})"
-    minimal = _is_linear_term(chain[i]) and (i == 1 or not _is_linear_term(chain[i - 1]))
+    minimal = is_linear(chain[i]) and (i == 1 or not is_linear(chain[i - 1]))
     _require(minimal, line)
     lines.append(line)
 
@@ -261,5 +240,6 @@ def _trace_case2(v, eng, n, m, chain, i) -> TraceReport:
     _require(normalize(h1) == scroll, line)
     lines.append(line)
 
-    _require(normalize(v) == SympGrassmann(2, m + 3), "X normalizes to SG(2,C^(m+3))")
-    return TraceReport(v, dims, "case2", tuple(lines), "b", True)
+    nv = normalize(v)
+    _require(nv == SympGrassmann(2, m + 3), "X normalizes to SG(2,C^(m+3))")
+    return TraceReport(v, dims, "case2", tuple(lines), odd_dimension_list(m)[nv], True)

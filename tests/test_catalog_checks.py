@@ -152,6 +152,17 @@ def test_golden_suite_passes():
     assert len(rep.records) == 2 * 40 + 2 * 14  # P/Q rows plus G/SG rows
 
 
+@pytest.mark.parametrize("n_max, m_max", [(0, None), (-5, None), (3, -1)])
+def test_golden_suite_rejects_empty_or_negative_bounds(n_max, m_max):
+    with pytest.raises(ValidationError):
+        golden_suite(n_max, m_max)
+
+
+def test_golden_suite_accepts_the_smallest_bounds():
+    rep = golden_suite(1, 0)
+    assert rep.ok and len(rep.records) == 2
+
+
 def test_run_suite_dispatch():
     assert run_suite("golden", 10, 4).ok
     assert run_suite("thm1", 8, 3).ok
@@ -163,11 +174,10 @@ def test_suites_catch_wrong_values(cat15):
     # Teeth check: a poisoned memo entry must surface as a recorded failure,
     # not vanish into a green report.
     from fanolines.chains import ChainEngine
-    from fanolines.chains import SValue
-    from fanolines.terms import Quadric, normalize
+    from fanolines.terms import Quadric, exact, normalize
 
     eng = ChainEngine()
-    eng._s_memo[normalize(Quadric(7))] = SValue("exact", 4)  # true value is 3
+    eng._s_memo[normalize(Quadric(7))] = exact(4)  # true value is 3
     rep = verify_classification(cat15, eng)
     assert not rep.ok
     assert any(r.term == "Q(7)" for r in rep.failures)
@@ -176,8 +186,8 @@ def test_suites_catch_wrong_values(cat15):
     # trace failure, never crash the sweep: Q(9) keeps its correct value but
     # the tower below it is cut, so no chain realizes the claimed invariant
     eng = ChainEngine()
-    eng._s_memo[normalize(Quadric(9))] = SValue("exact", 4)
-    eng._s_memo[normalize(Quadric(7))] = SValue("exact", 0)
+    eng._s_memo[normalize(Quadric(9))] = exact(4)
+    eng._s_memo[normalize(Quadric(7))] = exact(0)
     rep = verify_classification(cat15, eng)
     assert not rep.ok
     assert any(r.term == "Q(9)" and "aborted" in r.detail for r in rep.failures)

@@ -4,7 +4,6 @@ import pytest
 
 from fanolines.chains import (
     ChainEngine,
-    SValue,
     covering_ls_bound,
     s_invariant,
     witness_chain,
@@ -20,13 +19,12 @@ from fanolines.terms import (
     PolarizedProduct,
     Quadric,
     SympGrassmann,
+    at_least,
+    covered_by_lines,
     dim,
+    exact,
     normalize,
 )
-
-
-def exact(value):
-    return SValue("exact", value)
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +75,8 @@ def test_s_two_quadrics_in_p9_frozen_chain():
 
 
 def test_s_lower_bounds_on_ruleless_terms():
-    assert s_invariant(SympGrassmann(3, 7)) == SValue("at_least", 1)
-    assert s_invariant(LinearSectionG25(2)) == SValue("at_least", 1)
+    assert s_invariant(SympGrassmann(3, 7)) == at_least(1)
+    assert s_invariant(LinearSectionG25(2)) == at_least(1)
 
 
 def test_s_bounded_by_dim_with_equality_only_for_linear_spaces():
@@ -169,12 +167,12 @@ def test_product_tree_branches_per_degree_one_factor():
 def test_realizing_chains_enumerate_every_maximal_branch():
     eng = ChainEngine()
     # both rulings of the quadric surface realize the invariant of G(2,4)
-    chains = eng.realizing_chains(parse_variety("G(2,4)"))
+    chains = list(eng.realizing_chains(parse_variety("G(2,4)")))
     assert len(chains) == 2
     assert all(len(c) - 1 == eng.s_invariant(parse_variety("G(2,4)")).value
                for c in chains)
     # only the deeper factor of an asymmetric product realizes it
-    chains = eng.realizing_chains(parse_variety("Prod(P(2):1,P(3):1)"))
+    chains = list(eng.realizing_chains(parse_variety("Prod(P(2):1,P(3):1)")))
     assert [[to_text(t) for t in c] for c in chains] == [
         ["Prod(P(2):1,P(3):1)", "P(2)", "P(1)", "pt"]
     ]
@@ -254,7 +252,7 @@ def test_ruleless_branch_degrades_to_lower_bound(monkeypatch):
     monkeypatch.setattr(chains_mod, "line_families", fake_families)
     sv = chains_mod.ChainEngine().s_invariant(parent)
     # exact branch gives 1 + 3 = 4; the ruleless one could reach 1 + 4 = 5
-    assert sv == SValue("at_least", 4)
+    assert sv == at_least(4)
 
 
 def test_ruleless_branch_below_the_cap_keeps_exactness(monkeypatch):
@@ -278,7 +276,7 @@ def test_ruleless_branch_below_the_cap_keeps_exactness(monkeypatch):
     monkeypatch.setattr(chains_mod, "line_families", fake_families)
     sv = chains_mod.ChainEngine().s_invariant(parent)
     # the ruleless branch is capped by 1 + dim = 4 = the exact branch value
-    assert sv == SValue("exact", 4)
+    assert sv == exact(4)
 
 
 def test_concurrent_queries_agree_with_serial_ones():
@@ -301,3 +299,46 @@ def test_s_invariant_under_normalize_with_fresh_engines():
         raw = ChainEngine().s_invariant(term)
         canon = ChainEngine().s_invariant(normalize(term))
         assert raw == canon
+
+
+# ---------------------------------------------------------------------------
+# one walk, one memo: answers independent of memo warmth and presentation
+
+
+def _views(eng, v):
+    witness = eng.witness_chain(v) if covered_by_lines(v) else None
+    return (witness, list(eng.realizing_chains(v)), eng.covering_ls_bound(v),
+            eng.chain_tree(v))
+
+
+def test_views_agree_on_cold_and_warm_engines():
+    from fanolines.catalog import build_catalog
+
+    members = build_catalog(10, 3).members
+    warm = ChainEngine()
+    for v in reversed(members):
+        _views(warm, v)
+    for v in members:
+        assert _views(ChainEngine(), v) == _views(warm, v), to_text(v)
+
+
+@pytest.mark.parametrize("first, second", [
+    ("G(3,5)", "G(2,5)"), ("G(2,5)", "G(3,5)"),
+    ("CI(2;7)", "Q(6)"), ("Q(6)", "CI(2;7)"),
+    ("PB(2,2,2)", "Prod(P(1):2,P(2):1)"), ("Prod(P(1):2,P(2):1)", "PB(2,2,2)"),
+])
+def test_views_do_not_depend_on_the_presentation_asked_first(first, second):
+    eng = ChainEngine()
+    _views(eng, parse_variety(first))
+    term = parse_variety(second)
+    assert _views(eng, term) == _views(ChainEngine(), term)
+    assert eng.chain_tree(term).node == term
+
+
+def test_realizing_chains_walk_is_not_bounded_by_the_recursion_limit():
+    # S(Q^1501) = 750 keeps the recursive invariant below the default limit;
+    # the walk itself keeps its path on an explicit stack.
+    chains = list(ChainEngine().realizing_chains(Quadric(1501)))
+    assert len(chains) == 1
+    assert len(chains[0]) == 751
+    assert chains[0][0] == Quadric(1501) and chains[0][-1] == Quadric(1)

@@ -161,19 +161,42 @@ def test_size_above_cap_exits_2(capsys, command, cap):
     assert err == f"cli: {flag} {cap + 1} is above the cap {cap}; larger inputs are rejected\n"
 
 
-def test_oversized_secant_exits_2_from_a_fresh_process():
+def _fresh_cli(*argv):
     src = str(Path(fanolines.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "fanolines.cli", "secant", "--kind", "scroll",
-         "-d", "200", "-m", "1"],
-        capture_output=True, text=True, timeout=60, env=env,
-    )
+    return subprocess.run([sys.executable, "-m", "fanolines.cli", *argv],
+                          capture_output=True, text=True, timeout=60, env=env)
+
+
+def test_oversized_secant_exits_2_from_a_fresh_process():
+    proc = _fresh_cli("secant", "--kind", "scroll", "-d", "200", "-m", "1")
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("s", "P(2000)"), ("chain", "P(2000)"), ("cover", "P(2000)"), ("trace", "Q(2001)"),
+])
+def test_too_deep_terms_exit_2_without_a_traceback(argv):
+    proc = _fresh_cli(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("cli: the term is too deep")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_golden_bounds_are_validated(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "golden", "--nmax", "-5")
+    assert code == 2
+    assert out == ""
+    assert "n_max >= 1" in err
+    code, out, _ = run(capsys, "verify", "--suite", "golden", "--nmax", "1")
+    assert code == 0
+    assert out.startswith("suite golden (m_max=1, n_max=1) 2 passed, 0 failed")
 
 
 def test_domain_error_exits_1(capsys):

@@ -1,0 +1,83 @@
+"""Byte-level pins of the showcase outputs.
+
+The digests below were recorded before the classification lists, the
+exact-or-bound type and the chain walk were each given a single definition.
+Refactors of the engine must leave every one of these outputs unchanged:
+the gallery script's stdout, the JSON reports of ``run_suites.py`` and the
+CLI's text and ``--json`` answers for every showcase term.
+"""
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from fanolines.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+
+PINNED = {
+    "chain_gallery":
+        "c6f73b3c3e59e9460d5281369e02e28292801814f2d6f16805319dc89f5581cd",
+    "run_suites_json":
+        "e626d5ec6890f677310fbdfc1e35de3ee9506eaf6a005dc14e65d37806d8ea79",
+    "cli s":
+        "110abcfae40c1a6d01f1233b0d3989d8ce5b3d764bb9557454d6b9ba20225804",
+    "cli chain":
+        "fe89a41db8f3c92d7c077effbf6823a715e062fd6497f1a6f2dee931fa5dd869",
+    "cli cover":
+        "03ec71f5428e3d41a1323cf6b2c6cf5575c8fd6602f4978d7ab442bbba49233c",
+    "cli trace":
+        "0a498559588b54b23a7750ec0192ed8663e657be9d6e2d9de3933c4d8a92be4e",
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _showcase() -> list[str]:
+    spec = importlib.util.spec_from_file_location("chain_gallery", SCRIPTS / "chain_gallery.py")
+    gallery = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gallery)
+    return gallery.SHOWCASE
+
+
+def _cli_transcript(command: str) -> bytes:
+    """Exit code, stdout and stderr of ``command`` on every showcase term,
+    as text and as JSON."""
+    out = []
+    for expr in _showcase():
+        for flags in ([], ["--json"]):
+            argv = [command, expr, *flags]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            out.append(f"$ {' '.join(argv)}\n{code}\n{stdout.getvalue()}{stderr.getvalue()}")
+    return "".join(out).encode()
+
+
+def test_chain_gallery_stdout_is_pinned():
+    done = subprocess.run([sys.executable, str(SCRIPTS / "chain_gallery.py")],
+                          capture_output=True, check=True)
+    assert _sha(done.stdout) == PINNED["chain_gallery"]
+
+
+def test_run_suites_json_report_is_pinned(tmp_path):
+    out = tmp_path / "reports.json"
+    subprocess.run([sys.executable, str(SCRIPTS / "run_suites.py"), "--nmax", "15",
+                    "--degmax", "4", "--json-out", str(out)],
+                   capture_output=True, check=True)
+    assert _sha(out.read_bytes()) == PINNED["run_suites_json"]
+
+
+@pytest.mark.parametrize("command", ["s", "chain", "cover", "trace"])
+def test_cli_answers_on_the_showcase_terms_are_pinned(command):
+    assert _sha(_cli_transcript(command)) == PINNED[f"cli {command}"]
+

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 
 from fanolines.chains import ChainEngine
 from fanolines.dsl import parse_variety, to_text
-from fanolines.families import try_line_families
+from fanolines.errors import NoRule, NotCoveredByLines
+from fanolines.families import line_families
 from fanolines.terms import (
     CompleteIntersection,
     Grassmann,
@@ -120,8 +121,9 @@ def test_witness_chain_realizes_exact_invariants(v):
 
 @given(terms)
 def test_family_records_are_well_formed(v):
-    fams = try_line_families(v)
-    if fams is None:
+    try:
+        fams = line_families(v)
+    except (NotCoveredByLines, NoRule):
         return
     assert fams, "covered terms with a rule must produce at least one family"
     for fam in fams:
@@ -154,3 +156,12 @@ def test_chain_tree_depth_matches_exact_values(v):
     sv = eng.s_invariant(v)
     if sv.is_exact:
         assert eng.chain_tree(v).depth() == sv.value
+
+
+@settings(max_examples=60)
+@given(terms)
+def test_witness_chain_is_the_first_realizing_chain(v):
+    if not covered_by_lines(v):
+        return
+    eng = ChainEngine()
+    assert eng.witness_chain(v) == list(eng.realizing_chains(v))[0]

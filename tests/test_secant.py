@@ -320,16 +320,16 @@ def test_different_seeds_agree_on_values():
 
 def test_symbolic_spans_match_numeric_ranks():
     # The span table in the term algebra against the evaluation-rank route.
-    from fanolines.terms import PolarizedProduct, ProjBundleP1, span_dim
+    from fanolines.terms import PolarizedProduct, ProjBundleP1, ambient_dim
 
-    assert span_dim(PolarizedProduct(((1, 1), (2, 1)))) == 5 == span_dim_numeric(
+    assert ambient_dim(PolarizedProduct(((1, 1), (2, 1)))) == 5 == span_dim_numeric(
         segre_veronese(1, 3)
     )
-    assert span_dim(PolarizedProduct(((1, 2), (1, 1)))) == 5 == span_dim_numeric(
+    assert ambient_dim(PolarizedProduct(((1, 2), (1, 1)))) == 5 == span_dim_numeric(
         segre_veronese(2, 2)
     )
-    assert span_dim(ProjBundleP1((2, 1, 1))) == 6 == span_dim_numeric(scroll(1, 3))
-    assert span_dim(ProjBundleP1((3, 2))) == 6 == span_dim_numeric(scroll(2, 2))
+    assert ambient_dim(ProjBundleP1((2, 1, 1))) == 6 == span_dim_numeric(scroll(1, 3))
+    assert ambient_dim(ProjBundleP1((3, 2))) == 6 == span_dim_numeric(scroll(2, 2))
 
 
 def test_conic_three_point_rank_oracle():
