@@ -32,7 +32,7 @@ def show(expr: str):
     sv = eng.s_invariant(term)
     bound = eng.covering_ls_bound(term)
     print(f"{expr}  (dim {dim(term)}, rho {picard_number(term)})")
-    print(f"  {sv}; covered by linear spaces of dimension >= {bound.value}")
+    print(f"  S {sv}; covered by linear spaces of dimension >= {bound.value}")
     try:
         chain = eng.witness_chain(term)
         print("  chain: " + " ⊨ ".join(to_text(t) for t in chain))

@@ -9,13 +9,24 @@ Q^{N-1}, trivial scrolls next to their product form) appear once.  Only Fano
 terms are members: the non-Fano scrolls are still covered by lines, and
 keeping them would break every covered-implies-Fano sweep for a reason that
 has nothing to do with the tables being checked.
+
+Each constructor is enumerated directly within the bounds: complete
+intersections as non-decreasing degree sequences whose excess sum(d_i - 1)
+is at most the dimension (the Fano condition), products as nested loops over
+the sorted factors that stop once the dimension passes ``n_max``.  No
+candidate is built only to be dropped by the dimension bound.
+
+:attr:`Catalog.picard_one` indexes the Picard-number-1 members (the slice
+the classification suites and ``classify`` read) by dimension and counts
+every (dimension, Picard number) class; it is built on first use from
+``members``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations_with_replacement
+from typing import Iterator, NamedTuple
 
 from .dsl import to_text
 from .errors import ValidationError
@@ -32,7 +43,20 @@ from .terms import (
     dim,
     is_fano,
     normalize,
+    picard_number,
 )
+
+
+class PicardOneIndex(NamedTuple):
+    """The Picard-number-1 members of a catalog, and the size of every class."""
+
+    members: tuple[VarietyTerm, ...]  # Picard number 1, in catalog order
+    by_dim: dict[int, tuple[VarietyTerm, ...]]  # the same, per dimension
+    counts: dict[tuple[int, int | None], int]  # (dim, Picard number) -> members
+
+    def count(self, pred) -> int:
+        """Members whose (dimension, Picard number) satisfies ``pred``."""
+        return sum(c for (n, rho), c in self.counts.items() if pred(n, rho))
 
 
 @dataclass(frozen=True)
@@ -55,11 +79,42 @@ class Catalog:
         """Built on the first lookup only; sweeps iterate and never need it."""
         return frozenset(self.members)
 
+    @cached_property
+    def picard_one(self) -> PicardOneIndex:
+        """Built on first use; holds no reference to the other members."""
+        flat: list[VarietyTerm] = []
+        by_dim: dict[int, list[VarietyTerm]] = {}
+        counts: dict[tuple[int, int | None], int] = {}
+        for v in self.members:
+            n, rho = dim(v), picard_number(v)
+            counts[n, rho] = counts.get((n, rho), 0) + 1
+            if rho == 1:
+                flat.append(v)
+                by_dim.setdefault(n, []).append(v)
+        return PicardOneIndex(tuple(flat), {n: tuple(b) for n, b in by_dim.items()}, counts)
+
+
+def _degree_sequences(deg_max: int, budget: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Non-decreasing degree sequences in [2, deg_max] with their excess
+    sum(d - 1), for every excess up to ``budget``."""
+    frontier: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    while frontier:
+        longer = []
+        for degs, excess in frontier:
+            for d in range(degs[-1] if degs else 2, deg_max + 1):
+                if excess + d - 1 > budget:
+                    break
+                longer.append((degs + (d,), excess + d - 1))
+        yield from longer
+        frontier = longer
+
 
 def build_catalog(n_max: int, deg_max: int) -> Catalog:
-    """Enumerate, normalize, deduplicate and sort; deterministic output."""
+    """Enumerate each constructor within the bounds, normalize, deduplicate
+    and sort by ``to_text``; deterministic output."""
     if n_max < 2 or deg_max < 2:
-        raise ValidationError("build_catalog requires n_max >= 2 and deg_max >= 2")
+        raise ValidationError("build_catalog requires n_max >= 2 and deg_max >= 2",
+                              component="catalog")
     found: set[VarietyTerm] = set()
 
     def add(term: VarietyTerm):
@@ -88,20 +143,28 @@ def build_catalog(n_max: int, deg_max: int) -> Catalog:
             N += 1
         k += 1
 
-    for count in range(1, n_max + 1):
-        for n in range(1, n_max + 1):
-            N = n + count
-            for degs in combinations_with_replacement(range(2, deg_max + 1), count):
-                if sum(degs) <= N:  # Fano; the rest is filtered in add()
-                    add(CompleteIntersection(degs, N))
+    # A CI of dimension n in P^(n + count) is Fano iff its excess is <= n.
+    for degs, excess in _degree_sequences(deg_max, n_max):
+        for n in range(excess, n_max + 1):
+            add(CompleteIntersection(degs, n + len(degs)))
 
+    # Two or three factors in sorted order; the factors are sorted by
+    # dimension, so each loop stops at the first one past n_max.
     pairs = [
         (n, d) for n in range(1, n_max) for d in range(1, deg_max + 1)
     ]
-    for r in (2, 3):
-        for combo in combinations_with_replacement(pairs, r):
-            if sum(n for n, _ in combo) <= n_max:
-                add(PolarizedProduct(combo))
+    for i, a in enumerate(pairs):
+        for j in range(i, len(pairs)):
+            b = pairs[j]
+            ab = a[0] + b[0]
+            if ab > n_max:
+                break
+            add(PolarizedProduct((a, b)))
+            for k in range(j, len(pairs)):
+                c = pairs[k]
+                if ab + c[0] > n_max:
+                    break
+                add(PolarizedProduct((a, b, c)))
 
     # Fano scrolls over a line: at most one twist above the minimum, by one.
     for k in range(2, n_max + 1):

@@ -28,9 +28,14 @@ from .terms import (
     is_linear,
     max_linear_in,
     normalize,
-    picard_number,
 )
 from .trace import classification_trace
+
+
+def _bump_nonzero(rep: SuiteReport, counter: str, by: int):
+    """Counters appear only once they count something."""
+    if by:
+        rep.bump(counter, by)
 
 
 def classify_by_s(cat: Catalog, n: int, s: int,
@@ -38,9 +43,7 @@ def classify_by_s(cat: Catalog, n: int, s: int,
     """Catalog members of dimension n, Picard number 1 and exact invariant s."""
     eng = engine or default_engine()
     out = []
-    for v in cat:
-        if dim(v) != n or picard_number(v) != 1:
-            continue
+    for v in cat.picard_one.by_dim.get(n, ()):
         sv = eng.s_invariant(v)
         if sv.is_exact and sv.value == s:
             out.append(v)
@@ -62,14 +65,13 @@ def verify_classification(cat: Catalog, engine: ChainEngine | None = None) -> Su
     """
     eng = engine or default_engine()
     rep = SuiteReport("thm1", {"n_max": cat.n_max, "deg_max": cat.deg_max})
-    for v in cat:
+    index = cat.picard_one
+    _bump_nonzero(rep, "skipped_dim_lt_2", index.count(lambda n, rho: n < 2))
+    _bump_nonzero(rep, "skipped_rho_ne_1", index.count(lambda n, rho: n >= 2 and rho != 1))
+    for v in index.members:
         n = dim(v)
         if n < 2:
-            rep.bump("skipped_dim_lt_2")
-            continue
-        if picard_number(v) != 1:
-            rep.bump("skipped_rho_ne_1")
-            continue
+            continue  # counted above
         sv = eng.s_invariant(v)
         if not sv.is_exact:
             rep.bump("skipped_inexact_s")
@@ -153,12 +155,12 @@ def verify_next_to_maximal(cat: Catalog, engine: ChainEngine | None = None) -> S
             sv = eng.s_invariant(member_i)
             rep.add(to_text(member_i), "next-to-max.list-i-realizes",
                     sv.is_exact and sv.value == n - 1,
-                    f"expected exact S = {n - 1}, got {sv}")
+                    f"expected exact S = {n - 1}, got S {sv}")
             member_ii = ProjBundleP1((d + 1,) + (d,) * (n - 1))
             sv = eng.s_invariant(member_ii)
             rep.add(to_text(member_ii), "next-to-max.list-ii-realizes",
                     sv.is_exact and sv.value == n - 1,
-                    f"expected exact S = {n - 1}, got {sv}")
+                    f"expected exact S = {n - 1}, got S {sv}")
     return rep
 
 
@@ -200,10 +202,9 @@ def verify_family_lemmas(cat: Catalog, engine: ChainEngine | None = None) -> Sui
     rep = SuiteReport("lemmas", {"n_max": cat.n_max, "deg_max": cat.deg_max})
     rep.counters["proper_linear_triggered"] = 0
     rep.counters["proper_linear_vacuous"] = 0
-    for v in cat:
-        if picard_number(v) != 1:
-            rep.bump("skipped_rho_ne_1")
-            continue
+    index = cat.picard_one
+    _bump_nonzero(rep, "skipped_rho_ne_1", index.count(lambda n, rho: rho != 1))
+    for v in index.members:
         n = dim(v)
         name = to_text(v)
 
@@ -273,14 +274,15 @@ def golden_suite(n_max: int = 40, m_max: int | None = None,
         m_max = n_max
     if n_max < 1 or m_max < 0:
         raise ValidationError(
-            f"golden suite requires n_max >= 1 and m_max >= 0, got {n_max} and {m_max}"
+            f"golden suite requires n_max >= 1 and m_max >= 0, got {n_max} and {m_max}",
+            component="checks",
         )
     rep = SuiteReport("golden", {"n_max": n_max, "m_max": m_max})
 
     def check(v: VarietyTerm, expected: int):
         sv = eng.s_invariant(v)
         rep.add(to_text(v), "golden.s", sv.is_exact and sv.value == expected,
-                f"expected exact S = {expected}, got {sv}")
+                f"expected exact S = {expected}, got S {sv}")
 
     for n in range(1, n_max + 1):
         check(LinearSpace(n), n)

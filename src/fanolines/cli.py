@@ -128,7 +128,7 @@ def _cmd_s(args):
     sv = default_engine().s_invariant(term)
     payload = {"term": to_text(term), "canonical": to_text(normalize(term)),
                "s": sv._asdict()}
-    return 0, str(sv), payload
+    return 0, f"S {sv}", payload
 
 
 def _cmd_chain(args):

@@ -12,9 +12,18 @@ class EngineError(Exception):
 
 
 class ValidationError(EngineError, ValueError):
-    """A term (or config) violates one of its structural constraints."""
+    """A term (or config) violates one of its structural constraints.
+
+    The component defaults to ``terms``; an input bound of another part of
+    the engine (a catalog or a suite) names that part instead.
+    """
 
     component = "terms"
+
+    def __init__(self, message: str, component: str | None = None):
+        if component is not None:
+            self.component = component
+        super().__init__(message)
 
 
 class ParseError(EngineError, ValueError):

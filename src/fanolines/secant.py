@@ -44,6 +44,11 @@ DEFAULT_PRIMES = (2147483647, 2147483629, 2147483587)
 
 DEFAULT_SEED = 20260809
 
+#: Smallest accepted prime.  Points are drawn from [1, p-1]; over a small
+#: field they are degenerate so often that the trials keep disagreeing
+#: whatever the seed (F_2, F_3, F_5 fail on a degree-2 Veronese surface).
+MIN_PRIME = 2**16
+
 
 @dataclass(frozen=True)
 class Parameterization:
@@ -134,6 +139,10 @@ class RankConfig:
                    for q in self.primes):
             raise ValidationError(
                 f"RankConfig primes must be primes below 2^64, got {list(self.primes)}"
+            )
+        if min(self.primes) < MIN_PRIME:
+            raise ValidationError(
+                f"RankConfig primes must be at least 2^16 = {MIN_PRIME}, got {min(self.primes)}"
             )
         if self.points_per_trial < 0:
             raise ValidationError("RankConfig requires points_per_trial >= 0")

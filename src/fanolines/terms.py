@@ -14,6 +14,7 @@ of their families; every predicate is stated for the general member.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 from typing import NamedTuple, Union
 
@@ -180,8 +181,10 @@ CONSTRUCTORS = (
 class Bound(NamedTuple):
     """An exact value or a lower bound, tagged by ``kind``.
 
-    ``str`` renders it as a value of the chain invariant S, the one bound the
-    reports print whole.
+    ``str`` names no quantity (``= 3 (exact)``, ``>= 1 (lower bound)``); a
+    report prefixes the name of what it bounds, as in ``S = 3 (exact)``.
+    Build them with :func:`exact` and :func:`at_least`, which share one
+    instance per (kind, value).
     """
 
     kind: str  # "exact" | "at_least"
@@ -193,14 +196,16 @@ class Bound(NamedTuple):
 
     def __str__(self) -> str:
         if self.is_exact:
-            return f"S = {self.value} (exact)"
-        return f"S >= {self.value} (lower bound)"
+            return f"= {self.value} (exact)"
+        return f">= {self.value} (lower bound)"
 
 
+@cache
 def exact(value: int) -> Bound:
     return Bound("exact", value)
 
 
+@cache
 def at_least(value: int) -> Bound:
     return Bound("at_least", value)
 

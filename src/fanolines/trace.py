@@ -68,7 +68,7 @@ def classification_trace(v: VarietyTerm, engine: ChainEngine | None = None) -> T
     sv = eng.s_invariant(v)
     if not (sv.is_exact and sv.value == m):
         raise PreconditionFailed(
-            f"s_invariant({to_text(v)}) = exact {m} required, got {sv}"
+            f"s_invariant({to_text(v)}) = exact {m} required, got S {sv}"
         )
 
     chains = list(eng.realizing_chains(v))

@@ -1,8 +1,11 @@
 """Catalog enumeration and the verification suites."""
 
+from collections import Counter
+from itertools import combinations_with_replacement
+
 import pytest
 
-from fanolines.catalog import build_catalog
+from fanolines.catalog import Catalog, build_catalog
 from fanolines.checks import (
     classify_by_s,
     golden_suite,
@@ -13,7 +16,23 @@ from fanolines.checks import (
 )
 from fanolines.dsl import to_text
 from fanolines.errors import ValidationError
-from fanolines.terms import dim, is_fano, normalize
+from fanolines.terms import (
+    Bound,
+    CompleteIntersection,
+    Grassmann,
+    LinearSectionG25,
+    LinearSpace,
+    PolarizedProduct,
+    ProjBundleP1,
+    Quadric,
+    SympGrassmann,
+    at_least,
+    dim,
+    exact,
+    is_fano,
+    normalize,
+    picard_number,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +94,120 @@ def test_catalog_contains_no_non_fano_scrolls():
     names = {to_text(v) for v in build_catalog(4, 4)}
     assert "PB(3,1,1)" not in names  # covered by lines but not Fano
     assert "PB(2,1,1)" in names
+
+
+def _generate_and_filter_catalog(n_max: int, deg_max: int) -> tuple:
+    """The members of the first catalog builder, which generated every
+    complete-intersection and product candidate and filtered by dimension."""
+    found = set()
+
+    def add(term):
+        term = normalize(term)
+        if 1 <= dim(term) <= n_max and is_fano(term):
+            found.add(term)
+
+    for n in range(1, n_max + 1):
+        add(LinearSpace(n))
+        add(Quadric(n))
+    k = 2
+    while k * k <= n_max:
+        N = 2 * k
+        while k * (N - k) <= n_max:
+            add(Grassmann(k, N))
+            N += 1
+        k += 1
+    k = 2
+    while k * (k + 1) - k * (k - 1) // 2 <= n_max:
+        N = 2 * k + 1
+        while k * (N - k) - k * (k - 1) // 2 <= n_max:
+            add(SympGrassmann(k, N))
+            N += 1
+        k += 1
+    for count in range(1, n_max + 1):
+        for n in range(1, n_max + 1):
+            N = n + count
+            for degs in combinations_with_replacement(range(2, deg_max + 1), count):
+                if sum(degs) <= N:
+                    add(CompleteIntersection(degs, N))
+    pairs = [(n, d) for n in range(1, n_max) for d in range(1, deg_max + 1)]
+    for r in (2, 3):
+        for combo in combinations_with_replacement(pairs, r):
+            if sum(n for n, _ in combo) <= n_max:
+                add(PolarizedProduct(combo))
+    for k in range(2, n_max + 1):
+        for d in range(1, n_max + 1):
+            add(ProjBundleP1((d,) * k))
+            if d + 1 <= n_max:
+                add(ProjBundleP1((d + 1,) + (d,) * (k - 1)))
+    for c in range(0, 5):
+        add(LinearSectionG25(c))
+    return tuple(sorted(found, key=to_text))
+
+
+@pytest.mark.parametrize("deg_max", [2, 3, 4, 5])
+def test_direct_enumeration_matches_generate_and_filter(deg_max):
+    for n_max in range(2, 17):
+        assert build_catalog(n_max, deg_max).members == \
+            _generate_and_filter_catalog(n_max, deg_max), (n_max, deg_max)
+
+
+@pytest.mark.parametrize("grid", [(2, 2), (9, 3), (12, 5)])
+def test_picard_one_index_is_the_picard_one_slice(grid):
+    cat = build_catalog(*grid)
+    index = cat.picard_one
+    assert list(index.members) == [v for v in cat if picard_number(v) == 1]
+    for n in range(0, cat.n_max + 2):
+        want = [v for v in cat if dim(v) == n and picard_number(v) == 1]
+        assert list(index.by_dim.get(n, ())) == want
+    assert index.counts == Counter((dim(v), picard_number(v)) for v in cat)
+
+
+@pytest.mark.parametrize("grid", [(2, 2), (9, 3), (15, 4)])
+def test_skip_counters_match_a_per_member_count(grid):
+    cat = build_catalog(*grid)
+    lt_2 = sum(1 for v in cat if dim(v) < 2)
+    rho_ne_1 = sum(1 for v in cat if picard_number(v) != 1)
+    rho_ne_1_dim_ge_2 = sum(1 for v in cat if dim(v) >= 2 and picard_number(v) != 1)
+    counters = verify_classification(cat).counters
+    assert counters.get("skipped_dim_lt_2", 0) == lt_2
+    assert counters.get("skipped_rho_ne_1", 0) == rho_ne_1_dim_ge_2
+    assert verify_family_lemmas(cat).counters.get("skipped_rho_ne_1", 0) == rho_ne_1
+    # a counter appears only once it counts something
+    assert all(value != 0 for key, value in counters.items() if key.startswith("skipped"))
+
+
+def test_three_argument_catalog_and_subclasses_keep_working():
+    full = build_catalog(9, 3)
+    chosen = tuple(v for v in full if dim(v) in (1, 3, 7))
+    cat = Catalog(9, 3, chosen)
+    assert len(cat) == len(chosen) and Quadric(7) in cat and Quadric(5) not in cat
+    assert {n for n in cat.picard_one.by_dim} == {1, 3, 7}
+    assert classify_by_s(cat, 7, 3) == classify_by_s(full, 7, 3)
+    assert classify_by_s(cat, 5, 2) == []
+    assert verify_classification(cat).counters["skipped_dim_lt_2"] == 2
+
+    class Reversed(Catalog):
+        def __init__(self, base: Catalog):
+            super().__init__(base.n_max, base.deg_max, base.members[::-1])
+
+    rev = Reversed(full)
+    assert rev.picard_one.by_dim[3] == full.picard_one.by_dim[3][::-1]
+    assert rev.picard_one.counts == full.picard_one.counts
+
+    # a plane cubic is a curve of unknown Picard number: skipped by both suites
+    curves = Catalog(2, 3, (CompleteIntersection((3,), 2), LinearSpace(1)))
+    assert verify_classification(curves).counters == {"skipped_dim_lt_2": 2}
+    assert verify_family_lemmas(curves).counters["skipped_rho_ne_1"] == 1
+
+
+def test_bounds_are_interned_and_compare_and_hash_as_before():
+    assert exact(3) is exact(3)
+    assert at_least(3) is at_least(3)
+    assert exact(3) == Bound("exact", 3) == ("exact", 3)
+    assert hash(exact(3)) == hash(Bound("exact", 3)) == hash(("exact", 3))
+    assert exact(3) != at_least(3) and exact(3) != exact(4)
+    assert {exact(3): "x"}[Bound("exact", 3)] == "x"
+    assert exact(3).is_exact and not at_least(3).is_exact
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,18 @@ def test_golden_bounds_are_validated(capsys):
     assert out.startswith("suite golden (m_max=1, n_max=1) 2 passed, 0 failed")
 
 
+@pytest.mark.parametrize("argv, component", [
+    (("verify", "--suite", "golden", "--nmax", "-5"), "checks"),
+    (("verify", "--suite", "thm1", "--nmax", "1"), "catalog"),
+    (("classify", "--dim", "3", "--s", "1", "--degmax", "1"), "catalog"),
+])
+def test_bound_errors_name_the_component_at_fault(capsys, argv, component):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{component}: ") and err.count("\n") == 1
+
+
 def test_domain_error_exits_1(capsys):
     code, _, err = run(capsys, "chain", "pt")
     assert code == 1

@@ -224,6 +224,18 @@ def test_rank_config_rejects_non_primes(primes):
         RankConfig(primes=primes)
 
 
+@pytest.mark.parametrize("primes", [(2, 3, 5), (65521, 65537, 65539), (2147483647, 7)])
+def test_rank_config_rejects_primes_below_the_limit(primes):
+    with pytest.raises(ValidationError, match=r"at least 2\^16 = 65536"):
+        RankConfig(primes=primes)
+
+
+def test_rank_config_accepts_primes_from_the_limit_on():
+    cfg = RankConfig(primes=(65537, 65539, 65543), seed=3)
+    row = secant_row(segre_veronese(2, 2), cfg)
+    assert row["secant_terracini"] == row["secant_chord"] == 5
+
+
 def test_rank_config_rejects_negative_points_per_trial():
     with pytest.raises(ValidationError):
         RankConfig(points_per_trial=-3)

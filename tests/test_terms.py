@@ -14,8 +14,10 @@ from fanolines.terms import (
     Quadric,
     SympGrassmann,
     ambient_dim,
+    at_least,
     covered_by_lines,
     dim,
+    exact,
     family_dim,
     is_fano,
     is_linear,
@@ -277,6 +279,15 @@ def test_max_linear_delegated_to_chain_invariant():
         kind, value = max_linear_in(term)
         assert kind == "at_least"
         assert value == s_invariant(term).value
+
+
+def test_bound_str_names_no_invariant():
+    from fanolines.chains import covering_ls_bound
+
+    assert str(exact(3)) == "= 3 (exact)"
+    assert str(at_least(1)) == ">= 1 (lower bound)"
+    assert str(covering_ls_bound(CompleteIntersection((2, 2), 7))) == ">= 2 (lower bound)"
+    assert str(max_linear_in(Quadric(6))) == "= 3 (exact)"
 
 
 def test_max_linear_at_most_dim():
