@@ -31,10 +31,12 @@ from .terms import dim, normalize
 
 CHAIN_SYMBOL = " ⊨ "  # the "has a family of lines" turnstile
 
-#: Largest accepted value of each size option, per subcommand.  The largest
-#: accepted input runs in about 10 s on a 2-vCPU host; beyond it the time
-#: grows fast (cubically in the secant coordinate count (d+1)m+1, and steeply
-#: in both catalog bounds), so larger inputs are rejected instead of hanging.
+#: Largest accepted value of each size option, per subcommand.  On a 2-vCPU
+#: host the largest accepted inputs take about 4 s each (``secant --kind
+#: scroll -d 12 -m 12 --trials 8`` 3.6 to 4.1 s, ``verify --suite prop32
+#: --nmax 32 --degmax 5`` 4.4 s); beyond them the time grows fast
+#: (cubically in the secant coordinate count (d+1)m+1, and steeply in both
+#: catalog bounds), so larger inputs are rejected instead of hanging.
 SIZE_CAPS = {
     "secant": {"-d": 12, "-m": 12, "--trials": 8},
     "classify": {"--nmax": 32, "--degmax": 5},

@@ -15,7 +15,8 @@ class ValidationError(EngineError, ValueError):
     """A term (or config) violates one of its structural constraints.
 
     The component defaults to ``terms``; an input bound of another part of
-    the engine (a catalog or a suite) names that part instead.
+    the engine (a catalog, a suite or the secant laboratory) names that part
+    instead.
     """
 
     component = "terms"

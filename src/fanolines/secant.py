@@ -18,20 +18,25 @@ must agree; neither is ever replaced by the other.
 Jacobians are those of the HOMOGENEOUS parameterization (cone convention),
 so every reported projective dimension subtracts exactly one from a rank.
 
-A Jacobian row costs one monomial evaluation: every partial is read off the
-monomial value as d/dx_j x^e = e_j x^e x_j^-1, the random coordinates being
-non-zero mod p.  Evaluation rows for the span are a lazy generator, and the
-streaming rank of ``modp`` stops pulling them at full column rank, so of the
+Each parameterization keeps the sparse support of every monomial, its
+``(param, exponent)`` pairs with a non-zero exponent (at most three here),
+and evaluation and gradients loop over that support only.  A Jacobian row
+costs one monomial evaluation: every partial is read off the monomial value
+as d/dx_j x^e = e_j x^e x_j^-1, the random coordinates being non-zero mod p.
+Evaluation rows for the span are a lazy generator, and the streaming rank
+of ``modp`` stops pulling them at full column rank, so of the
 ``2 * num_coords`` points allowed per trial only ``num_coords`` are drawn
-when the span fills its ambient space.  Every rank equals that of the full matrix: the early exit
-happens only at the largest rank possible, and each (trial, prime) pair has
-its own random generator, so no report depends on how many rows were pulled.
+when the span fills its ambient space.  Every rank equals that of the full
+matrix: the early exit happens only at the largest rank possible, and each
+(trial, prime) pair has its own random generator, so no report depends on
+how many rows were pulled.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iproduct
 
 from .errors import DegenerateRandomness, ValidationError
@@ -50,12 +55,16 @@ DEFAULT_SEED = 20260809
 MIN_PRIME = 2**16
 
 
+Support = tuple[tuple[int, int], ...]  # the (param, exponent) pairs, exponent > 0
+
+
 @dataclass(frozen=True)
 class Parameterization:
     """A monomial map from parameter space onto the affine cone of a variety.
 
     ``monomials[c]`` is the exponent vector of coordinate c over the
-    ``num_params`` homogeneous parameters.
+    ``num_params`` homogeneous parameters, and ``supports[c]`` its non-zero
+    entries as ``(param, exponent)`` pairs.
     """
 
     kind: str  # "segre" | "scroll"
@@ -75,6 +84,11 @@ class Parameterization:
     def variety_dim(self) -> int:
         return self.m
 
+    @cached_property
+    def supports(self) -> tuple[Support, ...]:
+        return tuple(tuple((j, e) for j, e in enumerate(exp) if e)
+                     for exp in self.monomials)
+
 
 def segre_veronese(d: int, m: int) -> Parameterization:
     """P^1 x P^{m-1} embedded by O(d, 1) in P^{dm+m-1}.
@@ -82,7 +96,7 @@ def segre_veronese(d: int, m: int) -> Parameterization:
     Coordinates are s^(d-a) t^a u_j for 0 <= a <= d and 0 <= j <= m-1.
     """
     if d < 1 or m < 1:
-        raise ValidationError("segre_veronese requires d >= 1 and m >= 1")
+        raise ValidationError("segre_veronese requires d >= 1 and m >= 1", component="secant")
     nparams = 2 + m  # s, t, u_0..u_{m-1}
     monos = []
     for a in range(d + 1):
@@ -102,7 +116,7 @@ def scroll(d: int, m: int) -> Parameterization:
     times the degree-d monomials for 1 <= j <= m-1.
     """
     if d < 1 or m < 1:
-        raise ValidationError("scroll requires d >= 1 and m >= 1")
+        raise ValidationError("scroll requires d >= 1 and m >= 1", component="secant")
     nparams = 2 + m  # s, t, v_0..v_{m-1}
     monos = []
     for a in range(d + 2):
@@ -132,20 +146,23 @@ class RankConfig:
 
     def __post_init__(self):
         if self.trials < 3:
-            raise ValidationError("RankConfig requires trials >= 3")
+            raise ValidationError("RankConfig requires trials >= 3", component="secant")
         if len(set(self.primes)) != len(self.primes) or not self.primes:
-            raise ValidationError("RankConfig primes must be non-empty and distinct")
+            raise ValidationError("RankConfig primes must be non-empty and distinct",
+                                  component="secant")
         if not all(isinstance(q, int) and q < PRIME_LIMIT and is_prime(q)
                    for q in self.primes):
             raise ValidationError(
-                f"RankConfig primes must be primes below 2^64, got {list(self.primes)}"
+                f"RankConfig primes must be primes below 2^64, got {list(self.primes)}",
+                component="secant",
             )
         if min(self.primes) < MIN_PRIME:
             raise ValidationError(
-                f"RankConfig primes must be at least 2^16 = {MIN_PRIME}, got {min(self.primes)}"
+                f"RankConfig primes must be at least 2^16 = {MIN_PRIME}, got {min(self.primes)}",
+                component="secant",
             )
         if self.points_per_trial < 0:
-            raise ValidationError("RankConfig requires points_per_trial >= 0")
+            raise ValidationError("RankConfig requires points_per_trial >= 0", component="secant")
 
 
 def _rng(cfg: RankConfig, label: str, trial: int, p: int) -> random.Random:
@@ -156,25 +173,27 @@ def _point(rng: random.Random, k: int, p: int) -> list[int]:
     return [rng.randrange(1, p) for _ in range(k)]
 
 
-def _eval_monomial(exp: tuple[int, ...], x: list[int], p: int) -> int:
+def _eval_monomial(support: Support, x: list[int], p: int) -> int:
     out = 1
-    for e, xi in zip(exp, x):
-        if e:
-            out = (out * pow(xi, e, p)) % p
+    for j, e in support:
+        out = (out * pow(x[j], e, p)) % p
     return out
 
 
 def _gradient(
-    exp: tuple[int, ...], x: list[int], inv_x: list[int], p: int
+    support: Support, x: list[int], inv_x: list[int], p: int
 ) -> tuple[int, list[int]]:
-    """The monomial ``x^exp`` mod p and all its partials at ``x``.
+    """The monomial with this support mod p and all its partials at ``x``.
 
     Each partial comes from the monomial value as d/dx_j x^e = e_j x^e x_j^-1;
     ``inv_x`` holds the inverses of the coordinates of ``x``, which are all
     non-zero mod p.
     """
-    value = _eval_monomial(exp, x, p)
-    return value, [(e * value * inv) % p if e else 0 for e, inv in zip(exp, inv_x)]
+    value = _eval_monomial(support, x, p)
+    grad = [0] * len(x)
+    for j, e in support:
+        grad[j] = (e * value * inv_x[j]) % p
+    return value, grad
 
 
 def _inverses(x: list[int], p: int) -> list[int]:
@@ -203,13 +222,14 @@ def span_dim_numeric(par: Parameterization, cfg: RankConfig = RankConfig()) -> i
     if npts < par.num_coords:
         raise ValidationError(
             f"points_per_trial = {npts} is below the {par.num_coords} coordinates"
-            " and can only under-report the span"
+            " and can only under-report the span",
+            component="secant",
         )
     ranks = []
     for trial, p in iproduct(range(cfg.trials), cfg.primes):
         rng = _rng(cfg, f"span:{par.kind}:{par.d}:{par.m}", trial, p)
         points = (_point(rng, par.num_params, p) for _ in range(npts))
-        rows = ([_eval_monomial(mono, x, p) for mono in par.monomials] for x in points)
+        rows = ([_eval_monomial(sup, x, p) for sup in par.supports] for x in points)
         ranks.append(rank_mod_p(rows, p))
     return _stable_rank(ranks) - 1
 
@@ -227,8 +247,8 @@ def secant_dim_terracini(par: Parameterization, cfg: RankConfig = RankConfig()) 
         y = _point(rng, par.num_params, p)
         ix, iy = _inverses(x, p), _inverses(y, p)
         rows = [
-            _gradient(mono, x, ix, p)[1] + _gradient(mono, y, iy, p)[1]
-            for mono in par.monomials
+            _gradient(sup, x, ix, p)[1] + _gradient(sup, y, iy, p)[1]
+            for sup in par.supports
         ]
         ranks.append(rank_mod_p(rows, p))
     return _stable_rank(ranks) - 1
@@ -247,9 +267,9 @@ def secant_dim_chordmap(par: Parameterization, cfg: RankConfig = RankConfig()) -
         t = rng.randrange(1, p)
         ix, iy = _inverses(x, p), _inverses(y, p)
         rows = []
-        for mono in par.monomials:
-            value, dx = _gradient(mono, x, ix, p)
-            rows.append([(t * g) % p for g in dx] + _gradient(mono, y, iy, p)[1] + [value])
+        for sup in par.supports:
+            value, dx = _gradient(sup, x, ix, p)
+            rows.append([(t * g) % p for g in dx] + _gradient(sup, y, iy, p)[1] + [value])
         ranks.append(rank_mod_p(rows, p))
     return _stable_rank(ranks) - 1
 
@@ -278,9 +298,11 @@ def verify_secant_dimensions(
     scroll values are reported without an asserted expectation.
     """
     if any(d < 2 for d in d_range):
-        raise ValidationError("verify_secant_dimensions requires d >= 2 in d_range")
+        raise ValidationError("verify_secant_dimensions requires d >= 2 in d_range",
+                              component="secant")
     if any(m < 2 for m in m_range):
-        raise ValidationError("verify_secant_dimensions requires m >= 2 in m_range")
+        raise ValidationError("verify_secant_dimensions requires m >= 2 in m_range",
+                              component="secant")
     rep = SuiteReport(
         "secant",
         {

@@ -203,6 +203,8 @@ def test_golden_bounds_are_validated(capsys):
     (("verify", "--suite", "golden", "--nmax", "-5"), "checks"),
     (("verify", "--suite", "thm1", "--nmax", "1"), "catalog"),
     (("classify", "--dim", "3", "--s", "1", "--degmax", "1"), "catalog"),
+    (("secant", "--kind", "segre", "-d", "2", "-m", "2", "--trials", "2"), "secant"),
+    (("secant", "--kind", "segre", "-d", "0", "-m", "2"), "secant"),
 ])
 def test_bound_errors_name_the_component_at_fault(capsys, argv, component):
     code, out, err = run(capsys, *argv)

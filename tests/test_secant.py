@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from bisect import insort
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -143,6 +144,124 @@ def test_rank_mod_p_stops_pulling_rows_at_full_column_rank():
     assert len(pulled) == width
 
 
+# ---------------------------------------------------------------------------
+# the packed rank against the list-based kernel it replaced
+
+
+def rank_mod_p_reference(rows, p):
+    """The list-based streaming reduction that the packed-slot kernel
+    replaced, kept verbatim as the reference."""
+    pivots = []
+    width = None
+    for row in rows:
+        if width is None:
+            width = len(row)
+        work = [x % p for x in row]
+        for col, tail in pivots:
+            f = work[col] % p
+            if f:
+                work[col:] = [a - f * b for a, b in zip(work[col:], tail)]
+        work = [x % p for x in work]
+        lead = next((c for c, x in enumerate(work) if x), None)
+        if lead is None:
+            continue
+        inv = pow(work[lead], -1, p)
+        insort(pivots, (lead, [(x * inv) % p for x in work[lead:]]))
+        if len(pivots) == width:
+            break
+    return len(pivots)
+
+
+# 65537 is the smallest prime RankConfig accepts, 2^31 - 1 the first default
+# and 18446744073709551557 the largest prime below 2^64.
+PRIMES = [65537, 2**31 - 1, 18446744073709551557]
+# 157 is the coordinate count of scroll(12, 12), the widest CLI input.
+MAX_WIDTH = scroll(12, 12).num_coords
+
+
+def _field_rows(rng, p, rows, cols):
+    return [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+
+
+def _field_deficient(rng, p, rows, cols, k):
+    """``k`` random rows and ``rows - k`` combinations of two of them, shuffled."""
+    mat = _field_rows(rng, p, k, cols)
+    for _ in range(rows - k):
+        u, v, a, b = *rng.sample(mat[:k], 2), rng.randrange(p), rng.randrange(p)
+        mat.append([a * x + b * y for x, y in zip(u, v)])
+    rng.shuffle(mat)
+    return mat
+
+
+FIELD_SHAPES = {
+    "square": lambda rng, p: _field_rows(rng, p, MAX_WIDTH, MAX_WIDTH),
+    "tall": lambda rng, p: _field_rows(rng, p, 90, 61),
+    "wide": lambda rng, p: _field_rows(rng, p, 40, MAX_WIDTH),
+    "rank-deficient": lambda rng, p: _field_deficient(rng, p, MAX_WIDTH, MAX_WIDTH, 100),
+    "rank-deficient-tall": lambda rng, p: _field_deficient(rng, p, 70, 29, 26),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(FIELD_SHAPES))
+@pytest.mark.parametrize("p", PRIMES)
+def test_packed_rank_matches_the_list_kernel(p, shape):
+    mat = FIELD_SHAPES[shape](random.Random(f"{shape}:{p}"), p)
+    want = rank_mod_p_reference(mat, p)
+    assert rank_mod_p(mat, p) == want
+    assert rank_mod_p((row for row in mat), p) == want
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_packed_rank_reduces_unreduced_and_negative_entries(p):
+    rng = random.Random(p)
+    for rows, cols in [(6, 6), (9, 4), (3, 8), (40, MAX_WIDTH)]:
+        base = [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)]
+        # the same matrix mod p, with every entry shifted by a multiple of p,
+        # some far below zero
+        shifted = [[x + rng.randrange(-5, 6) * p - (p * p if rng.random() < 0.1 else 0)
+                    for x in row] for row in base]
+        want = rank_mod_p_reference(base, p)
+        assert rank_mod_p(shifted, p) == rank_mod_p_reference(shifted, p) == want
+        if cols <= 8:
+            assert want == rank_over_q(base)
+
+
+def _worst_case_growth(p, width):
+    """Rows whose reduction drives one slot to the largest value the packed
+    kernel can meet, (p - 1) + (width - 1) * (p - 1)**2 up to a residue.
+
+    The first ``width - 1`` rows are pivots 1 followed by entries p - 1.  The
+    last row makes the pivot factor f = 1 at every column, so each pivot adds
+    (p - 1) * (p - 1) to every later slot; its final entry makes the last
+    slot vanish mod p, so the rank is ``width - 1``.
+    """
+    pivots = [[0] * c + [1] + [p - 1] * (width - c - 1) for c in range(width - 1)]
+    last = [(1 - k) % p for k in range(width - 1)] + [(1 - width) % p]
+    return pivots + [last]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_packed_rank_survives_worst_case_slot_growth(p):
+    mat = _worst_case_growth(p, MAX_WIDTH)
+    assert rank_mod_p(mat, p) == rank_mod_p_reference(mat, p) == MAX_WIDTH - 1
+    # The largest slot value needs as many bits as the kernel's bound on it,
+    # so a slot narrower than that bound's bit length would overflow.
+    bound = (p - 1) + MAX_WIDTH * (p - 1) ** 2
+    reached = (1 - MAX_WIDTH) % p + (MAX_WIDTH - 1) * (p - 1) ** 2
+    assert reached.bit_length() == bound.bit_length()
+    # with the last entry made independent, the rank is full
+    mat[-1][-1] = (mat[-1][-1] + 1) % p
+    assert rank_mod_p(mat, p) == rank_mod_p_reference(mat, p) == MAX_WIDTH
+
+
+@pytest.mark.parametrize("rows", [[[0], [0, 1, 0]], [[1, 2, 3], [1]], [[1, 0], [2, 0], [1, 1, 1]]])
+def test_rank_mod_p_rejects_ragged_rows(rows):
+    with pytest.raises(ValueError, match="row of length"):
+        rank_mod_p(rows, 2147483647)
+    with pytest.raises(ValueError, match="row of length"):
+        rank_mod_p(iter(rows), 2147483647)
+
+
 def test_span_draws_only_num_coords_points_per_trial(monkeypatch):
     drawn = []
 
@@ -184,8 +303,9 @@ def test_gradient_matches_the_partial_product_formula(p):
     for exp in monomials:
         x = [rng.randrange(1, p) for _ in exp]
         inv_x = [pow(xi, -1, p) for xi in x]
-        value, grad = _gradient(exp, x, inv_x, p)
-        assert value == _eval_monomial(exp, x, p)
+        support = tuple((j, e) for j, e in enumerate(exp) if e)
+        value, grad = _gradient(support, x, inv_x, p)
+        assert value == _eval_monomial(support, x, p)
         assert grad == [partial_oracle(exp, j, x, p) for j in range(len(exp))]
 
 
@@ -198,6 +318,15 @@ def test_segre_veronese_monomial_counts():
     assert par.num_coords == (2 + 1) * 3
     assert par.num_params == 5
     assert len(set(par.monomials)) == par.num_coords  # distinct monomials
+
+
+@pytest.mark.parametrize("par", [segre_veronese(4, 12), scroll(4, 12), scroll(1, 2)])
+def test_supports_are_the_nonzero_exponents(par):
+    assert len(par.supports) == par.num_coords
+    for exp, support in zip(par.monomials, par.supports):
+        assert all(e > 0 for _, e in support) and len(support) <= 3
+        assert [dict(support).get(j, 0) for j in range(par.num_params)] == list(exp)
+    assert par.supports is par.supports  # computed once per parameterization
 
 
 def test_scroll_monomial_counts():
@@ -360,7 +489,7 @@ def test_conic_three_point_rank_oracle():
         rows = []
         for _ in range(3):
             x = _point(rng, par.num_params, p)
-            rows.append([_eval_monomial(mono, x, p) for mono in par.monomials])
+            rows.append([_eval_monomial(sup, x, p) for sup in par.supports])
         assert rank_mod_p(rows, p) == 3
     assert covered_by_lines(Quadric(1)) is False
 
@@ -389,6 +518,17 @@ def test_verify_secant_dimensions_report_is_pinned():
     assert hashlib.sha256(doc.encode()).hexdigest() == (
         "2fb091fbf351454071bf46f9ac272905a03f3dc72208aa455af4b15aef4dfb29"
     )
+
+
+@pytest.mark.parametrize("builder, digest", [
+    (scroll, "514fd1ea3c07078238821920df46ee5eff0df30887a6095adb910adffd3f3f9f"),
+    (segre_veronese, "68ed67b724c8cc0004b9dd87d9835365c7e8cdb0fb1bac26195c4f3cf1d2134d"),
+])
+def test_widest_benchmark_rows_are_pinned(builder, digest):
+    # The widest rows of the benchmark grid (d = 4, m = 12), recorded with
+    # the list-based rank kernel and dense monomial evaluation.
+    row = secant_row(builder(4, 12), RankConfig(seed=1))
+    assert hashlib.sha256(json.dumps(row, sort_keys=True).encode()).hexdigest() == digest
 
 
 def test_verify_secant_dimensions_validates_ranges():
