@@ -126,22 +126,17 @@ def build_catalog(n_max: int, deg_max: int) -> Catalog:
         add(LinearSpace(n))
         add(Quadric(n))
 
-    # Grassmannians: k <= N-k suffices, duality is a normalize rule anyway.
-    k = 2
-    while k * k <= n_max:
-        N = 2 * k
-        while k * (N - k) <= n_max:
-            add(Grassmann(k, N))
-            N += 1
-        k += 1
-
-    k = 2
-    while k * (k + 1) - k * (k - 1) // 2 <= n_max:  # dimension at N = 2k+1
-        N = 2 * k + 1
-        while k * (N - k) - k * (k - 1) // 2 <= n_max:
-            add(SympGrassmann(k, N))
-            N += 1
-        k += 1
+    # Grassmannians from their smallest N = 2k (+1 when isotropic) on: k <= N-k
+    # suffices, duality is a normalize rule anyway.  The dimension grows with
+    # N, and with k at the smallest N.
+    for grassmannian, extra in ((Grassmann, 0), (SympGrassmann, 1)):
+        k = 2
+        while dim(grassmannian(k, 2 * k + extra)) <= n_max:
+            N = 2 * k + extra
+            while dim(term := grassmannian(k, N)) <= n_max:
+                add(term)
+                N += 1
+            k += 1
 
     # A CI of dimension n in P^(n + count) is Fano iff its excess is <= n.
     for degs, excess in _degree_sequences(deg_max, n_max):

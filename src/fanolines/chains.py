@@ -6,6 +6,9 @@ attainable chain length.  The recursion is exact whenever every branch has a
 rewrite rule; a ruleless branch degrades the result to a lower bound, unless
 the exact branches already attain the cap S <= dim placed on the unknown one.
 
+Each step reads :func:`~fanolines.families.lookup_families`: a node's
+families, or the reason a chain ends there (:attr:`ChainTree.terminal_reason`).
+
 >>> from fanolines.terms import Quadric
 >>> s_invariant(Quadric(7))
 Bound(kind='exact', value=3)
@@ -17,8 +20,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .dsl import to_text
-from .errors import NoRule, NotCoveredByLines
-from .families import FamilyRecord, line_families
+from .errors import NotCoveredByLines
+from .families import FamilyRecord, lookup_families
 from .terms import (
     Bound,
     VarietyTerm,
@@ -73,16 +76,13 @@ class ChainEngine:
         cached = self._s_memo.get(key)
         if cached is not None:
             return cached
-        try:
-            fams = line_families(v)
-        except NotCoveredByLines:
-            out = exact(0)
-        except NoRule:
+        fams, end = lookup_families(v)
+        if end == "no_rule":
             # Covered by lines, so a chain of length one exists; nothing
             # more can be said without a rule.
             out = at_least(1)
         else:
-            best = 0
+            best = 0  # also the value where no family exists
             caps: list[int] = []
             for fam in fams:
                 sub = self.s_invariant(fam.variety)
@@ -97,15 +97,9 @@ class ChainEngine:
 
     def chain_tree(self, v: VarietyTerm) -> ChainTree:
         """Full branching tree of families below ``v``, rooted at ``v`` itself."""
-        try:
-            fams = line_families(v)
-        except NotCoveredByLines:
-            reason = "is_point" if dim(v) == 0 else "not_covered"
-            return ChainTree(v, (), reason)
-        except NoRule:
-            return ChainTree(v, (), "no_rule")
+        fams, end = lookup_families(v)
         children = tuple((fam, self.chain_tree(fam.variety)) for fam in fams)
-        return ChainTree(v, children, None)
+        return ChainTree(v, children, end)
 
     def witness_chain(self, v: VarietyTerm) -> list[VarietyTerm]:
         """A maximal chain achieving the invariant, terminal object included.
@@ -143,10 +137,7 @@ class ChainEngine:
         empty where a chain of length ``target`` ends at ``v``."""
         if target == 0:
             return []
-        try:
-            fams = line_families(v)
-        except (NotCoveredByLines, NoRule):
-            return []
+        fams, _ = lookup_families(v)
         return [fam.variety for fam in sorted(fams, key=_family_sort_key)
                 if 1 + self.s_invariant(fam.variety).value == target]
 
@@ -158,14 +149,9 @@ class ChainEngine:
         can be strictly better (the intersection of two quadrics in P^7 has
         invariant 1 but is covered by planes).
         """
-        candidates = [self.s_invariant(v).value]
-        try:
-            fams = line_families(v)
-        except (NotCoveredByLines, NoRule):
-            fams = []
-        for fam in fams:
-            candidates.append(1 + max_linear_in(fam.variety).value)
-        return at_least(max(candidates))
+        fams, _ = lookup_families(v)
+        lifted = (1 + max_linear_in(fam.variety).value for fam in fams)
+        return at_least(max([self.s_invariant(v).value, *lifted]))
 
 
 _DEFAULT_ENGINE = ChainEngine()

@@ -11,8 +11,8 @@ from __future__ import annotations
 from .catalog import Catalog
 from .chains import ChainEngine, default_engine
 from .dsl import to_text
-from .errors import EngineError, NoRule, NotCoveredByLines, ValidationError
-from .families import family_codim3_list, line_families, odd_dimension_list
+from .errors import EngineError, ValidationError
+from .families import family_codim3_list, lookup_families, odd_dimension_list
 from .reports import SuiteReport
 from .terms import (
     Grassmann,
@@ -222,13 +222,9 @@ def verify_family_lemmas(cat: Catalog, engine: ChainEngine | None = None) -> Sui
                     "family of dimension n-3: cubic, 2-quadric intersection,"
                     " or G(2,5) section required")
 
-        try:
-            fams = line_families(v)
-        except NotCoveredByLines:
-            rep.bump("not_covered")
-            continue
-        except NoRule:
-            rep.bump("no_rule")
+        fams, end = lookup_families(v)
+        if end is not None:  # "not_covered" or "no_rule"; members are never points
+            rep.bump(end)
             continue
 
         for fam in fams:

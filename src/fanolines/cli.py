@@ -4,12 +4,13 @@ Subcommands expose every engine operation; ``--json`` switches any of them
 to a structured envelope that validates against the schema shipped at
 ``fanolines/schemas/cli_output.schema.json``.  Exit codes: 0 on success or
 an all-pass verification, 1 on verification failures and domain errors, 2 on
-usage, parse, or term-validation errors, on sizes above ``SIZE_CAPS``, and
-on terms too deep for the recursive chain engine.
+usage, parse, or term-validation errors, on sizes above ``SIZE_CAPS`` or
+integers above ``TERM_INT_CAP``, and on terms too deep for the recursive
+chain engine.
 
 The only randomized command is ``secant``; it requires a seed, which it
 echoes.  The default seed is fixed and can be overridden with the
-``FANOLINES_SEED`` environment variable or ``--seed``.
+``FANOLINES_SEED`` environment variable (an integer) or ``--seed``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from importlib import resources
 
@@ -43,6 +45,11 @@ SIZE_CAPS = {
     "verify": {"--nmax": 32, "--degmax": 5},
 }
 
+#: Largest integer in a term expression: some families have one entry per unit
+#: of it (SG(2,N), CI(d;N)).  At the cap the slowest term command measured,
+#: ``chain 'CI(999998;1000000)' --json``, takes 1.4 to 1.6 s on the same host.
+TERM_INT_CAP = 10**6
+
 
 def schema_path():
     return resources.files("fanolines").joinpath("schemas/cli_output.schema.json")
@@ -56,7 +63,11 @@ def _resolve_seed(value: int | None) -> int:
     if value is not None:
         return value
     env = os.environ.get("FANOLINES_SEED")
-    return int(env) if env else DEFAULT_SEED
+    try:
+        return int(env) if env else DEFAULT_SEED
+    except ValueError:
+        raise ValidationError(f"FANOLINES_SEED must be an integer, got {env!r}",
+                              component="cli") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,8 +136,18 @@ def _size_error(args) -> str | None:
     return None
 
 
+def _parse_term(expr: str):
+    """Parse a term expression, rejecting integers above TERM_INT_CAP."""
+    term = parse_variety(expr)  # parsed, so each digit run is one integer
+    largest = max(map(int, re.findall(r"\d+", expr)), default=0)
+    if largest > TERM_INT_CAP:
+        raise ValidationError(f"integer {largest} in the term is above the cap"
+                              f" {TERM_INT_CAP}; larger inputs are rejected", component="cli")
+    return term
+
+
 def _cmd_s(args):
-    term = parse_variety(args.expr)
+    term = _parse_term(args.expr)
     sv = default_engine().s_invariant(term)
     payload = {"term": to_text(term), "canonical": to_text(normalize(term)),
                "s": sv._asdict()}
@@ -134,7 +155,7 @@ def _cmd_s(args):
 
 
 def _cmd_chain(args):
-    term = parse_variety(args.expr)
+    term = _parse_term(args.expr)
     eng = default_engine()
     chain = eng.witness_chain(term)
     sv = eng.s_invariant(term)
@@ -146,7 +167,7 @@ def _cmd_chain(args):
 
 
 def _cmd_families(args):
-    term = parse_variety(args.expr)
+    term = _parse_term(args.expr)
     name = to_text(term)
     payload = {"term": name, "covered": True, "no_rule": False, "families": []}
     try:
@@ -173,7 +194,7 @@ def _cmd_families(args):
 
 
 def _cmd_cover(args):
-    term = parse_variety(args.expr)
+    term = _parse_term(args.expr)
     bound = default_engine().covering_ls_bound(term)
     payload = {"term": to_text(term), "at_least": bound.value}
     return 0, f"covered by linear spaces of dimension at least {bound.value}", payload
@@ -198,7 +219,7 @@ def _cmd_verify(args):
 
 
 def _cmd_trace(args):
-    term = parse_variety(args.expr)
+    term = _parse_term(args.expr)
     from .trace import classification_trace
 
     trace = classification_trace(term)

@@ -71,7 +71,12 @@ class _Tokens:
         return v
 
     def next_int(self) -> int:
-        return int(self.next("int"))
+        digits = self.next("int")
+        try:
+            return int(digits)
+        except ValueError:  # past Python's integer-string conversion limit
+            raise ParseError(f"integer of {len(digits)} digits is too long",
+                             self.items[self.i - 1][2]) from None
 
     def expect_end(self):
         tok = self.peek()

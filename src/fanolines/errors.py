@@ -48,8 +48,9 @@ class NotCoveredByLines(EngineError):
 class NoRule(EngineError):
     """The variety is covered by lines but no family rewrite rule exists.
 
-    This is a first-class outcome: the chain engine catches it and degrades
-    the chain invariant to a lower bound instead of failing.
+    This is a first-class outcome: the chain engine reads it as ``"no_rule"``
+    from ``lookup_families`` and degrades the chain invariant to a lower bound
+    instead of failing.
     """
 
     component = "families"

@@ -10,8 +10,10 @@ used.
 
 Two constructors carry no rule (SG(k,N) with k >= 3 and the codimension-2
 linear section of G(2,5)): their families exist but fall outside the term
-algebra, so :func:`line_families` raises :class:`~fanolines.errors.NoRule`,
-which the chain engine treats as a first-class outcome.
+algebra, so :func:`line_families` raises :class:`~fanolines.errors.NoRule`.
+The chain engine and the suites read :func:`lookup_families` instead, which
+raises nothing and names why a chain ends: ``"is_point"``, ``"not_covered"``
+or ``"no_rule"``.
 
 The classification lists live here too, defined once:
 :func:`family_codim3_list` and :func:`odd_dimension_list` with its verdict
@@ -37,6 +39,7 @@ from .terms import (
     VarietyTerm,
     covered_by_lines,
     dim,
+    family_dim,
     linear_space,
     normalize,
     segre_pair,
@@ -90,7 +93,28 @@ def line_families(v: VarietyTerm) -> list[FamilyRecord]:
     """
     if not covered_by_lines(v):
         raise NotCoveredByLines(f"{to_text(v)} is not covered by lines")
-    ambient = dim(v) - 1
+    found = _family_rule(v, dim(v) - 1)
+    if isinstance(found, str):
+        raise NoRule(found)
+    return found
+
+
+def lookup_families(v: VarietyTerm) -> tuple[list[FamilyRecord], str | None]:
+    """The families of ``v`` and ``None``, or ``[]`` and the reason a chain
+    ends at ``v`` (``"is_point"``, ``"not_covered"`` or ``"no_rule"``): the
+    coverage test and rule table of :func:`line_families`, raising nothing."""
+    n = dim(v)
+    if n == 0:
+        return [], "is_point"
+    if family_dim(v) < 0:
+        return [], "not_covered"
+    found = _family_rule(v, n - 1)
+    return ([], "no_rule") if isinstance(found, str) else (found, None)
+
+
+def _family_rule(v: VarietyTerm, ambient: int) -> list[FamilyRecord] | str:
+    """The rewrite rule of a covered term: its families, or the reason no
+    rule exists.  ``ambient`` is the dimension of P(T), dim(v) - 1."""
     match v:
         case LinearSpace(n):
             # Lines through a point of P^n fill the projectivised tangent space.
@@ -105,13 +129,12 @@ def line_families(v: VarietyTerm) -> list[FamilyRecord]:
             scroll = ProjBundleP1((2,) + (1,) * (N - 4))
             return [FamilyRecord(scroll, ambient, ambient)]
         case SympGrassmann(k, _):
-            raise NoRule(f"no family rule for isotropic Grassmannians with k = {k} >= 3")
+            return f"no family rule for isotropic Grassmannians with k = {k} >= 3"
         case CompleteIntersection(degrees, _):
-            fam_degrees = expand_ci_degrees(degrees)
-            n_fam = ambient  # the family lives in P(T) = P^{dim - 1}
-            if n_fam - len(fam_degrees) == 0:
+            fam_degrees = expand_ci_degrees(degrees)  # cutting out the family in P(T)
+            if ambient == len(fam_degrees):
                 return [FamilyRecord(Point(), ambient, 0)]
-            fam = CompleteIntersection(fam_degrees, n_fam)
+            fam = CompleteIntersection(fam_degrees, ambient)
             return [FamilyRecord(fam, ambient, ambient)]
         case PolarizedProduct(factors):
             # One family per degree-1 factor; it spans only that factor's
@@ -135,10 +158,8 @@ def line_families(v: VarietyTerm) -> list[FamilyRecord]:
             # cubic scroll P(O(2) + O(1)) in P^4.
             return [FamilyRecord(ProjBundleP1((2, 1)), 4, 4)]
         case LinearSectionG25(2):
-            raise NoRule(
-                "no family rule for the codimension-2 section of G(2,5):"
-                " its family is a curve outside the term algebra"
-            )
+            return ("no family rule for the codimension-2 section of G(2,5):"
+                    " its family is a curve outside the term algebra")
         case LinearSectionG25(3):
             return [FamilyRecord(Point(), 2, 0)]
     raise TypeError(f"not a variety term: {v!r}")

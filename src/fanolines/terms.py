@@ -3,9 +3,11 @@
 A :data:`VarietyTerm` is one of nine immutable constructors, each of which
 fixes both an abstract variety and a projective embedding.  The operations in
 this module are total tables of classical invariants (dimension, Picard
-number, Fano-ness, line coverage, ambient spaces, maximal linear subspaces)
-plus a canonicalising rewrite :func:`normalize` that identifies terms
-denoting the same embedded variety.
+number, Fano-ness, family dimension, ambient spaces, maximal linear
+subspaces) plus a canonicalising rewrite :func:`normalize` that identifies
+terms denoting the same embedded variety.  Line coverage has no table of its
+own: a term is covered by lines exactly when it is not a point and its
+family dimension is non-negative.
 
 Complete-intersection and linear-section terms always denote GENERAL members
 of their families; every predicate is stated for the general member.
@@ -164,19 +166,6 @@ VarietyTerm = Union[
     ProjBundleP1,
     LinearSectionG25,
 ]
-
-CONSTRUCTORS = (
-    Point,
-    LinearSpace,
-    Quadric,
-    Grassmann,
-    SympGrassmann,
-    CompleteIntersection,
-    PolarizedProduct,
-    ProjBundleP1,
-    LinearSectionG25,
-)
-
 
 class Bound(NamedTuple):
     """An exact value or a lower bound, tagged by ``kind``.
@@ -340,27 +329,6 @@ def is_fano(v: VarietyTerm) -> bool:
     raise TypeError(f"not a variety term: {v!r}")
 
 
-def covered_by_lines(v: VarietyTerm) -> bool:
-    """Is there a line on the variety through a general point?"""
-    v = normalize(v)
-    match v:
-        case Point():
-            return False
-        case LinearSpace(n):
-            return n >= 1
-        case Quadric(n):
-            return n >= 2  # Q^1 is a conic and contains no line
-        case Grassmann(_, _) | SympGrassmann(_, _) | ProjBundleP1(_):
-            return True
-        case CompleteIntersection(degrees, N):
-            return N >= sum(degrees) + 1  # index >= 2
-        case PolarizedProduct(factors):
-            return any(d == 1 for _, d in factors)
-        case LinearSectionG25(c):
-            return c <= 3
-    raise TypeError(f"not a variety term: {v!r}")
-
-
 def family_dim(v: VarietyTerm) -> int:
     """Dimension of a family of lines through a general point.
 
@@ -369,9 +337,9 @@ def family_dim(v: VarietyTerm) -> int:
     products (several families of different dimensions) this is the largest
     one.
     """
-    if dim(v) == 0:
-        raise NoLineFamily("a point carries no family of lines")
     match v:
+        case Point() | LinearSpace(0):
+            raise NoLineFamily("a point carries no family of lines")
         case LinearSpace(n):
             return n - 1
         case Quadric(n):
@@ -389,6 +357,12 @@ def family_dim(v: VarietyTerm) -> int:
         case LinearSectionG25(c):
             return 3 - c
     raise TypeError(f"not a variety term: {v!r}")
+
+
+def covered_by_lines(v: VarietyTerm) -> bool:
+    """Is there a line on the variety through a general point?  Exactly when
+    it is no point and its family of lines has non-negative dimension."""
+    return dim(v) > 0 and family_dim(v) >= 0
 
 
 def max_linear_in(v: VarietyTerm) -> Bound:

@@ -125,6 +125,29 @@ def test_witness_chain_requires_coverage():
         witness_chain(Quadric(1))
 
 
+def test_engine_path_constructs_no_not_covered_exception(monkeypatch):
+    # Uncovered nodes are an outcome of the lookup on the engine's path; only
+    # the public raising entry points build the exception.
+    from fanolines.catalog import build_catalog
+    from fanolines.checks import (
+        verify_classification,
+        verify_family_lemmas,
+        verify_next_to_maximal,
+    )
+
+    def refuse(self, *args):
+        raise AssertionError("NotCoveredByLines constructed on the engine's path")
+
+    cat = build_catalog(12, 4)
+    monkeypatch.setattr(NotCoveredByLines, "__init__", refuse)
+    eng = ChainEngine()
+    for suite in (verify_classification, verify_next_to_maximal, verify_family_lemmas):
+        rep = suite(cat, eng)
+        assert rep.ok and rep.records, rep.suite
+    with pytest.raises(AssertionError, match="engine's path"):
+        eng.witness_chain(Quadric(1))  # the public path still raises
+
+
 def test_witness_chain_stops_at_ruleless_terms():
     assert witness_chain(LinearSectionG25(2)) == [LinearSectionG25(2)]
 
@@ -239,17 +262,17 @@ def test_ruleless_branch_degrades_to_lower_bound(monkeypatch):
     # White box: inject a ruleless sibling whose dimension cap exceeds the
     # best exact branch; exactness must be given up.
     import fanolines.chains as chains_mod
-    from fanolines.families import FamilyRecord, line_families as real_families
+    from fanolines.families import FamilyRecord, lookup_families as real_lookup
 
     parent = Quadric(9)
 
-    def fake_families(v):
+    def fake_lookup(v):
         if v == parent:
             return [FamilyRecord(Quadric(7), 8, 8),
-                    FamilyRecord(LinearSectionG25(2), 8, 8)]
-        return real_families(v)
+                    FamilyRecord(LinearSectionG25(2), 8, 8)], None
+        return real_lookup(v)
 
-    monkeypatch.setattr(chains_mod, "line_families", fake_families)
+    monkeypatch.setattr(chains_mod, "lookup_families", fake_lookup)
     sv = chains_mod.ChainEngine().s_invariant(parent)
     # exact branch gives 1 + 3 = 4; the ruleless one could reach 1 + 4 = 5
     assert sv == at_least(4)
@@ -259,21 +282,20 @@ def test_ruleless_branch_below_the_cap_keeps_exactness(monkeypatch):
     # The cap rule: a ruleless branch cannot beat an exact branch that
     # already meets its dimension bound, so the result stays exact.
     import fanolines.chains as chains_mod
-    from fanolines.errors import NoRule
-    from fanolines.families import FamilyRecord, line_families as real_families
+    from fanolines.families import FamilyRecord, lookup_families as real_lookup
 
     parent = Quadric(9)
     ruleless = LinearSpace(3)  # not on the quadric tower, so only this
     # branch is affected by the injection
 
-    def fake_families(v):
+    def fake_lookup(v):
         if v == parent:
-            return [FamilyRecord(Quadric(7), 8, 8), FamilyRecord(ruleless, 8, 8)]
+            return [FamilyRecord(Quadric(7), 8, 8), FamilyRecord(ruleless, 8, 8)], None
         if v == ruleless:
-            raise NoRule("injected")
-        return real_families(v)
+            return [], "no_rule"
+        return real_lookup(v)
 
-    monkeypatch.setattr(chains_mod, "line_families", fake_families)
+    monkeypatch.setattr(chains_mod, "lookup_families", fake_lookup)
     sv = chains_mod.ChainEngine().s_invariant(parent)
     # the ruleless branch is capped by 1 + dim = 4 = the exact branch value
     assert sv == exact(4)

@@ -161,9 +161,30 @@ def test_size_above_cap_exits_2(capsys, command, cap):
     assert err == f"cli: {flag} {cap + 1} is above the cap {cap}; larger inputs are rejected\n"
 
 
-def _fresh_cli(*argv):
+# Term integers at the cap; the families of both have one entry per unit.
+@pytest.mark.parametrize("expr", ["SG(2,1000000)", "CI(999998;1000000)"])
+def test_term_integer_at_cap_is_accepted(capsys, expr):
+    code, out, err = run(capsys, "families", expr)
+    assert code == 0
+    assert out.startswith(f"{expr}: 1 family(ies) in P^")
+    assert err == ""
+
+
+@pytest.mark.parametrize("expr, largest", [
+    ("SG(2,1000001)", 1000001), ("CI(2;1000001)", 1000001),
+    ("CI(1000001;1000002)", 1000002),
+])
+def test_term_integer_above_cap_exits_2(capsys, expr, largest):
+    code, out, err = run(capsys, "families", expr)
+    assert code == 2
+    assert out == ""
+    assert err == (f"cli: integer {largest} in the term is above the cap 1000000;"
+                   " larger inputs are rejected\n")
+
+
+def _fresh_cli(*argv, env: dict | None = None):
     src = str(Path(fanolines.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-m", "fanolines.cli", *argv],
                           capture_output=True, text=True, timeout=60, env=env)
@@ -175,6 +196,22 @@ def test_oversized_secant_exits_2_from_a_fresh_process():
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["s", "chain", "families", "cover", "trace"])
+def test_overlong_integer_is_a_parse_error_from_a_fresh_process(command):
+    proc = _fresh_cli(command, "P(1" + "0" * 5000 + ")")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "dsl: integer of 5001 digits is too long (at position 2)\n"
+
+
+def test_non_integer_seed_env_exits_2_from_a_fresh_process():
+    proc = _fresh_cli("secant", "--kind", "segre", "-d", "2", "-m", "2",
+                      env={"FANOLINES_SEED": "abc"})
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "cli: FANOLINES_SEED must be an integer, got 'abc'\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -83,6 +83,14 @@ def test_parse_error_carries_position():
     assert err.value.position == 6
 
 
+def test_integer_past_the_conversion_limit_is_a_parse_error():
+    # Python refuses int() on strings of more than 4,300 digits by default.
+    with pytest.raises(ParseError) as err:
+        parse_variety("CI(2;1" + "0" * 5000 + ")")
+    assert err.value.position == 5
+    assert "5001 digits" in str(err.value)
+
+
 @pytest.mark.parametrize(
     "text",
     ["G(0,3)", "SG(2,4)", "SG(1,5)", "CI(1,2;5)", "CI(2,2;2)", "Q(0)",

@@ -2,12 +2,14 @@
 
 import pytest
 
+from fanolines.dsl import to_text
 from fanolines.errors import NoRule, NotCoveredByLines, PreconditionFailed
 from fanolines.families import (
     FamilyRecord,
     RULE_PROVENANCE,
     expand_ci_degrees,
     line_families,
+    lookup_families,
     recognize_from_family,
 )
 from fanolines.terms import (
@@ -127,6 +129,23 @@ def test_not_covered_raises():
                  CompleteIntersection((2, 2), 4), LinearSpace(0)):
         with pytest.raises(NotCoveredByLines):
             line_families(term)
+
+
+def test_lookup_reads_the_same_outcome_without_raising():
+    from fanolines.catalog import build_catalog
+
+    uncovered = [Point(), LinearSpace(0), Quadric(1), LinearSectionG25(4),
+                 CompleteIntersection((2, 2), 4), PolarizedProduct(((2, 2), (3, 2)))]
+    for v in [*build_catalog(10, 4), *uncovered, SympGrassmann(3, 7)]:
+        fams, end = lookup_families(v)
+        try:
+            expected, expected_end = line_families(v), None
+        except NotCoveredByLines as err:
+            assert str(err) == f"{to_text(v)} is not covered by lines"
+            expected, expected_end = [], "is_point" if dim(v) == 0 else "not_covered"
+        except NoRule:
+            expected, expected_end = [], "no_rule"
+        assert (fams, end) == (expected, expected_end), v
 
 
 def test_family_records_satisfy_their_invariants():

@@ -33,6 +33,8 @@ PINNED = {
         "fe89a41db8f3c92d7c077effbf6823a715e062fd6497f1a6f2dee931fa5dd869",
     "cli cover":
         "03ec71f5428e3d41a1323cf6b2c6cf5575c8fd6602f4978d7ab442bbba49233c",
+    "cli families":
+        "428235ec99f2231b0f861b0903a6ed2db7700e4b964b0e1dcd1eaf57493e0dd6",
     "cli trace":
         "0a498559588b54b23a7750ec0192ed8663e657be9d6e2d9de3933c4d8a92be4e",
 }
@@ -49,11 +51,16 @@ def _showcase() -> list[str]:
     return gallery.SHOWCASE
 
 
-def _cli_transcript(command: str) -> bytes:
-    """Exit code, stdout and stderr of ``command`` on every showcase term,
-    as text and as JSON."""
+#: Terms with no family to print: uncovered (a point, a conic, the del Pezzo
+#: surface, a product with no degree-1 factor) and covered without a rule.
+NO_FAMILY_TERMS = ["pt", "Q(1)", "LS(G(2,5),4)", "Prod(P(2):2,P(3):2)", "SG(3,7)"]
+
+
+def _cli_transcript(command: str, extra: tuple[str, ...] = ()) -> bytes:
+    """Exit code, stdout and stderr of ``command`` on every showcase term and
+    on ``extra``, as text and as JSON."""
     out = []
-    for expr in _showcase():
+    for expr in [*_showcase(), *extra]:
         for flags in ([], ["--json"]):
             argv = [command, expr, *flags]
             stdout, stderr = io.StringIO(), io.StringIO()
@@ -81,3 +88,8 @@ def test_run_suites_json_report_is_pinned(tmp_path):
 def test_cli_answers_on_the_showcase_terms_are_pinned(command):
     assert _sha(_cli_transcript(command)) == PINNED[f"cli {command}"]
 
+
+
+def test_cli_families_on_the_showcase_and_no_family_terms_is_pinned():
+    transcript = _cli_transcript("families", tuple(NO_FAMILY_TERMS))
+    assert _sha(transcript) == PINNED["cli families"]

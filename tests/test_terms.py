@@ -175,6 +175,52 @@ def test_covered_by_lines(term, expected):
     assert covered_by_lines(term) is expected
 
 
+def _covered_by_lines_table(v) -> bool:
+    """The classical coverage table, per constructor on the normal form:
+    the oracle for the derived test ``dim > 0 and family_dim >= 0``."""
+    match normalize(v):
+        case Point():
+            return False
+        case LinearSpace(n):
+            return n >= 1
+        case Quadric(n):
+            return n >= 2  # Q^1 is a conic and contains no line
+        case Grassmann(_, _) | SympGrassmann(_, _) | ProjBundleP1(_):
+            return True
+        case CompleteIntersection(degrees, N):
+            return N >= sum(degrees) + 1  # index >= 2
+        case PolarizedProduct(factors):
+            return any(d == 1 for _, d in factors)
+        case LinearSectionG25(c):
+            return c <= 3
+    raise TypeError(v)
+
+
+NON_NORMAL_PRESENTATIONS = [
+    LinearSpace(0), Quadric(2), Grassmann(1, 2), Grassmann(1, 6), Grassmann(5, 6),
+    Grassmann(2, 4), Grassmann(3, 7), CompleteIntersection((2,), 2),
+    CompleteIntersection((2,), 3), CompleteIntersection((2,), 9),
+    ProjBundleP1((1, 1)), ProjBundleP1((3, 3, 3)), ProjBundleP1((2,) * 5),
+    LinearSectionG25(0), LinearSectionG25(1),
+]
+
+NON_FANO_TERMS = [
+    Point(), Quadric(1), CompleteIntersection((2, 2), 4), CompleteIntersection((5,), 4),
+    CompleteIntersection((3, 3), 7), CompleteIntersection((3, 4), 7),
+    PolarizedProduct(((2, 2), (3, 2))), PolarizedProduct(((1, 3), (1, 3), (2, 2))),
+    ProjBundleP1((3, 1, 1)), ProjBundleP1((5, 2)), LinearSectionG25(4),
+]
+
+
+def test_covered_by_lines_agrees_with_the_classical_table():
+    from fanolines.catalog import build_catalog
+
+    terms = [*build_catalog(20, 5), *NON_NORMAL_PRESENTATIONS, *NON_FANO_TERMS]
+    assert len(terms) > 10_000
+    for v in terms:
+        assert covered_by_lines(v) is _covered_by_lines_table(v), v
+
+
 # ---------------------------------------------------------------------------
 # family dimension (anticanonical degree minus two)
 
