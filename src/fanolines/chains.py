@@ -150,7 +150,7 @@ class ChainEngine:
         invariant 1 but is covered by planes).
         """
         fams, _ = lookup_families(v)
-        lifted = (1 + max_linear_in(fam.variety).value for fam in fams)
+        lifted = (1 + max_linear_in(fam.variety, self).value for fam in fams)
         return at_least(max([self.s_invariant(v).value, *lifted]))
 
 

@@ -199,6 +199,7 @@ def verify_family_lemmas(cat: Catalog, engine: ChainEngine | None = None) -> Sui
     * exact covering dimension >= n/2 forces membership of the linear-bundle
       / quadric / Grassmannian list.
     """
+    eng = engine or default_engine()
     rep = SuiteReport("lemmas", {"n_max": cat.n_max, "deg_max": cat.deg_max})
     rep.counters["proper_linear_triggered"] = 0
     rep.counters["proper_linear_vacuous"] = 0
@@ -245,7 +246,7 @@ def verify_family_lemmas(cat: Catalog, engine: ChainEngine | None = None) -> Sui
             else:
                 rep.bump("proper_linear_vacuous")
 
-        ml = max_linear_in(v)
+        ml = max_linear_in(v, eng)
         if ml.is_exact and 2 * ml.value >= n >= 1:
             rep.add(name, "covering.half-dim-list", _sato_member(v, ml.value),
                     f"covered by P^{ml.value} with 2*{ml.value} >= n = {n}:"

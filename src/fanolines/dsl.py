@@ -19,6 +19,7 @@ CompleteIntersection(degrees=(2, 2), N=7)
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 
 from .errors import ParseError
 from .terms import (
@@ -109,16 +110,11 @@ def _parse_expr(toks: _Tokens) -> VarietyTerm:
     toks.i += 1
     if value == "pt":
         return Point()
-    if value == "P":
+    if value in ("P", "Q"):
         toks.next("sym", "(")
         n = toks.next_int()
         toks.next("sym", ")")
-        return LinearSpace(n)
-    if value == "Q":
-        toks.next("sym", "(")
-        n = toks.next_int()
-        toks.next("sym", ")")
-        return Quadric(n)
+        return LinearSpace(n) if value == "P" else Quadric(n)
     if value in ("G", "SG"):
         toks.next("sym", "(")
         k = toks.next_int()
@@ -128,30 +124,21 @@ def _parse_expr(toks: _Tokens) -> VarietyTerm:
         return Grassmann(k, N) if value == "G" else SympGrassmann(k, N)
     if value == "CI":
         toks.next("sym", "(")
-        degrees = [toks.next_int()]
-        while toks.peek() and toks.peek()[:2] == ("sym", ","):
-            toks.next("sym", ",")
-            degrees.append(toks.next_int())
+        degrees = _parse_list(toks, _Tokens.next_int)
         toks.next("sym", ";")
         N = toks.next_int()
         toks.next("sym", ")")
-        return CompleteIntersection(tuple(degrees), N)
+        return CompleteIntersection(degrees, N)
     if value == "Prod":
         toks.next("sym", "(")
-        factors = [_parse_factor(toks)]
-        while toks.peek() and toks.peek()[:2] == ("sym", ","):
-            toks.next("sym", ",")
-            factors.append(_parse_factor(toks))
+        factors = _parse_list(toks, _parse_factor)
         toks.next("sym", ")")
-        return PolarizedProduct(tuple(factors))
+        return PolarizedProduct(factors)
     if value == "PB":
         toks.next("sym", "(")
-        twists = [toks.next_int()]
-        while toks.peek() and toks.peek()[:2] == ("sym", ","):
-            toks.next("sym", ",")
-            twists.append(toks.next_int())
+        twists = _parse_list(toks, _Tokens.next_int)
         toks.next("sym", ")")
-        return ProjBundleP1(tuple(twists))
+        return ProjBundleP1(twists)
     if value == "LS":
         toks.next("sym", "(")
         toks.next("name", "G")
@@ -165,6 +152,15 @@ def _parse_expr(toks: _Tokens) -> VarietyTerm:
         toks.next("sym", ")")
         return LinearSectionG25(c)
     raise ParseError(f"unknown constructor {value!r}", pos)
+
+
+def _parse_list(toks: _Tokens, item: Callable[[_Tokens], object]) -> tuple:
+    """One or more items separated by commas."""
+    items = [item(toks)]
+    while toks.peek() and toks.peek()[:2] == ("sym", ","):
+        toks.next("sym", ",")
+        items.append(item(toks))
+    return tuple(items)
 
 
 def _parse_factor(toks: _Tokens) -> tuple[int, int]:

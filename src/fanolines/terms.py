@@ -1,171 +1,39 @@
 """Term algebra of embedded projective varieties.
 
-A :data:`VarietyTerm` is one of nine immutable constructors, each of which
+A :class:`VarietyTerm` is one of nine immutable constructors, each of which
 fixes both an abstract variety and a projective embedding.  The operations in
-this module are total tables of classical invariants (dimension, Picard
-number, Fano-ness, family dimension, ambient spaces, maximal linear
-subspaces) plus a canonicalising rewrite :func:`normalize` that identifies
-terms denoting the same embedded variety.  Line coverage has no table of its
-own: a term is covered by lines exactly when it is not a point and its
-family dimension is non-negative.
+this module are classical invariants (dimension, Picard number, Fano-ness,
+family dimension, ambient spaces, maximal linear subspaces) plus a
+canonicalising rewrite :func:`normalize` that identifies terms denoting the
+same embedded variety.  Each constructor states its own invariants next to
+its fields and its validation, as the private methods listed on
+:class:`VarietyTerm`; the public functions only dispatch to them.  Line
+coverage has no definition of its own: a term is covered by lines exactly
+when it is not a point and its family dimension is non-negative.
 
 Complete-intersection and linear-section terms always denote GENERAL members
 of their families; every predicate is stated for the general member.
+
+>>> dim(Grassmann(2, 5))
+6
+>>> normalize(Grassmann(3, 5))
+Grassmann(k=2, N=5)
+>>> picard_number(Quadric(2))
+2
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import comb
-from typing import NamedTuple, Union
+from math import comb, prod
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import NoLineFamily, ValidationError
 
+if TYPE_CHECKING:
+    from .chains import ChainEngine
 
-# ---------------------------------------------------------------------------
-# constructors
-
-
-@dataclass(frozen=True)
-class Point:
-    """A single point, the terminal object of every chain."""
-
-
-@dataclass(frozen=True)
-class LinearSpace:
-    """P^n, linearly embedded."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValidationError("LinearSpace requires n >= 0")
-
-
-@dataclass(frozen=True)
-class Quadric:
-    """Smooth quadric hypersurface Q^n in P^(n+1), n >= 1."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError("Quadric requires n >= 1")
-
-
-@dataclass(frozen=True)
-class Grassmann:
-    """G(k, C^N): k-dimensional subspaces of C^N, Pluecker embedded."""
-
-    k: int
-    N: int
-
-    def __post_init__(self):
-        if not 1 <= self.k <= self.N - 1:
-            raise ValidationError("Grassmann requires 1 <= k <= N-1")
-
-
-@dataclass(frozen=True)
-class SympGrassmann:
-    """Isotropic k-planes of a maximal-rank antisymmetric form on C^N.
-
-    N >= 2k+1 covers both parities; for odd N this is the degenerate-form
-    (odd) isotropic Grassmannian, which has the same dimension formula and
-    Picard number 1.  Family rewrite rules exist only for k = 2.
-    """
-
-    k: int
-    N: int
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValidationError("SympGrassmann requires k >= 2")
-        if self.N < 2 * self.k + 1:
-            raise ValidationError("SympGrassmann requires N >= 2k+1")
-
-
-@dataclass(frozen=True)
-class CompleteIntersection:
-    """General smooth complete intersection of the given degrees in P^N.
-
-    Degrees are stored sorted ascending; each degree is >= 2 and the
-    dimension N - #degrees is >= 1.
-    """
-
-    degrees: tuple[int, ...]
-    N: int
-
-    def __post_init__(self):
-        degs = tuple(sorted(self.degrees))
-        object.__setattr__(self, "degrees", degs)
-        if not degs:
-            raise ValidationError("CompleteIntersection requires at least one degree")
-        if any(d < 2 for d in degs):
-            raise ValidationError("CompleteIntersection degrees must all be >= 2")
-        if len(degs) >= self.N:
-            raise ValidationError("CompleteIntersection requires #degrees < N")
-
-
-@dataclass(frozen=True)
-class PolarizedProduct:
-    """P^{n_1} x ... x P^{n_r} embedded by O(d_1, ..., d_r), r >= 2.
-
-    Factors (n_i, d_i) are stored sorted; n_i >= 1 and d_i >= 1.
-    """
-
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        facs = tuple(sorted(tuple(f) for f in self.factors))
-        object.__setattr__(self, "factors", facs)
-        if len(facs) < 2:
-            raise ValidationError("PolarizedProduct requires at least two factors")
-        if any(n < 1 or d < 1 for n, d in facs):
-            raise ValidationError("PolarizedProduct factors require n_i >= 1 and d_i >= 1")
-
-
-@dataclass(frozen=True)
-class ProjBundleP1:
-    """P(O(a_1) + ... + O(a_k)) over a line, tautologically embedded.
-
-    Twists are stored sorted descending; k >= 2 and every a_i >= 1, so the
-    tautological bundle is very ample and the image is a smooth scroll.
-    """
-
-    twists: tuple[int, ...]
-
-    def __post_init__(self):
-        tw = tuple(sorted(self.twists, reverse=True))
-        object.__setattr__(self, "twists", tw)
-        if len(tw) < 2:
-            raise ValidationError("ProjBundleP1 requires at least two twists")
-        if any(a < 1 for a in tw):
-            raise ValidationError("ProjBundleP1 twists must all be >= 1")
-
-
-@dataclass(frozen=True)
-class LinearSectionG25:
-    """General codimension-c linear section of G(2, C^5) in P^9, 0 <= c <= 4."""
-
-    c: int
-
-    def __post_init__(self):
-        if not 0 <= self.c <= 4:
-            raise ValidationError("LinearSectionG25 requires 0 <= c <= 4")
-
-
-VarietyTerm = Union[
-    Point,
-    LinearSpace,
-    Quadric,
-    Grassmann,
-    SympGrassmann,
-    CompleteIntersection,
-    PolarizedProduct,
-    ProjBundleP1,
-    LinearSectionG25,
-]
 
 class Bound(NamedTuple):
     """An exact value or a lower bound, tagged by ``kind``.
@@ -200,6 +68,275 @@ def at_least(value: int) -> Bound:
 
 
 # ---------------------------------------------------------------------------
+# constructors
+
+
+class VarietyTerm:
+    """Base of the nine term constructors.
+
+    Each constructor answers, next to its fields, the questions behind the
+    public functions of this module: ``_dim``, ``_ambient_dim``,
+    ``_picard_number``, ``_is_fano``, ``_family_dim``, ``_max_linear_in``
+    (given the chain engine, or None for the default one) and ``_normalize``.
+    The defaults below hold unless a constructor overrides them: a term is
+    its own normal form, has Picard number 1 and is Fano.  Picard number and
+    Fano-ness are only asked of normal forms.
+    """
+
+    def _picard_number(self) -> int | None: return 1
+    def _is_fano(self) -> bool: return True
+    def _normalize(self) -> VarietyTerm: return self
+
+
+@dataclass(frozen=True)
+class Point(VarietyTerm):
+    """A single point, the terminal object of every chain."""
+
+    def _dim(self): return 0
+    def _ambient_dim(self): return 0
+    def _picard_number(self): return 0
+    def _is_fano(self): return False
+    def _family_dim(self): raise NoLineFamily("a point carries no family of lines")
+    def _max_linear_in(self, engine): return exact(0)
+
+
+@dataclass(frozen=True)
+class LinearSpace(VarietyTerm):
+    """P^n, linearly embedded."""
+
+    n: int
+
+    def __post_init__(self):
+        if self.n < 0:
+            raise ValidationError("LinearSpace requires n >= 0")
+
+    def _dim(self): return self.n
+    def _ambient_dim(self): return self.n
+
+    def _family_dim(self):
+        if self.n == 0:
+            raise NoLineFamily("a point carries no family of lines")
+        return self.n - 1
+
+    def _max_linear_in(self, engine): return exact(self.n)
+    def _normalize(self): return Point() if self.n == 0 else self
+
+
+@dataclass(frozen=True)
+class Quadric(VarietyTerm):
+    """Smooth quadric hypersurface Q^n in P^(n+1), n >= 1."""
+
+    n: int
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValidationError("Quadric requires n >= 1")
+
+    def _dim(self): return self.n
+    def _ambient_dim(self): return self.n + 1
+    def _picard_number(self): return 2 if self.n == 2 else 1
+    def _family_dim(self): return self.n - 2
+    def _max_linear_in(self, engine): return exact(self.n // 2)
+
+    def _normalize(self):
+        # Q^2 is P^1 x P^1 (Segre).
+        return PolarizedProduct(((1, 1), (1, 1))) if self.n == 2 else self
+
+
+@dataclass(frozen=True)
+class Grassmann(VarietyTerm):
+    """G(k, C^N): k-dimensional subspaces of C^N, Pluecker embedded."""
+
+    k: int
+    N: int
+
+    def __post_init__(self):
+        if not 1 <= self.k <= self.N - 1:
+            raise ValidationError("Grassmann requires 1 <= k <= N-1")
+
+    def _dim(self): return self.k * (self.N - self.k)
+    def _ambient_dim(self): return comb(self.N, self.k) - 1
+    def _family_dim(self): return self.N - 2
+    def _max_linear_in(self, engine): return exact(max(self.N - self.k, self.k))
+
+    def _normalize(self):
+        # G(k,N) is G(N-k,N); G(1,N) is P^{N-1}; G(2,4) is Q^4.
+        k = min(self.k, self.N - self.k)
+        if k == 1:
+            return linear_space(self.N - 1)
+        if (k, self.N) == (2, 4):
+            return Quadric(4)
+        return Grassmann(k, self.N)
+
+
+@dataclass(frozen=True)
+class SympGrassmann(VarietyTerm):
+    """Isotropic k-planes of a maximal-rank antisymmetric form on C^N.
+
+    N >= 2k+1 covers both parities; for odd N this is the degenerate-form
+    (odd) isotropic Grassmannian, which has the same dimension formula and
+    Picard number 1.  Family rewrite rules exist only for k = 2.
+    """
+
+    k: int
+    N: int
+
+    def __post_init__(self):
+        if self.k < 2:
+            raise ValidationError("SympGrassmann requires k >= 2")
+        if self.N < 2 * self.k + 1:
+            raise ValidationError("SympGrassmann requires N >= 2k+1")
+
+    def _dim(self): return self.k * (self.N - self.k) - self.k * (self.k - 1) // 2
+
+    def _ambient_dim(self):
+        # Pluecker ambient cut by the contraction with the 2-form.
+        return comb(self.N, self.k) - comb(self.N, self.k - 2) - 1
+
+    def _family_dim(self): return self.N - self.k - 1
+    def _max_linear_in(self, engine): return _chain_bound(self, engine)
+
+
+@dataclass(frozen=True)
+class CompleteIntersection(VarietyTerm):
+    """General smooth complete intersection of the given degrees in P^N.
+
+    Degrees are stored sorted ascending; each degree is >= 2 and the
+    dimension N - #degrees is >= 1.
+    """
+
+    degrees: tuple[int, ...]
+    N: int
+
+    def __post_init__(self):
+        degs = tuple(sorted(self.degrees))
+        object.__setattr__(self, "degrees", degs)
+        if not degs:
+            raise ValidationError("CompleteIntersection requires at least one degree")
+        if any(d < 2 for d in degs):
+            raise ValidationError("CompleteIntersection degrees must all be >= 2")
+        if len(degs) >= self.N:
+            raise ValidationError("CompleteIntersection requires #degrees < N")
+
+    def _dim(self): return self.N - len(self.degrees)
+    def _ambient_dim(self): return self.N
+
+    def _picard_number(self):
+        # Lefschetz from dimension 3 on; general CI surfaces have large
+        # Picard rank, and curves are left unknown too.
+        return 1 if self._dim() >= 3 else None
+
+    def _is_fano(self): return sum(self.degrees) <= self.N
+    def _family_dim(self): return self.N - 1 - sum(self.degrees)
+
+    def _max_linear_in(self, engine):
+        # Expected dimension of the lines-on-v scheme; heuristic beyond the
+        # instances the verification suites rely on.
+        expected_fano_scheme = 2 * self.N - 2 - len(self.degrees) - sum(self.degrees)
+        return at_least(1 if expected_fano_scheme >= 0 else 0)
+
+    def _normalize(self):
+        # A single quadric hypersurface is Q^{N-1}.
+        return Quadric(self.N - 1)._normalize() if self.degrees == (2,) else self
+
+
+@dataclass(frozen=True)
+class PolarizedProduct(VarietyTerm):
+    """P^{n_1} x ... x P^{n_r} embedded by O(d_1, ..., d_r), r >= 2.
+
+    Factors (n_i, d_i) are stored sorted; n_i >= 1 and d_i >= 1.
+    """
+
+    factors: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        facs = tuple(sorted(tuple(f) for f in self.factors))
+        object.__setattr__(self, "factors", facs)
+        if len(facs) < 2:
+            raise ValidationError("PolarizedProduct requires at least two factors")
+        if any(n < 1 or d < 1 for n, d in facs):
+            raise ValidationError("PolarizedProduct factors require n_i >= 1 and d_i >= 1")
+
+    def _dim(self): return sum(n for n, _ in self.factors)
+    def _ambient_dim(self): return prod(comb(n + d, n) for n, d in self.factors) - 1
+    def _picard_number(self): return len(self.factors)
+    def _family_dim(self): return max((n - 1 for n, d in self.factors if d == 1), default=-1)
+
+    def _max_linear_in(self, engine):
+        return exact(max((n for n, d in self.factors if d == 1), default=0))
+
+
+@dataclass(frozen=True)
+class ProjBundleP1(VarietyTerm):
+    """P(O(a_1) + ... + O(a_k)) over a line, tautologically embedded.
+
+    Twists are stored sorted descending; k >= 2 and every a_i >= 1, so the
+    tautological bundle is very ample and the image is a smooth scroll.
+    """
+
+    twists: tuple[int, ...]
+
+    def __post_init__(self):
+        tw = tuple(sorted(self.twists, reverse=True))
+        object.__setattr__(self, "twists", tw)
+        if len(tw) < 2:
+            raise ValidationError("ProjBundleP1 requires at least two twists")
+        if any(a < 1 for a in tw):
+            raise ValidationError("ProjBundleP1 twists must all be >= 1")
+
+    def _dim(self): return len(self.twists)
+    def _ambient_dim(self): return sum(a + 1 for a in self.twists) - 1
+    def _picard_number(self): return 2
+
+    def _is_fano(self):
+        # Fano iff at most one twist exceeds the minimum, by exactly one.
+        return sum(self.twists) <= len(self.twists) * self.twists[-1] + 1
+
+    def _family_dim(self): return len(self.twists) - 2
+    def _max_linear_in(self, engine): return exact(len(self.twists) - 1)
+
+    def _normalize(self):
+        # A trivial scroll P(O(d)^k) is (P^1 x P^{k-1}, O(d,1)).
+        if len(set(self.twists)) == 1:
+            return PolarizedProduct(((1, self.twists[0]), (len(self.twists) - 1, 1)))
+        return self
+
+
+@dataclass(frozen=True)
+class LinearSectionG25(VarietyTerm):
+    """General codimension-c linear section of G(2, C^5) in P^9, 0 <= c <= 4."""
+
+    c: int
+
+    def __post_init__(self):
+        if not 0 <= self.c <= 4:
+            raise ValidationError("LinearSectionG25 requires 0 <= c <= 4")
+
+    def _dim(self): return 6 - self.c
+    def _ambient_dim(self): return 9 - self.c
+
+    def _picard_number(self):
+        # c = 4 is the degree-5 del Pezzo surface (P^2 blown up in 4 points).
+        return 5 if self.c == 4 else 1
+
+    def _family_dim(self): return 3 - self.c
+    def _max_linear_in(self, engine): return _chain_bound(self, engine)
+
+    def _normalize(self):
+        # Codimension 0 and 1 are G(2,C^5) and SG(2,C^5).
+        if self.c == 0:
+            return Grassmann(2, 5)
+        return SympGrassmann(2, 5) if self.c == 1 else self
+
+
+def _chain_bound(v: VarietyTerm, engine: ChainEngine | None) -> Bound:
+    """The chain invariant of ``v`` as a lower bound on its linear subspaces."""
+    from .chains import s_invariant  # deferred: chains builds on terms
+
+    return at_least(s_invariant(v, engine).value)
+
+
+# ---------------------------------------------------------------------------
 # smart constructors (collapse degenerate shapes)
 
 
@@ -219,31 +356,12 @@ def segre_pair(a: int, b: int) -> VarietyTerm:
 
 
 # ---------------------------------------------------------------------------
-# invariant tables
+# invariants, each answered by the term's constructor
 
 
 def dim(v: VarietyTerm) -> int:
     """Dimension of the variety."""
-    match v:
-        case Point():
-            return 0
-        case LinearSpace(n):
-            return n
-        case Quadric(n):
-            return n
-        case Grassmann(k, N):
-            return k * (N - k)
-        case SympGrassmann(k, N):
-            return k * (N - k) - k * (k - 1) // 2
-        case CompleteIntersection(degrees, N):
-            return N - len(degrees)
-        case PolarizedProduct(factors):
-            return sum(n for n, _ in factors)
-        case ProjBundleP1(twists):
-            return len(twists)
-        case LinearSectionG25(c):
-            return 6 - c
-    raise TypeError(f"not a variety term: {v!r}")
+    return v._dim()
 
 
 def ambient_dim(v: VarietyTerm) -> int:
@@ -252,30 +370,7 @@ def ambient_dim(v: VarietyTerm) -> int:
     Every embedding is linearly normal and non-degenerate there, so this is
     also the dimension of its linear span.
     """
-    match v:
-        case Point():
-            return 0
-        case LinearSpace(n):
-            return n
-        case Quadric(n):
-            return n + 1
-        case Grassmann(k, N):
-            return comb(N, k) - 1
-        case SympGrassmann(k, N):
-            # Pluecker ambient cut by the contraction with the 2-form.
-            return comb(N, k) - comb(N, k - 2) - 1
-        case CompleteIntersection(_, N):
-            return N
-        case PolarizedProduct(factors):
-            prod = 1
-            for n, d in factors:
-                prod *= comb(n + d, n)
-            return prod - 1
-        case ProjBundleP1(twists):
-            return sum(a + 1 for a in twists) - 1
-        case LinearSectionG25(c):
-            return 9 - c
-    raise TypeError(f"not a variety term: {v!r}")
+    return v._ambient_dim()
 
 
 def picard_number(v: VarietyTerm) -> int | None:
@@ -285,48 +380,12 @@ def picard_number(v: VarietyTerm) -> int | None:
     (general CI surfaces have large Picard rank); everything of dimension
     >= 3 follows from the Lefschetz hyperplane theorem.
     """
-    v = normalize(v)
-    match v:
-        case Point():
-            return 0
-        case LinearSpace(_):
-            return 1
-        case Quadric(n):
-            return 2 if n == 2 else 1
-        case Grassmann(_, _):
-            return 1
-        case SympGrassmann(_, _):
-            return 1
-        case CompleteIntersection(_, _):
-            return 1 if dim(v) >= 3 else None
-        case PolarizedProduct(factors):
-            return len(factors)
-        case ProjBundleP1(_):
-            return 2
-        case LinearSectionG25(c):
-            # c = 4 is the degree-5 del Pezzo surface (P^2 blown up in 4 points).
-            return 5 if c == 4 else 1
-    raise TypeError(f"not a variety term: {v!r}")
+    return v._normalize()._picard_number()
 
 
 def is_fano(v: VarietyTerm) -> bool:
     """Ampleness of the anti-canonical bundle, per constructor."""
-    v = normalize(v)
-    match v:
-        case Point():
-            return False
-        case LinearSpace(_) | Quadric(_) | Grassmann(_, _) | SympGrassmann(_, _):
-            return True
-        case CompleteIntersection(degrees, N):
-            return sum(degrees) <= N
-        case PolarizedProduct(_):
-            return True
-        case ProjBundleP1(twists):
-            # Fano iff at most one twist exceeds the minimum, by exactly one.
-            return sum(twists) <= len(twists) * twists[-1] + 1
-        case LinearSectionG25(_):
-            return True
-    raise TypeError(f"not a variety term: {v!r}")
+    return v._normalize()._is_fano()
 
 
 def family_dim(v: VarietyTerm) -> int:
@@ -337,68 +396,24 @@ def family_dim(v: VarietyTerm) -> int:
     products (several families of different dimensions) this is the largest
     one.
     """
-    match v:
-        case Point() | LinearSpace(0):
-            raise NoLineFamily("a point carries no family of lines")
-        case LinearSpace(n):
-            return n - 1
-        case Quadric(n):
-            return n - 2
-        case Grassmann(_, N):
-            return N - 2
-        case SympGrassmann(k, N):
-            return N - k - 1
-        case CompleteIntersection(degrees, N):
-            return N - 1 - sum(degrees)
-        case PolarizedProduct(factors):
-            return max((n - 1 for n, d in factors if d == 1), default=-1)
-        case ProjBundleP1(twists):
-            return len(twists) - 2
-        case LinearSectionG25(c):
-            return 3 - c
-    raise TypeError(f"not a variety term: {v!r}")
+    return v._family_dim()
 
 
 def covered_by_lines(v: VarietyTerm) -> bool:
     """Is there a line on the variety through a general point?  Exactly when
     it is no point and its family of lines has non-negative dimension."""
-    return dim(v) > 0 and family_dim(v) >= 0
+    return v._dim() > 0 and v._family_dim() >= 0
 
 
-def max_linear_in(v: VarietyTerm) -> Bound:
+def max_linear_in(v: VarietyTerm, engine: ChainEngine | None = None) -> Bound:
     """Maximal dimension of a linear subspace contained in the variety.
 
     Exact where the classical ruling tables apply; a lower bound for
     complete intersections (expected Fano-scheme dimension heuristic) and
-    for the chain-invariant-based classes.
+    for the chain-invariant-based classes, whose invariant ``engine``
+    computes (the default engine when None).
     """
-    match v:
-        case Point():
-            return exact(0)
-        case LinearSpace(n):
-            return exact(n)
-        case Quadric(n):
-            return exact(n // 2)
-        case Grassmann(k, N):
-            return exact(max(N - k, k))
-        case PolarizedProduct(factors):
-            return exact(max((n for n, d in factors if d == 1), default=0))
-        case ProjBundleP1(twists):
-            return exact(len(twists) - 1)
-        case CompleteIntersection(degrees, N):
-            # Expected dimension of the lines-on-v scheme; heuristic beyond
-            # the instances the verification suites rely on.
-            expected_fano_scheme = 2 * N - 2 - len(degrees) - sum(degrees)
-            return at_least(1 if expected_fano_scheme >= 0 else 0)
-        case SympGrassmann(_, _) | LinearSectionG25(_):
-            from .chains import s_invariant  # deferred: chains builds on terms
-
-            return at_least(s_invariant(v).value)
-    raise TypeError(f"not a variety term: {v!r}")
-
-
-# ---------------------------------------------------------------------------
-# canonical forms
+    return v._max_linear_in(engine)
 
 
 def normalize(v: VarietyTerm) -> VarietyTerm:
@@ -417,33 +432,7 @@ def normalize(v: VarietyTerm) -> VarietyTerm:
     Idempotent by construction; constructor-internal ordering (degrees,
     factors, twists) is already canonical on construction.
     """
-    match v:
-        case LinearSpace(0):
-            return Point()
-        case Grassmann(k, N):
-            k = min(k, N - k)
-            if k == 1:
-                return linear_space(N - 1)
-            if (k, N) == (2, 4):
-                return Quadric(4)
-            return Grassmann(k, N)
-        case Quadric(2):
-            return PolarizedProduct(((1, 1), (1, 1)))
-        case CompleteIntersection(degrees, N):
-            if degrees == (2,):
-                return normalize(Quadric(N - 1))
-            return v
-        case ProjBundleP1(twists):
-            if len(set(twists)) == 1:
-                d, k = twists[0], len(twists)
-                return PolarizedProduct(((1, d), (k - 1, 1)))
-            return v
-        case LinearSectionG25(0):
-            return Grassmann(2, 5)
-        case LinearSectionG25(1):
-            return SympGrassmann(2, 5)
-        case _:
-            return v
+    return v._normalize()
 
 
 def is_linear(v: VarietyTerm) -> bool:

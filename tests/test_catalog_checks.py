@@ -279,6 +279,20 @@ def test_family_lemmas_suite_passes(cat15):
     assert "families.dimH-is-n-2" in checks
 
 
+def test_family_lemmas_suite_reads_the_engine_it_is_given(monkeypatch):
+    # The SG and LS members bound their linear subspaces by the chain
+    # invariant; that computation belongs to the engine passed in.
+    from fanolines import chains
+    from fanolines.chains import ChainEngine
+
+    default = ChainEngine()
+    monkeypatch.setattr(chains, "_DEFAULT_ENGINE", default)
+    passed = ChainEngine()
+    assert verify_family_lemmas(build_catalog(12, 4), passed).ok
+    assert passed._s_memo
+    assert not default._s_memo
+
+
 def test_golden_suite_passes():
     rep = golden_suite(40, 15)
     assert rep.ok, [f.line() for f in rep.failures]

@@ -83,6 +83,54 @@ def test_parse_error_carries_position():
     assert err.value.position == 6
 
 
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        # an empty list
+        ("P()", "expected 'int', found ')'", 2),
+        ("Q()", "expected 'int', found ')'", 2),
+        ("G()", "expected 'int', found ')'", 2),
+        ("CI()", "expected 'int', found ')'", 3),
+        ("Prod()", "expected 'P', found ')'", 5),
+        ("PB()", "expected 'int', found ')'", 3),
+        ("LS()", "expected 'G', found ')'", 3),
+        # a trailing comma
+        ("G(2,)", "expected 'int', found ')'", 4),
+        ("CI(2,;5)", "expected 'int', found ';'", 5),
+        ("Prod(P(1):1,)", "expected 'P', found ')'", 12),
+        ("PB(2,)", "expected 'int', found ')'", 5),
+        ("LS(G(2,5),)", "expected 'int', found ')'", 10),
+        # a missing ';' or ')'
+        ("P(3", "expected ')', found end of input", 3),
+        ("Q(3,4)", "expected ')', found ','", 3),
+        ("SG(2,7", "expected ')', found end of input", 6),
+        ("CI(2,3)", "expected ';', found ')'", 6),
+        ("CI(2 3;5)", "expected ';', found '3'", 5),
+        ("CI(2;5", "expected ')', found end of input", 6),
+        ("Prod(P(1):1,P(2):1", "expected ')', found end of input", 18),
+        ("PB(2,1", "expected ')', found end of input", 6),
+        ("PB(2;1)", "expected ')', found ';'", 4),
+        ("LS(G(2,5),1", "expected ')', found end of input", 11),
+        # a bad item or factor
+        ("P(x)", "expected 'int', found 'x'", 2),
+        ("SG(2 7)", "expected ',', found '7'", 5),
+        ("CI(2,3;", "expected 'int', found end of input", 7),
+        ("Prod(Q(1):1,P(2):1)", "expected 'P', found 'Q'", 5),
+        ("Prod(P(1),P(2):1)", "expected ':', found ','", 9),
+        ("Prod(P(1):,P(2):1)", "expected 'int', found ','", 10),
+        ("Prod(P(1:1)", "expected ')', found ':'", 8),
+        ("PB(,1)", "expected 'int', found ','", 3),
+        ("LS(G(2,6),1)", "expected '5', found '6'", 7),
+        ("LS(G(2,5);1)", "expected ',', found ';'", 9),
+    ],
+)
+def test_malformed_constructor_messages_and_positions(text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse_variety(text)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
 def test_integer_past_the_conversion_limit_is_a_parse_error():
     # Python refuses int() on strings of more than 4,300 digits by default.
     with pytest.raises(ParseError) as err:

@@ -1,10 +1,13 @@
-"""Byte-level pins of the showcase outputs.
+"""Byte-level pins of the showcase outputs and of the term tables.
 
 The digests below were recorded before the classification lists, the
 exact-or-bound type and the chain walk were each given a single definition.
 Refactors of the engine must leave every one of these outputs unchanged:
 the gallery script's stdout, the JSON reports of ``run_suites.py`` and the
-CLI's text and ``--json`` answers for every showcase term.
+CLI's text and ``--json`` answers for every showcase term.  The term-table
+digest was recorded before each constructor carried its own invariants; it
+covers every invariant of every term of ``build_catalog(20, 5)`` and of the
+non-normal, non-Fano and ruleless presentations listed below.
 """
 
 import contextlib
@@ -17,7 +20,26 @@ from pathlib import Path
 
 import pytest
 
+from fanolines.catalog import build_catalog
 from fanolines.cli import main
+from fanolines.dsl import to_text
+from fanolines.errors import EngineError
+from fanolines.terms import (
+    LinearSectionG25,
+    LinearSpace,
+    Point,
+    SympGrassmann,
+    ambient_dim,
+    covered_by_lines,
+    dim,
+    family_dim,
+    is_fano,
+    is_linear,
+    max_linear_in,
+    normalize,
+    picard_number,
+)
+from test_terms import NON_FANO_TERMS, NON_NORMAL_PRESENTATIONS
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -37,6 +59,8 @@ PINNED = {
         "428235ec99f2231b0f861b0903a6ed2db7700e4b964b0e1dcd1eaf57493e0dd6",
     "cli trace":
         "0a498559588b54b23a7750ec0192ed8663e657be9d6e2d9de3933c4d8a92be4e",
+    "term tables":
+        "f20001ab21096cc01a85fcaaca6b102315786a90637ba0900f40326809a2b212",
 }
 
 
@@ -93,3 +117,24 @@ def test_cli_answers_on_the_showcase_terms_are_pinned(command):
 def test_cli_families_on_the_showcase_and_no_family_terms_is_pinned():
     transcript = _cli_transcript("families", tuple(NO_FAMILY_TERMS))
     assert _sha(transcript) == PINNED["cli families"]
+
+
+def _family_dim_or_error(v) -> str:
+    try:
+        return str(family_dim(v))
+    except EngineError as err:
+        return type(err).__name__
+
+
+def test_term_tables_are_pinned():
+    terms = [*build_catalog(20, 5), *NON_NORMAL_PRESENTATIONS, *NON_FANO_TERMS,
+             Point(), LinearSpace(0), SympGrassmann(3, 7), LinearSectionG25(2)]
+    rows = [
+        "|".join(map(str, (
+            to_text(v), dim(v), ambient_dim(v), picard_number(v), is_fano(v),
+            _family_dim_or_error(v), max_linear_in(v), to_text(normalize(v)),
+            covered_by_lines(v), is_linear(v),
+        )))
+        for v in terms
+    ]
+    assert _sha("\n".join(rows).encode()) == PINNED["term tables"]

@@ -1,5 +1,7 @@
 """Tables of classical invariants: dimensions, predicates, canonical forms."""
 
+from dataclasses import fields
+
 import pytest
 
 from fanolines.errors import NoLineFamily, ValidationError
@@ -13,6 +15,7 @@ from fanolines.terms import (
     ProjBundleP1,
     Quadric,
     SympGrassmann,
+    VarietyTerm,
     ambient_dim,
     at_least,
     covered_by_lines,
@@ -25,6 +28,28 @@ from fanolines.terms import (
     normalize,
     picard_number,
 )
+
+
+# ---------------------------------------------------------------------------
+# constructors
+
+
+def test_constructors_are_variety_terms_holding_only_their_fields():
+    # The invariants live on the classes: after every question has been
+    # asked, an instance still holds just the fields that name it.
+    expected = {
+        Point(): (), LinearSpace(3): ("n",), Quadric(5): ("n",), Grassmann(2, 6): ("k", "N"),
+        SympGrassmann(2, 7): ("k", "N"), CompleteIntersection((2, 3), 7): ("degrees", "N"),
+        PolarizedProduct(((1, 2), (3, 1))): ("factors",), ProjBundleP1((2, 1)): ("twists",),
+        LinearSectionG25(2): ("c",),
+    }
+    for v, names in expected.items():
+        assert isinstance(v, VarietyTerm)
+        for question in (dim, ambient_dim, picard_number, is_fano, max_linear_in, normalize,
+                         covered_by_lines):
+            question(v)
+        assert tuple(f.name for f in fields(v)) == names
+        assert tuple(vars(v)) == names
 
 
 # ---------------------------------------------------------------------------
