@@ -28,7 +28,8 @@ from .checks import SUITES, classify_by_s, run_suite
 from .dsl import parse_variety, to_text
 from .errors import EngineError, NoRule, NotCoveredByLines, ParseError, ValidationError
 from .families import line_families
-from .secant import DEFAULT_SEED, RankConfig, secant_row, segre_veronese, scroll
+from .secant import (DEFAULT_PRIMES, DEFAULT_SEED, RankConfig, expected_secant_dim,
+                     secant_row, segre_veronese, scroll)
 from .terms import dim, normalize
 
 CHAIN_SYMBOL = " ⊨ "  # the "has a family of lines" turnstile
@@ -244,14 +245,14 @@ def _cmd_secant(args, seed: int):
     builder = segre_veronese if args.kind == "segre" else scroll
     par = builder(args.d, args.m)
     row = secant_row(par, cfg)
-    expected = 2 * args.m + 1 if args.d >= 2 else None
+    expected = expected_secant_dim(args.d, args.m)
     passed = None
     if expected is not None:
         passed = (row["secant_terracini"] == expected
                   and row["secant_chord"] == expected)
     payload = {
         "kind": args.kind, "d": args.d, "m": args.m,
-        "seed": seed, "primes": list(cfg.primes), "trials": cfg.trials,
+        "seed": seed, "primes": list(DEFAULT_PRIMES), "trials": cfg.trials,
         "span": row["span"],
         "secant_terracini": row["secant_terracini"],
         "secant_chord": row["secant_chord"],
@@ -261,7 +262,7 @@ def _cmd_secant(args, seed: int):
             f" secant(terracini)={row['secant_terracini']}"
             f" secant(chord)={row['secant_chord']}"
             + (f" expected={expected} pass={passed}" if expected is not None else " (reported)")
-            + f" seed={seed} primes={','.join(map(str, cfg.primes))}")
+            + f" seed={seed} primes={','.join(map(str, DEFAULT_PRIMES))}")
     code = 0 if passed in (True, None) else 1
     return code, text, payload
 

@@ -20,15 +20,14 @@ stays below that bound and never carries into the next (the extra bit is a
 margin).  A row is unpacked once, after all pivots are applied, reduced
 mod p and scanned for its leading column.
 
-``is_prime`` is the deterministic primality test that guards the choice of
-field.
+The field is the caller's: the secant laboratory passes its three fixed
+primes just below 2^31, and nothing here checks that ``p`` is prime.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from collections.abc import Iterable, Sequence
-from functools import lru_cache
 
 
 def rank_mod_p(rows: Iterable[Sequence[int]], p: int) -> int:
@@ -73,33 +72,3 @@ def _pack(entries: list[int], bits: int) -> int:
         w = (w << bits) | x
     return w
 
-
-#: Miller-Rabin with these bases is exact for every n below 2^64.
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-PRIME_LIMIT = 2**64
-
-
-@lru_cache(maxsize=64)  # every RankConfig checks its primes, mostly the defaults
-def is_prime(n: int) -> bool:
-    """Deterministic primality test for ``n < PRIME_LIMIT``."""
-    if n >= PRIME_LIMIT:
-        raise ValueError(f"is_prime is exact only below 2^64, got {n}")
-    if n < 2:
-        return False
-    for q in _WITNESSES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True

@@ -6,9 +6,9 @@ scroll P(O(d+1) + O(d)^{m-1}) over a line under its tautological embedding.
 Spans and secant dimensions are computed as ranks of evaluation and Jacobian
 matrices at random points over large prime fields: exact arithmetic, with
 rank over F_p lower-bounding rank over the rationals and agreeing away from
-a measure-zero set of points and primes.  Several primes and trials are
-taken and the max is kept; more than one disagreeing trial raises instead of
-reporting.
+a measure-zero set of points and primes.  Every rank is taken once per
+trial over each of the three fixed primes ``DEFAULT_PRIMES`` and the max is
+kept; more than one disagreeing trial raises instead of reporting.
 
 Two independent methods compute each secant dimension: the stacked-Jacobian
 method (two tangent spaces at independent points span the secant's cone) and
@@ -40,19 +40,16 @@ from functools import cached_property
 from itertools import product as iproduct
 
 from .errors import DegenerateRandomness, ValidationError
-from .modp import PRIME_LIMIT, is_prime, rank_mod_p
+from .modp import rank_mod_p
 from .reports import SuiteReport
 
-#: Three distinct primes just below 2^31; products of two entries of F_p fit
-#: comfortably in 64-bit intermediates.
+#: The three distinct primes every rank is taken over, just below 2^31.
+#: Points are drawn from [1, p-1]; over a small field they are degenerate so
+#: often that the trials keep disagreeing whatever the seed (F_2, F_3, F_5
+#: fail on a degree-2 Veronese surface), so each prime stays far above 2^16.
 DEFAULT_PRIMES = (2147483647, 2147483629, 2147483587)
 
 DEFAULT_SEED = 20260809
-
-#: Smallest accepted prime.  Points are drawn from [1, p-1]; over a small
-#: field they are degenerate so often that the trials keep disagreeing
-#: whatever the seed (F_2, F_3, F_5 fail on a degree-2 Veronese surface).
-MIN_PRIME = 2**16
 
 
 Support = tuple[tuple[int, int], ...]  # the (param, exponent) pairs, exponent > 0
@@ -90,6 +87,12 @@ class Parameterization:
                      for exp in self.monomials)
 
 
+def _monomial(m: int, deg: int, a: int, j: int) -> tuple[int, ...]:
+    """Exponents of s^(deg-a) t^a times the j-th of m fibre parameters,
+    over the parameters (s, t, fibre_0, ..., fibre_{m-1})."""
+    return (deg - a, a) + tuple(int(i == j) for i in range(m))
+
+
 def segre_veronese(d: int, m: int) -> Parameterization:
     """P^1 x P^{m-1} embedded by O(d, 1) in P^{dm+m-1}.
 
@@ -97,16 +100,8 @@ def segre_veronese(d: int, m: int) -> Parameterization:
     """
     if d < 1 or m < 1:
         raise ValidationError("segre_veronese requires d >= 1 and m >= 1", component="secant")
-    nparams = 2 + m  # s, t, u_0..u_{m-1}
-    monos = []
-    for a in range(d + 1):
-        for j in range(m):
-            exp = [0] * nparams
-            exp[0] = d - a
-            exp[1] = a
-            exp[2 + j] = 1
-            monos.append(tuple(exp))
-    return Parameterization("segre", d, m, tuple(monos))
+    monos = tuple(_monomial(m, d, a, j) for a in range(d + 1) for j in range(m))
+    return Parameterization("segre", d, m, monos)
 
 
 def scroll(d: int, m: int) -> Parameterization:
@@ -117,21 +112,8 @@ def scroll(d: int, m: int) -> Parameterization:
     """
     if d < 1 or m < 1:
         raise ValidationError("scroll requires d >= 1 and m >= 1", component="secant")
-    nparams = 2 + m  # s, t, v_0..v_{m-1}
-    monos = []
-    for a in range(d + 2):
-        exp = [0] * nparams
-        exp[0] = d + 1 - a
-        exp[1] = a
-        exp[2] = 1
-        monos.append(tuple(exp))
-    for j in range(1, m):
-        for a in range(d + 1):
-            exp = [0] * nparams
-            exp[0] = d - a
-            exp[1] = a
-            exp[2 + j] = 1
-            monos.append(tuple(exp))
+    monos = [_monomial(m, d + 1, a, 0) for a in range(d + 2)]
+    monos += [_monomial(m, d, a, j) for j in range(1, m) for a in range(d + 1)]
     return Parameterization("scroll", d, m, tuple(monos))
 
 
@@ -139,30 +121,12 @@ def scroll(d: int, m: int) -> Parameterization:
 class RankConfig:
     """Randomized-rank configuration; the seed is part of every report."""
 
-    primes: tuple[int, ...] = DEFAULT_PRIMES
-    points_per_trial: int = 0  # 0: derived from the parameterization
     trials: int = 5
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if self.trials < 3:
             raise ValidationError("RankConfig requires trials >= 3", component="secant")
-        if len(set(self.primes)) != len(self.primes) or not self.primes:
-            raise ValidationError("RankConfig primes must be non-empty and distinct",
-                                  component="secant")
-        if not all(isinstance(q, int) and q < PRIME_LIMIT and is_prime(q)
-                   for q in self.primes):
-            raise ValidationError(
-                f"RankConfig primes must be primes below 2^64, got {list(self.primes)}",
-                component="secant",
-            )
-        if min(self.primes) < MIN_PRIME:
-            raise ValidationError(
-                f"RankConfig primes must be at least 2^16 = {MIN_PRIME}, got {min(self.primes)}",
-                component="secant",
-            )
-        if self.points_per_trial < 0:
-            raise ValidationError("RankConfig requires points_per_trial >= 0", component="secant")
 
 
 def _rng(cfg: RankConfig, label: str, trial: int, p: int) -> random.Random:
@@ -211,27 +175,27 @@ def _stable_rank(ranks: list[int]) -> int:
     return top
 
 
+def _dimension(par: Parameterization, cfg: RankConfig, method: str, rows) -> int:
+    """Projective dimension from the stable rank of the matrices ``rows(rng, p)``,
+    one per (trial, prime) pair, each pair with its own random generator."""
+    label = f"{method}:{par.kind}:{par.d}:{par.m}"
+    ranks = [rank_mod_p(rows(_rng(cfg, label, trial, p), p), p)
+             for trial, p in iproduct(range(cfg.trials), DEFAULT_PRIMES)]
+    return _stable_rank(ranks) - 1
+
+
 def span_dim_numeric(par: Parameterization, cfg: RankConfig = RankConfig()) -> int:
     """Dimension of the projective linear span of the image.
 
     Evaluation rows at random points are drawn lazily, at most
-    ``points_per_trial`` (default ``2 * num_coords``) of them; the rank stops
-    pulling rows once it reaches ``num_coords``.
+    ``2 * num_coords`` of them; the rank stops pulling rows once it reaches
+    ``num_coords``.
     """
-    npts = cfg.points_per_trial or 2 * par.num_coords
-    if npts < par.num_coords:
-        raise ValidationError(
-            f"points_per_trial = {npts} is below the {par.num_coords} coordinates"
-            " and can only under-report the span",
-            component="secant",
-        )
-    ranks = []
-    for trial, p in iproduct(range(cfg.trials), cfg.primes):
-        rng = _rng(cfg, f"span:{par.kind}:{par.d}:{par.m}", trial, p)
-        points = (_point(rng, par.num_params, p) for _ in range(npts))
-        rows = ([_eval_monomial(sup, x, p) for sup in par.supports] for x in points)
-        ranks.append(rank_mod_p(rows, p))
-    return _stable_rank(ranks) - 1
+    def rows(rng, p):
+        points = (_point(rng, par.num_params, p) for _ in range(2 * par.num_coords))
+        return ([_eval_monomial(sup, x, p) for sup in par.supports] for x in points)
+
+    return _dimension(par, cfg, "span", rows)
 
 
 def secant_dim_terracini(par: Parameterization, cfg: RankConfig = RankConfig()) -> int:
@@ -240,18 +204,14 @@ def secant_dim_terracini(par: Parameterization, cfg: RankConfig = RankConfig()) 
     The affine tangent spaces of the cone at two independent random points
     span the cone over the secant variety.
     """
-    ranks = []
-    for trial, p in iproduct(range(cfg.trials), cfg.primes):
-        rng = _rng(cfg, f"terracini:{par.kind}:{par.d}:{par.m}", trial, p)
+    def rows(rng, p):
         x = _point(rng, par.num_params, p)
         y = _point(rng, par.num_params, p)
         ix, iy = _inverses(x, p), _inverses(y, p)
-        rows = [
-            _gradient(sup, x, ix, p)[1] + _gradient(sup, y, iy, p)[1]
-            for sup in par.supports
-        ]
-        ranks.append(rank_mod_p(rows, p))
-    return _stable_rank(ranks) - 1
+        return [_gradient(sup, x, ix, p)[1] + _gradient(sup, y, iy, p)[1]
+                for sup in par.supports]
+
+    return _dimension(par, cfg, "terracini", rows)
 
 
 def secant_dim_chordmap(par: Parameterization, cfg: RankConfig = RankConfig()) -> int:
@@ -259,19 +219,27 @@ def secant_dim_chordmap(par: Parameterization, cfg: RankConfig = RankConfig()) -
 
     Independent of the stacked-Jacobian route; the two must agree.
     """
-    ranks = []
-    for trial, p in iproduct(range(cfg.trials), cfg.primes):
-        rng = _rng(cfg, f"chord:{par.kind}:{par.d}:{par.m}", trial, p)
+    def rows(rng, p):
         x = _point(rng, par.num_params, p)
         y = _point(rng, par.num_params, p)
         t = rng.randrange(1, p)
         ix, iy = _inverses(x, p), _inverses(y, p)
-        rows = []
+        out = []
         for sup in par.supports:
             value, dx = _gradient(sup, x, ix, p)
-            rows.append([(t * g) % p for g in dx] + _gradient(sup, y, iy, p)[1] + [value])
-        ranks.append(rank_mod_p(rows, p))
-    return _stable_rank(ranks) - 1
+            out.append([(t * g) % p for g in dx] + _gradient(sup, y, iy, p)[1] + [value])
+        return out
+
+    return _dimension(par, cfg, "chord", rows)
+
+
+def expected_secant_dim(d: int, m: int) -> int | None:
+    """The secant dimension 2m+1 asserted of either family, None if unasserted.
+
+    At d = 1 the product spans only a P^(2m-1); at m = 1 the variety is a
+    rational normal curve, and the conic's secant is its plane, not a P^3.
+    """
+    return 2 * m + 1 if d >= 2 and m >= 2 else None
 
 
 def secant_row(par: Parameterization, cfg: RankConfig = RankConfig()) -> dict:
@@ -297,19 +265,16 @@ def verify_secant_dimensions(
     a P^{2m-1} (the degeneracy that rules it out elsewhere), while the d = 1
     scroll values are reported without an asserted expectation.
     """
-    if any(d < 2 for d in d_range):
-        raise ValidationError("verify_secant_dimensions requires d >= 2 in d_range",
-                              component="secant")
-    if any(m < 2 for m in m_range):
-        raise ValidationError("verify_secant_dimensions requires m >= 2 in m_range",
-                              component="secant")
+    if not d_range or not m_range or min(d_range) < 2 or min(m_range) < 2:
+        raise ValidationError("verify_secant_dimensions requires non-empty d_range and"
+                              " m_range with d >= 2 and m >= 2", component="secant")
     rep = SuiteReport(
         "secant",
         {
             "d_range": sorted(d_range),
             "m_range": sorted(m_range),
             "seed": cfg.seed,
-            "primes": list(cfg.primes),
+            "primes": list(DEFAULT_PRIMES),
             "trials": cfg.trials,
         },
     )
@@ -329,11 +294,12 @@ def verify_secant_dimensions(
                 rep.add(name, "secant.upper-bound",
                         st <= min(2 * par.variety_dim + 1, par.num_coords - 1),
                         f"secant {st} exceeds the trivial bound")
-                if d >= 2:
+                expected = expected_secant_dim(d, m)
+                if expected is not None:
                     rep.add(name, "secant.dimension",
-                            st == 2 * m + 1 and sc == 2 * m + 1,
-                            f"expected 2m+1 = {2 * m + 1}, got {st}/{sc}",
-                            expected=2 * m + 1, **row)
+                            st == expected and sc == expected,
+                            f"expected 2m+1 = {expected}, got {st}/{sc}",
+                            expected=expected, **row)
                 elif par.kind == "segre":
                     rep.add(name, "secant.control-span", span == 2 * m - 1,
                             f"d = 1 product spans P^(2m-1) = P^{2 * m - 1}",

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import comb, prod
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import NoLineFamily, ValidationError
@@ -257,7 +258,7 @@ class PolarizedProduct(VarietyTerm):
         if any(n < 1 or d < 1 for n, d in facs):
             raise ValidationError("PolarizedProduct factors require n_i >= 1 and d_i >= 1")
 
-    def _dim(self): return sum(n for n, _ in self.factors)
+    def _dim(self): return sum(map(itemgetter(0), self.factors))
     def _ambient_dim(self): return prod(comb(n + d, n) for n, d in self.factors) - 1
     def _picard_number(self): return len(self.factors)
     def _family_dim(self): return max((n - 1 for n, d in self.factors if d == 1), default=-1)

@@ -10,7 +10,10 @@ such chain to exist.
 
 Every emitted inequality is checked numerically against the actual chain
 while it is emitted; a violation raises :class:`~fanolines.errors.TraceError`
-since it would mean the engine's own tables contradict each other.
+since it would mean the engine's own tables contradict each other.  The two
+case-2 lines on secant dimensions (d >= 2 gives 2m+1; the d = 1 product
+spans only a P^{2m-1}) are not checked here: they cite the secant suite's
+``secant.dimension`` and ``secant.control-span`` records.
 """
 
 from __future__ import annotations

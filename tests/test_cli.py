@@ -111,6 +111,17 @@ def test_secant_degree_one_is_reported_not_asserted(capsys):
     assert "(reported)" in out
 
 
+def test_secant_conic_is_reported_not_asserted(capsys):
+    # m = 1 is a curve: the conic's secant fills its plane, dimension 2, not
+    # 2m+1 = 3, so the row is reported like the d = 1 rows.
+    code, out, _ = run(capsys, "secant", "--kind", "segre", "-d", "2", "-m", "1")
+    assert code == 0
+    assert "secant(terracini)=2 secant(chord)=2 (reported)" in out
+    code, out, _ = run(capsys, "secant", "--kind", "segre", "-d", "2", "-m", "2")
+    assert code == 0
+    assert "expected=5 pass=True" in out
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

@@ -4,7 +4,9 @@ import hashlib
 import json
 import random
 from bisect import insort
+from dataclasses import fields
 from fractions import Fraction
+from math import isqrt
 
 import hypothesis.strategies as st
 import pytest
@@ -12,12 +14,14 @@ from hypothesis import given, settings
 
 import fanolines.secant as secant_mod
 from fanolines.errors import DegenerateRandomness, ValidationError
-from fanolines.modp import is_prime, rank_mod_p
+from fanolines.modp import rank_mod_p
 from fanolines.secant import (
+    DEFAULT_PRIMES,
     RankConfig,
     _eval_monomial,
     _gradient,
     _stable_rank,
+    expected_secant_dim,
     scroll,
     secant_dim_chordmap,
     secant_dim_terracini,
@@ -172,8 +176,8 @@ def rank_mod_p_reference(rows, p):
     return len(pivots)
 
 
-# 65537 is the smallest prime RankConfig accepts, 2^31 - 1 the first default
-# and 18446744073709551557 the largest prime below 2^64.
+# 65537 is the smallest prime above 2^16, 2^31 - 1 the first default and
+# 18446744073709551557 the largest prime below 2^64.
 PRIMES = [65537, 2**31 - 1, 18446744073709551557]
 # 157 is the coordinate count of scroll(12, 12), the widest CLI input.
 MAX_WIDTH = scroll(12, 12).num_coords
@@ -273,7 +277,7 @@ def test_span_draws_only_num_coords_points_per_trial(monkeypatch):
     monkeypatch.setattr(secant_mod, "_point", counting_point)
     par, cfg = scroll(2, 3), RankConfig()
     assert span_dim_numeric(par, cfg) == par.num_coords - 1
-    assert len(drawn) == cfg.trials * len(cfg.primes) * par.num_coords
+    assert len(drawn) == cfg.trials * len(DEFAULT_PRIMES) * par.num_coords
 
 
 # ---------------------------------------------------------------------------
@@ -343,51 +347,23 @@ def test_builders_validate():
         scroll(2, 0)
     with pytest.raises(ValidationError):
         RankConfig(trials=2)
-    with pytest.raises(ValidationError):
-        RankConfig(primes=(7, 7))
 
 
-@pytest.mark.parametrize("primes", [(4, 6, 9), (7, 9), (2147483647, 1), (2**64 + 13,), (7.0,)])
-def test_rank_config_rejects_non_primes(primes):
-    with pytest.raises(ValidationError):
-        RankConfig(primes=primes)
+def test_rank_config_holds_only_trials_and_seed():
+    assert [f.name for f in fields(RankConfig)] == ["trials", "seed"]
 
 
-@pytest.mark.parametrize("primes", [(2, 3, 5), (65521, 65537, 65539), (2147483647, 7)])
-def test_rank_config_rejects_primes_below_the_limit(primes):
-    with pytest.raises(ValidationError, match=r"at least 2\^16 = 65536"):
-        RankConfig(primes=primes)
-
-
-def test_rank_config_accepts_primes_from_the_limit_on():
-    cfg = RankConfig(primes=(65537, 65539, 65543), seed=3)
-    row = secant_row(segre_veronese(2, 2), cfg)
-    assert row["secant_terracini"] == row["secant_chord"] == 5
-
-
-def test_rank_config_rejects_negative_points_per_trial():
-    with pytest.raises(ValidationError):
-        RankConfig(points_per_trial=-3)
-
-
-def test_span_rejects_fewer_points_than_coordinates():
-    par = scroll(2, 3)
-    with pytest.raises(ValidationError):
-        span_dim_numeric(par, RankConfig(points_per_trial=par.num_coords - 1))
-    exact = RankConfig(points_per_trial=par.num_coords)
-    assert span_dim_numeric(par, exact) == par.num_coords - 1
-
-
-def test_is_prime_matches_trial_division_and_rejects_strong_pseudoprimes():
+def test_default_primes_are_distinct_primes_far_above_small_fields():
+    # Over fields below 2^16 random points are degenerate so often that the
+    # trials keep disagreeing whatever the seed; below 2^31 products of two
+    # field entries stay small.
     def by_trial_division(n):
-        return n >= 2 and all(n % q for q in range(2, int(n**0.5) + 1))
+        return n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))
 
-    assert all(is_prime(n) == by_trial_division(n) for n in range(-3, 5000))
-    assert all(is_prime(q) for q in RankConfig().primes)
-    assert is_prime(2**61 - 1) and is_prime(2**64 - 59)
-    # strong pseudoprimes to every prime base up to 7, 11, 13 and 23
-    for n in (3215031751, 2152302898747, 3474749660383, 3825123056546413051):
-        assert not is_prime(n)
+    assert len(DEFAULT_PRIMES) == len(set(DEFAULT_PRIMES)) == 3
+    for q in DEFAULT_PRIMES:
+        assert 2**16 <= q < 2**31
+        assert by_trial_division(q)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +459,7 @@ def test_conic_three_point_rank_oracle():
 
     par = segre_veronese(2, 1)  # the conic, with a trivial second factor
     cfg = RankConfig()
-    p = cfg.primes[0]
+    p = DEFAULT_PRIMES[0]
     for trial in range(cfg.trials):
         rng = _rng(cfg, "conic-trisecant", trial, p)
         rows = []
@@ -536,6 +512,21 @@ def test_verify_secant_dimensions_validates_ranges():
         verify_secant_dimensions((1, 2), (2, 3))
     with pytest.raises(ValidationError):
         verify_secant_dimensions((2,), (1,))
+
+
+@pytest.mark.parametrize("d_range, m_range", [((2,), ()), ((), (4,))], ids=["no-m", "no-d"])
+def test_verify_secant_dimensions_rejects_an_empty_range(d_range, m_range):
+    # An empty range would assert no secant dimension and read as an all-pass.
+    with pytest.raises(ValidationError, match="non-empty") as err:
+        verify_secant_dimensions(d_range, m_range)
+    assert err.value.component == "secant"
+
+
+@pytest.mark.parametrize("d, m, expected", [
+    (1, 4, None), (2, 1, None), (4, 1, None), (2, 2, 5), (3, 4, 9), (4, 12, 25),
+])
+def test_expected_secant_dim_asserts_only_d_and_m_from_2(d, m, expected):
+    assert expected_secant_dim(d, m) == expected
 
 
 # ---------------------------------------------------------------------------
