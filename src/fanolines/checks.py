@@ -12,7 +12,7 @@ from .catalog import Catalog
 from .chains import ChainEngine, default_engine
 from .dsl import to_text
 from .errors import EngineError, ValidationError
-from .families import family_codim3_list, lookup_families, odd_dimension_list
+from .families import lookup_families, odd_dimension_list, recognition_list
 from .reports import SuiteReport
 from .terms import (
     Grassmann,
@@ -187,11 +187,22 @@ def _sato_member(v: VarietyTerm, m_star: int) -> bool:
             return False
 
 
+#: What each dimension drop of :func:`recognition_list` requires.
+_RECOGNITION_DETAIL = {
+    1: "family fills P(T): linear space required",
+    2: "family of dimension n-2: quadric required",
+    3: "family of dimension n-3: cubic, 2-quadric intersection,"
+       " or G(2,5) section required",
+}
+
+
 def verify_family_lemmas(cat: Catalog, engine: ChainEngine | None = None) -> SuiteReport:
     """The four family implications, over every Picard-number-1 member.
 
     * family-dimension recognition: a family of dimension n-1, n-2 or n-3
-      pins the variety to the stated lists;
+      pins the variety to :func:`~fanolines.families.recognition_list`,
+      read through ``family_dim`` so that members without a family rule
+      are checked too;
     * non-degeneracy: a family of dimension >= (n-1)/2 spans its ambient
       projectivised tangent space;
     * a proper linear family of positive dimension has dimension <= (n-4)/2
@@ -212,16 +223,10 @@ def verify_family_lemmas(cat: Catalog, engine: ChainEngine | None = None) -> Sui
         # Recognition by family dimension, via the anticanonical-degree
         # formula (defined even where no family rule exists).
         fd = family_dim(v)
-        if fd == n - 1:
-            rep.add(name, "families.dimH-is-n-1", isinstance(v, LinearSpace),
-                    "family fills P(T): linear space required")
-        elif fd == n - 2 and n >= 3:
-            rep.add(name, "families.dimH-is-n-2", isinstance(v, Quadric),
-                    "family of dimension n-2: quadric required")
-        elif fd == n - 3 and n >= 3:
-            rep.add(name, "families.dimH-is-n-3", v in family_codim3_list(n),
-                    "family of dimension n-3: cubic, 2-quadric intersection,"
-                    " or G(2,5) section required")
+        candidates = recognition_list(n, fd)
+        if candidates:
+            rep.add(name, f"families.dimH-is-n-{n - fd}", v in candidates,
+                    _RECOGNITION_DETAIL[n - fd])
 
         fams, end = lookup_families(v)
         if end is not None:  # "not_covered" or "no_rule"; members are never points

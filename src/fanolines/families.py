@@ -15,7 +15,11 @@ The chain engine and the suites read :func:`lookup_families` instead, which
 raises nothing and names why a chain ends: ``"is_point"``, ``"not_covered"``
 or ``"no_rule"``.
 
-The classification lists live here too, defined once:
+The recognition step and the classification lists live here too, each
+defined once.  :func:`recognition_list` names the candidates that a family's
+dimension drop (n-1, n-2 or n-3) pins down, and :func:`symplectic_scroll` is
+the family of SG(2,C^{m+3}): the family rule reads it forward, and the trace
+reads it backward as the conjectural rule.  The lists are
 :func:`family_codim3_list` and :func:`odd_dimension_list` with its verdict
 letters.  Recognition, the verification suites and the traces all read them.
 """
@@ -25,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dsl import to_text
-from .errors import NoRule, NotCoveredByLines, PreconditionFailed, ValidationError
+from .errors import NoRule, NotCoveredByLines, ValidationError
 from .terms import (
     CompleteIntersection,
     Grassmann,
@@ -126,8 +130,7 @@ def _family_rule(v: VarietyTerm, ambient: int) -> list[FamilyRecord] | str:
         case Grassmann(k, N):
             return [FamilyRecord(segre_pair(k - 1, N - k - 1), ambient, ambient)]
         case SympGrassmann(2, N):
-            scroll = ProjBundleP1((2,) + (1,) * (N - 4))
-            return [FamilyRecord(scroll, ambient, ambient)]
+            return [FamilyRecord(symplectic_scroll(N - 3), ambient, ambient)]
         case SympGrassmann(k, _):
             return f"no family rule for isotropic Grassmannians with k = {k} >= 3"
         case CompleteIntersection(degrees, _):
@@ -165,51 +168,39 @@ def _family_rule(v: VarietyTerm, ambient: int) -> list[FamilyRecord] | str:
     raise TypeError(f"not a variety term: {v!r}")
 
 
-@dataclass(frozen=True)
-class Recognition:
-    """A candidate identification of the parent variety from one family."""
-
-    term: VarietyTerm
-    conjectural: bool = False
-
-
-def recognize_from_family(n: int, rho: int, fam: FamilyRecord) -> list[Recognition]:
-    """Candidate parents of dimension ``n`` and Picard number ``rho``.
-
-    Applies the dimension-drop recognition lists (family of dimension n-1,
-    n-2 or n-3) and the conjectural scroll recognition: a family projectively
-    equivalent to P(O(2) + O(1)^{m-1}) filling P^{2m} identifies the
-    symplectic Grassmannian SG(2, C^{m+3}).  Returns the empty list when no
-    rule applies.
-    """
-    if fam.ambient_pt_dim != n - 1:
-        raise PreconditionFailed(
-            f"family ambient P^{fam.ambient_pt_dim} does not match dim {n}"
-        )
-    found: list[Recognition] = []
-    fdim = dim(fam.variety)
-    if fdim == n - 1:
-        found.append(Recognition(LinearSpace(n)))
-    if rho == 1 and n >= 3 and fdim == n - 2:
-        found.append(Recognition(Quadric(n)))
-    if rho == 1 and n >= 3 and fdim == n - 3:
-        found.extend(Recognition(t) for t in family_codim3_list(n))
-    if isinstance(fam.variety, ProjBundleP1):
-        tw = fam.variety.twists
-        m = len(tw)
-        if tw == (2,) + (1,) * (m - 1) and fam.span_in_pt == fam.ambient_pt_dim == 2 * m:
-            found.append(Recognition(SympGrassmann(2, m + 3), conjectural=True))
-    # Prefer an unconditional identification over a conjectural duplicate.
-    best: dict[VarietyTerm, Recognition] = {}
-    for rec in found:
-        prev = best.get(rec.term)
-        if prev is None or (prev.conjectural and not rec.conjectural):
-            best[rec.term] = rec
-    return list(best.values())
-
-
 # ---------------------------------------------------------------------------
 # the classification lists
+
+
+def recognition_list(n: int, fam_dim: int) -> tuple[VarietyTerm, ...]:
+    """Picard-number-1 varieties of dimension n >= 1 whose family of lines
+    through a general point has dimension ``fam_dim``, in normal form, when
+    the dimension drop pins them down: P^n for n - 1, the quadric for n - 2
+    and :func:`family_codim3_list` for n - 3 (both with n >= 3).  Otherwise
+    the empty tuple: this lists candidates and never claims that a family
+    of another dimension is impossible.
+
+    >>> [to_text(v) for v in recognition_list(3, 0)]
+    ['CI(3;4)', 'CI(2,2;5)', 'LS(G(2,5),3)']
+    """
+    if fam_dim == n - 1:
+        return (LinearSpace(n),)
+    if n < 3:
+        return ()
+    if fam_dim == n - 2:
+        return (normalize(Quadric(n)),)
+    if fam_dim == n - 3:
+        return family_codim3_list(n)
+    return ()
+
+
+def symplectic_scroll(m: int) -> ProjBundleP1:
+    """The family of lines of SG(2,C^{m+3}) for m >= 2: the scroll
+    P(O(2) + O(1)^{m-1}), spanning the projectivised tangent space P^{2m}.
+    :func:`line_families` reads it forward; read backward it is the
+    conjectural recognition rule of :data:`RULE_PROVENANCE`, which the
+    odd-dimensional trace cites to identify X from its first family."""
+    return ProjBundleP1((2,) + (1,) * (m - 1))
 
 
 def family_codim3_list(n: int) -> tuple[VarietyTerm, ...]:

@@ -268,20 +268,21 @@ def verify_secant_dimensions(
     if not d_range or not m_range or min(d_range) < 2 or min(m_range) < 2:
         raise ValidationError("verify_secant_dimensions requires non-empty d_range and"
                               " m_range with d >= 2 and m >= 2", component="secant")
+    ds, ms = sorted(set(d_range)), sorted(set(m_range))
     rep = SuiteReport(
         "secant",
         {
-            "d_range": sorted(d_range),
-            "m_range": sorted(m_range),
+            "d_range": ds,
+            "m_range": ms,
             "seed": cfg.seed,
             "primes": list(DEFAULT_PRIMES),
             "trials": cfg.trials,
         },
     )
     for builder in (segre_veronese, scroll):
-        for d in sorted(set(d_range) | {1}):
+        for d in [1] + ds:
             last = None
-            for m in sorted(m_range):
+            for m in ms:
                 par = builder(d, m)
                 row = secant_row(par, cfg)
                 name = f"{par.kind}(d={d},m={m})"

@@ -23,10 +23,8 @@ from dataclasses import dataclass
 from .chains import ChainEngine, default_engine
 from .dsl import to_text
 from .errors import PreconditionFailed, TraceError
-from .families import VERDICT_NAMES, family_codim3_list, odd_dimension_list
+from .families import VERDICT_NAMES, odd_dimension_list, recognition_list, symplectic_scroll
 from .terms import (
-    ProjBundleP1,
-    Quadric,
     SympGrassmann,
     VarietyTerm,
     dim,
@@ -91,9 +89,11 @@ def classification_trace(v: VarietyTerm, engine: ChainEngine | None = None) -> T
     return _trace_case2(v, eng, n, m, *case2)
 
 
-def _require(condition: bool, line: str):
+def _require(lines: list[str], condition: bool, line: str):
+    """Append ``line`` once ``condition`` has checked it on the actual chain."""
     if not condition:
         raise TraceError(f"trace inequality failed on the actual chain: {line}")
+    lines.append(line)
 
 
 def _trace_case1(v, eng, n, m, chain) -> TraceReport:
@@ -108,21 +108,19 @@ def _trace_case1(v, eng, n, m, chain) -> TraceReport:
         )
     delta = dims[0] - dims[1]
     line = f"X is not a linear space, so n_0 - n_1 >= 2 (here n_0 - n_1 = {delta})"
-    _require(delta >= 2, line)
-    lines.append(line)
+    _require(lines, delta >= 2, line)
     if m >= 2:
         line = (
             f"every later step drops by at least 2, so n_0 - n_1 <="
             f" ({n}) - 2(m-1) = 3"
         )
-        _require(delta <= 3, line)
-        lines.append(line)
+        _require(lines, delta <= 3, line)
 
     nv = normalize(v)
+    candidates = recognition_list(n, dims[1])
     if delta == 2:
         line = "dim H_1 = n - 2 with Picard number 1: X is a quadric hypersurface"
-        _require(nv == Quadric(n), line)
-        lines.append(line)
+        _require(lines, nv in candidates, line)
     elif delta != 3:
         raise TraceError(f"case 1 with n_0 - n_1 = {delta}: outside the recognition lists")
     elif m >= 3:
@@ -135,9 +133,9 @@ def _trace_case1(v, eng, n, m, chain) -> TraceReport:
             "dim H_1 = n - 3 with Picard number 1: X is a cubic hypersurface,"
             " an intersection of two quadrics, or a linear section of G(2,5)"
         )
-        cubic, two_quadrics, section = family_codim3_list(n)  # n is 3 or 5
+        cubic, two_quadrics, section = candidates  # n is 3 or 5
         if m == 1:
-            if nv not in (cubic, two_quadrics, section):
+            if nv not in candidates:
                 raise TraceError(f"{to_text(nv)} is not on the n = 3 recognition list")
             lines.append(f"n = 3: X is {VERDICT_NAMES[odd_dimension_list(m)[nv]]}")
         else:
@@ -149,14 +147,12 @@ def _trace_case1(v, eng, n, m, chain) -> TraceReport:
                     f"{label} has invariant {s_cand.value}, not {m}: the second"
                     " family is an intersection not covered by lines, so it is excluded"
                 )
-                _require(s_cand.is_exact and s_cand.value < m, line)
-                lines.append(line)
+                _require(lines, s_cand.is_exact and s_cand.value < m, line)
             line = (
                 "the remaining candidate, a hyperplane section of G(2,5) in P^9,"
                 " is isomorphic to SG(2,C^5)"
             )
-            _require(nv == section, line)
-            lines.append(line)
+            _require(lines, nv == section, line)
     return TraceReport(v, dims, "case1", tuple(lines), odd_dimension_list(m)[nv], False)
 
 
@@ -165,12 +161,10 @@ def _trace_case2(v, eng, n, m, chain, i) -> TraceReport:
     lines = [f"chain dimensions n_0..n_m: {', '.join(map(str, dims))}"]
     line = f"H_{i} is a linear space in P_{i} (minimal such index, i = {i})"
     minimal = is_linear(chain[i]) and (i == 1 or not is_linear(chain[i - 1]))
-    _require(minimal, line)
-    lines.append(line)
+    _require(lines, minimal, line)
 
     line = f"from step {i} on the chain runs through hyperplanes: n_j = m - j for j >= {i}"
-    _require(all(dims[j] == m - j for j in range(i, m + 1)), line)
-    lines.append(line)
+    _require(lines, all(dims[j] == m - j for j in range(i, m + 1)), line)
 
     line = (
         f"if H_{i-1} had Picard number 1, a proper linear family forces"
@@ -178,42 +172,35 @@ def _trace_case2(v, eng, n, m, chain, i) -> TraceReport:
         f" {n} >= 2({i}-1) + n_{i-1} >= 2({i}-1) + 2({m}-{i}) + 4 = {2*m+2}:"
         f" contradiction, so rho(H_{i-1}) >= 2"
     )
-    _require(dims[0] - dims[i - 1] >= 2 * (i - 1), line)
-    lines.append(line)
+    _require(lines, dims[0] - dims[i - 1] >= 2 * (i - 1), line)
 
     line = f"in particular i >= 2 and m >= 3 (here i = {i}, m = {m})"
-    _require(i >= 2 and m >= 3, line)
-    lines.append(line)
+    _require(lines, i >= 2 and m >= 3, line)
 
     line = (
         f"H_{i-1} is embedded in P_{i-1} = P^{dims[i-2]-1} with rho >= 2:"
         f" small-codimension bound n_{i-2} >= 2 n_{i-1}"
         f" (here {dims[i-2]} >= {2 * dims[i-1]})"
     )
-    _require(dims[i - 2] >= 2 * dims[i - 1], line)
-    lines.append(line)
+    _require(lines, dims[i - 2] >= 2 * dims[i - 1], line)
 
     line = (
         "no variety on the small-family recognition lists admits a linear"
         f" step, so n_0 - n_1 >= 4 (here n_0 - n_1 = {dims[0] - dims[1]})"
     )
-    _require(dims[0] - dims[1] >= 4, line)
-    lines.append(line)
+    _require(lines, dims[0] - dims[1] >= 4, line)
 
     line = (
         f"if i >= 3 then {n} >= 4 + 2(i-3) + n_(i-2) >= {2*m+2}:"
         f" contradiction, so i = 2"
     )
-    _require(i == 2, line)
-    lines.append(line)
+    _require(lines, i == 2, line)
 
     line = f"n_0/2 >= n_1 >= m forces n_1 = m (here n_1 = {dims[1]})"
-    _require(dims[1] == m, line)
-    lines.append(line)
+    _require(lines, dims[1] == m, line)
 
     line = f"2 n_1 = {2*dims[1]} >= n_0 - 1 = {n-1}: H_1 is non-degenerate in P_1 = P^{2*m}"
-    _require(2 * dims[1] >= n - 1, line)
-    lines.append(line)
+    _require(lines, 2 * dims[1] >= n - 1, line)
 
     h1 = chain[1]
     s_h1 = eng.s_invariant(h1)
@@ -222,8 +209,7 @@ def _trace_case2(v, eng, n, m, chain, i) -> TraceReport:
         f" H_1 is (P^1 x P^{m-1}, O(d,1)) or"
         f" P(O(d+1) + O(d)^{m-1}) for some d >= 1"
     )
-    _require(s_h1.is_exact and s_h1.value == m - 1, line)
-    lines.append(line)
+    _require(lines, s_h1.is_exact and s_h1.value == m - 1, line)
     line = (
         "H_1 sits in a projective space of dimension 2m: for d >= 2 either"
         f" candidate has secant variety of dimension {2*m+1}, too large for an"
@@ -235,14 +221,11 @@ def _trace_case2(v, eng, n, m, chain, i) -> TraceReport:
         " degenerate in P_1, excluded"
     )
     lines.append(line)
-    scroll = ProjBundleP1((2,) + (1,) * (m - 1))
+    nv = normalize(v)
     line = (
         f"H_1 = P(O(2) + O(1)^{m-1}) spanning P^{2*m}: the scroll recognition"
         f" rule (conjectural) identifies X = SG(2,C^{m+3})"
     )
-    _require(normalize(h1) == scroll, line)
-    lines.append(line)
-
-    nv = normalize(v)
-    _require(nv == SympGrassmann(2, m + 3), "X normalizes to SG(2,C^(m+3))")
+    _require(lines, normalize(h1) == symplectic_scroll(m) and nv == SympGrassmann(2, m + 3),
+             line)
     return TraceReport(v, dims, "case2", tuple(lines), odd_dimension_list(m)[nv], True)

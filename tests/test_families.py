@@ -3,14 +3,15 @@
 import pytest
 
 from fanolines.dsl import to_text
-from fanolines.errors import NoRule, NotCoveredByLines, PreconditionFailed
+from fanolines.errors import NoRule, NotCoveredByLines
 from fanolines.families import (
     FamilyRecord,
     RULE_PROVENANCE,
     expand_ci_degrees,
     line_families,
     lookup_families,
-    recognize_from_family,
+    recognition_list,
+    symplectic_scroll,
 )
 from fanolines.terms import (
     CompleteIntersection,
@@ -169,60 +170,77 @@ def test_family_records_satisfy_their_invariants():
 # recognition
 
 
+def _scroll_identifies(fam):
+    """SG(2,C^{m+3}) when ``fam`` is the symplectic scroll spanning its
+    ambient P^{2m}, the conjectural rule read backward; otherwise None."""
+    m = fam.ambient_pt_dim // 2
+    if m >= 2 and fam.ambient_pt_dim == 2 * m and fam.spans_ambient \
+            and fam.variety == symplectic_scroll(m):
+        return normalize(SympGrassmann(2, m + 3))
+    return None
+
+
 def test_recognize_full_tangent_space():
-    fam = FamilyRecord(LinearSpace(4), 4, 4)
-    out = recognize_from_family(5, 1, fam)
-    assert [r.term for r in out] == [LinearSpace(5)]
+    assert recognition_list(5, 4) == (LinearSpace(5),)
 
 
 def test_recognize_codimension_two():
-    fam = FamilyRecord(Quadric(3), 4, 4)
-    out = recognize_from_family(5, 1, fam)
-    assert [r.term for r in out] == [Quadric(5)]
+    assert recognition_list(5, 3) == (Quadric(5),)
+    assert recognition_list(4, 2) == (normalize(Grassmann(2, 4)),)
 
 
 def test_recognize_codimension_three_lists():
-    fam = FamilyRecord(Point(), 2, 0)
-    out = recognize_from_family(3, 1, fam)
-    assert {r.term for r in out} == {
+    assert set(recognition_list(3, 0)) == {
         CompleteIntersection((3,), 4),
         CompleteIntersection((2, 2), 5),
         LinearSectionG25(3),
     }
-    assert not any(r.conjectural for r in out)
 
 
 def test_recognize_scroll_is_conjectural():
-    fam = FamilyRecord(ProjBundleP1((2, 1, 1)), 6, 6)
-    out = recognize_from_family(7, 1, fam)
-    assert [(r.term, r.conjectural) for r in out] == [(SympGrassmann(2, 6), True)]
+    # SG(2,C^6) has the scroll as its family, a drop of four dimensions that
+    # no unconditional list covers: only the conjectural rule identifies it.
+    scroll = symplectic_scroll(3)
+    assert scroll == ProjBundleP1((2, 1, 1))
+    assert line_families(SympGrassmann(2, 6)) == [FamilyRecord(scroll, 6, 6)]
+    assert recognition_list(7, dim(scroll)) == ()
+    rows = [row for row in RULE_PROVENANCE if row["constructor"].startswith("recognition")]
+    assert [row["status"] for row in rows] == ["conjectural"]
 
 
 def test_recognize_prefers_unconditional_identifications():
     # At n = 5 the scroll is also on the codimension-three list, where the
     # identification needs no conjecture.
-    fam = FamilyRecord(ProjBundleP1((2, 1)), 4, 4)
-    out = {r.term: r.conjectural for r in recognize_from_family(5, 1, fam)}
-    assert out[SympGrassmann(2, 5)] is False
+    assert normalize(SympGrassmann(2, 5)) in recognition_list(5, dim(symplectic_scroll(2)))
 
 
 def test_recognize_empty_without_a_rule():
-    fam = FamilyRecord(PolarizedProduct(((1, 1), (3, 1))), 7, 7)
-    assert recognize_from_family(8, 1, fam) == []
+    assert recognition_list(8, dim(PolarizedProduct(((1, 1), (3, 1))))) == ()
+    assert recognition_list(2, 0) == ()  # Q^2 has Picard number 2
 
 
 def test_recognize_round_trip():
     for v in (Quadric(5), Quadric(8), Grassmann(2, 4), Grassmann(2, 5),
               SympGrassmann(2, 5), SympGrassmann(2, 6), SympGrassmann(2, 9)):
         fam = line_families(v)[0]
-        out = recognize_from_family(dim(v), 1, fam)
-        assert normalize(v) in {normalize(r.term) for r in out}
+        found = {*recognition_list(dim(v), dim(fam.variety)), _scroll_identifies(fam)}
+        assert normalize(v) in found
 
 
-def test_recognize_checks_its_precondition():
-    fam = FamilyRecord(Quadric(3), 4, 4)
-    with pytest.raises(PreconditionFailed):
-        recognize_from_family(7, 1, fam)
+def test_scroll_rule_makes_no_false_identification_on_the_catalog():
+    # Every Picard-number-1 member whose family is the symplectic scroll
+    # filling P^{2m} is SG(2,C^{m+3}), and every SG(2,C^{m+3}) up to
+    # dimension 20 is reached that way.
+    from fanolines.catalog import build_catalog
+
+    matched = set()
+    for v in build_catalog(20, 4).picard_one.members:
+        for fam in lookup_families(v)[0]:
+            identified = _scroll_identifies(fam)
+            if identified is not None:
+                assert v == identified, to_text(v)
+                matched.add(v)
+    assert matched == {normalize(SympGrassmann(2, m + 3)) for m in range(2, 10)}
 
 
 def test_provenance_table_covers_the_rules():

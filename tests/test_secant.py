@@ -514,6 +514,15 @@ def test_verify_secant_dimensions_validates_ranges():
         verify_secant_dimensions((2,), (1,))
 
 
+def test_verify_secant_dimensions_runs_each_value_once():
+    # A repeated m or d is one row, and the echoed ranges list distinct values.
+    once = verify_secant_dimensions((2,), (2,)).as_dict()
+    assert verify_secant_dimensions((2,), (2, 2)).as_dict() == once
+    assert verify_secant_dimensions((2, 2), (2,)).as_dict() == once
+    assert (once["params"]["d_range"], once["params"]["m_range"]) == ([2], [2])
+    assert (once["passed"], once["info"]) == (15, 2)
+
+
 @pytest.mark.parametrize("d_range, m_range", [((2,), ()), ((), (4,))], ids=["no-m", "no-d"])
 def test_verify_secant_dimensions_rejects_an_empty_range(d_range, m_range):
     # An empty range would assert no secant dimension and read as an all-pass.
