@@ -6,8 +6,14 @@ attainable chain length.  The recursion is exact whenever every branch has a
 rewrite rule; a ruleless branch degrades the result to a lower bound, unless
 the exact branches already attain the cap S <= dim placed on the unknown one.
 
-Each step reads :func:`~fanolines.families.lookup_families`: a node's
-families, or the reason a chain ends there (:attr:`ChainTree.terminal_reason`).
+The family rules live in :mod:`fanolines.families`.  The invariant, the
+realizing chains and the covering bound read only the family varieties,
+through :func:`~fanolines.families.family_outcome`, which builds no
+:class:`~fanolines.families.FamilyRecord`; :meth:`ChainEngine.chain_tree`
+reads :func:`~fanolines.families.lookup_families`, whose records carry the
+spans, or the reason a chain ends there (:attr:`ChainTree.terminal_reason`).
+The invariant recurses one frame per chain step and stores nothing per node
+beyond its memo.
 
 >>> from fanolines.terms import Quadric
 >>> s_invariant(Quadric(7))
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 
 from .dsl import to_text
 from .errors import NotCoveredByLines
-from .families import FamilyRecord, lookup_families
+from .families import FamilyRecord, family_outcome, lookup_families
 from .terms import (
     Bound,
     VarietyTerm,
@@ -53,8 +59,8 @@ class ChainTree:
         return 1 + max(tree.depth() for _, tree in self.children)
 
 
-def _family_sort_key(fam: FamilyRecord) -> str:
-    return to_text(normalize(fam.variety))
+def _family_sort_key(fam: VarietyTerm) -> str:
+    return to_text(normalize(fam))
 
 
 class ChainEngine:
@@ -76,22 +82,22 @@ class ChainEngine:
         cached = self._s_memo.get(key)
         if cached is not None:
             return cached
-        fams, end = lookup_families(v)
+        fams, end = family_outcome(v)
         if end == "no_rule":
             # Covered by lines, so a chain of length one exists; nothing
             # more can be said without a rule.
             out = at_least(1)
         else:
             best = 0  # also the value where no family exists
-            caps: list[int] = []
-            for fam in fams:
-                sub = self.s_invariant(fam.variety)
+            cap = 0  # what the inexact branches could reach at most
+            for fam, _, _ in fams:
+                sub = self.s_invariant(fam)
                 best = max(best, 1 + sub.value)
                 if not sub.is_exact:
                     # The unknown branch can reach at most the dimension of
                     # its variety.
-                    caps.append(1 + dim(fam.variety))
-            out = exact(best) if all(cap <= best for cap in caps) else at_least(best)
+                    cap = max(cap, 1 + dim(fam))
+            out = exact(best) if cap <= best else at_least(best)
         self._s_memo[key] = out
         return out
 
@@ -137,9 +143,11 @@ class ChainEngine:
         empty where a chain of length ``target`` ends at ``v``."""
         if target == 0:
             return []
-        fams, _ = lookup_families(v)
-        return [fam.variety for fam in sorted(fams, key=_family_sort_key)
-                if 1 + self.s_invariant(fam.variety).value == target]
+        fams, _ = family_outcome(v)
+        steps = [fam for fam, _, _ in fams if 1 + self.s_invariant(fam).value == target]
+        if len(steps) > 1:
+            steps.sort(key=_family_sort_key)
+        return steps
 
     def covering_ls_bound(self, v: VarietyTerm) -> Bound:
         """Lower bound on the dimension of covering linear spaces.
@@ -149,8 +157,8 @@ class ChainEngine:
         can be strictly better (the intersection of two quadrics in P^7 has
         invariant 1 but is covered by planes).
         """
-        fams, _ = lookup_families(v)
-        lifted = (1 + max_linear_in(fam.variety, self).value for fam in fams)
+        fams, _ = family_outcome(v)
+        lifted = (1 + max_linear_in(fam, self).value for fam, _, _ in fams)
         return at_least(max([self.s_invariant(v).value, *lifted]))
 
 

@@ -12,7 +12,13 @@ from .catalog import Catalog
 from .chains import ChainEngine, default_engine
 from .dsl import to_text
 from .errors import EngineError, ValidationError
-from .families import lookup_families, odd_dimension_list, recognition_list
+from .families import (
+    above_half_list,
+    even_dimension_list,
+    lookup_families,
+    odd_dimension_list,
+    recognition_list,
+)
 from .reports import SuiteReport
 from .terms import (
     Grassmann,
@@ -62,6 +68,9 @@ def verify_classification(cat: Catalog, engine: ChainEngine | None = None) -> Su
     invariant S: 2S > n forces a linear space; 2S = n forces a quadric or
     G(2, C^{m+2}); 2S = n-1 forces membership of the odd-dimensional list,
     and the case-analysis trace must reproduce the member's verdict letter.
+    The three lists are :func:`~fanolines.families.above_half_list`,
+    :func:`~fanolines.families.even_dimension_list` and
+    :func:`~fanolines.families.odd_dimension_list`.
     """
     eng = engine or default_engine()
     rep = SuiteReport("thm1", {"n_max": cat.n_max, "deg_max": cat.deg_max})
@@ -79,14 +88,11 @@ def verify_classification(cat: Catalog, engine: ChainEngine | None = None) -> Su
         s = sv.value
         name = to_text(v)
         if 2 * s > n:
-            rep.add(name, "classify.s-above-half", isinstance(v, LinearSpace),
+            rep.add(name, "classify.s-above-half", v in above_half_list(n),
                     f"2S = {2*s} > n = {n} must force a linear space")
         elif 2 * s == n:
-            m = n // 2
-            allowed = {normalize(Quadric(n)), normalize(Grassmann(2, m + 2))}
-            ok = v in allowed and n >= 4
-            rep.add(name, "classify.s-half", ok,
-                    f"2S = n = {n}: quadric or G(2,C^{m+2}) required")
+            rep.add(name, "classify.s-half", v in even_dimension_list(s),
+                    f"2S = n = {n}: quadric or G(2,C^{s+2}) required")
         elif 2 * s == n - 1:
             allowed = odd_dimension_list(s)
             rep.add(name, "classify.s-below-half", v in allowed,

@@ -8,19 +8,27 @@ there.  The rules are axioms with classical provenance, listed in
 symplectic-Grassmannian recognition rule, which is flagged wherever it is
 used.
 
-Two constructors carry no rule (SG(k,N) with k >= 3 and the codimension-2
-linear section of G(2,5)): their families exist but fall outside the term
-algebra, so :func:`line_families` raises :class:`~fanolines.errors.NoRule`.
-The chain engine and the suites read :func:`lookup_families` instead, which
-raises nothing and names why a chain ends: ``"is_point"``, ``"not_covered"``
-or ``"no_rule"``.
+The rules live in one table, ``_RULES``, keyed on the term's constructor:
+one function per constructor, each returning its families as plain
+``(variety, ambient_pt_dim, span_in_pt)`` triples, or the reason no rule
+exists.  Two constructors carry no rule (SG(k,N) with k >= 3 and the
+codimension-2 linear section of G(2,5)): their families exist but fall
+outside the term algebra, so :func:`line_families` raises
+:class:`~fanolines.errors.NoRule`.  :func:`lookup_families` raises nothing
+and names why a chain ends: ``"is_point"``, ``"not_covered"`` or
+``"no_rule"``.  Both wrap each triple in a validated :class:`FamilyRecord`,
+as do the chain trees and the lemmas suite, which read the spans.  The chain
+engine reads only the family varieties, through :func:`family_outcome`,
+which builds no record.
 
 The recognition step and the classification lists live here too, each
 defined once.  :func:`recognition_list` names the candidates that a family's
 dimension drop (n-1, n-2 or n-3) pins down, and :func:`symplectic_scroll` is
 the family of SG(2,C^{m+3}): the family rule reads it forward, and the trace
 reads it backward as the conjectural rule.  The lists are
-:func:`family_codim3_list` and :func:`odd_dimension_list` with its verdict
+:func:`family_codim3_list`, and the three lists of the classification by
+large invariant: :func:`above_half_list` (2S > n), :func:`even_dimension_list`
+(2S = n) and :func:`odd_dimension_list` (2S = n - 1) with its verdict
 letters.  Recognition, the verification suites and the traces all read them.
 """
 
@@ -81,6 +89,10 @@ class FamilyRecord:
         return self.span_in_pt == self.ambient_pt_dim
 
 
+#: Families of a covered term as (variety, ambient_pt_dim, span_in_pt).
+Families = tuple[tuple[VarietyTerm, int, int], ...]
+
+
 def expand_ci_degrees(degrees: tuple[int, ...]) -> tuple[int, ...]:
     """Degrees of the family of a complete intersection: 2..d for each d."""
     out: list[int] = []
@@ -97,75 +109,108 @@ def line_families(v: VarietyTerm) -> list[FamilyRecord]:
     """
     if not covered_by_lines(v):
         raise NotCoveredByLines(f"{to_text(v)} is not covered by lines")
-    found = _family_rule(v, dim(v) - 1)
+    found = _RULES[type(v)](v, dim(v) - 1)
     if isinstance(found, str):
         raise NoRule(found)
-    return found
+    return [FamilyRecord(*fam) for fam in found]
 
 
 def lookup_families(v: VarietyTerm) -> tuple[list[FamilyRecord], str | None]:
     """The families of ``v`` and ``None``, or ``[]`` and the reason a chain
     ends at ``v`` (``"is_point"``, ``"not_covered"`` or ``"no_rule"``): the
     coverage test and rule table of :func:`line_families`, raising nothing."""
+    found, end = family_outcome(v)
+    return [FamilyRecord(*fam) for fam in found], end
+
+
+def family_outcome(v: VarietyTerm) -> tuple[Families, str | None]:
+    """:func:`lookup_families` as plain ``(variety, ambient_pt_dim,
+    span_in_pt)`` triples, with no record built or validated: the chain
+    engine reads only the varieties."""
     n = dim(v)
     if n == 0:
-        return [], "is_point"
+        return (), "is_point"
     if family_dim(v) < 0:
-        return [], "not_covered"
-    found = _family_rule(v, n - 1)
-    return ([], "no_rule") if isinstance(found, str) else (found, None)
+        return (), "not_covered"
+    found = _RULES[type(v)](v, n - 1)
+    return ((), "no_rule") if isinstance(found, str) else (found, None)
 
 
-def _family_rule(v: VarietyTerm, ambient: int) -> list[FamilyRecord] | str:
-    """The rewrite rule of a covered term: its families, or the reason no
-    rule exists.  ``ambient`` is the dimension of P(T), dim(v) - 1."""
-    match v:
-        case LinearSpace(n):
-            # Lines through a point of P^n fill the projectivised tangent space.
-            return [FamilyRecord(linear_space(n - 1), ambient, ambient)]
-        case Quadric(2):
-            return [FamilyRecord(Point(), 1, 0)]
-        case Quadric(n):
-            return [FamilyRecord(Quadric(n - 2), ambient, ambient)]
-        case Grassmann(k, N):
-            return [FamilyRecord(segre_pair(k - 1, N - k - 1), ambient, ambient)]
-        case SympGrassmann(2, N):
-            return [FamilyRecord(symplectic_scroll(N - 3), ambient, ambient)]
-        case SympGrassmann(k, _):
-            return f"no family rule for isotropic Grassmannians with k = {k} >= 3"
-        case CompleteIntersection(degrees, _):
-            fam_degrees = expand_ci_degrees(degrees)  # cutting out the family in P(T)
-            if ambient == len(fam_degrees):
-                return [FamilyRecord(Point(), ambient, 0)]
-            fam = CompleteIntersection(fam_degrees, ambient)
-            return [FamilyRecord(fam, ambient, ambient)]
-        case PolarizedProduct(factors):
-            # One family per degree-1 factor; it spans only that factor's
-            # tangent directions, a proper subspace whenever other factors
-            # exist.
-            return [
-                FamilyRecord(linear_space(n - 1), ambient, n - 1)
-                for n, d in factors
-                if d == 1
-            ]
-        case ProjBundleP1(twists):
-            # The in-fiber family only.  A second (horizontal) family would
-            # not change the chain invariant: the fiber family already
-            # attains the maximum possible for a non-linear term.
-            k = len(twists)
-            return [FamilyRecord(linear_space(k - 2), ambient, k - 2)]
-        case LinearSectionG25(0):
-            return [FamilyRecord(PolarizedProduct(((1, 1), (2, 1))), 5, 5)]
-        case LinearSectionG25(1):
-            # A general hyperplane section of the Segre P^1 x P^2 is the
-            # cubic scroll P(O(2) + O(1)) in P^4.
-            return [FamilyRecord(ProjBundleP1((2, 1)), 4, 4)]
-        case LinearSectionG25(2):
-            return ("no family rule for the codimension-2 section of G(2,5):"
-                    " its family is a curve outside the term algebra")
-        case LinearSectionG25(3):
-            return [FamilyRecord(Point(), 2, 0)]
-    raise TypeError(f"not a variety term: {v!r}")
+# ---------------------------------------------------------------------------
+# the rewrite rules, one per constructor.  Each takes a covered term and the
+# dimension of its P(T), dim - 1, and returns its families as
+# (variety, ambient_pt_dim, span_in_pt) triples, or the reason no rule exists.
+
+def _linear_space_rule(v: LinearSpace, ambient: int) -> Families:
+    # Lines through a point of P^n fill the projectivised tangent space.
+    return ((linear_space(v.n - 1), ambient, ambient),)
+
+
+def _quadric_rule(v: Quadric, ambient: int) -> Families:
+    if v.n == 2:
+        return ((Point(), 1, 0),)
+    return ((Quadric(v.n - 2), ambient, ambient),)
+
+
+def _grassmann_rule(v: Grassmann, ambient: int) -> Families:
+    return ((segre_pair(v.k - 1, v.N - v.k - 1), ambient, ambient),)
+
+
+def _symp_grassmann_rule(v: SympGrassmann, ambient: int) -> Families | str:
+    if v.k >= 3:
+        return f"no family rule for isotropic Grassmannians with k = {v.k} >= 3"
+    return ((symplectic_scroll(v.N - 3), ambient, ambient),)
+
+
+def _complete_intersection_rule(v: CompleteIntersection, ambient: int) -> Families:
+    fam_degrees = expand_ci_degrees(v.degrees)  # cutting out the family in P(T)
+    if ambient == len(fam_degrees):
+        return ((Point(), ambient, 0),)
+    return ((CompleteIntersection(fam_degrees, ambient), ambient, ambient),)
+
+
+def _product_rule(v: PolarizedProduct, ambient: int) -> Families:
+    # One family per degree-1 factor; it spans only that factor's tangent
+    # directions, a proper subspace whenever other factors exist.
+    return tuple((linear_space(n - 1), ambient, n - 1) for n, d in v.factors if d == 1)
+
+
+def _scroll_rule(v: ProjBundleP1, ambient: int) -> Families:
+    # The in-fiber family only.  A second (horizontal) family would not
+    # change the chain invariant: the fiber family already attains the
+    # maximum possible for a non-linear term.
+    k = len(v.twists)
+    return ((linear_space(k - 2), ambient, k - 2),)
+
+
+#: The families of the covered linear sections of G(2,5), by codimension.
+_G25_SECTION_FAMILIES: dict[int, Families | str] = {
+    0: ((PolarizedProduct(((1, 1), (2, 1))), 5, 5),),
+    # A general hyperplane section of the Segre P^1 x P^2 is the cubic
+    # scroll P(O(2) + O(1)) in P^4.
+    1: ((ProjBundleP1((2, 1)), 4, 4),),
+    2: "no family rule for the codimension-2 section of G(2,5):"
+       " its family is a curve outside the term algebra",
+    3: ((Point(), 2, 0),),
+}
+
+
+def _g25_section_rule(v: LinearSectionG25, ambient: int) -> Families | str:
+    return _G25_SECTION_FAMILIES[v.c]
+
+
+#: The rule table, keyed on the constructor.  A point has no entry: it is
+#: never covered by lines.
+_RULES = {
+    LinearSpace: _linear_space_rule,
+    Quadric: _quadric_rule,
+    Grassmann: _grassmann_rule,
+    SympGrassmann: _symp_grassmann_rule,
+    CompleteIntersection: _complete_intersection_rule,
+    PolarizedProduct: _product_rule,
+    ProjBundleP1: _scroll_rule,
+    LinearSectionG25: _g25_section_rule,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +256,27 @@ def family_codim3_list(n: int) -> tuple[VarietyTerm, ...]:
     if 3 <= n <= 6:
         found += (normalize(LinearSectionG25(6 - n)),)
     return found
+
+
+def above_half_list(n: int) -> tuple[VarietyTerm, ...]:
+    """The varieties of dimension n >= 1 with chain invariant S > n/2, in
+    normal form: P^n alone."""
+    return (LinearSpace(n),)
+
+
+def even_dimension_list(m: int) -> tuple[VarietyTerm, ...]:
+    """The varieties of dimension 2m with chain invariant m and Picard number
+    1, in normal form: the quadric and G(2,C^{m+2}) for m >= 2, and none for
+    m = 1 (Q^2 and G(2,C^3) are P^1 x P^1 and P^2).
+
+    >>> [to_text(v) for v in even_dimension_list(3)]
+    ['Q(6)', 'G(2,5)']
+    """
+    if m < 2:
+        return ()
+    if m == 2:  # G(2,C^4) is Q^4
+        return (Quadric(4),)
+    return (Quadric(2 * m), Grassmann(2, m + 2))
 
 
 #: What each verdict letter of the odd-dimensional list names.

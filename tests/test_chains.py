@@ -262,18 +262,20 @@ def test_ruleless_branch_degrades_to_lower_bound(monkeypatch):
     # White box: inject a ruleless sibling whose dimension cap exceeds the
     # best exact branch; exactness must be given up.
     import fanolines.chains as chains_mod
-    from fanolines.families import FamilyRecord, lookup_families as real_lookup
+    from fanolines.families import family_outcome as real_outcome
 
     parent = Quadric(9)
+    reached = []
 
-    def fake_lookup(v):
+    def fake_outcome(v):
         if v == parent:
-            return [FamilyRecord(Quadric(7), 8, 8),
-                    FamilyRecord(LinearSectionG25(2), 8, 8)], None
-        return real_lookup(v)
+            reached.append(v)
+            return ((Quadric(7), 8, 8), (LinearSectionG25(2), 8, 8)), None
+        return real_outcome(v)
 
-    monkeypatch.setattr(chains_mod, "lookup_families", fake_lookup)
+    monkeypatch.setattr(chains_mod, "family_outcome", fake_outcome)
     sv = chains_mod.ChainEngine().s_invariant(parent)
+    assert reached == [parent]
     # exact branch gives 1 + 3 = 4; the ruleless one could reach 1 + 4 = 5
     assert sv == at_least(4)
 
@@ -282,21 +284,27 @@ def test_ruleless_branch_below_the_cap_keeps_exactness(monkeypatch):
     # The cap rule: a ruleless branch cannot beat an exact branch that
     # already meets its dimension bound, so the result stays exact.
     import fanolines.chains as chains_mod
-    from fanolines.families import FamilyRecord, lookup_families as real_lookup
+    from fanolines.families import family_outcome as real_outcome
 
     parent = Quadric(9)
     ruleless = LinearSpace(3)  # not on the quadric tower, so only this
     # branch is affected by the injection
+    reached = []
 
-    def fake_lookup(v):
+    def fake_outcome(v):
         if v == parent:
-            return [FamilyRecord(Quadric(7), 8, 8), FamilyRecord(ruleless, 8, 8)], None
+            reached.append(v)
+            return ((Quadric(7), 8, 8), (ruleless, 8, 8)), None
         if v == ruleless:
-            return [], "no_rule"
-        return real_lookup(v)
+            reached.append(v)
+            return (), "no_rule"
+        return real_outcome(v)
 
-    monkeypatch.setattr(chains_mod, "lookup_families", fake_lookup)
+    monkeypatch.setattr(chains_mod, "family_outcome", fake_outcome)
     sv = chains_mod.ChainEngine().s_invariant(parent)
+    # both injections were read: without the second one, S(P^3) = 3 would
+    # keep the result exact and the test would pass vacuously
+    assert reached == [parent, ruleless]
     # the ruleless branch is capped by 1 + dim = 4 = the exact branch value
     assert sv == exact(4)
 

@@ -237,6 +237,33 @@ def test_too_deep_terms_exit_2_without_a_traceback(argv):
     assert "Traceback" not in proc.stderr
 
 
+#: Deep queries a fresh process must answer under the default recursion
+#: limit of 1,000 frames.  The chain invariant takes one frame per chain
+#: step, so S = 900 answers; a second frame per step would fail them all.
+#: Each maps to its closed form: S(P^n) = n, S(Q^n) = floor(n/2),
+#: S(G(2,m+2)) = m and S(SG(2,m+3)) = m, and the traces of Q^(2m+1) and
+#: SG(2,m+3) end in verdicts (a) and (b).
+DEEP_ANSWERS = [
+    (("s", "P(900)"), {"s": {"kind": "exact", "value": 900}}),
+    (("chain", "Q(1800)"), {"s": {"kind": "exact", "value": 900}, "length": 901}),
+    (("cover", "G(2,902)"), {"at_least": 900}),
+    (("s", "SG(2,903)"), {"s": {"kind": "exact", "value": 900}}),
+    (("trace", "Q(1801)"), {"verdict": "a", "length": 901}),
+    (("trace", "SG(2,903)"), {"verdict": "b", "length": 901}),
+]
+
+
+@pytest.mark.parametrize("argv, expected", DEEP_ANSWERS)
+def test_deep_terms_answer_from_a_fresh_process(argv, expected):
+    proc = _fresh_cli(*argv, "--json")
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    got = {key: result[key] for key in expected if key != "length"}
+    if "length" in expected:
+        got["length"] = len(result["chain"] if argv[0] == "chain" else result["chain_dims"])
+    assert got == expected
+
+
 def test_golden_bounds_are_validated(capsys):
     code, out, err = run(capsys, "verify", "--suite", "golden", "--nmax", "-5")
     assert code == 2

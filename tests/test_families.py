@@ -7,9 +7,12 @@ from fanolines.errors import NoRule, NotCoveredByLines
 from fanolines.families import (
     FamilyRecord,
     RULE_PROVENANCE,
+    above_half_list,
+    even_dimension_list,
     expand_ci_degrees,
     line_families,
     lookup_families,
+    odd_dimension_list,
     recognition_list,
     symplectic_scroll,
 )
@@ -25,6 +28,7 @@ from fanolines.terms import (
     SympGrassmann,
     covered_by_lines,
     dim,
+    exact,
     family_dim,
     normalize,
     picard_number,
@@ -241,6 +245,24 @@ def test_scroll_rule_makes_no_false_identification_on_the_catalog():
                 assert v == identified, to_text(v)
                 matched.add(v)
     assert matched == {normalize(SympGrassmann(2, m + 3)) for m in range(2, 10)}
+
+
+def test_classification_lists_hold_their_invariants():
+    # Every listed variety of dimension n is in normal form, has Picard
+    # number 1 and attains the invariant its list is for: S > n/2, S = n/2
+    # and S = (n-1)/2.
+    from fanolines.chains import ChainEngine
+
+    eng = ChainEngine()
+    listed = [(n, v, n) for n in range(1, 25) for v in above_half_list(n)]
+    listed += [(2 * m, v, m) for m in range(1, 13) for v in even_dimension_list(m)]
+    listed += [(2 * m + 1, v, m) for m in range(1, 13) for v in odd_dimension_list(m)]
+    for n, v, s in listed:
+        assert v == normalize(v) and dim(v) == n and picard_number(v) == 1, v
+        assert eng.s_invariant(v) == exact(s), v
+    assert even_dimension_list(1) == ()
+    assert even_dimension_list(2) == (Quadric(4),)
+    assert [to_text(v) for v in even_dimension_list(5)] == ["Q(10)", "G(2,7)"]
 
 
 def test_provenance_table_covers_the_rules():

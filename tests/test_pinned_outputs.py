@@ -7,7 +7,10 @@ the gallery script's stdout, the JSON reports of ``run_suites.py`` and the
 CLI's text and ``--json`` answers for every showcase term.  The term-table
 digest was recorded before each constructor carried its own invariants; it
 covers every invariant of every term of ``build_catalog(20, 5)`` and of the
-non-normal, non-Fano and ruleless presentations listed below.
+non-normal, non-Fano and ruleless presentations listed below.  The
+family-outcome digest was recorded before the family rules became a table
+keyed on the constructor; it covers every family, or the reason a chain ends,
+of every term of ``build_catalog(20, 5)`` and of the edge cases listed below.
 """
 
 import contextlib
@@ -24,10 +27,12 @@ from fanolines.catalog import build_catalog
 from fanolines.cli import main
 from fanolines.dsl import to_text
 from fanolines.errors import EngineError
+from fanolines.families import lookup_families
 from fanolines.terms import (
     LinearSectionG25,
     LinearSpace,
     Point,
+    Quadric,
     SympGrassmann,
     ambient_dim,
     covered_by_lines,
@@ -61,6 +66,8 @@ PINNED = {
         "0a498559588b54b23a7750ec0192ed8663e657be9d6e2d9de3933c4d8a92be4e",
     "term tables":
         "f20001ab21096cc01a85fcaaca6b102315786a90637ba0900f40326809a2b212",
+    "family outcomes":
+        "48cd478a7565b3640d43091523fef4b803f2b1cd79122656c4a616977b42b356",
 }
 
 
@@ -138,3 +145,16 @@ def test_term_tables_are_pinned():
         for v in terms
     ]
     assert _sha("\n".join(rows).encode()) == PINNED["term tables"]
+
+
+def test_family_outcomes_are_pinned():
+    # lookup_families builds and validates a FamilyRecord for every rule
+    # output, so this also range-checks each family over the whole catalog.
+    terms = [*build_catalog(20, 5), Point(), LinearSpace(0), Quadric(1), Quadric(2),
+             SympGrassmann(3, 7), LinearSectionG25(2), LinearSectionG25(4)]
+    rows = []
+    for v in terms:
+        fams, end = lookup_families(v)
+        cells = [f"{to_text(f.variety)}:{f.ambient_pt_dim}:{f.span_in_pt}" for f in fams]
+        rows.append("|".join([to_text(v), *(cells or [end])]))
+    assert _sha("\n".join(rows).encode()) == PINNED["family outcomes"]
