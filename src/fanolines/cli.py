@@ -5,8 +5,8 @@ to a structured envelope that validates against the schema shipped at
 ``fanolines/schemas/cli_output.schema.json``.  Exit codes: 0 on success or
 an all-pass verification, 1 on verification failures and domain errors, 2 on
 usage, parse, or term-validation errors, on sizes above ``SIZE_CAPS`` or
-integers above ``TERM_INT_CAP``, and on terms too deep for the recursive
-chain engine.
+integers above ``TERM_INT_CAP``, on a negative ``classify --dim`` or ``--s``,
+and on terms too deep for the recursive chain engine.
 
 The only randomized command is ``secant``; it requires a seed, which it
 echoes.  The default seed is fixed and can be overridden with the
@@ -35,9 +35,9 @@ from .terms import dim, normalize
 CHAIN_SYMBOL = " ⊨ "  # the "has a family of lines" turnstile
 
 #: Largest accepted value of each size option, per subcommand.  On a 2-vCPU
-#: host the largest accepted inputs take about 4 s each (``secant --kind
-#: scroll -d 12 -m 12 --trials 8`` 3.6 to 4.1 s, ``verify --suite prop32
-#: --nmax 32 --degmax 5`` 4.4 s); beyond them the time grows fast
+#: host the largest accepted inputs take at most about 4 s each (``secant
+#: --kind scroll -d 12 -m 12 --trials 8`` 1.9 to 2.6 s, ``verify --suite
+#: prop32 --nmax 32 --degmax 5`` 4.4 s); beyond them the time grows fast
 #: (cubically in the secant coordinate count (d+1)m+1, and steeply in both
 #: catalog bounds), so larger inputs are rejected instead of hanging.
 SIZE_CAPS = {
@@ -140,7 +140,7 @@ def _size_error(args) -> str | None:
 def _parse_term(expr: str):
     """Parse a term expression, rejecting integers above TERM_INT_CAP."""
     term = parse_variety(expr)  # parsed, so each digit run is one integer
-    largest = max(map(int, re.findall(r"\d+", expr)), default=0)
+    largest = max(map(int, re.findall(r"[0-9]+", expr)), default=0)
     if largest > TERM_INT_CAP:
         raise ValidationError(f"integer {largest} in the term is above the cap"
                               f" {TERM_INT_CAP}; larger inputs are rejected", component="cli")
@@ -202,6 +202,9 @@ def _cmd_cover(args):
 
 
 def _cmd_classify(args):
+    for flag, value in (("--dim", args.dim), ("--s", args.s)):
+        if value < 0:
+            raise ValidationError(f"{flag} {value} must be at least 0", component="cli")
     cat = build_catalog(args.nmax, args.degmax)
     members = classify_by_s(cat, args.dim, args.s)
     names = [to_text(v) for v in members]

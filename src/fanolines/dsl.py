@@ -7,6 +7,9 @@ Grammar (whitespace-insensitive)::
             | "PB(" a ("," a)+ ")" | "LS(G(2,5)," c ")"
     factor := "P(" n "):" d
 
+Every integer is a run of the ASCII digits 0-9; any other Unicode digit, such
+as a full-width or Arabic-Indic one, is a parse error at its position.
+
 Printing produces the same syntax back, so ``parse_variety(to_text(t)) == t``
 for every term.
 
@@ -35,7 +38,7 @@ from .terms import (
     VarietyTerm,
 )
 
-_TOKEN = re.compile(r"(?P<name>[A-Za-z]+)|(?P<int>\d+)|(?P<sym>[(),;:])")
+_TOKEN = re.compile(r"(?P<name>[A-Za-z]+)|(?P<int>[0-9]+)|(?P<sym>[(),;:])")
 
 
 class _Tokens:

@@ -49,7 +49,7 @@ class NoRule(EngineError):
     """The variety is covered by lines but no family rewrite rule exists.
 
     This is a first-class outcome: the chain engine reads it as ``"no_rule"``
-    from ``lookup_families`` and degrades the chain invariant to a lower bound
+    from ``family_outcome`` and degrades the chain invariant to a lower bound
     instead of failing.
     """
 

@@ -17,8 +17,16 @@ entries in [0, p), zero left of its column.  Only non-negative values are
 added, so no slot borrows.  A slot starts below p and each pivot adds at
 most ``(p-1)**2`` to it; a row meets at most ``width - 1`` pivots, so a slot
 stays below that bound and never carries into the next (the extra bit is a
-margin).  A row is unpacked once, after all pivots are applied, reduced
-mod p and scanned for its leading column.
+margin).
+
+After the pivots are applied, in ascending order, every pivot column of
+the row is 0 mod p: a pivot's tail may touch later pivot columns, but the
+pivot of each such column is applied after it.  So only the free columns,
+those without a pivot, are read, kept as an ascending list.  The row is
+scanned on them for its leading column; a row that is 0 mod p on all of
+them is dependent and is dropped without being unpacked.  A new pivot's
+normalised tail is built in one pass over the free columns after the lead:
+the lead slot holds 1 and every pivot column 0.
 
 The field is the caller's: the secant laboratory passes its three fixed
 primes just below 2^31, and nothing here checks that ``p`` is prime.
@@ -45,7 +53,7 @@ def rank_mod_p(rows: Iterable[Sequence[int]], p: int) -> int:
             width = len(row)
             bits = ((p - 1) + width * (p - 1) ** 2).bit_length() + 1
             mask = (1 << bits) - 1
-            offsets = range(0, width * bits, bits)
+            free = list(range(width))  # the non-pivot columns, ascending
         elif len(row) != width:
             raise ValueError(f"rank_mod_p: row of length {len(row)}, expected {width}")
         w = _pack([x % p for x in row], bits)
@@ -53,14 +61,21 @@ def rank_mod_p(rows: Iterable[Sequence[int]], p: int) -> int:
             f = ((w >> offset) & mask) % p
             if f:
                 w += (p - f) * tail
-        work = [((w >> offset) & mask) % p for offset in offsets]
-        lead = next((c for c, x in enumerate(work) if x), None)
-        if lead is None:
-            continue
-        inv = pow(work[lead], -1, p)
-        tail = _pack([(x * inv) % p for x in work[lead:]], bits)
-        insort(pivots, (offsets[lead], tail << offsets[lead]))
-        if len(pivots) == width:
+        for i, lead in enumerate(free):
+            x = ((w >> lead * bits) & mask) % p
+            if x:
+                break
+        else:
+            continue  # zero mod p on every column: a dependent row
+        del free[i]
+        inv = pow(x, -1, p)
+        entries = [0] * (width - lead)
+        entries[0] = 1
+        for c in free[i:]:
+            entries[c - lead] = ((w >> c * bits) & mask) * inv % p
+        offset = lead * bits
+        insort(pivots, (offset, _pack(entries, bits) << offset))
+        if not free:
             break
     return len(pivots)
 

@@ -23,10 +23,13 @@ Each parameterization keeps the sparse support of every monomial, its
 and evaluation and gradients loop over that support only.  A Jacobian row
 costs one monomial evaluation: every partial is read off the monomial value
 as d/dx_j x^e = e_j x^e x_j^-1, the random coordinates being non-zero mod p.
-Evaluation rows for the span are a lazy generator, and the streaming rank
-of ``modp`` stops pulling them at full column rank, so of the
-``2 * num_coords`` points allowed per trial only ``num_coords`` are drawn
-when the span fills its ambient space.  Every rank equals that of the full
+A span row builds one power table per point, the powers x_j, ..., x_j^e of
+each parameter up to its largest exponent e (d or d + 1 for s and t, 1 for
+each fibre parameter), and each coordinate is the product of its table
+entries, reduced mod p once.  Evaluation rows for the span are a lazy
+generator, and the streaming rank of ``modp`` stops pulling them at full
+column rank, so of the ``2 * num_coords`` points allowed per trial only
+``num_coords`` are drawn when the span fills its ambient space.  Every rank equals that of the full
 matrix: the early exit happens only at the largest rank possible, and each
 (trial, prime) pair has its own random generator, so no report depends on
 how many rows were pulled.
@@ -37,7 +40,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from itertools import product as iproduct
+from math import prod
 
 from .errors import DegenerateRandomness, ValidationError
 from .modp import rank_mod_p
@@ -85,6 +90,18 @@ class Parameterization:
     def supports(self) -> tuple[Support, ...]:
         return tuple(tuple((j, e) for j, e in enumerate(exp) if e)
                      for exp in self.monomials)
+
+    @cached_property
+    def top_exponents(self) -> tuple[int, ...]:
+        """The largest exponent of each parameter over all coordinates."""
+        return tuple(map(max, zip(*self.monomials)))
+
+    @cached_property
+    def table_indices(self) -> tuple[tuple[int, ...], ...]:
+        """Where each factor x_j^e of each coordinate sits in a point's power
+        table (``_power_table``): after the tables of parameters 0..j-1, at e-1."""
+        start = tuple(accumulate(self.top_exponents, initial=0))
+        return tuple(tuple(start[j] + e - 1 for j, e in sup) for sup in self.supports)
 
 
 def _monomial(m: int, deg: int, a: int, j: int) -> tuple[int, ...]:
@@ -144,6 +161,24 @@ def _eval_monomial(support: Support, x: list[int], p: int) -> int:
     return out
 
 
+def _power_table(x: list[int], tops: tuple[int, ...], p: int) -> list[int]:
+    """x_j^1, ..., x_j^tops[j] mod p for each parameter j in turn, flat."""
+    table = []
+    for xj, top in zip(x, tops):
+        v = xj
+        table.append(v)
+        for _ in range(top - 1):
+            v = v * xj % p
+            table.append(v)
+    return table
+
+
+def _span_row(par: Parameterization, x: list[int], p: int) -> list[int]:
+    """Every coordinate of ``par`` at ``x`` mod p, as products of power-table entries."""
+    get = _power_table(x, par.top_exponents, p).__getitem__
+    return [prod(map(get, idx)) % p for idx in par.table_indices]
+
+
 def _gradient(
     support: Support, x: list[int], inv_x: list[int], p: int
 ) -> tuple[int, list[int]]:
@@ -193,7 +228,7 @@ def span_dim_numeric(par: Parameterization, cfg: RankConfig = RankConfig()) -> i
     """
     def rows(rng, p):
         points = (_point(rng, par.num_params, p) for _ in range(2 * par.num_coords))
-        return ([_eval_monomial(sup, x, p) for sup in par.supports] for x in points)
+        return (_span_row(par, x, p) for x in points)
 
     return _dimension(par, cfg, "span", rows)
 

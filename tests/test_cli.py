@@ -288,6 +288,25 @@ def test_bound_errors_name_the_component_at_fault(capsys, argv, component):
     assert err.startswith(f"{component}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("argv, err_line", [
+    (("classify", "--dim", "-5", "--s", "3"), "cli: --dim -5 must be at least 0\n"),
+    (("classify", "--dim", "5", "--s", "-3"), "cli: --s -3 must be at least 0\n"),
+])
+def test_negative_classify_values_exit_2(capsys, argv, err_line, json_flag):
+    # The same rule as the size options: out-of-range values exit 2 with one line.
+    code, out, err = run(capsys, *argv, *json_flag)
+    assert (code, out, err) == (2, "", err_line)
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("expr, char", [("P(١٢)", "١"), ("P(３)", "３")])
+def test_non_ascii_digits_are_a_parse_error(capsys, expr, char, json_flag):
+    code, out, err = run(capsys, "s", expr, *json_flag)
+    assert (code, out) == (2, "")
+    assert err == f"dsl: unexpected character {char!r} (at position 2)\n"
+
+
 def test_domain_error_exits_1(capsys):
     code, _, err = run(capsys, "chain", "pt")
     assert code == 1

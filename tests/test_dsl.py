@@ -131,6 +131,18 @@ def test_malformed_constructor_messages_and_positions(text, message, position):
     assert err.value.position == position
 
 
+@pytest.mark.parametrize("text, char, position", [
+    ("P(١٢)", "١", 2), ("P(３)", "３", 2), ("G(2,٥)", "٥", 4), ("CI(2;1２)", "２", 6),
+])
+def test_integers_are_ascii_digits_only(text, char, position):
+    # Other Unicode digits are not integers of the grammar, even where
+    # Python's int() would read them.
+    with pytest.raises(ParseError) as err:
+        parse_variety(text)
+    assert str(err.value) == f"unexpected character {char!r} (at position {position})"
+    assert err.value.position == position
+
+
 def test_integer_past_the_conversion_limit_is_a_parse_error():
     # Python refuses int() on strings of more than 4,300 digits by default.
     with pytest.raises(ParseError) as err:

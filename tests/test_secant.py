@@ -20,6 +20,7 @@ from fanolines.secant import (
     RankConfig,
     _eval_monomial,
     _gradient,
+    _span_row,
     _stable_rank,
     expected_secant_dim,
     scroll,
@@ -215,6 +216,26 @@ def test_packed_rank_matches_the_list_kernel(p, shape):
     assert rank_mod_p((row for row in mat), p) == want
 
 
+def _low_rank_product(rng, p, rows, cols, k):
+    """A (rows x k) times (k x cols) product mod p: rank at most k, so all
+    but k of its rows are dependent."""
+    a = _field_rows(rng, p, rows, k)
+    b = _field_rows(rng, p, k, cols)
+    return [[sum(x * y for x, y in zip(ar, bc)) % p for bc in zip(*b)] for ar in a]
+
+
+@pytest.mark.parametrize("rows, cols, k", [
+    (120, 40, 7), (30, MAX_WIDTH, 5), (MAX_WIDTH, MAX_WIDTH, 12), (61, 61, 1),
+], ids=["tall", "wide", "square", "square-rank-1"])
+@pytest.mark.parametrize("p", PRIMES)
+def test_packed_rank_skips_dependent_rows(p, rows, cols, k):
+    mat = _low_rank_product(random.Random(f"{rows}:{cols}:{k}:{p}"), p, rows, cols, k)
+    want = rank_mod_p_reference(mat, p)
+    assert want == k  # random factors have full rank k, away from tiny fields
+    assert rank_mod_p(mat, p) == want
+    assert rank_mod_p((row for row in mat), p) == want
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_packed_rank_reduces_unreduced_and_negative_entries(p):
     rng = random.Random(p)
@@ -311,6 +332,19 @@ def test_gradient_matches_the_partial_product_formula(p):
         value, grad = _gradient(support, x, inv_x, p)
         assert value == _eval_monomial(support, x, p)
         assert grad == [partial_oracle(exp, j, x, p) for j in range(len(exp))]
+
+
+@pytest.mark.parametrize("builder", [segre_veronese, scroll])
+def test_span_row_matches_monomial_evaluation(builder):
+    rng = random.Random(builder.__name__)
+    for d in range(1, 13):
+        for m in (1, 2, 4, 8, 12):
+            par = builder(d, m)
+            for p in DEFAULT_PRIMES:
+                for _ in range(2):
+                    x = [rng.randrange(1, p) for _ in range(par.num_params)]
+                    assert _span_row(par, x, p) == [_eval_monomial(sup, x, p)
+                                                    for sup in par.supports]
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +539,29 @@ def test_widest_benchmark_rows_are_pinned(builder, digest):
     # the list-based rank kernel and dense monomial evaluation.
     row = secant_row(builder(4, 12), RankConfig(seed=1))
     assert hashlib.sha256(json.dumps(row, sort_keys=True).encode()).hexdigest() == digest
+
+
+def test_suite_calls_the_patchable_row_and_rank_globals(monkeypatch):
+    # The benchmark times rows and ranks by patching these module globals, so
+    # the suite must keep calling them by name.
+    rows, primes = [], []
+
+    def counting_row(par, cfg):
+        rows.append((par.kind, par.d, par.m))
+        return row(par, cfg)
+
+    def counting_rank(mat, p):
+        primes.append(p)
+        return rank(mat, p)
+
+    row, rank = secant_mod.secant_row, secant_mod.rank_mod_p
+    monkeypatch.setattr(secant_mod, "secant_row", counting_row)
+    monkeypatch.setattr(secant_mod, "rank_mod_p", counting_rank)
+    rep = verify_secant_dimensions((2,), (2,))
+    grid = [(kind, d, 2) for kind in ("segre", "scroll") for d in (1, 2)]
+    assert rows == grid and rep.counters["rows"] == len(grid)
+    # one rank per (method, trial, prime): span, terracini and chord, in turn
+    assert primes == list(DEFAULT_PRIMES) * (len(grid) * 3 * RankConfig().trials)
 
 
 def test_verify_secant_dimensions_validates_ranges():
