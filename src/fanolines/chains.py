@@ -9,11 +9,9 @@ the exact branches already attain the cap S <= dim placed on the unknown one.
 The family rules live in :mod:`fanolines.families`.  The invariant, the
 realizing chains and the covering bound read only the family varieties,
 through :func:`~fanolines.families.family_outcome`, which builds no
-:class:`~fanolines.families.FamilyRecord`; :meth:`ChainEngine.chain_tree`
-reads :func:`~fanolines.families.lookup_families`, whose records carry the
-spans, or the reason a chain ends there (:attr:`ChainTree.terminal_reason`).
-The invariant recurses one frame per chain step and stores nothing per node
-beyond its memo.
+:class:`~fanolines.families.FamilyRecord`.  The invariant is the one
+memoized walk over the chains below a term: it recurses one frame per chain
+step and stores nothing per node beyond its memo.
 
 >>> from fanolines.terms import Quadric
 >>> s_invariant(Quadric(7))
@@ -23,11 +21,10 @@ Bound(kind='exact', value=3)
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .dsl import to_text
 from .errors import NotCoveredByLines
-from .families import FamilyRecord, family_outcome, lookup_families
+from .families import family_outcome
 from .terms import (
     Bound,
     VarietyTerm,
@@ -38,25 +35,6 @@ from .terms import (
     max_linear_in,
     normalize,
 )
-
-
-@dataclass(frozen=True)
-class ChainTree:
-    """The full branching tree of iterated families below one term."""
-
-    node: VarietyTerm
-    children: tuple[tuple[FamilyRecord, "ChainTree"], ...]
-    terminal_reason: str | None  # None | "not_covered" | "no_rule" | "is_point"
-
-    def depth(self) -> int:
-        """Length of the deepest chain below this node.
-
-        Internal nodes exist only where the node is covered and ruled, so
-        this equals the chain invariant whenever that is exact.
-        """
-        if not self.children:
-            return 0
-        return 1 + max(tree.depth() for _, tree in self.children)
 
 
 def _family_sort_key(fam: VarietyTerm) -> str:
@@ -70,7 +48,7 @@ class ChainEngine:
     idempotent re-insertion of identical memo entries.  Identical subchains
     (linear-space tails in particular) dominate the recursion, which is why
     memo keys are normalized terms.  The invariant is the only memoized
-    quantity; trees and chains are rebuilt on every call, chains guided by it.
+    quantity; chains are rebuilt on every call, guided by it.
     """
 
     def __init__(self):
@@ -100,12 +78,6 @@ class ChainEngine:
             out = exact(best) if cap <= best else at_least(best)
         self._s_memo[key] = out
         return out
-
-    def chain_tree(self, v: VarietyTerm) -> ChainTree:
-        """Full branching tree of families below ``v``, rooted at ``v`` itself."""
-        fams, end = lookup_families(v)
-        children = tuple((fam, self.chain_tree(fam.variety)) for fam in fams)
-        return ChainTree(v, children, end)
 
     def witness_chain(self, v: VarietyTerm) -> list[VarietyTerm]:
         """A maximal chain achieving the invariant, terminal object included.
@@ -171,10 +143,6 @@ def default_engine() -> ChainEngine:
 
 def s_invariant(v: VarietyTerm, engine: ChainEngine | None = None) -> Bound:
     return (engine or _DEFAULT_ENGINE).s_invariant(v)
-
-
-def chain_tree(v: VarietyTerm, engine: ChainEngine | None = None) -> ChainTree:
-    return (engine or _DEFAULT_ENGINE).chain_tree(v)
 
 
 def witness_chain(v: VarietyTerm, engine: ChainEngine | None = None) -> list[VarietyTerm]:

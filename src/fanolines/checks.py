@@ -15,7 +15,7 @@ from .errors import EngineError, ValidationError
 from .families import (
     above_half_list,
     even_dimension_list,
-    lookup_families,
+    family_outcome,
     odd_dimension_list,
     recognition_list,
 )
@@ -234,21 +234,17 @@ def verify_family_lemmas(cat: Catalog, engine: ChainEngine | None = None) -> Sui
             rep.add(name, f"families.dimH-is-n-{n - fd}", v in candidates,
                     _RECOGNITION_DETAIL[n - fd])
 
-        fams, end = lookup_families(v)
+        fams, end = family_outcome(v)
         if end is not None:  # "not_covered" or "no_rule"; members are never points
             rep.bump(end)
             continue
 
-        for fam in fams:
-            fdim = dim(fam.variety)
+        for fam, ambient, span in fams:
+            fdim = dim(fam)
             if 2 * fdim >= n - 1:
-                rep.add(name, "families.nondegenerate", fam.spans_ambient,
+                rep.add(name, "families.nondegenerate", span == ambient,
                         f"family of dimension {fdim} >= (n-1)/2 must span P^{n-1}")
-            proper_linear = (
-                is_linear(fam.variety)
-                and fdim >= 1
-                and fam.span_in_pt < fam.ambient_pt_dim
-            )
+            proper_linear = is_linear(fam) and fdim >= 1 and span < ambient
             if proper_linear:
                 rep.bump("proper_linear_triggered")
                 rep.add(name, "families.proper-linear", 2 * fdim <= n - 4,

@@ -10,16 +10,16 @@ used.
 
 The rules live in one table, ``_RULES``, keyed on the term's constructor:
 one function per constructor, each returning its families as plain
-``(variety, ambient_pt_dim, span_in_pt)`` triples, or the reason no rule
+``(variety, ambient_pt_dim, span_in_pt)`` triples, or ``None`` where no rule
 exists.  Two constructors carry no rule (SG(k,N) with k >= 3 and the
 codimension-2 linear section of G(2,5)): their families exist but fall
-outside the term algebra, so :func:`line_families` raises
-:class:`~fanolines.errors.NoRule`.  :func:`lookup_families` raises nothing
-and names why a chain ends: ``"is_point"``, ``"not_covered"`` or
-``"no_rule"``.  Both wrap each triple in a validated :class:`FamilyRecord`,
-as do the chain trees and the lemmas suite, which read the spans.  The chain
-engine reads only the family varieties, through :func:`family_outcome`,
-which builds no record.
+outside the term algebra.  :func:`family_outcome` is the one reader of the
+table and the one coverage test: it raises nothing, builds no record, and
+names why a chain ends (``"is_point"``, ``"not_covered"`` or ``"no_rule"``);
+the chain engine and the lemmas suite read it.  :func:`line_families`, its
+raising wrapper, raises :class:`~fanolines.errors.NotCoveredByLines` or
+:class:`~fanolines.errors.NoRule` and otherwise wraps each triple in a
+validated :class:`FamilyRecord`.
 
 The recognition step and the classification lists live here too, each
 defined once.  :func:`recognition_list` names the candidates that a family's
@@ -49,7 +49,6 @@ from .terms import (
     Quadric,
     SympGrassmann,
     VarietyTerm,
-    covered_by_lines,
     dim,
     family_dim,
     linear_space,
@@ -84,10 +83,6 @@ class FamilyRecord:
         """Anti-canonical degree of the parametrised lines (dim + 2)."""
         return dim(self.variety) + 2
 
-    @property
-    def spans_ambient(self) -> bool:
-        return self.span_in_pt == self.ambient_pt_dim
-
 
 #: Families of a covered term as (variety, ambient_pt_dim, span_in_pt).
 Families = tuple[tuple[VarietyTerm, int, int], ...]
@@ -107,39 +102,32 @@ def line_families(v: VarietyTerm) -> list[FamilyRecord]:
     Raises ``NotCoveredByLines`` when there are none, and ``NoRule`` for the
     covered constructors whose family falls outside the term algebra.
     """
-    if not covered_by_lines(v):
+    found, end = family_outcome(v)
+    if end == "no_rule":
+        raise NoRule(_NO_RULE_REASONS[type(v)].format(v=v))
+    if end is not None:
         raise NotCoveredByLines(f"{to_text(v)} is not covered by lines")
-    found = _RULES[type(v)](v, dim(v) - 1)
-    if isinstance(found, str):
-        raise NoRule(found)
     return [FamilyRecord(*fam) for fam in found]
 
 
-def lookup_families(v: VarietyTerm) -> tuple[list[FamilyRecord], str | None]:
-    """The families of ``v`` and ``None``, or ``[]`` and the reason a chain
-    ends at ``v`` (``"is_point"``, ``"not_covered"`` or ``"no_rule"``): the
-    coverage test and rule table of :func:`line_families`, raising nothing."""
-    found, end = family_outcome(v)
-    return [FamilyRecord(*fam) for fam in found], end
-
-
 def family_outcome(v: VarietyTerm) -> tuple[Families, str | None]:
-    """:func:`lookup_families` as plain ``(variety, ambient_pt_dim,
-    span_in_pt)`` triples, with no record built or validated: the chain
-    engine reads only the varieties."""
+    """The families of ``v`` as plain ``(variety, ambient_pt_dim,
+    span_in_pt)`` triples and ``None``, or ``()`` and the reason a chain ends
+    at ``v``: ``"is_point"``, ``"not_covered"`` or ``"no_rule"``.  Nothing
+    is raised and no record is built."""
     n = dim(v)
     if n == 0:
         return (), "is_point"
     if family_dim(v) < 0:
         return (), "not_covered"
     found = _RULES[type(v)](v, n - 1)
-    return ((), "no_rule") if isinstance(found, str) else (found, None)
+    return ((), "no_rule") if found is None else (found, None)
 
 
 # ---------------------------------------------------------------------------
 # the rewrite rules, one per constructor.  Each takes a covered term and the
 # dimension of its P(T), dim - 1, and returns its families as
-# (variety, ambient_pt_dim, span_in_pt) triples, or the reason no rule exists.
+# (variety, ambient_pt_dim, span_in_pt) triples, or None where no rule exists.
 
 def _linear_space_rule(v: LinearSpace, ambient: int) -> Families:
     # Lines through a point of P^n fill the projectivised tangent space.
@@ -156,9 +144,9 @@ def _grassmann_rule(v: Grassmann, ambient: int) -> Families:
     return ((segre_pair(v.k - 1, v.N - v.k - 1), ambient, ambient),)
 
 
-def _symp_grassmann_rule(v: SympGrassmann, ambient: int) -> Families | str:
+def _symp_grassmann_rule(v: SympGrassmann, ambient: int) -> Families | None:
     if v.k >= 3:
-        return f"no family rule for isotropic Grassmannians with k = {v.k} >= 3"
+        return None
     return ((symplectic_scroll(v.N - 3), ambient, ambient),)
 
 
@@ -184,18 +172,17 @@ def _scroll_rule(v: ProjBundleP1, ambient: int) -> Families:
 
 
 #: The families of the covered linear sections of G(2,5), by codimension.
-_G25_SECTION_FAMILIES: dict[int, Families | str] = {
+_G25_SECTION_FAMILIES: dict[int, Families | None] = {
     0: ((PolarizedProduct(((1, 1), (2, 1))), 5, 5),),
     # A general hyperplane section of the Segre P^1 x P^2 is the cubic
     # scroll P(O(2) + O(1)) in P^4.
     1: ((ProjBundleP1((2, 1)), 4, 4),),
-    2: "no family rule for the codimension-2 section of G(2,5):"
-       " its family is a curve outside the term algebra",
+    2: None,  # a curve family, outside the term algebra
     3: ((Point(), 2, 0),),
 }
 
 
-def _g25_section_rule(v: LinearSectionG25, ambient: int) -> Families | str:
+def _g25_section_rule(v: LinearSectionG25, ambient: int) -> Families | None:
     return _G25_SECTION_FAMILIES[v.c]
 
 
@@ -210,6 +197,14 @@ _RULES = {
     PolarizedProduct: _product_rule,
     ProjBundleP1: _scroll_rule,
     LinearSectionG25: _g25_section_rule,
+}
+
+#: Why a covered term of each ruleless constructor has no rule, formatted
+#: with the term as ``v``: the message of :class:`~fanolines.errors.NoRule`.
+_NO_RULE_REASONS = {
+    SympGrassmann: "no family rule for isotropic Grassmannians with k = {v.k} >= 3",
+    LinearSectionG25: "no family rule for the codimension-2 section of G(2,5):"
+                      " its family is a curve outside the term algebra",
 }
 
 

@@ -64,10 +64,14 @@ class SuiteReport:
     def sorted_records(self) -> list[CheckRecord]:
         return sorted(self.records, key=lambda r: (r.term, r.check))
 
-    def summary(self) -> str:
+    def counts(self) -> tuple[int, int, int]:
+        """The numbers of passed, failed and informational records."""
         passed = sum(1 for r in self.records if r.passed is True)
-        failed = len(self.failures)
         info = sum(1 for r in self.records if r.passed is None)
+        return passed, len(self.failures), info
+
+    def summary(self) -> str:
+        passed, failed, info = self.counts()
         bits = [f"suite {self.suite}"]
         if self.params:
             bits.append("(" + ", ".join(f"{k}={v}" for k, v in sorted(self.params.items())) + ")")
@@ -83,14 +87,13 @@ class SuiteReport:
         return "\n".join(lines)
 
     def as_dict(self) -> dict:
-        passed = sum(1 for r in self.records if r.passed is True)
-        info = sum(1 for r in self.records if r.passed is None)
+        passed, failed, info = self.counts()
         return {
             "suite": self.suite,
             "params": self.params,
             "ok": self.ok,
             "passed": passed,
-            "failed": len(self.failures),
+            "failed": failed,
             "info": info,
             "counters": self.counters,
             "records": [r.as_dict() for r in self.sorted_records()],

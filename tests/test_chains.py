@@ -10,6 +10,7 @@ from fanolines.chains import (
 )
 from fanolines.dsl import parse_variety, to_text
 from fanolines.errors import NotCoveredByLines
+from fanolines.families import family_outcome
 from fanolines.terms import (
     CompleteIntersection,
     Grassmann,
@@ -153,38 +154,42 @@ def test_witness_chain_stops_at_ruleless_terms():
 
 
 # ---------------------------------------------------------------------------
-# chain trees
+# chain trees, walked without the engine
+
+
+def _deepest_chain(v) -> int:
+    """Length of the deepest chain below ``v``: a memo-free recursion over
+    every branch of ``family_outcome``, apart from the engine's walk."""
+    fams, _ = family_outcome(v)
+    return max((1 + _deepest_chain(fam) for fam, _, _ in fams), default=0)
 
 
 def test_chain_tree_depth_equals_exact_s():
     eng = ChainEngine()
     for expr in ("Q(7)", "G(2,6)", "CI(2,2;7)", "Prod(P(2):1,P(3):1)", "SG(2,9)"):
         term = parse_variety(expr)
-        tree = eng.chain_tree(term)
-        assert tree.depth() == eng.s_invariant(term).value
+        assert _deepest_chain(term) == eng.s_invariant(term).value
 
 
 def test_chain_tree_terminal_reasons():
-    eng = ChainEngine()
-    assert eng.chain_tree(Point()).terminal_reason == "is_point"
-    assert eng.chain_tree(Quadric(1)).terminal_reason == "not_covered"
-    assert eng.chain_tree(SympGrassmann(3, 7)).terminal_reason == "no_rule"
-    tree = eng.chain_tree(Quadric(5))
-    assert tree.terminal_reason is None
-    assert len(tree.children) == 1
-    # leaf of the quadric tower is the conic
-    leaf = tree
-    while leaf.children:
-        leaf = leaf.children[0][1]
-    assert leaf.node == Quadric(1)
-    assert leaf.terminal_reason == "not_covered"
+    assert family_outcome(Point()) == ((), "is_point")
+    assert family_outcome(Quadric(1)) == ((), "not_covered")
+    assert family_outcome(SympGrassmann(3, 7)) == ((), "no_rule")
+    # the quadric tower is a single branch ending at the conic
+    node, (fams, end) = Quadric(5), family_outcome(Quadric(5))
+    while end is None:
+        assert len(fams) == 1
+        node = fams[0][0]
+        fams, end = family_outcome(node)
+    assert node == Quadric(1)
+    assert end == "not_covered"
 
 
 def test_product_tree_branches_per_degree_one_factor():
-    eng = ChainEngine()
-    tree = eng.chain_tree(PolarizedProduct(((2, 1), (3, 1))))
-    assert len(tree.children) == 2
-    assert {to_text(fam.variety) for fam, _ in tree.children} == {"P(1)", "P(2)"}
+    fams, end = family_outcome(PolarizedProduct(((2, 1), (3, 1))))
+    assert end is None
+    assert len(fams) == 2
+    assert {to_text(fam) for fam, _, _ in fams} == {"P(1)", "P(2)"}
 
 
 def test_realizing_chains_enumerate_every_maximal_branch():
@@ -337,8 +342,7 @@ def test_s_invariant_under_normalize_with_fresh_engines():
 
 def _views(eng, v):
     witness = eng.witness_chain(v) if covered_by_lines(v) else None
-    return (witness, list(eng.realizing_chains(v)), eng.covering_ls_bound(v),
-            eng.chain_tree(v))
+    return witness, list(eng.realizing_chains(v)), eng.covering_ls_bound(v)
 
 
 def test_views_agree_on_cold_and_warm_engines():
@@ -362,7 +366,7 @@ def test_views_do_not_depend_on_the_presentation_asked_first(first, second):
     _views(eng, parse_variety(first))
     term = parse_variety(second)
     assert _views(eng, term) == _views(ChainEngine(), term)
-    assert eng.chain_tree(term).node == term
+    assert all(chain[0] == term for chain in eng.realizing_chains(term))
 
 
 def test_realizing_chains_walk_is_not_bounded_by_the_recursion_limit():

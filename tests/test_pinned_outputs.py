@@ -27,7 +27,7 @@ from fanolines.catalog import build_catalog
 from fanolines.cli import main
 from fanolines.dsl import to_text
 from fanolines.errors import EngineError
-from fanolines.families import lookup_families
+from fanolines.families import FamilyRecord, family_outcome
 from fanolines.terms import (
     LinearSectionG25,
     LinearSpace,
@@ -148,13 +148,14 @@ def test_term_tables_are_pinned():
 
 
 def test_family_outcomes_are_pinned():
-    # lookup_families builds and validates a FamilyRecord for every rule
-    # output, so this also range-checks each family over the whole catalog.
+    # Each family is wrapped in a validated FamilyRecord, so this also
+    # range-checks every rule output over the whole catalog.
     terms = [*build_catalog(20, 5), Point(), LinearSpace(0), Quadric(1), Quadric(2),
              SympGrassmann(3, 7), LinearSectionG25(2), LinearSectionG25(4)]
     rows = []
     for v in terms:
-        fams, end = lookup_families(v)
-        cells = [f"{to_text(f.variety)}:{f.ambient_pt_dim}:{f.span_in_pt}" for f in fams]
+        fams, end = family_outcome(v)
+        records = [FamilyRecord(*fam) for fam in fams]
+        cells = [f"{to_text(f.variety)}:{f.ambient_pt_dim}:{f.span_in_pt}" for f in records]
         rows.append("|".join([to_text(v), *(cells or [end])]))
     assert _sha("\n".join(rows).encode()) == PINNED["family outcomes"]
