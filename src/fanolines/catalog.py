@@ -14,7 +14,9 @@ Each constructor is enumerated directly within the bounds: complete
 intersections as non-decreasing degree sequences whose excess sum(d_i - 1)
 is at most the dimension (the Fano condition), products as nested loops over
 the sorted factors that stop once the dimension passes ``n_max``.  No
-candidate is built only to be dropped by the dimension bound.
+candidate is built only to be dropped by the dimension bound.  A candidate is
+normalized once, the guards and the index below ask the normal form's own
+constructor, and a member is printed once, as its sort key.
 
 :attr:`Catalog.picard_one` indexes the Picard-number-1 members (the slice
 the classification suites and ``classify`` read) by dimension and counts
@@ -41,9 +43,7 @@ from .terms import (
     SympGrassmann,
     VarietyTerm,
     dim,
-    is_fano,
     normalize,
-    picard_number,
 )
 
 
@@ -85,8 +85,8 @@ class Catalog:
         flat: list[VarietyTerm] = []
         by_dim: dict[int, list[VarietyTerm]] = {}
         counts: dict[tuple[int, int | None], int] = {}
-        for v in self.members:
-            n, rho = dim(v), picard_number(v)
+        for v in self.members:  # normal forms: ask their constructors directly
+            n, rho = v._dim(), v._picard_number()
             counts[n, rho] = counts.get((n, rho), 0) + 1
             if rho == 1:
                 flat.append(v)
@@ -118,8 +118,8 @@ def build_catalog(n_max: int, deg_max: int) -> Catalog:
     found: set[VarietyTerm] = set()
 
     def add(term: VarietyTerm):
-        term = normalize(term)
-        if 1 <= dim(term) <= n_max and is_fano(term):
+        term = term._normalize()  # normalized once; asked directly from here on
+        if 1 <= term._dim() <= n_max and term._is_fano():
             found.add(term)
 
     for n in range(1, n_max + 1):

@@ -35,11 +35,11 @@ from .terms import dim, normalize
 CHAIN_SYMBOL = " ⊨ "  # the "has a family of lines" turnstile
 
 #: Largest accepted value of each size option, per subcommand.  On a 2-vCPU
-#: host the largest accepted inputs take at most about 4 s each (``secant
-#: --kind scroll -d 12 -m 12 --trials 8`` 1.9 to 2.6 s, ``verify --suite
-#: prop32 --nmax 32 --degmax 5`` 4.4 s); beyond them the time grows fast
-#: (cubically in the secant coordinate count (d+1)m+1, and steeply in both
-#: catalog bounds), so larger inputs are rejected instead of hanging.
+#: host the largest accepted inputs take at most about 4 s a process (``secant
+#: --kind scroll -d 12 -m 12 --trials 8`` 1.9 to 2.6 s; at these caps ``verify
+#: --suite prop32`` 2.9 to 3.5 s, ``classify`` 2.0 to 2.3 s); beyond them the
+#: time grows fast (cubically in the secant coordinate count (d+1)m+1, and
+#: steeply in both catalog bounds), so larger inputs are rejected, not run.
 SIZE_CAPS = {
     "secant": {"-d": 12, "-m": 12, "--trials": 8},
     "classify": {"--nmax": 32, "--degmax": 5},

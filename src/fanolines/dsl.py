@@ -11,7 +11,9 @@ Every integer is a run of the ASCII digits 0-9; any other Unicode digit, such
 as a full-width or Arabic-Indic one, is a parse error at its position.
 
 Printing produces the same syntax back, so ``parse_variety(to_text(t)) == t``
-for every term.
+for every term.  :func:`to_text` reads one formatter table, ``_FORMATS``,
+keyed on the term's constructor like the family rules' ``_RULES``; a value
+of any other type raises ``TypeError``.
 
 >>> parse_variety("CI(2,2;7)")
 CompleteIntersection(degrees=(2, 2), N=7)
@@ -103,6 +105,12 @@ def parse_variety(text: str) -> VarietyTerm:
     return term
 
 
+#: The constructor each name of the grammar builds, ``pt`` aside.
+_CONSTRUCTORS = {"P": LinearSpace, "Q": Quadric, "G": Grassmann, "SG": SympGrassmann,
+                 "CI": CompleteIntersection, "Prod": PolarizedProduct, "PB": ProjBundleP1,
+                 "LS": LinearSectionG25}
+
+
 def _parse_expr(toks: _Tokens) -> VarietyTerm:
     tok = toks.peek()
     if tok is None:
@@ -113,48 +121,31 @@ def _parse_expr(toks: _Tokens) -> VarietyTerm:
     toks.i += 1
     if value == "pt":
         return Point()
-    if value in ("P", "Q"):
-        toks.next("sym", "(")
-        n = toks.next_int()
-        toks.next("sym", ")")
-        return LinearSpace(n) if value == "P" else Quadric(n)
-    if value in ("G", "SG"):
-        toks.next("sym", "(")
+    ctor = _CONSTRUCTORS.get(value)
+    if ctor is None:
+        raise ParseError(f"unknown constructor {value!r}", pos)
+    toks.next("sym", "(")
+    if ctor in (LinearSpace, Quadric):
+        args = (toks.next_int(),)
+    elif ctor in (Grassmann, SympGrassmann):
         k = toks.next_int()
         toks.next("sym", ",")
-        N = toks.next_int()
-        toks.next("sym", ")")
-        return Grassmann(k, N) if value == "G" else SympGrassmann(k, N)
-    if value == "CI":
-        toks.next("sym", "(")
+        args = (k, toks.next_int())
+    elif ctor is CompleteIntersection:
         degrees = _parse_list(toks, _Tokens.next_int)
         toks.next("sym", ";")
-        N = toks.next_int()
-        toks.next("sym", ")")
-        return CompleteIntersection(degrees, N)
-    if value == "Prod":
-        toks.next("sym", "(")
-        factors = _parse_list(toks, _parse_factor)
-        toks.next("sym", ")")
-        return PolarizedProduct(factors)
-    if value == "PB":
-        toks.next("sym", "(")
-        twists = _parse_list(toks, _Tokens.next_int)
-        toks.next("sym", ")")
-        return ProjBundleP1(twists)
-    if value == "LS":
-        toks.next("sym", "(")
-        toks.next("name", "G")
-        toks.next("sym", "(")
-        toks.next("int", "2")
-        toks.next("sym", ",")
-        toks.next("int", "5")
-        toks.next("sym", ")")
-        toks.next("sym", ",")
-        c = toks.next_int()
-        toks.next("sym", ")")
-        return LinearSectionG25(c)
-    raise ParseError(f"unknown constructor {value!r}", pos)
+        args = (degrees, toks.next_int())
+    elif ctor is PolarizedProduct:
+        args = (_parse_list(toks, _parse_factor),)
+    elif ctor is ProjBundleP1:
+        args = (_parse_list(toks, _Tokens.next_int),)
+    else:  # LinearSectionG25: the tokens of "G(2,5)," come first
+        for kind, want in (("name", "G"), ("sym", "("), ("int", "2"), ("sym", ","),
+                           ("int", "5"), ("sym", ")"), ("sym", ",")):
+            toks.next(kind, want)
+        args = (toks.next_int(),)
+    toks.next("sym", ")")  # every field is read before the term is validated
+    return ctor(*args)
 
 
 def _parse_list(toks: _Tokens, item: Callable[[_Tokens], object]) -> tuple:
@@ -176,25 +167,28 @@ def _parse_factor(toks: _Tokens) -> tuple[int, int]:
     return (n, d)
 
 
+_FORMATS: dict[type[VarietyTerm], Callable[..., str]] = {
+    Point: lambda v: "pt",
+    LinearSpace: lambda v: f"P({v.n})",
+    Quadric: lambda v: f"Q({v.n})",
+    Grassmann: lambda v: f"G({v.k},{v.N})",
+    SympGrassmann: lambda v: f"SG({v.k},{v.N})",
+    CompleteIntersection: lambda v: "CI(" + ",".join(map(str, v.degrees)) + f";{v.N})",
+    PolarizedProduct: lambda v: "Prod(" + ",".join(["P(%s):%s" % f for f in v.factors]) + ")",
+    ProjBundleP1: lambda v: "PB(" + ",".join(map(str, v.twists)) + ")",
+    LinearSectionG25: lambda v: f"LS(G(2,5),{v.c})",
+}
+
+
 def to_text(v: VarietyTerm) -> str:
-    """Canonical textual form; inverse of :func:`parse_variety`."""
-    match v:
-        case Point():
-            return "pt"
-        case LinearSpace(n):
-            return f"P({n})"
-        case Quadric(n):
-            return f"Q({n})"
-        case Grassmann(k, N):
-            return f"G({k},{N})"
-        case SympGrassmann(k, N):
-            return f"SG({k},{N})"
-        case CompleteIntersection(degrees, N):
-            return "CI(" + ",".join(map(str, degrees)) + f";{N})"
-        case PolarizedProduct(factors):
-            return "Prod(" + ",".join(f"P({n}):{d}" for n, d in factors) + ")"
-        case ProjBundleP1(twists):
-            return "PB(" + ",".join(map(str, twists)) + ")"
-        case LinearSectionG25(c):
-            return f"LS(G(2,5),{c})"
-    raise TypeError(f"not a variety term: {v!r}")
+    """Canonical textual form; inverse of :func:`parse_variety`.
+
+    >>> to_text(PolarizedProduct(((3, 1), (1, 2))))
+    'Prod(P(1):2,P(3):1)'
+    >>> to_text(CompleteIntersection((3, 2), 6))
+    'CI(2,3;6)'
+    """
+    fmt = _FORMATS.get(type(v))
+    if fmt is None:
+        raise TypeError(f"not a variety term: {v!r}")
+    return fmt(v)

@@ -89,11 +89,17 @@ Families = tuple[tuple[VarietyTerm, int, int], ...]
 
 
 def expand_ci_degrees(degrees: tuple[int, ...]) -> tuple[int, ...]:
-    """Degrees of the family of a complete intersection: 2..d for each d."""
+    """Degrees of the family of a complete intersection: 2..d for each d,
+    ascending, in one pass: each value j is one block, a copy per degree >= j."""
+    degs = sorted(degrees)
     out: list[int] = []
-    for d in degrees:
-        out.extend(range(2, d + 1))
-    return tuple(sorted(out))
+    low = 2  # the smallest value not yet written
+    for i, d in enumerate(degs):
+        if d >= low:  # a repeated degree adds no value
+            for j in range(low, d + 1):
+                out += (j,) * (len(degs) - i)
+            low = d + 1
+    return tuple(out)
 
 
 def line_families(v: VarietyTerm) -> list[FamilyRecord]:

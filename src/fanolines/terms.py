@@ -214,7 +214,7 @@ class CompleteIntersection(VarietyTerm):
         object.__setattr__(self, "degrees", degs)
         if not degs:
             raise ValidationError("CompleteIntersection requires at least one degree")
-        if any(d < 2 for d in degs):
+        if degs[0] < 2:
             raise ValidationError("CompleteIntersection degrees must all be >= 2")
         if len(degs) >= self.N:
             raise ValidationError("CompleteIntersection requires #degrees < N")
@@ -251,11 +251,11 @@ class PolarizedProduct(VarietyTerm):
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        facs = tuple(sorted(tuple(f) for f in self.factors))
+        facs = tuple(sorted(map(tuple, self.factors)))
         object.__setattr__(self, "factors", facs)
         if len(facs) < 2:
             raise ValidationError("PolarizedProduct requires at least two factors")
-        if any(n < 1 or d < 1 for n, d in facs):
+        if facs[0][0] < 1 or min(map(itemgetter(1), facs)) < 1:
             raise ValidationError("PolarizedProduct factors require n_i >= 1 and d_i >= 1")
 
     def _dim(self): return sum(map(itemgetter(0), self.factors))
@@ -282,7 +282,7 @@ class ProjBundleP1(VarietyTerm):
         object.__setattr__(self, "twists", tw)
         if len(tw) < 2:
             raise ValidationError("ProjBundleP1 requires at least two twists")
-        if any(a < 1 for a in tw):
+        if tw[-1] < 1:
             raise ValidationError("ProjBundleP1 twists must all be >= 1")
 
     def _dim(self): return len(self.twists)

@@ -132,6 +132,18 @@ def test_validation_error_exits_2(capsys):
     assert "terms:" in err
 
 
+@pytest.mark.parametrize("expr, message", [
+    ("PB(2,0)", "ProjBundleP1 twists must all be >= 1"),
+    ("PB(3)", "ProjBundleP1 requires at least two twists"),
+    ("CI(3,1;5)", "CompleteIntersection degrees must all be >= 2"),
+    ("Prod(P(2):0,P(1):1)", "PolarizedProduct factors require n_i >= 1 and d_i >= 1"),
+    ("Prod(P(2):1)", "PolarizedProduct requires at least two factors"),
+])
+def test_validation_messages_print_as_one_terms_line(capsys, expr, message):
+    code, out, err = run(capsys, "s", expr)
+    assert (code, out, err) == (2, "", f"terms: {message}\n")
+
+
 def test_parse_error_exits_2(capsys):
     code, _, err = run(capsys, "s", "Q(3")
     assert code == 2

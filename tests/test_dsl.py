@@ -3,7 +3,7 @@
 import pytest
 
 from fanolines.catalog import build_catalog
-from fanolines.dsl import parse_variety, to_text
+from fanolines.dsl import _FORMATS, parse_variety, to_text
 from fanolines.errors import ParseError, ValidationError
 from fanolines.terms import (
     CompleteIntersection,
@@ -15,6 +15,7 @@ from fanolines.terms import (
     ProjBundleP1,
     Quadric,
     SympGrassmann,
+    VarietyTerm,
 )
 
 
@@ -173,3 +174,23 @@ def test_print_examples():
     assert to_text(CompleteIntersection((2, 3), 6)) == "CI(2,3;6)"
     assert to_text(PolarizedProduct(((1, 2), (3, 1)))) == "Prod(P(1):2,P(3):1)"
     assert to_text(LinearSectionG25(0)) == "LS(G(2,5),0)"
+
+
+def test_formatter_table_covers_every_constructor():
+    # One formatter per constructor, keyed on the class: a term of each of
+    # the nine prints as text that parses back to it.
+    assert set(_FORMATS) == set(VarietyTerm.__subclasses__())
+    assert len(_FORMATS) == 9
+    samples = [Point(), LinearSpace(0), Quadric(2), Grassmann(3, 5), SympGrassmann(3, 7),
+               CompleteIntersection((3, 2, 2), 9), PolarizedProduct(((2, 1), (1, 3), (2, 1))),
+               ProjBundleP1((1, 1)), LinearSectionG25(4)]
+    assert {type(v) for v in samples} == set(_FORMATS)
+    for v in samples:
+        assert parse_variety(to_text(v)) == v
+
+
+@pytest.mark.parametrize("value", ["P(3)", None, 3, (1, 2), VarietyTerm()])
+def test_printing_a_non_term_is_a_type_error(value):
+    with pytest.raises(TypeError) as err:
+        to_text(value)
+    assert str(err.value) == f"not a variety term: {value!r}"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from fanolines.chains import ChainEngine
 from fanolines.dsl import parse_variety, to_text
 from fanolines.errors import NoRule, NotCoveredByLines
-from fanolines.families import family_outcome, line_families
+from fanolines.families import expand_ci_degrees, family_outcome, line_families
 from fanolines.terms import (
     CompleteIntersection,
     Grassmann,
@@ -171,3 +171,16 @@ def test_witness_chain_is_the_first_realizing_chain(v):
         return
     eng = ChainEngine()
     assert eng.witness_chain(v) == list(eng.realizing_chains(v))[0]
+
+
+def _expand_ci_degrees_reference(degrees):
+    """Every 2..d for every degree d, sorted afterwards."""
+    return tuple(sorted(j for d in degrees for j in range(2, d + 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(2, 8), min_size=1, max_size=5))
+def test_expand_ci_degrees_matches_the_naive_expansion(degrees):
+    expected = _expand_ci_degrees_reference(degrees)
+    assert expand_ci_degrees(tuple(degrees)) == expected
+    assert expand_ci_degrees(tuple(sorted(degrees))) == expected

@@ -432,31 +432,47 @@ def test_is_linear():
 # constructor validation
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: Grassmann(0, 3),
-        lambda: Grassmann(3, 3),
-        lambda: Quadric(0),
-        lambda: LinearSpace(-1),
-        lambda: SympGrassmann(1, 5),
-        lambda: SympGrassmann(2, 4),
-        lambda: CompleteIntersection((), 3),
-        lambda: CompleteIntersection((1, 2), 5),
-        lambda: CompleteIntersection((2, 2, 2), 3),
-        lambda: PolarizedProduct(((1, 1),)),
-        lambda: PolarizedProduct(((0, 1), (1, 1))),
-        lambda: ProjBundleP1((2,)),
-        lambda: ProjBundleP1((2, 0)),
-        lambda: LinearSectionG25(5),
-    ],
-)
+#: Each invalid construction, with the exact message of its ValidationError
+#: (the CLI prints it after "terms: ").
+INVALID = {
+    (lambda: Grassmann(0, 3)): "Grassmann requires 1 <= k <= N-1",
+    (lambda: Grassmann(3, 3)): "Grassmann requires 1 <= k <= N-1",
+    (lambda: Quadric(0)): "Quadric requires n >= 1",
+    (lambda: LinearSpace(-1)): "LinearSpace requires n >= 0",
+    (lambda: SympGrassmann(1, 5)): "SympGrassmann requires k >= 2",
+    (lambda: SympGrassmann(2, 4)): "SympGrassmann requires N >= 2k+1",
+    (lambda: CompleteIntersection((), 3)): "CompleteIntersection requires at least one degree",
+    (lambda: CompleteIntersection((1, 2), 5)): "CompleteIntersection degrees must all be >= 2",
+    (lambda: CompleteIntersection((2, 2, 2), 3)): "CompleteIntersection requires #degrees < N",
+    (lambda: PolarizedProduct(((1, 1),))): "PolarizedProduct requires at least two factors",
+    (lambda: PolarizedProduct(((0, 1), (1, 1)))):
+        "PolarizedProduct factors require n_i >= 1 and d_i >= 1",
+    (lambda: ProjBundleP1((2,))): "ProjBundleP1 requires at least two twists",
+    (lambda: ProjBundleP1((2, 0))): "ProjBundleP1 twists must all be >= 1",
+    (lambda: LinearSectionG25(5)): "LinearSectionG25 requires 0 <= c <= 4",
+    # the bad entry away from the end that a sorted check reads
+    (lambda: CompleteIntersection((3, 1), 5)): "CompleteIntersection degrees must all be >= 2",
+    (lambda: PolarizedProduct(((2, 0), (1, 1), (3, 2)))):
+        "PolarizedProduct factors require n_i >= 1 and d_i >= 1",
+    (lambda: ProjBundleP1((0, 3, 1))): "ProjBundleP1 twists must all be >= 1",
+}
+
+
+@pytest.mark.parametrize("build", list(INVALID))
 def test_validation_errors(build):
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as err:
         build()
+    assert str(err.value) == INVALID[build]
+    assert err.value.component == "terms"
 
 
 def test_constructors_store_canonical_field_order():
     assert CompleteIntersection((3, 2), 6).degrees == (2, 3)
     assert ProjBundleP1((1, 2, 1)).twists == (2, 1, 1)
     assert PolarizedProduct(((3, 1), (1, 2))).factors == ((1, 2), (3, 1))
+    # Lists are stored as the same tuples (a list never equals a tuple), so
+    # terms built from them hash and compare as the tuple-built ones.
+    assert PolarizedProduct([[3, 1], [1, 2]]).factors == ((1, 2), (3, 1))
+    assert CompleteIntersection([3, 2], 6).degrees == (2, 3)
+    assert ProjBundleP1([1, 2, 1]).twists == (2, 1, 1)
+    assert len({PolarizedProduct([[3, 1], [1, 2]]), PolarizedProduct(((1, 2), (3, 1)))}) == 1
