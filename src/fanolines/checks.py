@@ -86,14 +86,17 @@ def verify_classification(cat: Catalog, engine: ChainEngine | None = None) -> Su
             rep.bump("skipped_inexact_s")
             continue
         s = sv.value
-        name = to_text(v)
+        if 2 * s < n - 1:
+            rep.bump("no_implication")
+            continue
+        name = to_text(v)  # only members that get a record are named
         if 2 * s > n:
             rep.add(name, "classify.s-above-half", v in above_half_list(n),
                     f"2S = {2*s} > n = {n} must force a linear space")
         elif 2 * s == n:
             rep.add(name, "classify.s-half", v in even_dimension_list(s),
                     f"2S = n = {n}: quadric or G(2,C^{s+2}) required")
-        elif 2 * s == n - 1:
+        else:
             allowed = odd_dimension_list(s)
             rep.add(name, "classify.s-below-half", v in allowed,
                     f"2S = n - 1 = {n - 1}: odd-dimensional list required",
@@ -107,8 +110,6 @@ def verify_classification(cat: Catalog, engine: ChainEngine | None = None) -> Su
                         allowed.get(normalize(v)) == trace.verdict,
                         f"trace verdict ({trace.verdict}) via {trace.case_tag}",
                         conjecture_used=trace.conjecture_used)
-        else:
-            rep.bump("no_implication")
     return rep
 
 
@@ -223,15 +224,14 @@ def verify_family_lemmas(cat: Catalog, engine: ChainEngine | None = None) -> Sui
     index = cat.picard_one
     _bump_nonzero(rep, "skipped_rho_ne_1", index.count(lambda n, rho: rho != 1))
     for v in index.members:
-        n = dim(v)
-        name = to_text(v)
+        n = dim(v)  # v is printed per record only: most members get none
 
         # Recognition by family dimension, via the anticanonical-degree
         # formula (defined even where no family rule exists).
         fd = family_dim(v)
         candidates = recognition_list(n, fd)
         if candidates:
-            rep.add(name, f"families.dimH-is-n-{n - fd}", v in candidates,
+            rep.add(to_text(v), f"families.dimH-is-n-{n - fd}", v in candidates,
                     _RECOGNITION_DETAIL[n - fd])
 
         fams, end = family_outcome(v)
@@ -242,12 +242,12 @@ def verify_family_lemmas(cat: Catalog, engine: ChainEngine | None = None) -> Sui
         for fam, ambient, span in fams:
             fdim = dim(fam)
             if 2 * fdim >= n - 1:
-                rep.add(name, "families.nondegenerate", span == ambient,
+                rep.add(to_text(v), "families.nondegenerate", span == ambient,
                         f"family of dimension {fdim} >= (n-1)/2 must span P^{n-1}")
             proper_linear = is_linear(fam) and fdim >= 1 and span < ambient
             if proper_linear:
                 rep.bump("proper_linear_triggered")
-                rep.add(name, "families.proper-linear", 2 * fdim <= n - 4,
+                rep.add(to_text(v), "families.proper-linear", 2 * fdim <= n - 4,
                         f"proper linear family of dimension {fdim}:"
                         " 2*dim <= n-4 required")
             else:
@@ -255,7 +255,7 @@ def verify_family_lemmas(cat: Catalog, engine: ChainEngine | None = None) -> Sui
 
         ml = max_linear_in(v, eng)
         if ml.is_exact and 2 * ml.value >= n >= 1:
-            rep.add(name, "covering.half-dim-list", _sato_member(v, ml.value),
+            rep.add(to_text(v), "covering.half-dim-list", _sato_member(v, ml.value),
                     f"covered by P^{ml.value} with 2*{ml.value} >= n = {n}:"
                     " bundle/quadric/Grassmannian list required")
     return rep

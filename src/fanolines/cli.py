@@ -8,6 +8,10 @@ usage, parse, or term-validation errors, on sizes above ``SIZE_CAPS`` or
 integers above ``TERM_INT_CAP``, on a negative ``classify --dim`` or ``--s``,
 and on terms too deep for the recursive chain engine.
 
+Each subcommand is a handler and a renderer, paired in ``_COMMANDS``.  The
+handler returns the exit code and one payload, the envelope's ``result``;
+the renderer writes the text from that payload alone (and ``--quiet``).
+
 The only randomized command is ``secant``; it requires a seed, which it
 echoes.  The default seed is fixed and can be overridden with the
 ``FANOLINES_SEED`` environment variable (an integer) or ``--seed``.
@@ -26,11 +30,12 @@ from .catalog import build_catalog
 from .chains import default_engine
 from .checks import SUITES, classify_by_s, run_suite
 from .dsl import parse_variety, to_text
-from .errors import EngineError, NoRule, NotCoveredByLines, ParseError, ValidationError
-from .families import line_families
+from .errors import EngineError, ParseError, ValidationError
+from .families import FamilyRecord, family_outcome, no_rule_reason
+from .reports import report_text
 from .secant import (DEFAULT_PRIMES, DEFAULT_SEED, RankConfig, expected_secant_dim,
                      secant_row, segre_veronese, scroll)
-from .terms import dim, normalize
+from .terms import Bound, dim, normalize
 
 CHAIN_SYMBOL = " ⊨ "  # the "has a family of lines" turnstile
 
@@ -150,76 +155,83 @@ def _parse_term(expr: str):
 def _cmd_s(args):
     term = _parse_term(args.expr)
     sv = default_engine().s_invariant(term)
-    payload = {"term": to_text(term), "canonical": to_text(normalize(term)),
+    return 0, {"term": to_text(term), "canonical": to_text(normalize(term)),
                "s": sv._asdict()}
-    return 0, f"S {sv}", payload
+
+
+def _render_s(r, quiet):
+    return f"S {Bound(**r['s'])}"
 
 
 def _cmd_chain(args):
     term = _parse_term(args.expr)
     eng = default_engine()
     chain = eng.witness_chain(term)
-    sv = eng.s_invariant(term)
-    text = CHAIN_SYMBOL.join(to_text(t) for t in chain)
-    rel = "=" if sv.is_exact else ">="
-    payload = {"term": to_text(term), "chain": [to_text(t) for t in chain],
-               "s": sv._asdict()}
-    return 0, f"{text}, S {rel} {sv.value}", payload
+    return 0, {"term": to_text(term), "chain": [to_text(t) for t in chain],
+               "s": eng.s_invariant(term)._asdict()}
+
+
+def _render_chain(r, quiet):
+    sv = Bound(**r["s"])
+    return f"{CHAIN_SYMBOL.join(r['chain'])}, S {'=' if sv.is_exact else '>='} {sv.value}"
 
 
 def _cmd_families(args):
     term = _parse_term(args.expr)
-    name = to_text(term)
-    payload = {"term": name, "covered": True, "no_rule": False, "families": []}
-    try:
-        fams = line_families(term)
-    except NotCoveredByLines:
-        payload["covered"] = False
-        return 0, f"{name} is not covered by lines: no families", payload
-    except NoRule as err:
-        payload["no_rule"] = True
-        return 0, f"{name}: {err} (the chain invariant degrades to a lower bound)", payload
-    lines = [f"{name}: {len(fams)} family(ies) in P^{dim(term) - 1}"]
-    for i, fam in enumerate(fams, start=1):
-        lines.append(
-            f"  H{i} = {to_text(fam.variety)}: span P^{fam.span_in_pt}"
-            f" of P^{fam.ambient_pt_dim}, anticanonical degree {fam.anticanonical_degree}"
-        )
-        payload["families"].append({
-            "variety": to_text(fam.variety),
-            "ambient_pt_dim": fam.ambient_pt_dim,
-            "span_in_pt": fam.span_in_pt,
-            "anticanonical_degree": fam.anticanonical_degree,
-        })
-    return 0, "\n".join(lines), payload
+    fams, end = family_outcome(term)
+    records = [FamilyRecord(*fam) for fam in fams]
+    return 0, {"term": to_text(term), "covered": end in (None, "no_rule"),
+               "no_rule": end == "no_rule",
+               "families": [{"variety": to_text(f.variety), "ambient_pt_dim": f.ambient_pt_dim,
+                             "span_in_pt": f.span_in_pt,
+                             "anticanonical_degree": f.anticanonical_degree} for f in records]}
+
+
+def _render_families(r, quiet):
+    name = r["term"]
+    if not r["covered"]:
+        return f"{name} is not covered by lines: no families"
+    term = parse_variety(name)  # exact: parse_variety(to_text(t)) == t
+    if r["no_rule"]:
+        return f"{name}: {no_rule_reason(term)} (the chain invariant degrades to a lower bound)"
+    lines = [f"{name}: {len(r['families'])} family(ies) in P^{dim(term) - 1}"]
+    lines += [f"  H{i} = {fam['variety']}: span P^{fam['span_in_pt']}"
+              f" of P^{fam['ambient_pt_dim']}, anticanonical degree {fam['anticanonical_degree']}"
+              for i, fam in enumerate(r["families"], start=1)]
+    return "\n".join(lines)
 
 
 def _cmd_cover(args):
     term = _parse_term(args.expr)
-    bound = default_engine().covering_ls_bound(term)
-    payload = {"term": to_text(term), "at_least": bound.value}
-    return 0, f"covered by linear spaces of dimension at least {bound.value}", payload
+    return 0, {"term": to_text(term), "at_least": default_engine().covering_ls_bound(term).value}
+
+
+def _render_cover(r, quiet):
+    return f"covered by linear spaces of dimension at least {r['at_least']}"
 
 
 def _cmd_classify(args):
     for flag, value in (("--dim", args.dim), ("--s", args.s)):
         if value < 0:
             raise ValidationError(f"{flag} {value} must be at least 0", component="cli")
-    cat = build_catalog(args.nmax, args.degmax)
-    members = classify_by_s(cat, args.dim, args.s)
-    names = [to_text(v) for v in members]
-    payload = {"dim": args.dim, "s": args.s, "n_max": args.nmax,
-               "deg_max": args.degmax, "members": names}
-    header = (f"dimension {args.dim}, S = {args.s} (exact, Picard number 1),"
-              f" catalog n_max={args.nmax} deg_max={args.degmax}:")
-    body = "\n".join("  " + n for n in names) if names else "  (none)"
-    return 0, header + "\n" + body, payload
+    members = classify_by_s(build_catalog(args.nmax, args.degmax), args.dim, args.s)
+    return 0, {"dim": args.dim, "s": args.s, "n_max": args.nmax, "deg_max": args.degmax,
+               "members": [to_text(v) for v in members]}
+
+
+def _render_classify(r, quiet):
+    header = (f"dimension {r['dim']}, S = {r['s']} (exact, Picard number 1),"
+              f" catalog n_max={r['n_max']} deg_max={r['deg_max']}:")
+    return "\n".join([header, *("  " + n for n in r["members"] or ["(none)"])])
 
 
 def _cmd_verify(args):
     rep = run_suite(args.suite, args.nmax, args.degmax)
-    text = rep.to_text(verbose=not args.quiet)
-    return (0 if rep.ok else 1), text, rep.as_dict()
+    return (0 if rep.ok else 1), rep.as_dict()
+
+
+def _render_verify(r, quiet):
+    return report_text(r, verbose=not quiet)
 
 
 def _cmd_trace(args):
@@ -227,11 +239,7 @@ def _cmd_trace(args):
     from .trace import classification_trace
 
     trace = classification_trace(term)
-    lines = [f"trace {to_text(term)}: {trace.case_tag}"]
-    lines.extend("  " + line for line in trace.inequality_lines)
-    lines.append(f"verdict: ({trace.verdict})"
-                 + (" [conjecture used]" if trace.conjecture_used else ""))
-    payload = {
+    return 0, {
         "term": to_text(term),
         "canonical": to_text(normalize(term)),
         "chain_dims": list(trace.chain_dims),
@@ -240,44 +248,45 @@ def _cmd_trace(args):
         "verdict": trace.verdict,
         "conjecture_used": trace.conjecture_used,
     }
-    return 0, "\n".join(lines), payload
 
 
-def _cmd_secant(args, seed: int):
-    cfg = RankConfig(trials=args.trials, seed=seed)
+def _render_trace(r, quiet):
+    return "\n".join([f"trace {r['term']}: {r['case']}", *("  " + line for line in r["lines"]),
+                      f"verdict: ({r['verdict']})"
+                      + (" [conjecture used]" if r["conjecture_used"] else "")])
+
+
+def _cmd_secant(args):
+    cfg = RankConfig(trials=args.trials, seed=_resolve_seed(args.seed))
     builder = segre_veronese if args.kind == "segre" else scroll
-    par = builder(args.d, args.m)
-    row = secant_row(par, cfg)
+    row = secant_row(builder(args.d, args.m), cfg)  # kind, d, m and the three dimensions
     expected = expected_secant_dim(args.d, args.m)
-    passed = None
-    if expected is not None:
-        passed = (row["secant_terracini"] == expected
-                  and row["secant_chord"] == expected)
-    payload = {
-        "kind": args.kind, "d": args.d, "m": args.m,
-        "seed": seed, "primes": list(DEFAULT_PRIMES), "trials": cfg.trials,
-        "span": row["span"],
-        "secant_terracini": row["secant_terracini"],
-        "secant_chord": row["secant_chord"],
-        "expected": expected, "pass": passed,
-    }
-    text = (f"{args.kind} d={args.d} m={args.m}: span={row['span']}"
-            f" secant(terracini)={row['secant_terracini']}"
-            f" secant(chord)={row['secant_chord']}"
-            + (f" expected={expected} pass={passed}" if expected is not None else " (reported)")
-            + f" seed={seed} primes={','.join(map(str, DEFAULT_PRIMES))}")
-    code = 0 if passed in (True, None) else 1
-    return code, text, payload
+    passed = None if expected is None else (
+        row["secant_terracini"] == expected == row["secant_chord"])
+    return (0 if passed in (True, None) else 1), {
+        **row, "seed": cfg.seed, "primes": list(DEFAULT_PRIMES), "trials": cfg.trials,
+        "expected": expected, "pass": passed}
 
 
-_HANDLERS = {
-    "s": _cmd_s,
-    "chain": _cmd_chain,
-    "families": _cmd_families,
-    "cover": _cmd_cover,
-    "classify": _cmd_classify,
-    "verify": _cmd_verify,
-    "trace": _cmd_trace,
+def _render_secant(r, quiet):
+    expected = r["expected"]
+    return (f"{r['kind']} d={r['d']} m={r['m']}: span={r['span']}"
+            f" secant(terracini)={r['secant_terracini']}"
+            f" secant(chord)={r['secant_chord']}"
+            + (f" expected={expected} pass={r['pass']}" if expected is not None else " (reported)")
+            + f" seed={r['seed']} primes={','.join(map(str, r['primes']))}")
+
+
+#: Each command's handler and renderer; see the module docstring.
+_COMMANDS = {
+    "s": (_cmd_s, _render_s),
+    "chain": (_cmd_chain, _render_chain),
+    "families": (_cmd_families, _render_families),
+    "cover": (_cmd_cover, _render_cover),
+    "classify": (_cmd_classify, _render_classify),
+    "verify": (_cmd_verify, _render_verify),
+    "trace": (_cmd_trace, _render_trace),
+    "secant": (_cmd_secant, _render_secant),
 }
 
 
@@ -291,29 +300,24 @@ def main(argv: list[str] | None = None) -> int:
     if error:
         print(f"cli: {error}", file=sys.stderr)
         return 2
+    handler, render = _COMMANDS[args.command]
     try:
-        if args.command == "secant":
-            seed = _resolve_seed(args.seed)
-            code, text, payload = _cmd_secant(args, seed)
-            envelope = {"command": "secant", "seed": seed, "result": payload}
-        else:
-            code, text, payload = _HANDLERS[args.command](args)
-            envelope = {"command": args.command, "result": payload}
-    except (ParseError, ValidationError) as err:
+        code, payload = handler(args)
+    except EngineError as err:  # bad input exits 2, a domain error 1
         print(f"{err.component}: {err}", file=sys.stderr)
-        return 2
-    except EngineError as err:
-        print(f"{err.component}: {err}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(err, (ParseError, ValidationError)) else 1
     except RecursionError:
         print("cli: the term is too deep for the recursive chain engine"
               " (chain invariant S above about 990); larger inputs are rejected",
               file=sys.stderr)
         return 2
     if args.json:
+        envelope = {"command": args.command, "result": payload}
+        if "seed" in payload:  # the randomized command echoes its seed
+            envelope["seed"] = payload["seed"]
         print(json.dumps(envelope, indent=2, sort_keys=True))
     else:
-        print(text)
+        print(render(payload, getattr(args, "quiet", False)))
     return code
 
 

@@ -16,10 +16,10 @@ codimension-2 linear section of G(2,5)): their families exist but fall
 outside the term algebra.  :func:`family_outcome` is the one reader of the
 table and the one coverage test: it raises nothing, builds no record, and
 names why a chain ends (``"is_point"``, ``"not_covered"`` or ``"no_rule"``);
-the chain engine and the lemmas suite read it.  :func:`line_families`, its
-raising wrapper, raises :class:`~fanolines.errors.NotCoveredByLines` or
-:class:`~fanolines.errors.NoRule` and otherwise wraps each triple in a
-validated :class:`FamilyRecord`.
+the chain engine, the lemmas suite and the CLI read it.  :func:`line_families`,
+its raising wrapper, raises :class:`~fanolines.errors.NotCoveredByLines` or
+:class:`~fanolines.errors.NoRule`, worded by :func:`no_rule_reason`, and
+otherwise wraps each triple in a validated :class:`FamilyRecord`.
 
 The recognition step and the classification lists live here too, each
 defined once.  :func:`recognition_list` names the candidates that a family's
@@ -110,10 +110,16 @@ def line_families(v: VarietyTerm) -> list[FamilyRecord]:
     """
     found, end = family_outcome(v)
     if end == "no_rule":
-        raise NoRule(_NO_RULE_REASONS[type(v)].format(v=v))
+        raise NoRule(no_rule_reason(v))
     if end is not None:
         raise NotCoveredByLines(f"{to_text(v)} is not covered by lines")
     return [FamilyRecord(*fam) for fam in found]
+
+
+def no_rule_reason(v: VarietyTerm) -> str:
+    """Why the covered term ``v``, of a ruleless constructor, has no family
+    rule: the message of :class:`~fanolines.errors.NoRule`."""
+    return _NO_RULE_REASONS[type(v)].format(v=v)
 
 
 def family_outcome(v: VarietyTerm) -> tuple[Families, str | None]:
@@ -206,7 +212,7 @@ _RULES = {
 }
 
 #: Why a covered term of each ruleless constructor has no rule, formatted
-#: with the term as ``v``: the message of :class:`~fanolines.errors.NoRule`.
+#: with the term as ``v`` by :func:`no_rule_reason`.
 _NO_RULE_REASONS = {
     SympGrassmann: "no family rule for isotropic Grassmannians with k = {v.k} >= 3",
     LinearSectionG25: "no family rule for the codimension-2 section of G(2,5):"

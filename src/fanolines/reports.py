@@ -3,7 +3,8 @@
 Every verification suite emits one record per member and check.  A record
 with ``passed = None`` is informational (measured data with nothing
 asserted).  Aggregation is order-independent: records are sorted by term and
-check name before rendering.
+check name before rendering.  The text has one renderer, :func:`report_text`,
+which reads only the structured form, so both forms hold the same facts.
 """
 
 from __future__ import annotations
@@ -19,16 +20,8 @@ class CheckRecord:
     detail: str = ""
     data: dict = field(default_factory=dict)
 
-    def status(self) -> str:
-        if self.passed is None:
-            return "info"
-        return "PASS" if self.passed else "FAIL"
-
     def line(self) -> str:
-        parts = [self.status(), self.check, self.term]
-        if self.detail:
-            parts.append(self.detail)
-        return " ".join(parts)
+        return _record_line(self.as_dict())
 
     def as_dict(self) -> dict:
         return {
@@ -71,20 +64,10 @@ class SuiteReport:
         return passed, len(self.failures), info
 
     def summary(self) -> str:
-        passed, failed, info = self.counts()
-        bits = [f"suite {self.suite}"]
-        if self.params:
-            bits.append("(" + ", ".join(f"{k}={v}" for k, v in sorted(self.params.items())) + ")")
-        bits.append(f"{passed} passed, {failed} failed" + (f", {info} informational" if info else ""))
-        if self.counters:
-            bits.append("[" + ", ".join(f"{k}={v}" for k, v in sorted(self.counters.items())) + "]")
-        return " ".join(bits)
+        return report_text(self.as_dict(), verbose=False).partition("\n")[0]
 
     def to_text(self, verbose: bool = True) -> str:
-        lines = [self.summary()]
-        records = self.sorted_records() if verbose else self.failures
-        lines.extend(r.line() for r in records)
-        return "\n".join(lines)
+        return report_text(self.as_dict(), verbose)
 
     def as_dict(self) -> dict:
         passed, failed, info = self.counts()
@@ -98,3 +81,27 @@ class SuiteReport:
             "counters": self.counters,
             "records": [r.as_dict() for r in self.sorted_records()],
         }
+
+
+def _record_line(record: dict) -> str:
+    passed = record["passed"]
+    parts = ["info" if passed is None else "PASS" if passed else "FAIL",
+             record["check"], record["term"]]
+    if record["detail"]:
+        parts.append(record["detail"])
+    return " ".join(parts)
+
+
+def report_text(report: dict, verbose: bool = True) -> str:
+    """The text of a suite report from its :meth:`SuiteReport.as_dict` form:
+    a summary line, then every record, or only the failures unless
+    ``verbose``, in term/check order."""
+    bits = [f"suite {report['suite']}"]
+    if report["params"]:
+        bits.append("(" + ", ".join(f"{k}={v}" for k, v in sorted(report["params"].items())) + ")")
+    bits.append(f"{report['passed']} passed, {report['failed']} failed"
+                + (f", {report['info']} informational" if report["info"] else ""))
+    if report["counters"]:
+        bits.append("[" + ", ".join(f"{k}={v}" for k, v in sorted(report["counters"].items())) + "]")
+    records = [r for r in report["records"] if verbose or r["passed"] is False]
+    return "\n".join([" ".join(bits), *map(_record_line, records)])

@@ -20,19 +20,19 @@ so every reported projective dimension subtracts exactly one from a rank.
 
 Each parameterization keeps the sparse support of every monomial, its
 ``(param, exponent)`` pairs with a non-zero exponent (at most three here),
-and evaluation and gradients loop over that support only.  A Jacobian row
-costs one monomial evaluation: every partial is read off the monomial value
-as d/dx_j x^e = e_j x^e x_j^-1, the random coordinates being non-zero mod p.
-A span row builds one power table per point, the powers x_j, ..., x_j^e of
-each parameter up to its largest exponent e (d or d + 1 for s and t, 1 for
-each fibre parameter), and each coordinate is the product of its table
-entries, reduced mod p once.  Evaluation rows for the span are a lazy
-generator, and the streaming rank of ``modp`` stops pulling them at full
-column rank, so of the ``2 * num_coords`` points allowed per trial only
-``num_coords`` are drawn when the span fills its ambient space.  Every rank equals that of the full
-matrix: the early exit happens only at the largest rank possible, and each
-(trial, prime) pair has its own random generator, so no report depends on
-how many rows were pulled.
+and evaluation and gradients loop over that support only.  There is one
+monomial evaluator, the span row: it builds one power table per point, the
+powers x_j, ..., x_j^e of each parameter up to its largest exponent e (d or
+d + 1 for s and t, 1 for each fibre parameter), and each coordinate is the
+product of its table entries, reduced mod p once.  Jacobian rows read each
+coordinate's value from the span row, and every partial off that value as
+d/dx_j x^e = e_j x^e x_j^-1, the random coordinates being non-zero mod p.
+Evaluation rows for the span are a lazy generator, and the streaming rank of
+``modp`` stops pulling them at full column rank, so of the ``2 * num_coords``
+points allowed per trial only ``num_coords`` are drawn when the span fills
+its ambient space.  Every rank equals that of the full matrix: the early exit
+happens only at the largest rank possible, and each (trial, prime) pair has
+its own random generator, so no report depends on how many rows were pulled.
 """
 
 from __future__ import annotations
@@ -154,13 +154,6 @@ def _point(rng: random.Random, k: int, p: int) -> list[int]:
     return [rng.randrange(1, p) for _ in range(k)]
 
 
-def _eval_monomial(support: Support, x: list[int], p: int) -> int:
-    out = 1
-    for j, e in support:
-        out = (out * pow(x[j], e, p)) % p
-    return out
-
-
 def _power_table(x: list[int], tops: tuple[int, ...], p: int) -> list[int]:
     """x_j^1, ..., x_j^tops[j] mod p for each parameter j in turn, flat."""
     table = []
@@ -179,24 +172,18 @@ def _span_row(par: Parameterization, x: list[int], p: int) -> list[int]:
     return [prod(map(get, idx)) % p for idx in par.table_indices]
 
 
-def _gradient(
-    support: Support, x: list[int], inv_x: list[int], p: int
-) -> tuple[int, list[int]]:
-    """The monomial with this support mod p and all its partials at ``x``.
-
-    Each partial comes from the monomial value as d/dx_j x^e = e_j x^e x_j^-1;
-    ``inv_x`` holds the inverses of the coordinates of ``x``, which are all
-    non-zero mod p.
-    """
-    value = _eval_monomial(support, x, p)
-    grad = [0] * len(x)
-    for j, e in support:
-        grad[j] = (e * value * inv_x[j]) % p
-    return value, grad
-
-
-def _inverses(x: list[int], p: int) -> list[int]:
-    return [pow(xi, -1, p) for xi in x]
+def _jacobian(par: Parameterization, x: list[int], p: int) -> list[tuple[int, list[int]]]:
+    """Every coordinate of ``par`` at ``x`` mod p, from :func:`_span_row`, with
+    its gradient: each partial is d/dx_j x^e = e_j x^e x_j^-1, the coordinates
+    of ``x`` being non-zero mod p."""
+    inv_x = [pow(xj, -1, p) for xj in x]
+    out = []
+    for value, support in zip(_span_row(par, x, p), par.supports):
+        grad = [0] * len(x)
+        for j, e in support:
+            grad[j] = e * value * inv_x[j] % p
+        out.append((value, grad))
+    return out
 
 
 def _stable_rank(ranks: list[int]) -> int:
@@ -242,9 +229,7 @@ def secant_dim_terracini(par: Parameterization, cfg: RankConfig = RankConfig()) 
     def rows(rng, p):
         x = _point(rng, par.num_params, p)
         y = _point(rng, par.num_params, p)
-        ix, iy = _inverses(x, p), _inverses(y, p)
-        return [_gradient(sup, x, ix, p)[1] + _gradient(sup, y, iy, p)[1]
-                for sup in par.supports]
+        return [dx + dy for (_, dx), (_, dy) in zip(_jacobian(par, x, p), _jacobian(par, y, p))]
 
     return _dimension(par, cfg, "terracini", rows)
 
@@ -258,12 +243,8 @@ def secant_dim_chordmap(par: Parameterization, cfg: RankConfig = RankConfig()) -
         x = _point(rng, par.num_params, p)
         y = _point(rng, par.num_params, p)
         t = rng.randrange(1, p)
-        ix, iy = _inverses(x, p), _inverses(y, p)
-        out = []
-        for sup in par.supports:
-            value, dx = _gradient(sup, x, ix, p)
-            out.append([(t * g) % p for g in dx] + _gradient(sup, y, iy, p)[1] + [value])
-        return out
+        return [[t * g % p for g in dx] + dy + [value]
+                for (value, dx), (_, dy) in zip(_jacobian(par, x, p), _jacobian(par, y, p))]
 
     return _dimension(par, cfg, "chord", rows)
 

@@ -16,6 +16,7 @@ from fanolines.checks import (
 )
 from fanolines.dsl import to_text
 from fanolines.errors import ValidationError
+from fanolines.reports import SuiteReport, report_text
 from fanolines.terms import (
     Bound,
     CompleteIntersection,
@@ -351,3 +352,23 @@ def test_report_serialization_shape(cat15):
     assert text.splitlines()[0].startswith("suite lemmas")
     # one line per record, order independent of insertion order
     assert len(text.splitlines()) == 1 + len(rep.records)
+
+
+def test_report_text_lists_failures_in_term_check_order():
+    # Quiet text lists only the failures, sorted like the full text; the
+    # summary and every line are rendered from the as_dict form.
+    rep = SuiteReport("demo", {"n_max": 3})
+    rep.add("Q(5)", "b", False, "second")
+    rep.add("P(2)", "a", True)
+    rep.add("P(2)", "c", None, "measured")
+    rep.add("P(2)", "b", False, "first")
+    rep.bump("skipped")
+    summary = "suite demo (n_max=3) 1 passed, 2 failed, 1 informational [skipped=1]"
+    assert rep.summary() == summary
+    assert rep.to_text(verbose=False) == "\n".join(
+        [summary, "FAIL b P(2) first", "FAIL b Q(5) second"])
+    assert rep.to_text() == "\n".join(
+        [summary, "PASS a P(2)", "FAIL b P(2) first", "info c P(2) measured",
+         "FAIL b Q(5) second"])
+    assert report_text(rep.as_dict(), verbose=False) == rep.to_text(verbose=False)
+    assert [r.line() for r in rep.failures] == ["FAIL b Q(5) second", "FAIL b P(2) first"]

@@ -1,16 +1,21 @@
 """End-to-end CLI behaviour: text output, JSON schema, exit codes."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 from jsonschema import validate
 
 import fanolines
-from fanolines.cli import load_schema, main
+from fanolines.cli import _COMMANDS, SIZE_CAPS, load_schema, main
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +27,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def rendered(argv, result) -> str:
+    """The text the CLI prints for ``argv``, rendered from its JSON ``result``."""
+    return _COMMANDS[argv[0]][1](result, "--quiet" in argv) + "\n"
 
 
 def run_json(capsys, schema, *argv):
@@ -399,3 +409,115 @@ def test_seed_env_override(capsys, monkeypatch, schema):
     code, doc, _ = run_json(capsys, schema, "secant", "--kind", "segre",
                             "-d", "2", "-m", "2")
     assert doc["seed"] == 31337
+
+
+# ---------------------------------------------------------------------------
+# generated inputs: the exit-code contract and text/JSON parity
+
+
+small_ints = st.integers(0, 64).map(str)
+
+
+def _int_list(size: int):
+    return st.lists(small_ints, min_size=1, max_size=size).map(",".join)
+
+
+#: Terms from the grammar, every integer in 0..64, valid or not.
+grammar_terms = st.one_of(
+    st.just("pt"),
+    st.builds("P({})".format, small_ints),
+    st.builds("Q({})".format, small_ints),
+    st.builds("G({},{})".format, small_ints, small_ints),
+    st.builds("SG({},{})".format, small_ints, small_ints),
+    st.builds("CI({};{})".format, _int_list(3), small_ints),
+    st.builds("Prod({})".format, st.lists(st.builds("P({}):{}".format, small_ints, small_ints),
+                                          min_size=1, max_size=3).map(",".join)),
+    st.builds("PB({})".format, _int_list(4)),
+    st.builds("LS(G(2,5),{})".format, small_ints),
+)
+
+#: Characters a mutation may insert: the grammar's symbols, digits and the
+#: letters of its names, a space and a few the grammar lacks ("-" is left
+#: out: argparse reads a leading one as an option, and usage errors are its own).
+_MUTANT_CHARS = "(),;:PQGSCIBLrodt0123456789 x.+３"
+
+
+@st.composite
+def mutated_terms(draw):
+    term = draw(grammar_terms)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):  # most terms kept whole
+        i = draw(st.integers(0, len(term)))
+        op = draw(st.sampled_from(["insert", "delete", "duplicate"]))
+        if op == "insert":
+            term = term[:i] + draw(st.sampled_from(_MUTANT_CHARS)) + term[i:]
+        elif op == "delete":
+            term = term[:i] + term[i + 1:]
+        else:
+            term = term[:i] + term[i:i + 3] + term[i:]
+    return term
+
+
+def size_flag(command: str, flag: str, small: int):
+    """A size option drawn in range (1 to ``small``, to keep each call
+    cheap; the caps themselves are tested above), negative, or above its cap,
+    the first most often."""
+    cap = SIZE_CAPS[command][flag]
+    values = {"in range": st.integers(1, small), "negative": st.integers(-1000, -1),
+              "above the cap": st.integers(cap + 1, cap + 1000)}
+    kinds = st.sampled_from(["in range"] * 3 + ["negative", "above the cap"])
+    return kinds.flatmap(values.get).map(lambda v: [flag, str(v)])
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda ps: [w for part in ps for w in part])
+
+
+#: Argv strategies for the commands that take no term.
+OPTION_ARGVS = {
+    "classify": _argv(
+        st.just(["classify"]),
+        st.integers(-3, 12).map(lambda v: ["--dim", str(v)]),
+        st.integers(-3, 12).map(lambda v: ["--s", str(v)]),
+        size_flag("classify", "--nmax", 8), size_flag("classify", "--degmax", 3),
+    ),
+    "verify": _argv(
+        st.sampled_from(["thm1", "prop32", "lemmas", "golden"]).map(
+            lambda v: ["verify", "--suite", v]),
+        size_flag("verify", "--nmax", 8), size_flag("verify", "--degmax", 3),
+        st.sampled_from([[], ["--quiet"]]),
+    ),
+    "secant": _argv(
+        st.sampled_from(["segre", "scroll"]).map(lambda v: ["secant", "--kind", v]),
+        size_flag("secant", "-d", 4), size_flag("secant", "-m", 4),
+        size_flag("secant", "--trials", 5),
+        st.sampled_from([[], ["--seed", "7"], ["--seed", "-12345678901234567890"]]),
+    ),
+}
+
+#: Every subcommand, equally often.
+cli_argvs = st.sampled_from(["s", "chain", "families", "cover", "trace", *OPTION_ARGVS]).flatmap(
+    lambda cmd: OPTION_ARGVS[cmd] if cmd in OPTION_ARGVS
+    else mutated_terms().map(lambda term: [cmd, term]))
+
+
+def _call(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(cli_argvs)
+def test_generated_inputs_keep_the_exit_code_contract(schema, argv):
+    code, out, err = _call(argv)
+    json_code, json_out, json_err = _call([*argv, "--json"])
+    assert code in (0, 1, 2) and (json_code, json_err) == (code, err)
+    assert "Traceback" not in err
+    if err:  # an error, of the input (2) or of the domain (1)
+        assert code != 0 and out == json_out == ""
+        assert re.fullmatch(r"[a-z]+: [^\n]+\n", err), err
+    else:  # an answer, or a verification with failures (1)
+        doc = json.loads(json_out)
+        validate(doc, schema)
+        assert out == rendered(argv, doc["result"])

@@ -17,6 +17,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -44,6 +45,7 @@ from fanolines.terms import (
     normalize,
     picard_number,
 )
+from test_cli import rendered
 from test_terms import NON_FANO_TERMS, NON_NORMAL_PRESENTATIONS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,6 +66,14 @@ PINNED = {
         "428235ec99f2231b0f861b0903a6ed2db7700e4b964b0e1dcd1eaf57493e0dd6",
     "cli trace":
         "0a498559588b54b23a7750ec0192ed8663e657be9d6e2d9de3933c4d8a92be4e",
+    "cli classify":
+        "ceb0b52ec9b1c34ffbaef322941558ab72eae985db17468ed2aee691a89c8641",
+    "cli verify":
+        "166f02d68eeee9e590830c8af1b11b367c430f1ca137609190c5d717553aaacb",
+    "cli secant":
+        "d1b2f6cfc16ad69f5d200d3afd2544228bf3bb6c84642b76801f388c7fba1635",
+    "cli domain errors":
+        "87db9864a76d2d1550ffc3bfbe8ced1bb1e17c812bab3c0cb804c5a0c10658f9",
     "term tables":
         "f20001ab21096cc01a85fcaaca6b102315786a90637ba0900f40326809a2b212",
     "family outcomes":
@@ -87,18 +97,28 @@ def _showcase() -> list[str]:
 NO_FAMILY_TERMS = ["pt", "Q(1)", "LS(G(2,5),4)", "Prod(P(2):2,P(3):2)", "SG(3,7)"]
 
 
-def _cli_transcript(command: str, extra: tuple[str, ...] = ()) -> bytes:
-    """Exit code, stdout and stderr of ``command`` on every showcase term and
-    on ``extra``, as text and as JSON."""
+def _transcript(argvs) -> bytes:
+    """Exit code, stdout and stderr of every argv in ``argvs``, as text and
+    as JSON.  Each answer's text must be the one rendered from its JSON."""
     out = []
-    for expr in [*_showcase(), *extra]:
+    for base in argvs:
+        runs = []
         for flags in ([], ["--json"]):
-            argv = [command, expr, *flags]
+            argv = [*base, *flags]
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 code = main(argv)
+            runs.append((stdout.getvalue(), stderr.getvalue()))
             out.append(f"$ {' '.join(argv)}\n{code}\n{stdout.getvalue()}{stderr.getvalue()}")
+        (text, err), (doc, _) = runs
+        if not err:
+            assert text == rendered(base, json.loads(doc)["result"]), base
     return "".join(out).encode()
+
+
+def _cli_transcript(command: str, extra: tuple[str, ...] = ()) -> bytes:
+    """The transcript of ``command`` on every showcase term and on ``extra``."""
+    return _transcript([command, expr] for expr in [*_showcase(), *extra])
 
 
 def test_chain_gallery_stdout_is_pinned():
@@ -124,6 +144,54 @@ def test_cli_answers_on_the_showcase_terms_are_pinned(command):
 def test_cli_families_on_the_showcase_and_no_family_terms_is_pinned():
     transcript = _cli_transcript("families", tuple(NO_FAMILY_TERMS))
     assert _sha(transcript) == PINNED["cli families"]
+
+
+#: The commands that take no term, each with its error cases, and the domain
+#: errors of the term commands.  Recorded before the handlers returned one
+#: payload each and the text was rendered from it.
+PINNED_RUNS = {
+    "cli classify": [
+        "classify --dim 3 --s 1",
+        "classify --dim 7 --s 3",
+        "classify --dim 6 --s 3 --nmax 10 --degmax 3",
+        "classify --dim 5 --s 0",
+        "classify --dim 2 --s 5 --nmax 6 --degmax 2",
+        "classify --dim -5 --s 3",
+        "classify --dim 3 --s 1 --degmax 1",
+        "classify --dim 3 --s 1 --nmax 33",
+    ],
+    "cli verify": [
+        "verify --suite thm1 --nmax 8 --degmax 3",
+        "verify --suite thm1 --nmax 8 --degmax 3 --quiet",
+        "verify --suite prop32 --nmax 6 --degmax 2",
+        "verify --suite prop32 --nmax 6 --degmax 2 --quiet",
+        "verify --suite lemmas --nmax 6 --degmax 3",
+        "verify --suite lemmas --nmax 6 --degmax 3 --quiet",
+        "verify --suite golden --nmax 6",
+        "verify --suite golden --nmax 6 --quiet",
+        "verify --suite golden --nmax -5",
+        "verify --suite thm1 --nmax 1",
+        "verify --suite lemmas --degmax 6",
+    ],
+    "cli secant": [
+        "secant --kind segre -d 2 -m 2",
+        "secant --kind scroll -d 3 -m 3",
+        "secant --kind segre -d 2 -m 3 --seed 7 --trials 4",
+        "secant --kind segre -d 1 -m 3",
+        "secant --kind scroll -d 2 -m 1",
+        "secant --kind segre -d 2 -m 2 --trials 2",
+        "secant --kind scroll -d 0 -m 2",
+        "secant --kind scroll -d 13 -m 2",
+    ],
+    "cli domain errors": ["chain pt", "trace Q(4)"],
+}
+
+
+@pytest.mark.parametrize("name", PINNED_RUNS)
+def test_cli_runs_without_a_term_and_domain_errors_are_pinned(name, monkeypatch):
+    monkeypatch.delenv("FANOLINES_SEED", raising=False)  # secant echoes the default seed
+    transcript = _transcript(argv.split() for argv in PINNED_RUNS[name])
+    assert _sha(transcript) == PINNED[name]
 
 
 def _family_dim_or_error(v) -> str:

@@ -17,9 +17,9 @@ from fanolines.errors import DegenerateRandomness, ValidationError
 from fanolines.modp import rank_mod_p
 from fanolines.secant import (
     DEFAULT_PRIMES,
+    Parameterization,
     RankConfig,
-    _eval_monomial,
-    _gradient,
+    _jacobian,
     _span_row,
     _stable_rank,
     expected_secant_dim,
@@ -302,7 +302,16 @@ def test_span_draws_only_num_coords_points_per_trial(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# monomial gradients against the per-partial product formula
+# monomial values and gradients against naive per-coordinate formulas
+
+
+def value_oracle(exp, x, p):
+    """The monomial with exponents ``exp`` at ``x`` mod p, one power per
+    parameter."""
+    out = 1
+    for e, xi in zip(exp, x):
+        out = (out * pow(xi, e, p)) % p
+    return out
 
 
 def partial_oracle(exp, j, x, p):
@@ -323,15 +332,15 @@ def partial_oracle(exp, j, x, p):
 @pytest.mark.parametrize("p", [101, 2147483629])
 def test_gradient_matches_the_partial_product_formula(p):
     rng = random.Random(p)
-    monomials = [*scroll(3, 3).monomials, *segre_veronese(2, 4).monomials]
-    monomials += [tuple(rng.randrange(0, 250) for _ in range(5)) for _ in range(20)]
-    for exp in monomials:
-        x = [rng.randrange(1, p) for _ in exp]
-        inv_x = [pow(xi, -1, p) for xi in x]
-        support = tuple((j, e) for j, e in enumerate(exp) if e)
-        value, grad = _gradient(support, x, inv_x, p)
-        assert value == _eval_monomial(support, x, p)
-        assert grad == [partial_oracle(exp, j, x, p) for j in range(len(exp))]
+    random_monomials = tuple(tuple(rng.randrange(0, 250) for _ in range(5)) for _ in range(20))
+    pars = [scroll(3, 3), segre_veronese(2, 4), Parameterization("test", 0, 0, random_monomials)]
+    for par in pars:
+        for _ in range(3):
+            x = [rng.randrange(1, p) for _ in range(par.num_params)]
+            expected = [(value_oracle(exp, x, p),
+                         [partial_oracle(exp, j, x, p) for j in range(len(exp))])
+                        for exp in par.monomials]
+            assert _jacobian(par, x, p) == expected
 
 
 @pytest.mark.parametrize("builder", [segre_veronese, scroll])
@@ -343,8 +352,8 @@ def test_span_row_matches_monomial_evaluation(builder):
             for p in DEFAULT_PRIMES:
                 for _ in range(2):
                     x = [rng.randrange(1, p) for _ in range(par.num_params)]
-                    assert _span_row(par, x, p) == [_eval_monomial(sup, x, p)
-                                                    for sup in par.supports]
+                    assert _span_row(par, x, p) == [value_oracle(exp, x, p)
+                                                    for exp in par.monomials]
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +497,7 @@ def test_conic_three_point_rank_oracle():
     # random points of the degree-2 rational normal curve always span the
     # plane (rank 3), so no three of its points are collinear and it
     # contains no line.
-    from fanolines.secant import _eval_monomial, _point, _rng
+    from fanolines.secant import _point, _rng
     from fanolines.terms import Quadric, covered_by_lines
 
     par = segre_veronese(2, 1)  # the conic, with a trivial second factor
@@ -499,7 +508,7 @@ def test_conic_three_point_rank_oracle():
         rows = []
         for _ in range(3):
             x = _point(rng, par.num_params, p)
-            rows.append([_eval_monomial(sup, x, p) for sup in par.supports])
+            rows.append([value_oracle(exp, x, p) for exp in par.monomials])
         assert rank_mod_p(rows, p) == 3
     assert covered_by_lines(Quadric(1)) is False
 
