@@ -13,6 +13,9 @@ through :func:`~fanolines.families.family_outcome`, which builds no
 memoized walk over the chains below a term: it recurses one frame per chain
 step and stores nothing per node beyond its memo.
 
+The maximal linear subspace is an engine view, next to the covering bound:
+the normal form's ruling table, or else its invariant as a lower bound.
+
 >>> from fanolines.terms import Quadric
 >>> s_invariant(Quadric(7))
 Bound(kind='exact', value=3)
@@ -32,7 +35,6 @@ from .terms import (
     covered_by_lines,
     dim,
     exact,
-    max_linear_in,
     normalize,
 )
 
@@ -121,6 +123,18 @@ class ChainEngine:
             steps.sort(key=_family_sort_key)
         return steps
 
+    def max_linear_in(self, v: VarietyTerm) -> Bound:
+        """Maximal dimension of a linear subspace contained in ``v``.
+
+        Asked of the normal form: exact where the classical ruling tables
+        apply, a lower bound for complete intersections (expected
+        Fano-scheme dimension heuristic), and the chain invariant as a lower
+        bound for the constructors without a table.
+        """
+        key = normalize(v)
+        ruled = key._max_linear_in()
+        return at_least(self.s_invariant(key).value) if ruled is None else ruled
+
     def covering_ls_bound(self, v: VarietyTerm) -> Bound:
         """Lower bound on the dimension of covering linear spaces.
 
@@ -130,7 +144,7 @@ class ChainEngine:
         invariant 1 but is covered by planes).
         """
         fams, _ = family_outcome(v)
-        lifted = (1 + max_linear_in(fam, self).value for fam, _, _ in fams)
+        lifted = (1 + self.max_linear_in(fam).value for fam, _, _ in fams)
         return at_least(max([self.s_invariant(v).value, *lifted]))
 
 
@@ -151,3 +165,7 @@ def witness_chain(v: VarietyTerm, engine: ChainEngine | None = None) -> list[Var
 
 def covering_ls_bound(v: VarietyTerm, engine: ChainEngine | None = None) -> Bound:
     return (engine or _DEFAULT_ENGINE).covering_ls_bound(v)
+
+
+def max_linear_in(v: VarietyTerm, engine: ChainEngine | None = None) -> Bound:
+    return (engine or _DEFAULT_ENGINE).max_linear_in(v)

@@ -8,7 +8,7 @@ mathematical fact outside any enumeration and is never claimed.
 
 from __future__ import annotations
 
-from .catalog import Catalog
+from .catalog import Catalog, build_catalog
 from .chains import ChainEngine, default_engine
 from .dsl import to_text
 from .errors import EngineError, ValidationError
@@ -32,7 +32,6 @@ from .terms import (
     family_dim,
     is_fano,
     is_linear,
-    max_linear_in,
     normalize,
 )
 from .trace import classification_trace
@@ -253,7 +252,7 @@ def verify_family_lemmas(cat: Catalog, engine: ChainEngine | None = None) -> Sui
             else:
                 rep.bump("proper_linear_vacuous")
 
-        ml = max_linear_in(v, eng)
+        ml = eng.max_linear_in(v)
         if ml.is_exact and 2 * ml.value >= n >= 1:
             rep.add(to_text(v), "covering.half-dim-list", _sato_member(v, ml.value),
                     f"covered by P^{ml.value} with 2*{ml.value} >= n = {n}:"
@@ -312,7 +311,4 @@ def run_suite(name: str, n_max: int, deg_max: int,
     """Build a catalog and run one named suite ('golden' needs no catalog)."""
     if name == "golden":
         return golden_suite(n_max, engine=engine)
-    from .catalog import build_catalog
-
-    cat = build_catalog(n_max, deg_max)
-    return SUITES[name](cat, engine)
+    return SUITES[name](build_catalog(n_max, deg_max), engine)

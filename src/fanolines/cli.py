@@ -36,6 +36,7 @@ from .reports import report_text
 from .secant import (DEFAULT_PRIMES, DEFAULT_SEED, RankConfig, expected_secant_dim,
                      secant_row, segre_veronese, scroll)
 from .terms import Bound, dim, normalize
+from .trace import classification_trace
 
 CHAIN_SYMBOL = " ⊨ "  # the "has a family of lines" turnstile
 
@@ -80,9 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit a structured JSON envelope instead of text")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized computations"
-                             " (default: FANOLINES_SEED or a fixed constant)")
 
     parser = argparse.ArgumentParser(
         prog="fanolines",
@@ -130,6 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-d", type=int, required=True, dest="d")
     p.add_argument("-m", type=int, required=True, dest="m")
     p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of the rank trials (default: FANOLINES_SEED or a fixed constant)")
 
     return parser
 
@@ -236,8 +236,6 @@ def _render_verify(r, quiet):
 
 def _cmd_trace(args):
     term = _parse_term(args.expr)
-    from .trace import classification_trace
-
     trace = classification_trace(term)
     return 0, {
         "term": to_text(term),

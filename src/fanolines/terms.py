@@ -3,13 +3,15 @@
 A :class:`VarietyTerm` is one of nine immutable constructors, each of which
 fixes both an abstract variety and a projective embedding.  The operations in
 this module are classical invariants (dimension, Picard number, Fano-ness,
-family dimension, ambient spaces, maximal linear subspaces) plus a
-canonicalising rewrite :func:`normalize` that identifies terms denoting the
-same embedded variety.  Each constructor states its own invariants next to
-its fields and its validation, as the private methods listed on
-:class:`VarietyTerm`; the public functions only dispatch to them.  Line
-coverage has no definition of its own: a term is covered by lines exactly
-when it is not a point and its family dimension is non-negative.
+family dimension, ambient spaces) plus a canonicalising rewrite
+:func:`normalize` that identifies terms denoting the same embedded variety.
+Each constructor states its own invariants next to its fields and its
+validation, as the private methods listed on :class:`VarietyTerm`; the
+public functions only dispatch to them.  The ruling tables of maximal linear
+subspaces live here too, behind ``max_linear_in``, a view of the chain
+engine.  Line coverage has no definition of its own: a term is covered by
+lines exactly when it is not a point and its family dimension is
+non-negative.
 
 Complete-intersection and linear-section terms always denote GENERAL members
 of their families; every predicate is stated for the general member.
@@ -28,12 +30,9 @@ from dataclasses import dataclass
 from functools import cache
 from math import comb, prod
 from operator import itemgetter
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import NoLineFamily, ValidationError
-
-if TYPE_CHECKING:
-    from .chains import ChainEngine
 
 
 class Bound(NamedTuple):
@@ -76,16 +75,18 @@ class VarietyTerm:
     """Base of the nine term constructors.
 
     Each constructor answers, next to its fields, the questions behind the
-    public functions of this module: ``_dim``, ``_ambient_dim``,
-    ``_picard_number``, ``_is_fano``, ``_family_dim``, ``_max_linear_in``
-    (given the chain engine, or None for the default one) and ``_normalize``.
-    The defaults below hold unless a constructor overrides them: a term is
-    its own normal form, has Picard number 1 and is Fano.  Picard number and
-    Fano-ness are only asked of normal forms.
+    public invariants: ``_dim``, ``_ambient_dim``, ``_picard_number``,
+    ``_is_fano``, ``_family_dim``, ``_max_linear_in`` (the ruling table's
+    exact value or bound, or None where the constructor has none) and
+    ``_normalize``.  The defaults below hold unless a constructor overrides
+    them: a term is its own normal form, has Picard number 1, is Fano and
+    has no ruling table.  Picard number, Fano-ness and the maximal linear
+    subspace are only asked of normal forms.
     """
 
     def _picard_number(self) -> int | None: return 1
     def _is_fano(self) -> bool: return True
+    def _max_linear_in(self) -> Bound | None: return None
     def _normalize(self) -> VarietyTerm: return self
 
 
@@ -98,7 +99,7 @@ class Point(VarietyTerm):
     def _picard_number(self): return 0
     def _is_fano(self): return False
     def _family_dim(self): raise NoLineFamily("a point carries no family of lines")
-    def _max_linear_in(self, engine): return exact(0)
+    def _max_linear_in(self): return exact(0)
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,7 @@ class LinearSpace(VarietyTerm):
             raise NoLineFamily("a point carries no family of lines")
         return self.n - 1
 
-    def _max_linear_in(self, engine): return exact(self.n)
+    def _max_linear_in(self): return exact(self.n)
     def _normalize(self): return Point() if self.n == 0 else self
 
 
@@ -135,9 +136,8 @@ class Quadric(VarietyTerm):
 
     def _dim(self): return self.n
     def _ambient_dim(self): return self.n + 1
-    def _picard_number(self): return 2 if self.n == 2 else 1
     def _family_dim(self): return self.n - 2
-    def _max_linear_in(self, engine): return exact(self.n // 2)
+    def _max_linear_in(self): return exact(self.n // 2)
 
     def _normalize(self):
         # Q^2 is P^1 x P^1 (Segre).
@@ -158,7 +158,7 @@ class Grassmann(VarietyTerm):
     def _dim(self): return self.k * (self.N - self.k)
     def _ambient_dim(self): return comb(self.N, self.k) - 1
     def _family_dim(self): return self.N - 2
-    def _max_linear_in(self, engine): return exact(max(self.N - self.k, self.k))
+    def _max_linear_in(self): return exact(self.N - self.k)
 
     def _normalize(self):
         # G(k,N) is G(N-k,N); G(1,N) is P^{N-1}; G(2,4) is Q^4.
@@ -195,7 +195,6 @@ class SympGrassmann(VarietyTerm):
         return comb(self.N, self.k) - comb(self.N, self.k - 2) - 1
 
     def _family_dim(self): return self.N - self.k - 1
-    def _max_linear_in(self, engine): return _chain_bound(self, engine)
 
 
 @dataclass(frozen=True)
@@ -230,7 +229,7 @@ class CompleteIntersection(VarietyTerm):
     def _is_fano(self): return sum(self.degrees) <= self.N
     def _family_dim(self): return self.N - 1 - sum(self.degrees)
 
-    def _max_linear_in(self, engine):
+    def _max_linear_in(self):
         # Expected dimension of the lines-on-v scheme; heuristic beyond the
         # instances the verification suites rely on.
         expected_fano_scheme = 2 * self.N - 2 - len(self.degrees) - sum(self.degrees)
@@ -263,7 +262,7 @@ class PolarizedProduct(VarietyTerm):
     def _picard_number(self): return len(self.factors)
     def _family_dim(self): return max((n - 1 for n, d in self.factors if d == 1), default=-1)
 
-    def _max_linear_in(self, engine):
+    def _max_linear_in(self):
         return exact(max((n for n, d in self.factors if d == 1), default=0))
 
 
@@ -294,7 +293,7 @@ class ProjBundleP1(VarietyTerm):
         return sum(self.twists) <= len(self.twists) * self.twists[-1] + 1
 
     def _family_dim(self): return len(self.twists) - 2
-    def _max_linear_in(self, engine): return exact(len(self.twists) - 1)
+    def _max_linear_in(self): return exact(len(self.twists) - 1)
 
     def _normalize(self):
         # A trivial scroll P(O(d)^k) is (P^1 x P^{k-1}, O(d,1)).
@@ -321,20 +320,12 @@ class LinearSectionG25(VarietyTerm):
         return 5 if self.c == 4 else 1
 
     def _family_dim(self): return 3 - self.c
-    def _max_linear_in(self, engine): return _chain_bound(self, engine)
 
     def _normalize(self):
         # Codimension 0 and 1 are G(2,C^5) and SG(2,C^5).
         if self.c == 0:
             return Grassmann(2, 5)
         return SympGrassmann(2, 5) if self.c == 1 else self
-
-
-def _chain_bound(v: VarietyTerm, engine: ChainEngine | None) -> Bound:
-    """The chain invariant of ``v`` as a lower bound on its linear subspaces."""
-    from .chains import s_invariant  # deferred: chains builds on terms
-
-    return at_least(s_invariant(v, engine).value)
 
 
 # ---------------------------------------------------------------------------
@@ -404,17 +395,6 @@ def covered_by_lines(v: VarietyTerm) -> bool:
     """Is there a line on the variety through a general point?  Exactly when
     it is no point and its family of lines has non-negative dimension."""
     return v._dim() > 0 and v._family_dim() >= 0
-
-
-def max_linear_in(v: VarietyTerm, engine: ChainEngine | None = None) -> Bound:
-    """Maximal dimension of a linear subspace contained in the variety.
-
-    Exact where the classical ruling tables apply; a lower bound for
-    complete intersections (expected Fano-scheme dimension heuristic) and
-    for the chain-invariant-based classes, whose invariant ``engine``
-    computes (the default engine when None).
-    """
-    return v._max_linear_in(engine)
 
 
 def normalize(v: VarietyTerm) -> VarietyTerm:

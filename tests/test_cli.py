@@ -165,6 +165,26 @@ def test_usage_error_exits_2(capsys):
     capsys.readouterr()
 
 
+#: A valid call of every subcommand but ``secant``, the only randomized one.
+UNSEEDED = {
+    "s": ["P(3)"], "chain": ["P(3)"], "families": ["P(3)"], "cover": ["P(3)"],
+    "classify": ["--dim", "3", "--s", "1", "--nmax", "4", "--degmax", "2"],
+    "verify": ["--suite", "golden", "--nmax", "2"], "trace": ["Q(5)"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNSEEDED))
+def test_seed_is_a_usage_error_outside_secant(capsys, command):
+    assert {*UNSEEDED, "secant"} == set(_COMMANDS)
+    argv = [command, *UNSEEDED[command]]
+    assert main(argv) == 0
+    capsys.readouterr()
+    code, out, err = run(capsys, *argv, "--seed", "5")
+    assert code == 2 and out == ""
+    assert err.startswith("usage: fanolines ")
+    assert err.endswith("error: unrecognized arguments: --seed 5\n")
+
+
 # Each size option at its cap; the same command one above it must exit 2.
 SIZE_CAPPED = [
     ("secant --kind scroll -m 2 -d {}", 12),

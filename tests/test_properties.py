@@ -3,9 +3,9 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from fanolines.chains import ChainEngine
+from fanolines.chains import ChainEngine, max_linear_in
 from fanolines.dsl import parse_variety, to_text
-from fanolines.errors import NoRule, NotCoveredByLines
+from fanolines.errors import EngineError, NoRule, NotCoveredByLines
 from fanolines.families import expand_ci_degrees, family_outcome, line_families
 from fanolines.terms import (
     CompleteIntersection,
@@ -17,11 +17,12 @@ from fanolines.terms import (
     ProjBundleP1,
     Quadric,
     SympGrassmann,
+    ambient_dim,
     covered_by_lines,
     dim,
     family_dim,
+    is_fano,
     is_linear,
-    max_linear_in,
     normalize,
     picard_number,
 )
@@ -62,11 +63,21 @@ def test_normalize_is_idempotent(v):
     assert normalize(normalize(v)) == normalize(v)
 
 
+def _answers(v) -> tuple:
+    """Every invariant of ``v``, the chain ones on a fresh engine each."""
+    try:
+        fd = family_dim(v)
+    except EngineError as err:
+        fd = type(err)
+    return (dim(v), ambient_dim(v), picard_number(v), is_fano(v), fd, covered_by_lines(v),
+            is_linear(v), max_linear_in(v, ChainEngine()), ChainEngine().s_invariant(v),
+            ChainEngine().covering_ls_bound(v))
+
+
 @given(terms)
 def test_normalize_preserves_dimension_and_coverage(v):
-    nv = normalize(v)
-    assert dim(nv) == dim(v)
-    assert covered_by_lines(nv) == covered_by_lines(v)
+    # No answer may depend on the presentation asked.
+    assert _answers(normalize(v)) == _answers(v)
 
 
 @given(terms)

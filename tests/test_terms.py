@@ -4,6 +4,7 @@ from dataclasses import fields
 
 import pytest
 
+from fanolines.chains import max_linear_in
 from fanolines.errors import NoLineFamily, ValidationError
 from fanolines.terms import (
     CompleteIntersection,
@@ -24,7 +25,6 @@ from fanolines.terms import (
     family_dim,
     is_fano,
     is_linear,
-    max_linear_in,
     normalize,
     picard_number,
 )
