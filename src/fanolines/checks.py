@@ -16,6 +16,7 @@ from .families import (
     above_half_list,
     even_dimension_list,
     family_outcome,
+    half_dim_cover_list,
     odd_dimension_list,
     recognition_list,
 )
@@ -171,26 +172,7 @@ def verify_next_to_maximal(cat: Catalog, engine: ChainEngine | None = None) -> S
 
 
 # ---------------------------------------------------------------------------
-# family implications and the covering-linear-space list
-
-
-def _sato_member(v: VarietyTerm, m_star: int) -> bool:
-    """Membership of the covered-by-half-dimensional-linear-spaces list:
-    a linear bundle, an even quadric, or a two-plane Grassmannian."""
-    n = dim(v)
-    match v:
-        case LinearSpace(_):
-            return True  # trivially a linear P^n-bundle
-        case Quadric(_):
-            return n == 2 * m_star
-        case Grassmann(2, _):
-            return n == 2 * m_star
-        case PolarizedProduct(factors):
-            return max((k for k, d in factors if d == 1), default=-1) >= m_star
-        case ProjBundleP1(twists):
-            return len(twists) - 1 >= m_star
-        case _:
-            return False
+# family implications
 
 
 #: What each dimension drop of :func:`recognition_list` requires.
@@ -214,7 +196,8 @@ def verify_family_lemmas(cat: Catalog, engine: ChainEngine | None = None) -> Sui
     * a proper linear family of positive dimension has dimension <= (n-4)/2
       (expected to hold vacuously; the vacuity count is reported);
     * exact covering dimension >= n/2 forces membership of the linear-bundle
-      / quadric / Grassmannian list.
+      / quadric / Grassmannian list,
+      :func:`~fanolines.families.half_dim_cover_list`.
     """
     eng = engine or default_engine()
     rep = SuiteReport("lemmas", {"n_max": cat.n_max, "deg_max": cat.deg_max})
@@ -254,7 +237,8 @@ def verify_family_lemmas(cat: Catalog, engine: ChainEngine | None = None) -> Sui
 
         ml = eng.max_linear_in(v)
         if ml.is_exact and 2 * ml.value >= n >= 1:
-            rep.add(to_text(v), "covering.half-dim-list", _sato_member(v, ml.value),
+            rep.add(to_text(v), "covering.half-dim-list",
+                    v in half_dim_cover_list(n, ml.value),
                     f"covered by P^{ml.value} with 2*{ml.value} >= n = {n}:"
                     " bundle/quadric/Grassmannian list required")
     return rep

@@ -12,8 +12,8 @@ as a full-width or Arabic-Indic one, is a parse error at its position.
 
 Printing produces the same syntax back, so ``parse_variety(to_text(t)) == t``
 for every term.  :func:`to_text` reads one formatter table, ``_FORMATS``,
-keyed on the term's constructor like the family rules' ``_RULES``; a value
-of any other type raises ``TypeError``.
+keyed on the term's constructor as the family rules are in ``_RULE_TABLE``;
+a value of any other type raises ``TypeError``.
 
 >>> parse_variety("CI(2,2;7)")
 CompleteIntersection(degrees=(2, 2), N=7)

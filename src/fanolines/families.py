@@ -8,16 +8,17 @@ there.  The rules are axioms with classical provenance, listed in
 symplectic-Grassmannian recognition rule, which is flagged wherever it is
 used.
 
-The rules live in one table, ``_RULES``, keyed on the term's constructor:
-one function per constructor, each returning its families as plain
-``(variety, ambient_pt_dim, span_in_pt)`` triples, or ``None`` where no rule
-exists.  Two constructors carry no rule (SG(k,N) with k >= 3 and the
-codimension-2 linear section of G(2,5)): their families exist but fall
-outside the term algebra.  :func:`family_outcome` is the one reader of the
-table and the one coverage test: it raises nothing, builds no record, and
-names why a chain ends (``"is_point"``, ``"not_covered"`` or ``"no_rule"``);
-the chain engine, the lemmas suite and the CLI read it.  :func:`line_families`,
-its raising wrapper, raises :class:`~fanolines.errors.NotCoveredByLines` or
+The rules live in one table, ``_RULE_TABLE``, with one row per row of
+:data:`RULE_PROVENANCE`: the constructor, its rule and the provenance row.
+Each rule returns its families as plain ``(variety, ambient_pt_dim,
+span_in_pt)`` triples, or the text of :class:`~fanolines.errors.NoRule`.
+Two cases have no rule (SG(k,N) with k >= 3 and the codimension-2 linear
+section of G(2,5)): their families exist but fall outside the term algebra.
+:func:`family_outcome` reads the rules and is the one coverage test: it
+raises nothing, builds no record, and names why a chain ends
+(``"is_point"``, ``"not_covered"`` or ``"no_rule"``); the chain engine, the
+lemmas suite and the CLI read it.  :func:`line_families`, its raising
+wrapper, raises :class:`~fanolines.errors.NotCoveredByLines` or
 :class:`~fanolines.errors.NoRule`, worded by :func:`no_rule_reason`, and
 otherwise wraps each triple in a validated :class:`FamilyRecord`.
 
@@ -26,10 +27,12 @@ defined once.  :func:`recognition_list` names the candidates that a family's
 dimension drop (n-1, n-2 or n-3) pins down, and :func:`symplectic_scroll` is
 the family of SG(2,C^{m+3}): the family rule reads it forward, and the trace
 reads it backward as the conjectural rule.  The lists are
-:func:`family_codim3_list`, and the three lists of the classification by
-large invariant: :func:`above_half_list` (2S > n), :func:`even_dimension_list`
+:func:`family_codim3_list`, the three lists of the classification by large
+invariant: :func:`above_half_list` (2S > n), :func:`even_dimension_list`
 (2S = n) and :func:`odd_dimension_list` (2S = n - 1) with its verdict
-letters.  Recognition, the verification suites and the traces all read them.
+letters, and :func:`half_dim_cover_list`, the varieties covered by linear
+spaces of at least half their dimension, built from the first two.
+Recognition, the verification suites and the traces all read them.
 """
 
 from __future__ import annotations
@@ -106,7 +109,7 @@ def line_families(v: VarietyTerm) -> list[FamilyRecord]:
     """All irreducible families of lines on ``v`` through a general point.
 
     Raises ``NotCoveredByLines`` when there are none, and ``NoRule`` for the
-    covered constructors whose family falls outside the term algebra.
+    covered cases whose family falls outside the term algebra.
     """
     found, end = family_outcome(v)
     if end == "no_rule":
@@ -117,9 +120,10 @@ def line_families(v: VarietyTerm) -> list[FamilyRecord]:
 
 
 def no_rule_reason(v: VarietyTerm) -> str:
-    """Why the covered term ``v``, of a ruleless constructor, has no family
-    rule: the message of :class:`~fanolines.errors.NoRule`."""
-    return _NO_RULE_REASONS[type(v)].format(v=v)
+    """Why the covered term ``v``, of a ruleless case, has no family rule:
+    the text its rule returns, the message of
+    :class:`~fanolines.errors.NoRule`."""
+    return _RULES[type(v)](v, dim(v) - 1)
 
 
 def family_outcome(v: VarietyTerm) -> tuple[Families, str | None]:
@@ -133,13 +137,14 @@ def family_outcome(v: VarietyTerm) -> tuple[Families, str | None]:
     if family_dim(v) < 0:
         return (), "not_covered"
     found = _RULES[type(v)](v, n - 1)
-    return ((), "no_rule") if found is None else (found, None)
+    return ((), "no_rule") if found.__class__ is str else (found, None)
 
 
 # ---------------------------------------------------------------------------
 # the rewrite rules, one per constructor.  Each takes a covered term and the
 # dimension of its P(T), dim - 1, and returns its families as
-# (variety, ambient_pt_dim, span_in_pt) triples, or None where no rule exists.
+# (variety, ambient_pt_dim, span_in_pt) triples, or the NoRule text of a
+# case without a rule.
 
 def _linear_space_rule(v: LinearSpace, ambient: int) -> Families:
     # Lines through a point of P^n fill the projectivised tangent space.
@@ -156,9 +161,9 @@ def _grassmann_rule(v: Grassmann, ambient: int) -> Families:
     return ((segre_pair(v.k - 1, v.N - v.k - 1), ambient, ambient),)
 
 
-def _symp_grassmann_rule(v: SympGrassmann, ambient: int) -> Families | None:
+def _symp_grassmann_rule(v: SympGrassmann, ambient: int) -> Families | str:
     if v.k >= 3:
-        return None
+        return f"no family rule for isotropic Grassmannians with k = {v.k} >= 3"
     return ((symplectic_scroll(v.N - 3), ambient, ambient),)
 
 
@@ -183,41 +188,94 @@ def _scroll_rule(v: ProjBundleP1, ambient: int) -> Families:
     return ((linear_space(k - 2), ambient, k - 2),)
 
 
-#: The families of the covered linear sections of G(2,5), by codimension.
-_G25_SECTION_FAMILIES: dict[int, Families | None] = {
+#: The families of the covered linear sections of G(2,5), by codimension,
+#: or the NoRule text where they fall outside the term algebra.
+_G25_SECTION_FAMILIES: dict[int, Families | str] = {
     0: ((PolarizedProduct(((1, 1), (2, 1))), 5, 5),),
     # A general hyperplane section of the Segre P^1 x P^2 is the cubic
     # scroll P(O(2) + O(1)) in P^4.
     1: ((ProjBundleP1((2, 1)), 4, 4),),
-    2: None,  # a curve family, outside the term algebra
+    2: "no family rule for the codimension-2 section of G(2,5):"
+       " its family is a curve outside the term algebra",
     3: ((Point(), 2, 0),),
 }
 
 
-def _g25_section_rule(v: LinearSectionG25, ambient: int) -> Families | None:
+def _g25_section_rule(v: LinearSectionG25, ambient: int) -> Families | str:
     return _G25_SECTION_FAMILIES[v.c]
 
 
-#: The rule table, keyed on the constructor.  A point has no entry: it is
-#: never covered by lines.
-_RULES = {
-    LinearSpace: _linear_space_rule,
-    Quadric: _quadric_rule,
-    Grassmann: _grassmann_rule,
-    SympGrassmann: _symp_grassmann_rule,
-    CompleteIntersection: _complete_intersection_rule,
-    PolarizedProduct: _product_rule,
-    ProjBundleP1: _scroll_rule,
-    LinearSectionG25: _g25_section_rule,
-}
+#: The rule table: one row ``(constructor, rule, provenance)`` per
+#: :data:`RULE_PROVENANCE` row.  SympGrassmann k >= 3 is a case of the k = 2
+#: row's rule, and the recognition row has no constructor; a point, never
+#: covered by lines, has no row.  ``status`` is "classical" (standard fact),
+#: "conjectural" (recognition only) or "none" (covered by lines, but the
+#: family falls outside the term algebra).
+_RULE_TABLE = (
+    (LinearSpace, _linear_space_rule, {
+        "constructor": "LinearSpace",
+        "family": "P^(n-1), equal to the whole projectivised tangent space",
+        "status": "classical",
+    }),
+    (Quadric, _quadric_rule, {
+        "constructor": "Quadric",
+        "family": "Q^(n-2) in P^(n-1) for n >= 3; two points worth of rulings at n = 2",
+        "status": "classical",
+    }),
+    (Grassmann, _grassmann_rule, {
+        "constructor": "Grassmann",
+        "family": "Segre P^(k-1) x P^(N-k-1), non-degenerate in P^(k(N-k)-1)",
+        "status": "classical",
+    }),
+    (SympGrassmann, _symp_grassmann_rule, {
+        "constructor": "SympGrassmann (k = 2)",
+        "family": "scroll P(O(2) + O(1)^(N-4)) over a line, non-degenerate",
+        "status": "classical",
+    }),
+    (SympGrassmann, None, {
+        "constructor": "SympGrassmann (k >= 3)",
+        "family": None,
+        "status": "none",
+        "note": "the family is a projectivised bundle over P^(k-1), outside the algebra",
+    }),
+    (CompleteIntersection, _complete_intersection_rule, {
+        "constructor": "CompleteIntersection",
+        "family": "complete intersection of degrees 2..d_i per degree d_i, in P^(n-1)",
+        "status": "classical",
+        "note": "requires index >= 2; a zero-dimensional result is recorded as a point",
+    }),
+    (PolarizedProduct, _product_rule, {
+        "constructor": "PolarizedProduct",
+        "family": "P^(n_i-1) per degree-1 factor, spanning only that factor's directions",
+        "status": "classical",
+    }),
+    (ProjBundleP1, _scroll_rule, {
+        "constructor": "ProjBundleP1",
+        "family": "in-fiber family P^(k-2) only",
+        "status": "classical",
+        "note": "whether a second, horizontal family exists is not settled here;"
+        " omitting it cannot change the chain invariant (the fiber family"
+        " already attains dim - 1, the maximum for a non-linear term)",
+    }),
+    (LinearSectionG25, _g25_section_rule, {
+        "constructor": "LinearSectionG25",
+        "family": "linear section of the Segre P^1 x P^2: full Segre (c=0),"
+        " cubic scroll (c=1), none expressible (c=2), points (c=3)",
+        "status": "classical",
+        "note": "c = 2 has a curve family outside the algebra; c = 4 is uncovered",
+    }),
+    (None, None, {
+        "constructor": "recognition: scroll P(O(2)+O(1)^(m-1)) filling P^(2m)",
+        "family": "identifies SG(2, C^(m+3))",
+        "status": "conjectural",
+    }),
+)
 
-#: Why a covered term of each ruleless constructor has no rule, formatted
-#: with the term as ``v`` by :func:`no_rule_reason`.
-_NO_RULE_REASONS = {
-    SympGrassmann: "no family rule for isotropic Grassmannians with k = {v.k} >= 3",
-    LinearSectionG25: "no family rule for the codimension-2 section of G(2,5):"
-                      " its family is a curve outside the term algebra",
-}
+#: The rule of each constructor, read by :func:`family_outcome`.
+_RULES = {ctor: rule for ctor, rule, _ in _RULE_TABLE if rule is not None}
+
+#: Machine-readable provenance of every family rule, one row per table row.
+RULE_PROVENANCE: tuple[dict, ...] = tuple(row for _, _, row in _RULE_TABLE)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +344,22 @@ def even_dimension_list(m: int) -> tuple[VarietyTerm, ...]:
     return (Quadric(2 * m), Grassmann(2, m + 2))
 
 
+def half_dim_cover_list(n: int, m: int) -> tuple[VarietyTerm, ...]:
+    """The list a variety of dimension n and Picard number 1 must belong to
+    when its largest linear subspaces are P^m with 2m >= n, in normal form:
+    :func:`above_half_list` for 2m > n, :func:`even_dimension_list` for
+    2m = n, and the empty tuple for 2m < n, outside the list's range.
+
+    >>> [to_text(v) for v in half_dim_cover_list(8, 4)]
+    ['Q(8)', 'G(2,6)']
+    """
+    if 2 * m > n:
+        return above_half_list(n)
+    if 2 * m == n:
+        return even_dimension_list(m)
+    return ()
+
+
 #: What each verdict letter of the odd-dimensional list names.
 VERDICT_NAMES = {
     "a": "a quadric hypersurface",
@@ -306,67 +380,3 @@ def odd_dimension_list(m: int) -> dict[VarietyTerm, str]:
     if m == 1:
         table.update(zip(family_codim3_list(3), "cde"))
     return table
-
-
-#: Machine-readable provenance of every family rule.  ``status`` is one of
-#: "classical" (standard fact), "conjectural" (recognition only), or "none"
-#: (covered by lines but the family falls outside the term algebra).
-RULE_PROVENANCE: tuple[dict, ...] = (
-    {
-        "constructor": "LinearSpace",
-        "family": "P^(n-1), equal to the whole projectivised tangent space",
-        "status": "classical",
-    },
-    {
-        "constructor": "Quadric",
-        "family": "Q^(n-2) in P^(n-1) for n >= 3; two points worth of rulings at n = 2",
-        "status": "classical",
-    },
-    {
-        "constructor": "Grassmann",
-        "family": "Segre P^(k-1) x P^(N-k-1), non-degenerate in P^(k(N-k)-1)",
-        "status": "classical",
-    },
-    {
-        "constructor": "SympGrassmann (k = 2)",
-        "family": "scroll P(O(2) + O(1)^(N-4)) over a line, non-degenerate",
-        "status": "classical",
-    },
-    {
-        "constructor": "SympGrassmann (k >= 3)",
-        "family": None,
-        "status": "none",
-        "note": "the family is a projectivised bundle over P^(k-1), outside the algebra",
-    },
-    {
-        "constructor": "CompleteIntersection",
-        "family": "complete intersection of degrees 2..d_i per degree d_i, in P^(n-1)",
-        "status": "classical",
-        "note": "requires index >= 2; a zero-dimensional result is recorded as a point",
-    },
-    {
-        "constructor": "PolarizedProduct",
-        "family": "P^(n_i-1) per degree-1 factor, spanning only that factor's directions",
-        "status": "classical",
-    },
-    {
-        "constructor": "ProjBundleP1",
-        "family": "in-fiber family P^(k-2) only",
-        "status": "classical",
-        "note": "whether a second, horizontal family exists is not settled here;"
-        " omitting it cannot change the chain invariant (the fiber family"
-        " already attains dim - 1, the maximum for a non-linear term)",
-    },
-    {
-        "constructor": "LinearSectionG25",
-        "family": "linear section of the Segre P^1 x P^2: full Segre (c=0),"
-        " cubic scroll (c=1), none expressible (c=2), points (c=3)",
-        "status": "classical",
-        "note": "c = 2 has a curve family outside the algebra; c = 4 is uncovered",
-    },
-    {
-        "constructor": "recognition: scroll P(O(2)+O(1)^(m-1)) filling P^(2m)",
-        "family": "identifies SG(2, C^(m+3))",
-        "status": "conjectural",
-    },
-)

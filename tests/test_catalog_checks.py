@@ -294,6 +294,15 @@ def test_family_lemmas_suite_reads_the_engine_it_is_given(monkeypatch):
     assert not default._s_memo
 
 
+def test_family_lemmas_suite_catches_a_wrong_covering_dimension(monkeypatch):
+    # Teeth check for the covering list: a quadric claiming linear spaces
+    # one dimension too large must fail the list, from Q(3) up.
+    monkeypatch.setattr(Quadric, "_max_linear_in", lambda self: exact(self.n // 2 + 1))
+    rep = verify_family_lemmas(build_catalog(8, 3))
+    assert {(r.term, r.check) for r in rep.failures} == {
+        (f"Q({n})", "covering.half-dim-list") for n in range(3, 9)}
+
+
 def test_golden_suite_passes():
     rep = golden_suite(40, 15)
     assert rep.ok, [f.line() for f in rep.failures]

@@ -1,10 +1,14 @@
 """Family rewrite rules, their spans, and the recognition rules."""
 
+from collections import Counter
+
 import pytest
 
 from fanolines.dsl import to_text
 from fanolines.errors import NoRule, NotCoveredByLines
 from fanolines.families import (
+    _RULE_TABLE,
+    _RULES,
     FamilyRecord,
     RULE_PROVENANCE,
     above_half_list,
@@ -12,6 +16,7 @@ from fanolines.families import (
     expand_ci_degrees,
     family_outcome,
     line_families,
+    no_rule_reason,
     odd_dimension_list,
     recognition_list,
     symplectic_scroll,
@@ -274,10 +279,31 @@ def test_classification_lists_hold_their_invariants():
 
 
 def test_provenance_table_covers_the_rules():
-    constructors = " ".join(str(row["constructor"]) for row in RULE_PROVENANCE)
-    for name in ("LinearSpace", "Quadric", "Grassmann", "SympGrassmann",
-                 "CompleteIntersection", "PolarizedProduct", "ProjBundleP1",
-                 "LinearSectionG25"):
-        assert name in constructors
+    # One row per provenance row, each naming its constructor, and exactly
+    # one row with a rule per constructor.
+    from fanolines.catalog import build_catalog
+
+    for ctor, _, row in _RULE_TABLE:
+        name = "recognition" if ctor is None else ctor.__name__
+        assert row["constructor"].startswith(name), row
+    ruled = Counter(ctor for ctor, rule, _ in _RULE_TABLE if rule is not None)
+    assert set(ruled) == set(_RULES) and set(ruled.values()) == {1}
     statuses = {row["status"] for row in RULE_PROVENANCE}
     assert statuses == {"classical", "conjectural", "none"}
+
+    # Every covered term finds its rule, and a ruleless case's rule returns
+    # the text that NoRule carries.
+    no_rule = []
+    for v in [*build_catalog(20, 5), SympGrassmann(3, 7), LinearSectionG25(2)]:
+        _, end = family_outcome(v)
+        if end in ("is_point", "not_covered"):
+            continue
+        assert type(v) in _RULES, to_text(v)
+        if end == "no_rule":
+            reason = no_rule_reason(v)
+            assert reason.__class__ is str
+            with pytest.raises(NoRule) as err:
+                line_families(v)
+            assert str(err.value) == reason
+            no_rule.append(to_text(v))
+    assert "SG(3,7)" in no_rule and "LS(G(2,5),2)" in no_rule

@@ -15,6 +15,9 @@ Grassmannian's, and no other row moved.  The
 family-outcome digest was recorded before the family rules became a table
 keyed on the constructor; it covers every family, or the reason a chain ends,
 of every term of ``build_catalog(20, 5)`` and of the edge cases listed below.
+The rule-provenance digest, of ``json.dumps(RULE_PROVENANCE)``, was recorded
+before the rules, their ``NoRule`` texts and their provenance rows became one
+table.
 """
 
 import contextlib
@@ -33,7 +36,7 @@ from fanolines.chains import max_linear_in
 from fanolines.cli import main
 from fanolines.dsl import to_text
 from fanolines.errors import EngineError
-from fanolines.families import FamilyRecord, family_outcome
+from fanolines.families import RULE_PROVENANCE, FamilyRecord, family_outcome
 from fanolines.terms import (
     LinearSectionG25,
     LinearSpace,
@@ -82,6 +85,8 @@ PINNED = {
         "ed12bfb20e515f7d875fdf81705f9e885988f3c38d6194fab70f975025b6a24f",
     "family outcomes":
         "48cd478a7565b3640d43091523fef4b803f2b1cd79122656c4a616977b42b356",
+    "rule provenance":
+        "950c5b453b0067d3eeb480752d97dabc482e883a03a3e7d7c8da57d008f6325e",
 }
 
 
@@ -231,3 +236,7 @@ def test_family_outcomes_are_pinned():
         cells = [f"{to_text(f.variety)}:{f.ambient_pt_dim}:{f.span_in_pt}" for f in records]
         rows.append("|".join([to_text(v), *(cells or [end])]))
     assert _sha("\n".join(rows).encode()) == PINNED["family outcomes"]
+
+
+def test_rule_provenance_is_pinned():
+    assert _sha(json.dumps(RULE_PROVENANCE).encode()) == PINNED["rule provenance"]
