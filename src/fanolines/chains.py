@@ -1,8 +1,8 @@
-"""The chain invariant: memoized recursion over iterated families of lines.
+"""The chain invariant: a memoized walk over iterated families of lines.
 
 A chain X |= H_1 |= ... |= H_m iterates the family-of-lines construction as
 long as each step is covered by lines; the invariant S is the greatest
-attainable chain length.  The recursion is exact whenever every branch has a
+attainable chain length.  The invariant is exact whenever every branch has a
 rewrite rule; a ruleless branch degrades the result to a lower bound, unless
 the exact branches already attain the cap S <= dim placed on the unknown one.
 
@@ -10,8 +10,13 @@ The family rules live in :mod:`fanolines.families`.  The invariant, the
 realizing chains and the covering bound read only the family varieties,
 through :func:`~fanolines.families.family_outcome`, which builds no
 :class:`~fanolines.families.FamilyRecord`.  The invariant is the one
-memoized walk over the chains below a term: it recurses one frame per chain
-step and stores nothing per node beyond its memo.
+memoized walk over the chains below a term.  It follows each run of
+single-family nodes (P -> P, Q -> Q, CI -> CI, the linear tail below a scroll
+or a Segre product) in a loop and stores the run's values on the way back
+up; only a node with several families (a product with several degree-1
+factors, whose families are linear spaces) recurses, so the depth of the
+Python stack does not grow with the chain.  Nothing is stored per node
+beyond the memo.
 
 The maximal linear subspace is an engine view, next to the covering bound:
 the normal form's ruling table, or else its invariant as a lower bound.
@@ -48,9 +53,11 @@ class ChainEngine:
 
     Results are pure functions of the term, so concurrent use is safe up to
     idempotent re-insertion of identical memo entries.  Identical subchains
-    (linear-space tails in particular) dominate the recursion, which is why
-    memo keys are normalized terms.  The invariant is the only memoized
-    quantity; chains are rebuilt on every call, guided by it.
+    (linear-space tails in particular) dominate the walk, which is why memo
+    keys are normalized terms.  A single-family run is walked in a loop, so
+    the answer at any depth does not depend on how warm the memo is.  The
+    invariant is the only memoized quantity; chains are rebuilt on every
+    call, guided by it.
     """
 
     def __init__(self):
@@ -58,27 +65,40 @@ class ChainEngine:
 
     def s_invariant(self, v: VarietyTerm) -> Bound:
         """Greatest chain length below ``v`` (0 when not covered by lines)."""
+        memo = self._s_memo
         key = normalize(v)
-        cached = self._s_memo.get(key)
-        if cached is not None:
-            return cached
-        fams, end = family_outcome(v)
-        if end == "no_rule":
-            # Covered by lines, so a chain of length one exists; nothing
-            # more can be said without a rule.
-            out = at_least(1)
-        else:
-            best = 0  # also the value where no family exists
-            cap = 0  # what the inexact branches could reach at most
-            for fam, _, _ in fams:
-                sub = self.s_invariant(fam)
-                best = max(best, 1 + sub.value)
-                if not sub.is_exact:
-                    # The unknown branch can reach at most the dimension of
-                    # its variety.
-                    cap = max(cap, 1 + dim(fam))
-            out = exact(best) if cap <= best else at_least(best)
-        self._s_memo[key] = out
+        out = memo.get(key)
+        if out is not None:
+            return out
+        run = []  # (key, family) of each single-family node walked through
+        while out is None:
+            fams, end = family_outcome(v)
+            if len(fams) == 1:
+                v = fams[0][0]
+                run.append((key, v))
+                key = normalize(v)
+                out = memo.get(key)
+            elif end == "no_rule":
+                # Covered by lines, so a chain of length one exists; nothing
+                # more can be said without a rule.
+                out = memo[key] = at_least(1)
+            else:
+                best = 0  # also the value where no family exists
+                cap = 0  # what the inexact branches could reach at most
+                for fam, _, _ in fams:
+                    sub = self.s_invariant(fam)
+                    best = max(best, 1 + sub.value)
+                    if not sub.is_exact:
+                        # The unknown branch can reach at most the dimension
+                        # of its variety.
+                        cap = max(cap, 1 + dim(fam))
+                out = memo[key] = exact(best) if cap <= best else at_least(best)
+        # Back up the run: one family is exact when its value is, or when it
+        # already reaches the cap dim(family) of the loop above.
+        for key, fam in reversed(run):
+            value = 1 + out.value
+            out = exact(value) if out.is_exact or out.value >= dim(fam) else at_least(value)
+            memo[key] = out
         return out
 
     def witness_chain(self, v: VarietyTerm) -> list[VarietyTerm]:
@@ -95,9 +115,10 @@ class ChainEngine:
     def realizing_chains(self, v: VarietyTerm) -> Iterator[list[VarietyTerm]]:
         """Every chain below ``v`` whose length attains the invariant's value.
 
-        Depth first, with the families of each node in sort order.  Pending
-        nodes wait on an explicit stack; the one current path is copied only
-        when a chain is yielded.
+        Depth first, with the families of each node in sort order.  A node
+        with one realizing step extends the current path in place; pending
+        nodes of a branch wait on an explicit stack.  The one current path
+        is copied only when a chain is yielded.
         """
         top = self.s_invariant(v).value
         path: list[VarietyTerm] = []
@@ -107,6 +128,11 @@ class ChainEngine:
             del path[depth:]
             path.append(node)
             steps = self._realizing_steps(node, top - depth)
+            while len(steps) == 1:
+                node = steps[0]
+                depth += 1
+                path.append(node)
+                steps = self._realizing_steps(node, top - depth)
             if steps:
                 stack.extend((step, depth + 1) for step in reversed(steps))
             else:

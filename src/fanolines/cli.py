@@ -6,7 +6,8 @@ to a structured envelope that validates against the schema shipped at
 an all-pass verification, 1 on verification failures and domain errors, 2 on
 usage, parse, or term-validation errors, on sizes above ``SIZE_CAPS`` or
 integers above ``TERM_INT_CAP``, on a negative ``classify --dim`` or ``--s``,
-and on terms too deep for the recursive chain engine.
+and, for ``s``, ``chain``, ``cover`` and ``trace``, on a covered term whose
+chain invariant may exceed ``DEPTH_CAP``.
 
 Each subcommand is a handler and a renderer, paired in ``_COMMANDS``.  The
 handler returns the exit code and one payload, the envelope's ``result``;
@@ -35,7 +36,7 @@ from .families import FamilyRecord, family_outcome, no_rule_reason
 from .reports import report_text
 from .secant import (DEFAULT_PRIMES, DEFAULT_SEED, RankConfig, expected_secant_dim,
                      secant_row, segre_veronese, scroll)
-from .terms import Bound, dim, normalize
+from .terms import Bound, covered_by_lines, dim, family_dim, normalize
 from .trace import classification_trace
 
 CHAIN_SYMBOL = " ⊨ "  # the "has a family of lines" turnstile
@@ -56,6 +57,17 @@ SIZE_CAPS = {
 #: of it (SG(2,N), CI(d;N)).  At the cap the slowest term command measured,
 #: ``chain 'CI(999998;1000000)' --json``, takes 1.4 to 1.6 s on the same host.
 TERM_INT_CAP = 10**6
+
+#: Largest accepted upper bound 1 + family_dim(term) on the chain invariant of
+#: a covered term, for the commands that walk its chains (``s``, ``chain``,
+#: ``cover``, ``trace``).  At the cap, on the same host, ``s 'P(200000)'``
+#: takes 1.6 to 2.3 s, ``chain 'P(200000)' --json`` 2.5 to 3.5 s, ``cover
+#: 'SG(2,200002)'`` 1.3 to 1.7 s and ``trace 'SG(2,200002)'`` 2.4 to 3.1 s;
+#: the time and the memo grow linearly in the chain length.  The bound is
+#: S's own, not the dimension, so a high-dimensional term with a short chain,
+#: such as ``CI(999998;1000000)``, still answers.  On quadrics it is about
+#: twice S, so ``Q(200001)`` (S = 100000) is the deepest quadric accepted.
+DEPTH_CAP = 200_000
 
 
 def schema_path():
@@ -152,8 +164,20 @@ def _parse_term(expr: str):
     return term
 
 
+def _parse_chain_term(expr: str):
+    """Parse a term whose chains are walked, rejecting chains that may be
+    longer than DEPTH_CAP (a point, never covered, has no family dimension)."""
+    term = _parse_term(expr)
+    bound = 1 + family_dim(term) if covered_by_lines(term) else 0
+    if bound > DEPTH_CAP:
+        raise ValidationError(f"the chain invariant of the term may reach {bound},"
+                              f" above the cap {DEPTH_CAP}; larger inputs are rejected",
+                              component="cli")
+    return term
+
+
 def _cmd_s(args):
-    term = _parse_term(args.expr)
+    term = _parse_chain_term(args.expr)
     sv = default_engine().s_invariant(term)
     return 0, {"term": to_text(term), "canonical": to_text(normalize(term)),
                "s": sv._asdict()}
@@ -164,7 +188,7 @@ def _render_s(r, quiet):
 
 
 def _cmd_chain(args):
-    term = _parse_term(args.expr)
+    term = _parse_chain_term(args.expr)
     eng = default_engine()
     chain = eng.witness_chain(term)
     return 0, {"term": to_text(term), "chain": [to_text(t) for t in chain],
@@ -202,7 +226,7 @@ def _render_families(r, quiet):
 
 
 def _cmd_cover(args):
-    term = _parse_term(args.expr)
+    term = _parse_chain_term(args.expr)
     return 0, {"term": to_text(term), "at_least": default_engine().covering_ls_bound(term).value}
 
 
@@ -235,7 +259,7 @@ def _render_verify(r, quiet):
 
 
 def _cmd_trace(args):
-    term = _parse_term(args.expr)
+    term = _parse_chain_term(args.expr)
     trace = classification_trace(term)
     return 0, {
         "term": to_text(term),
@@ -304,11 +328,6 @@ def main(argv: list[str] | None = None) -> int:
     except EngineError as err:  # bad input exits 2, a domain error 1
         print(f"{err.component}: {err}", file=sys.stderr)
         return 2 if isinstance(err, (ParseError, ValidationError)) else 1
-    except RecursionError:
-        print("cli: the term is too deep for the recursive chain engine"
-              " (chain invariant S above about 990); larger inputs are rejected",
-              file=sys.stderr)
-        return 2
     if args.json:
         envelope = {"command": args.command, "result": payload}
         if "seed" in payload:  # the randomized command echoes its seed

@@ -1,7 +1,14 @@
 """Chain invariant, witness chains, trees, and covering bounds."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import fanolines
 from fanolines.chains import (
     ChainEngine,
     covering_ls_bound,
@@ -370,9 +377,57 @@ def test_views_do_not_depend_on_the_presentation_asked_first(first, second):
 
 
 def test_realizing_chains_walk_is_not_bounded_by_the_recursion_limit():
-    # S(Q^1501) = 750 keeps the recursive invariant below the default limit;
-    # the walk itself keeps its path on an explicit stack.
-    chains = list(ChainEngine().realizing_chains(Quadric(1501)))
+    # S(Q^5001) = 2500: the invariant and the walk both spend no stack frame
+    # per chain step.
+    chains = list(ChainEngine().realizing_chains(Quadric(5001)))
     assert len(chains) == 1
-    assert len(chains[0]) == 751
-    assert chains[0][0] == Quadric(1501) and chains[0][-1] == Quadric(1)
+    assert len(chains[0]) == 2501
+    assert chains[0][0] == Quadric(5001) and chains[0][-1] == Quadric(1)
+
+
+#: Run in a fresh process under a recursion limit of 120 frames: every view
+#: of each deep term, each on a cold engine.
+_LOW_LIMIT_SCRIPT = """
+import json, sys
+from fanolines.chains import ChainEngine
+from fanolines.dsl import parse_variety
+from fanolines.errors import PreconditionFailed
+from fanolines.trace import classification_trace
+sys.setrecursionlimit(120)
+out = {}
+for text in sys.argv[1:]:
+    term = parse_variety(text)
+    sv = ChainEngine().s_invariant(term)
+    chain = ChainEngine().witness_chain(term)
+    try:
+        trace = classification_trace(term, ChainEngine())
+        verdict = [trace.verdict, len(trace.chain_dims)]
+    except PreconditionFailed:
+        verdict = None
+    out[text] = [sv.kind, sv.value, len(chain), chain[0] == term,
+                 ChainEngine().covering_ls_bound(term).value, verdict]
+print(json.dumps(out))
+"""
+
+#: Closed forms: S(P^n) = n, S(Q^(2m+1)) = m, S(G(2,m+2)) = m, S(SG(2,m+3)) =
+#: m and S(P^a x P^b) = 1 + max(a, b) - 1; the covering bound equals S on
+#: each, and only Q^(2m+1) and SG(2,m+3) meet the trace's preconditions.
+_LOW_LIMIT_ANSWERS = {
+    "P(5000)": ["exact", 5000, 5001, True, 5000, None],
+    "Q(10001)": ["exact", 5000, 5001, True, 5000, ["a", 5001]],
+    "G(2,5002)": ["exact", 5000, 5001, True, 5000, None],
+    "SG(2,5003)": ["exact", 5000, 5001, True, 5000, ["b", 5001]],
+    "Prod(P(3000):1,P(2000):1)": ["exact", 3000, 3001, True, 3000, None],
+}
+
+
+def test_deep_views_stay_within_a_low_recursion_limit():
+    # Only a node with several families recurses, and its families are
+    # linear spaces, so the stack depth does not grow with the chain.
+    src = str(Path(fanolines.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _LOW_LIMIT_SCRIPT, *_LOW_LIMIT_ANSWERS],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == _LOW_LIMIT_ANSWERS

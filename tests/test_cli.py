@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from jsonschema import validate
 
 import fanolines
-from fanolines.cli import _COMMANDS, SIZE_CAPS, load_schema, main
+from fanolines import cli
+from fanolines.cli import _COMMANDS, DEPTH_CAP, SIZE_CAPS, TERM_INT_CAP, load_schema, main
 
 
 @pytest.fixture(scope="module")
@@ -267,24 +268,48 @@ def test_non_integer_seed_env_exits_2_from_a_fresh_process():
     assert proc.stderr == "cli: FANOLINES_SEED must be an integer, got 'abc'\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ("s", "P(2000)"), ("chain", "P(2000)"), ("cover", "P(2000)"), ("trace", "Q(2001)"),
-])
+#: One term per chain-walking command whose bound 1 + family_dim on the
+#: chain invariant is DEPTH_CAP + 1.
+ABOVE_DEPTH_CAP = [
+    ("s", "P(200001)"), ("chain", "Q(200002)"), ("cover", "G(2,200002)"),
+    ("trace", "SG(2,200003)"),
+]
+
+
+@pytest.mark.parametrize("argv", ABOVE_DEPTH_CAP)
 def test_too_deep_terms_exit_2_without_a_traceback(argv):
     proc = _fresh_cli(*argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr.startswith("cli: the term is too deep")
-    assert proc.stderr.count("\n") == 1
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr == (f"cli: the chain invariant of the term may reach {DEPTH_CAP + 1},"
+                           f" above the cap {DEPTH_CAP}; larger inputs are rejected\n")
 
 
-#: Deep queries a fresh process must answer under the default recursion
-#: limit of 1,000 frames.  The chain invariant takes one frame per chain
-#: step, so S = 900 answers; a second frame per step would fail them all.
-#: Each maps to its closed form: S(P^n) = n, S(Q^n) = floor(n/2),
-#: S(G(2,m+2)) = m and S(SG(2,m+3)) = m, and the traces of Q^(2m+1) and
-#: SG(2,m+3) end in verdicts (a) and (b).
+@pytest.mark.parametrize("argv", ABOVE_DEPTH_CAP)
+def test_depth_cap_is_checked_before_the_engine_runs(capsys, monkeypatch, argv):
+    def engine_ran(*_):
+        raise AssertionError("the engine ran on a term above the depth cap")
+
+    monkeypatch.setattr(cli, "default_engine", engine_ran)
+    monkeypatch.setattr(cli, "classification_trace", engine_ran)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("cli: the chain invariant of the term may reach")
+
+
+def test_depth_cap_bounds_the_invariant_not_the_dimension(capsys):
+    # dim 999,999 with families of dimension 1: S <= 2, so the term answers.
+    code, out, err = run(capsys, "s", "CI(999998;1000000)")
+    assert (code, out, err) == (0, "S = 1 (exact)\n", "")
+
+
+#: Deep queries a fresh process must answer, cold, under the default
+#: recursion limit of 1,000 frames.  The invariant walks each single-family
+#: run in a loop and the witness walk extends its path in place, so S does
+#: not spend a stack frame per chain step: S = 2,000 answers as S = 900
+#: does, and so does S = DEPTH_CAP.  Each maps to its closed form: S(P^n) =
+#: n, S(Q^n) = floor(n/2), S(G(2,m+2)) = m and S(SG(2,m+3)) = m, and the
+#: traces of Q^(2m+1) and SG(2,m+3) end in verdicts (a) and (b).
 DEEP_ANSWERS = [
     (("s", "P(900)"), {"s": {"kind": "exact", "value": 900}}),
     (("chain", "Q(1800)"), {"s": {"kind": "exact", "value": 900}, "length": 901}),
@@ -292,6 +317,11 @@ DEEP_ANSWERS = [
     (("s", "SG(2,903)"), {"s": {"kind": "exact", "value": 900}}),
     (("trace", "Q(1801)"), {"verdict": "a", "length": 901}),
     (("trace", "SG(2,903)"), {"verdict": "b", "length": 901}),
+    (("s", "P(2000)"), {"s": {"kind": "exact", "value": 2000}}),
+    (("chain", "P(2000)"), {"s": {"kind": "exact", "value": 2000}, "length": 2001}),
+    (("cover", "P(2000)"), {"at_least": 2000}),
+    (("trace", "Q(2001)"), {"verdict": "a", "length": 1001}),
+    (("s", f"P({DEPTH_CAP})"), {"s": {"kind": "exact", "value": DEPTH_CAP}}),
 ]
 
 
@@ -456,6 +486,18 @@ grammar_terms = st.one_of(
     st.builds("LS(G(2,5),{})".format, small_ints),
 )
 
+#: Deep terms by the invariant S they reach: S(P^s) = s, S(Q^(2s+1)) = s,
+#: S(G(2,s+2)) = s and S(SG(2,s+3)) = s.  S is drawn at depth (1,000 to
+#: 3,000), or with the bound 1 + family_dim above DEPTH_CAP, where the
+#: commands that walk chains reject the term; every integer stays within
+#: TERM_INT_CAP.
+deep_terms = st.builds(
+    lambda form, s: form(s),
+    st.sampled_from(["P({})".format, lambda s: f"Q({2 * s + 1})",
+                     lambda s: f"G(2,{s + 2})", lambda s: f"SG(2,{s + 3})"]),
+    st.one_of(st.integers(1000, 3000), st.integers(DEPTH_CAP + 1, TERM_INT_CAP // 2 - 2)),
+)
+
 #: Characters a mutation may insert: the grammar's symbols, digits and the
 #: letters of its names, a space and a few the grammar lacks ("-" is left
 #: out: argparse reads a leading one as an option, and usage errors are its own).
@@ -464,7 +506,7 @@ _MUTANT_CHARS = "(),;:PQGSCIBLrodt0123456789 x.+３"
 
 @st.composite
 def mutated_terms(draw):
-    term = draw(grammar_terms)
+    term = draw(deep_terms if draw(st.integers(0, 9)) == 9 else grammar_terms)  # deep: rare
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):  # most terms kept whole
         i = draw(st.integers(0, len(term)))
         op = draw(st.sampled_from(["insert", "delete", "duplicate"]))

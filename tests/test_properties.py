@@ -5,7 +5,8 @@ from hypothesis import given, settings
 
 from fanolines.chains import ChainEngine, max_linear_in
 from fanolines.dsl import parse_variety, to_text
-from fanolines.errors import EngineError, NoRule, NotCoveredByLines
+from fanolines.catalog import build_catalog
+from fanolines.errors import EngineError, NoRule, NotCoveredByLines, PreconditionFailed
 from fanolines.families import expand_ci_degrees, family_outcome, line_families
 from fanolines.terms import (
     CompleteIntersection,
@@ -26,9 +27,10 @@ from fanolines.terms import (
     normalize,
     picard_number,
 )
+from fanolines.trace import classification_trace
 
-# Bounds keep the chain recursion and catalogs small; they exercise every
-# constructor arm all the same.
+# Bounds keep the catalogs and each example small; they exercise every
+# constructor arm all the same.  The deep arm below reaches dimension 5,000.
 
 linear_spaces = st.integers(0, 12).map(LinearSpace)
 quadrics = st.integers(1, 12).map(Quadric)
@@ -195,3 +197,62 @@ def test_expand_ci_degrees_matches_the_naive_expansion(degrees):
     expected = _expand_ci_degrees_reference(degrees)
     assert expand_ci_degrees(tuple(degrees)) == expected
     assert expand_ci_degrees(tuple(sorted(degrees))) == expected
+
+
+#: Deep terms up to dimension about 5,000, in several presentations: chains
+#: of every depth up to 5,000 (P^n, Q^n, G(2,N) and G(N-2,N), SG(2,N), a
+#: quadric written as CI(2;N)), short chains from a big complete
+#: intersection, and products and scrolls with large linear tails.
+deep_terms = st.one_of(
+    st.integers(1, 5000).map(LinearSpace),
+    st.integers(1, 5000).map(Quadric),
+    st.integers(4, 2502).map(lambda N: Grassmann(2, N)),
+    st.integers(4, 2502).map(lambda N: Grassmann(N - 2, N)),
+    st.integers(5, 2502).map(lambda N: SympGrassmann(2, N)),
+    st.tuples(st.lists(st.integers(2, 4), min_size=1, max_size=3), st.integers(100, 5000)).map(
+        lambda dn: CompleteIntersection(tuple(dn[0]), dn[1])),
+    st.lists(st.tuples(st.integers(1, 2500), st.integers(1, 2)), min_size=2, max_size=3).filter(
+        lambda fs: sum(n for n, _ in fs) <= 5000).map(lambda fs: PolarizedProduct(tuple(fs))),
+    st.tuples(st.integers(1, 3), st.integers(2, 5000)).map(
+        lambda dk: ProjBundleP1((dk[0],) + (1,) * (dk[1] - 1))),
+)
+
+
+def _deep_views(eng, v) -> tuple:
+    """S, the witness chain (in normal forms), the covering bound and the
+    trace (without its subject), or the exception the trace raises."""
+    witness = [normalize(t) for t in eng.witness_chain(v)] if covered_by_lines(v) else None
+    try:
+        report = classification_trace(v, eng)
+        trace = (report.chain_dims, report.case_tag, report.inequality_lines, report.verdict,
+                 report.conjecture_used)
+    except PreconditionFailed:
+        trace = PreconditionFailed
+    return eng.s_invariant(v), witness, eng.covering_ls_bound(v), trace
+
+
+@settings(max_examples=20, deadline=None)
+@given(deep_terms, deep_terms)
+def test_deep_views_do_not_depend_on_warmth_order_or_presentation(u, v):
+    cold = {u: _deep_views(ChainEngine(), u), v: _deep_views(ChainEngine(), v)}
+    for first, second in ((u, v), (v, u)):  # each term warmed by the other
+        eng = ChainEngine()
+        assert _deep_views(eng, first) == cold[first]
+        assert _deep_views(eng, second) == cold[second]
+    assert _deep_views(ChainEngine(), normalize(u)) == cold[u]
+
+
+def _within_family_bound(eng, v) -> bool:
+    """S <= 1 + family_dim on a covered term: the CLI's depth cap rests on it."""
+    return not covered_by_lines(v) or eng.s_invariant(v).value <= 1 + family_dim(v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(deep_terms)
+def test_s_is_at_most_one_more_than_the_family_dimension_at_depth(v):
+    assert _within_family_bound(ChainEngine(), v)
+
+
+def test_s_is_at_most_one_more_than_the_family_dimension_on_the_catalog():
+    eng = ChainEngine()
+    assert [to_text(v) for v in build_catalog(20, 5) if not _within_family_bound(eng, v)] == []
