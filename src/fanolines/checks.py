@@ -46,10 +46,19 @@ def _bump_nonzero(rep: SuiteReport, counter: str, by: int):
 
 def classify_by_s(cat: Catalog, n: int, s: int,
                   engine: ChainEngine | None = None) -> list[VarietyTerm]:
-    """Catalog members of dimension n, Picard number 1 and exact invariant s."""
+    """Catalog members of dimension n, Picard number 1 and exact invariant s.
+
+    S is asked only of members whose family of lines allows the value s:
+    S <= 1 + ``family_dim`` on a member covered by lines, and S = 0 on one
+    that is not, so for s >= 1 a member with ``family_dim`` below s - 1 is
+    skipped without asking S.  A wrong S on a skipped member is therefore
+    caught by the family-dimension property tests, not here.
+    """
     eng = engine or default_engine()
     out = []
     for v in cat.picard_one.by_dim.get(n, ()):
+        if s and v._family_dim() < s - 1:  # no wrapper call per member
+            continue
         sv = eng.s_invariant(v)
         if sv.is_exact and sv.value == s:
             out.append(v)
@@ -142,13 +151,21 @@ def verify_next_to_maximal(cat: Catalog, engine: ChainEngine | None = None) -> S
     O(d,1)), or list (ii), the scroll P(O(d+1) + O(d)^{n-1}); and every list
     member realizes S = dim - 1.  List-(ii) members must also pass the Fano
     twist inequality.
+
+    S <= 1 + ``family_dim``, and S = 0 on a member not covered by lines, so
+    S = n - 1 >= 1 needs a family of lines of dimension n - 2.  S is asked
+    only of the members that have one; the others are skipped, and every
+    record stays the same.  A wrong S on a skipped member is therefore
+    caught by the family-dimension property tests, not by this suite.
     """
     eng = engine or default_engine()
     rep = SuiteReport("prop32", {"n_max": cat.n_max, "deg_max": cat.deg_max})
     for v in cat:
-        n = dim(v)
+        n = v._dim()  # no wrapper calls: most members are skipped here
+        if n < 2 or v._family_dim() < n - 2:
+            continue
         sv = eng.s_invariant(v)
-        if not (sv.is_exact and sv.value == n - 1 >= 1):
+        if not (sv.is_exact and sv.value == n - 1):
             continue
         name = to_text(v)
         rep.add(name, "next-to-max.form", _next_to_max_form(v),

@@ -260,7 +260,14 @@ class PolarizedProduct(VarietyTerm):
     def _dim(self): return sum(map(itemgetter(0), self.factors))
     def _ambient_dim(self): return prod(comb(n + d, n) for n, d in self.factors) - 1
     def _picard_number(self): return len(self.factors)
-    def _family_dim(self): return max((n - 1 for n, d in self.factors if d == 1), default=-1)
+    def _family_dim(self):
+        # A loop, not a generator: products are most of a catalog, and both
+        # family_outcome and the prop32 suite ask this of each.
+        top = 0  # the largest degree-1 factor
+        for n, d in self.factors:
+            if d == 1 and n > top:
+                top = n
+        return top - 1
 
     def _max_linear_in(self):
         return exact(max((n for n, d in self.factors if d == 1), default=0))

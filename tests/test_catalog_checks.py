@@ -6,6 +6,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from fanolines.catalog import Catalog, build_catalog
+from fanolines.chains import ChainEngine
 from fanolines.checks import (
     classify_by_s,
     golden_suite,
@@ -30,6 +31,7 @@ from fanolines.terms import (
     at_least,
     dim,
     exact,
+    family_dim,
     is_fano,
     normalize,
     picard_number,
@@ -348,6 +350,75 @@ def test_suites_catch_wrong_values(cat15):
     rep = verify_classification(cat15, eng)
     assert not rep.ok
     assert any(r.term == "Q(9)" and "aborted" in r.detail for r in rep.failures)
+
+
+def test_next_to_maximal_suite_catches_wrong_values_it_keeps(cat15):
+    # Teeth check for the pruned suite: the skip keeps Q(7) (family
+    # dimension 5 = n - 2), so a wrong S = n - 1 there is a form failure;
+    # the list-(i) loop asks its members whatever their family dimension.
+    eng = ChainEngine()
+    eng._s_memo[normalize(Quadric(7))] = exact(6)  # true value is 3
+    rep = verify_next_to_maximal(cat15, eng)
+    assert any(r.term == "Q(7)" and r.check == "next-to-max.form" for r in rep.failures)
+
+    eng = ChainEngine()
+    eng._s_memo[normalize(PolarizedProduct(((1, 2), (2, 1))))] = exact(1)  # true value is 2
+    rep = verify_next_to_maximal(cat15, eng)
+    assert any(r.term == "Prod(P(1):2,P(2):1)" and r.check == "next-to-max.list-i-realizes"
+               for r in rep.failures)
+
+
+def test_next_to_maximal_skip_keeps_every_form_record(cat15):
+    # Unpruned definition, by hand on a fresh engine over every member.
+    eng = ChainEngine()
+    expected = set()
+    for v in cat15:
+        sv = eng.s_invariant(v)
+        if sv.is_exact and sv.value == dim(v) - 1 >= 1:
+            expected.add(to_text(v))
+    rep = verify_next_to_maximal(cat15, ChainEngine())
+    assert expected
+    assert {r.term for r in rep.records if r.check == "next-to-max.form"} == expected
+
+
+def test_next_to_maximal_suite_asks_s_only_where_a_family_of_dimension_n_minus_2_exists(cat15):
+    class Spy(ChainEngine):
+        """Records the terms the suite asks, not the engine's own recursion."""
+
+        def __init__(self):
+            super().__init__()
+            self.asked, self.depth = [], 0
+
+        def s_invariant(self, v):
+            if not self.depth:
+                self.asked.append(v)
+            self.depth += 1
+            try:
+                return super().s_invariant(v)
+            finally:
+                self.depth -= 1
+
+    eng = Spy()
+    verify_next_to_maximal(cat15, eng)
+    members = set(cat15.members)
+    asked = [v for v in eng.asked if v in members]
+    kept = [v for v in cat15 if dim(v) >= 2 and family_dim(v) >= dim(v) - 2]
+    assert 0 < len(kept) < len(cat15) // 10
+    assert set(asked) == set(kept)
+
+
+def test_classify_skip_matches_the_unpruned_filter(cat15):
+    eng = ChainEngine()
+    for n in range(2, 16):
+        for s in range(0, n + 1):
+            expected = []
+            for v in cat15:
+                if dim(v) != n or picard_number(v) != 1:
+                    continue
+                sv = eng.s_invariant(v)
+                if sv.is_exact and sv.value == s:
+                    expected.append(v)
+            assert classify_by_s(cat15, n, s, ChainEngine()) == expected, (n, s)
 
 
 def test_report_serialization_shape(cat15):

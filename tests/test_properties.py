@@ -243,8 +243,15 @@ def test_deep_views_do_not_depend_on_warmth_order_or_presentation(u, v):
 
 
 def _within_family_bound(eng, v) -> bool:
-    """S <= 1 + family_dim on a covered term: the CLI's depth cap rests on it."""
-    return not covered_by_lines(v) or eng.s_invariant(v).value <= 1 + family_dim(v)
+    """S <= 1 + family_dim on a covered term, and S = 0 on one that is not.
+
+    Three things rest on it: the CLI's depth cap, the skip in
+    ``checks.verify_next_to_maximal`` (S asked only where a family of
+    dimension n - 2 exists) and the skip in ``checks.classify_by_s`` (S
+    asked only where family_dim >= s - 1).
+    """
+    s = eng.s_invariant(v).value
+    return s <= 1 + family_dim(v) if covered_by_lines(v) else s == 0
 
 
 @settings(max_examples=40, deadline=None)
