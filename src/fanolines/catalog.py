@@ -16,7 +16,11 @@ is at most the dimension (the Fano condition), products as nested loops over
 the sorted factors that stop once the dimension passes ``n_max``.  No
 candidate is built only to be dropped by the dimension bound.  A candidate is
 normalized once, the guards and the index below ask the normal form's own
-constructor, and a member is printed once, as its sort key.
+constructor, and a member is printed once, as its sort key.  Members are
+deduplicated in enumeration order (a ``dict``, not a ``set``, so the key pass
+and the sort walk long runs that are already in order) and sorted once by
+``to_text``; every member prints to its own text, so the order is the same
+whatever container deduplicates.
 
 :attr:`Catalog.picard_one` indexes the Picard-number-1 members (the slice
 the classification suites and ``classify`` read) by dimension and counts
@@ -111,16 +115,16 @@ def _degree_sequences(deg_max: int, budget: int) -> Iterator[tuple[tuple[int, ..
 
 def build_catalog(n_max: int, deg_max: int) -> Catalog:
     """Enumerate each constructor within the bounds, normalize, deduplicate
-    and sort by ``to_text``; deterministic output."""
+    in enumeration order and sort once by ``to_text``; deterministic output."""
     if n_max < 2 or deg_max < 2:
         raise ValidationError("build_catalog requires n_max >= 2 and deg_max >= 2",
                               component="catalog")
-    found: set[VarietyTerm] = set()
+    found: dict[VarietyTerm, None] = {}  # insertion-ordered set
 
     def add(term: VarietyTerm):
         term = term._normalize()  # normalized once; asked directly from here on
         if 1 <= term._dim() <= n_max and term._is_fano():
-            found.add(term)
+            found[term] = None
 
     for n in range(1, n_max + 1):
         add(LinearSpace(n))

@@ -44,7 +44,7 @@ CHAIN_SYMBOL = " ⊨ "  # the "has a family of lines" turnstile
 #: Largest accepted value of each size option, per subcommand.  On a 2-vCPU
 #: host the largest accepted inputs take at most about 4 s a process (``secant
 #: --kind scroll -d 12 -m 12 --trials 8`` 1.9 to 2.6 s; at these caps ``verify
-#: --suite prop32`` 2.9 to 3.5 s, ``classify`` 2.0 to 2.3 s); beyond them the
+#: --suite prop32`` 1.2 to 1.8 s, ``classify`` 1.4 to 1.6 s); beyond them the
 #: time grows fast (cubically in the secant coordinate count (d+1)m+1, and
 #: steeply in both catalog bounds), so larger inputs are rejected, not run.
 SIZE_CAPS = {

@@ -167,6 +167,20 @@ def _parse_factor(toks: _Tokens) -> tuple[int, int]:
     return (n, d)
 
 
+def _product_format(arity: int) -> str:
+    return "Prod(" + ",".join(["P(%s):%s"] * arity) + ")"
+
+
+#: Every catalog product has two or three factors; other arities build their
+#: format on the spot, so no state grows with the terms printed.
+_PRODUCT_FORMATS = {arity: _product_format(arity) for arity in (2, 3)}
+
+
+def _product_text(v: PolarizedProduct) -> str:
+    facs = v.factors
+    return (_PRODUCT_FORMATS.get(len(facs)) or _product_format(len(facs))) % sum(facs, ())
+
+
 _FORMATS: dict[type[VarietyTerm], Callable[..., str]] = {
     Point: lambda v: "pt",
     LinearSpace: lambda v: f"P({v.n})",
@@ -174,7 +188,7 @@ _FORMATS: dict[type[VarietyTerm], Callable[..., str]] = {
     Grassmann: lambda v: f"G({v.k},{v.N})",
     SympGrassmann: lambda v: f"SG({v.k},{v.N})",
     CompleteIntersection: lambda v: "CI(" + ",".join(map(str, v.degrees)) + f";{v.N})",
-    PolarizedProduct: lambda v: "Prod(" + ",".join(["P(%s):%s" % f for f in v.factors]) + ")",
+    PolarizedProduct: _product_text,
     ProjBundleP1: lambda v: "PB(" + ",".join(map(str, v.twists)) + ")",
     LinearSectionG25: lambda v: f"LS(G(2,5),{v.c})",
 }

@@ -27,7 +27,7 @@ Grassmann(k=2, N=5)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 from math import comb, prod
 from operator import itemgetter
 from typing import NamedTuple
@@ -41,7 +41,7 @@ class Bound(NamedTuple):
     ``str`` names no quantity (``= 3 (exact)``, ``>= 1 (lower bound)``); a
     report prefixes the name of what it bounds, as in ``S = 3 (exact)``.
     Build them with :func:`exact` and :func:`at_least`, which share one
-    instance per (kind, value).
+    instance per (kind, value) among the most recently used values.
     """
 
     kind: str  # "exact" | "at_least"
@@ -57,12 +57,19 @@ class Bound(NamedTuple):
         return f">= {self.value} (lower bound)"
 
 
-@cache
+# Each distinct value S takes would otherwise leave one Bound behind for the
+# life of the process; deep walks take up to 200,000 of them.  A walk deeper
+# than the bound evicts at every node, so the bound sits above the S of every
+# catalog member and of chains a few thousand steps deep.
+_BOUNDS_KEPT = 4096
+
+
+@lru_cache(maxsize=_BOUNDS_KEPT)
 def exact(value: int) -> Bound:
     return Bound("exact", value)
 
 
-@cache
+@lru_cache(maxsize=_BOUNDS_KEPT)
 def at_least(value: int) -> Bound:
     return Bound("at_least", value)
 
@@ -82,7 +89,17 @@ class VarietyTerm:
     them: a term is its own normal form, has Picard number 1, is Fano and
     has no ruling table.  Picard number, Fano-ness and the maximal linear
     subspace are only asked of normal forms.
+
+    The constructors are frozen dataclasses with hand-written ``__slots__``
+    (``dataclass(slots=True)`` would re-create each class): an instance
+    holds its fields and nothing else, which keeps a catalog of 10^5
+    members small.
     """
+
+    __slots__ = ()
+
+    def __reduce__(self):  # a frozen slotted instance cannot be restored field by field
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     def _picard_number(self) -> int | None: return 1
     def _is_fano(self) -> bool: return True
@@ -93,6 +110,8 @@ class VarietyTerm:
 @dataclass(frozen=True)
 class Point(VarietyTerm):
     """A single point, the terminal object of every chain."""
+
+    __slots__ = ()
 
     def _dim(self): return 0
     def _ambient_dim(self): return 0
@@ -106,6 +125,7 @@ class Point(VarietyTerm):
 class LinearSpace(VarietyTerm):
     """P^n, linearly embedded."""
 
+    __slots__ = ("n",)
     n: int
 
     def __post_init__(self):
@@ -128,6 +148,7 @@ class LinearSpace(VarietyTerm):
 class Quadric(VarietyTerm):
     """Smooth quadric hypersurface Q^n in P^(n+1), n >= 1."""
 
+    __slots__ = ("n",)
     n: int
 
     def __post_init__(self):
@@ -148,6 +169,7 @@ class Quadric(VarietyTerm):
 class Grassmann(VarietyTerm):
     """G(k, C^N): k-dimensional subspaces of C^N, Pluecker embedded."""
 
+    __slots__ = ("k", "N")
     k: int
     N: int
 
@@ -179,6 +201,7 @@ class SympGrassmann(VarietyTerm):
     Picard number 1.  Family rewrite rules exist only for k = 2.
     """
 
+    __slots__ = ("k", "N")
     k: int
     N: int
 
@@ -205,6 +228,7 @@ class CompleteIntersection(VarietyTerm):
     dimension N - #degrees is >= 1.
     """
 
+    __slots__ = ("degrees", "N")
     degrees: tuple[int, ...]
     N: int
 
@@ -247,6 +271,7 @@ class PolarizedProduct(VarietyTerm):
     Factors (n_i, d_i) are stored sorted; n_i >= 1 and d_i >= 1.
     """
 
+    __slots__ = ("factors",)
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
@@ -254,8 +279,9 @@ class PolarizedProduct(VarietyTerm):
         object.__setattr__(self, "factors", facs)
         if len(facs) < 2:
             raise ValidationError("PolarizedProduct requires at least two factors")
-        if facs[0][0] < 1 or min(map(itemgetter(1), facs)) < 1:
-            raise ValidationError("PolarizedProduct factors require n_i >= 1 and d_i >= 1")
+        for n, d in facs:
+            if n < 1 or d < 1:
+                raise ValidationError("PolarizedProduct factors require n_i >= 1 and d_i >= 1")
 
     def _dim(self): return sum(map(itemgetter(0), self.factors))
     def _ambient_dim(self): return prod(comb(n + d, n) for n, d in self.factors) - 1
@@ -281,6 +307,7 @@ class ProjBundleP1(VarietyTerm):
     tautological bundle is very ample and the image is a smooth scroll.
     """
 
+    __slots__ = ("twists",)
     twists: tuple[int, ...]
 
     def __post_init__(self):
@@ -313,6 +340,7 @@ class ProjBundleP1(VarietyTerm):
 class LinearSectionG25(VarietyTerm):
     """General codimension-c linear section of G(2, C^5) in P^9, 0 <= c <= 4."""
 
+    __slots__ = ("c",)
     c: int
 
     def __post_init__(self):

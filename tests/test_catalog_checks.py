@@ -71,15 +71,19 @@ def test_catalog_3_3_contains_the_expected_members():
 
 
 def test_catalog_members_are_canonical_and_sorted():
-    cat = build_catalog(8, 3)
-    assert all(v == normalize(v) for v in cat)
-    names = [to_text(v) for v in cat]
-    assert names == sorted(names)
-    # duplicates under canonicalisation are gone
-    assert "G(3,5)" not in names and "G(2,5)" in names
-    assert "LS(G(2,5),0)" not in names and "LS(G(2,5),1)" not in names
-    assert "SG(2,5)" in names
-    assert "CI(2;4)" not in names and "Q(3)" in names
+    for n_max, deg_max in ((8, 3), (15, 4), (20, 5)):
+        cat = build_catalog(n_max, deg_max)
+        assert all(v == normalize(v) for v in cat)
+        names = [to_text(v) for v in cat]
+        # strictly increasing: every member prints to its own text, so the
+        # order does not depend on the container that deduplicates
+        assert names == sorted(set(names))
+        assert cat.members == tuple(sorted(set(cat.members), key=to_text))
+        # duplicates under canonicalisation are gone
+        assert "G(3,5)" not in names and "G(2,5)" in names
+        assert "LS(G(2,5),0)" not in names and "LS(G(2,5),1)" not in names
+        assert "SG(2,5)" in names
+        assert "CI(2;4)" not in names and "Q(3)" in names
 
 
 def test_catalog_is_deterministic():
@@ -211,6 +215,13 @@ def test_bounds_are_interned_and_compare_and_hash_as_before():
     assert exact(3) != at_least(3) and exact(3) != exact(4)
     assert {exact(3): "x"}[Bound("exact", 3)] == "x"
     assert exact(3).is_exact and not at_least(3).is_exact
+
+
+def test_bound_caches_stay_bounded_after_a_deep_walk():
+    ChainEngine().s_invariant(LinearSpace(20000))
+    for make in (exact, at_least):
+        info = make.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 # ---------------------------------------------------------------------------

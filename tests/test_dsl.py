@@ -189,6 +189,18 @@ def test_formatter_table_covers_every_constructor():
         assert parse_variety(to_text(v)) == v
 
 
+@pytest.mark.parametrize("arity", [2, 3, 4, 5, 6])
+def test_products_print_the_reference_form_at_every_arity(arity):
+    # Two and three factors print from a table, the others from a format
+    # built on the spot; both must give the factor-by-factor text.
+    for pairs in ([(1, 1), (2, 3)], [(12, 1), (3, 10)], [(10, 25), (1, 2), (99, 7)]):
+        factors = tuple(sorted((pairs * arity)[:arity]))
+        term = PolarizedProduct(factors)
+        text = to_text(term)
+        assert text == "Prod(" + ",".join("P(%s):%s" % f for f in factors) + ")"
+        assert parse_variety(text) == term
+
+
 @pytest.mark.parametrize("value", ["P(3)", None, 3, (1, 2), VarietyTerm()])
 def test_printing_a_non_term_is_a_type_error(value):
     with pytest.raises(TypeError) as err:

@@ -1,5 +1,7 @@
 """Tables of classical invariants: dimensions, predicates, canonical forms."""
 
+import copy
+import pickle
 from dataclasses import fields
 
 import pytest
@@ -49,7 +51,15 @@ def test_constructors_are_variety_terms_holding_only_their_fields():
                          covered_by_lines):
             question(v)
         assert tuple(f.name for f in fields(v)) == names
-        assert tuple(vars(v)) == names
+        assert type(v).__slots__ == names and not hasattr(v, "__dict__")
+    assert set(VarietyTerm.__subclasses__()) == {type(v) for v in expected}
+
+
+@pytest.mark.parametrize("v", [Point(), LinearSpace(3), CompleteIntersection((3, 2), 7),
+                               PolarizedProduct(((3, 1), (1, 2))), ProjBundleP1((1, 2))])
+def test_slotted_frozen_terms_pickle_and_copy(v):
+    for back in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)):
+        assert back == v and type(back) is type(v)
 
 
 # ---------------------------------------------------------------------------
