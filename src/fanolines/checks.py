@@ -17,6 +17,7 @@ from .families import (
     even_dimension_list,
     family_outcome,
     half_dim_cover_list,
+    next_to_max_list,
     odd_dimension_list,
     recognition_list,
 )
@@ -24,7 +25,6 @@ from .reports import SuiteReport
 from .terms import (
     Grassmann,
     LinearSpace,
-    PolarizedProduct,
     ProjBundleP1,
     Quadric,
     SympGrassmann,
@@ -126,23 +126,6 @@ def verify_classification(cat: Catalog, engine: ChainEngine | None = None) -> Su
 # next-to-maximal invariant
 
 
-def _next_to_max_form(v: VarietyTerm) -> bool:
-    """Is v one of the two S = dim - 1 families, in normal form?"""
-    n = dim(v)
-    match v:
-        case PolarizedProduct(factors) if len(factors) == 2:
-            a, b = factors
-            for first, second in ((a, b), (b, a)):
-                if first == (n - 1, 1) and second[0] == 1 and second[1] >= 1:
-                    return True
-            return False
-        case ProjBundleP1(twists):
-            d = twists[-1]
-            return twists == (d + 1,) + (d,) * (n - 1)
-        case _:
-            return False
-
-
 def verify_next_to_maximal(cat: Catalog, engine: ChainEngine | None = None) -> SuiteReport:
     """Members with S = dim - 1 are exactly the two bundle families.
 
@@ -150,7 +133,8 @@ def verify_next_to_maximal(cat: Catalog, engine: ChainEngine | None = None) -> S
     S = dim - 1 >= 1 normalizes into list (i), the product (P^1 x P^{n-1},
     O(d,1)), or list (ii), the scroll P(O(d+1) + O(d)^{n-1}); and every list
     member realizes S = dim - 1.  List-(ii) members must also pass the Fano
-    twist inequality.
+    twist inequality.  Both directions read the lists from
+    :func:`~fanolines.families.next_to_max_list`.
 
     S <= 1 + ``family_dim``, and S = 0 on a member not covered by lines, so
     S = n - 1 >= 1 needs a family of lines of dimension n - 2.  S is asked
@@ -160,6 +144,10 @@ def verify_next_to_maximal(cat: Catalog, engine: ChainEngine | None = None) -> S
     """
     eng = engine or default_engine()
     rep = SuiteReport("prop32", {"n_max": cat.n_max, "deg_max": cat.deg_max})
+    # A member's d is at most deg_max (a product degree) or n_max (a scroll
+    # twist, trivial scrolls included), so each list runs to the larger.
+    d_max = max(cat.n_max, cat.deg_max)
+    forms = {n: frozenset(next_to_max_list(n, d_max)) for n in range(2, cat.n_max + 1)}
     for v in cat:
         n = v._dim()  # no wrapper calls: most members are skipped here
         if n < 2 or v._family_dim() < n - 2:
@@ -168,21 +156,16 @@ def verify_next_to_maximal(cat: Catalog, engine: ChainEngine | None = None) -> S
         if not (sv.is_exact and sv.value == n - 1):
             continue
         name = to_text(v)
-        rep.add(name, "next-to-max.form", _next_to_max_form(v),
+        rep.add(name, "next-to-max.form", v in forms[n],
                 "S = dim - 1 must normalize into list (i) or (ii)")
         if isinstance(v, ProjBundleP1):
             rep.add(name, "next-to-max.fano-inequality", is_fano(v),
                     "sum of twists <= k * min + 1")
     for n in range(2, cat.n_max + 1):
-        for d in range(1, cat.deg_max + 1):
-            member_i = PolarizedProduct(((1, d), (n - 1, 1)))
-            sv = eng.s_invariant(member_i)
-            rep.add(to_text(member_i), "next-to-max.list-i-realizes",
-                    sv.is_exact and sv.value == n - 1,
-                    f"expected exact S = {n - 1}, got S {sv}")
-            member_ii = ProjBundleP1((d + 1,) + (d,) * (n - 1))
-            sv = eng.s_invariant(member_ii)
-            rep.add(to_text(member_ii), "next-to-max.list-ii-realizes",
+        for member in next_to_max_list(n, cat.deg_max):
+            sv = eng.s_invariant(member)
+            which = "ii" if isinstance(member, ProjBundleP1) else "i"
+            rep.add(to_text(member), f"next-to-max.list-{which}-realizes",
                     sv.is_exact and sv.value == n - 1,
                     f"expected exact S = {n - 1}, got S {sv}")
     return rep

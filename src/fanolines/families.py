@@ -30,8 +30,9 @@ reads it backward as the conjectural rule.  The lists are
 :func:`family_codim3_list`, the three lists of the classification by large
 invariant: :func:`above_half_list` (2S > n), :func:`even_dimension_list`
 (2S = n) and :func:`odd_dimension_list` (2S = n - 1) with its verdict
-letters, and :func:`half_dim_cover_list`, the varieties covered by linear
-spaces of at least half their dimension, built from the first two.
+letters; :func:`half_dim_cover_list`, the varieties covered by linear
+spaces of at least half their dimension, built from the first two; and
+:func:`next_to_max_list`, the bundle lists (i) and (ii) with S = n - 1.
 Recognition, the verification suites and the traces all read them.
 """
 
@@ -327,6 +328,19 @@ def above_half_list(n: int) -> tuple[VarietyTerm, ...]:
     """The varieties of dimension n >= 1 with chain invariant S > n/2, in
     normal form: P^n alone."""
     return (LinearSpace(n),)
+
+
+def next_to_max_list(n: int, d_max: int) -> tuple[VarietyTerm, ...]:
+    """The varieties of dimension n >= 2 with chain invariant S = n - 1, in
+    normal form, for 1 <= d <= ``d_max``: list (i), the product (P^1 x
+    P^{n-1}, O(d,1)), and list (ii), the scroll P(O(d+1) + O(d)^{n-1}).
+
+    >>> [to_text(v) for v in next_to_max_list(3, 2)]
+    ['Prod(P(1):1,P(2):1)', 'PB(2,1,1)', 'Prod(P(1):2,P(2):1)', 'PB(3,2,2)']
+    """
+    return tuple(v for d in range(1, d_max + 1)
+                 for v in (PolarizedProduct(((1, d), (n - 1, 1))),
+                           ProjBundleP1((d + 1,) + (d,) * (n - 1))))
 
 
 def even_dimension_list(m: int) -> tuple[VarietyTerm, ...]:

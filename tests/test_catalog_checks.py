@@ -17,6 +17,7 @@ from fanolines.checks import (
 )
 from fanolines.dsl import to_text
 from fanolines.errors import ValidationError
+from fanolines.families import next_to_max_list
 from fanolines.reports import SuiteReport, report_text
 from fanolines.terms import (
     Bound,
@@ -377,6 +378,51 @@ def test_next_to_maximal_suite_catches_wrong_values_it_keeps(cat15):
     rep = verify_next_to_maximal(cat15, eng)
     assert any(r.term == "Prod(P(1):2,P(2):1)" and r.check == "next-to-max.list-i-realizes"
                for r in rep.failures)
+
+    eng = ChainEngine()
+    eng._s_memo[normalize(ProjBundleP1((3, 2, 2)))] = exact(1)  # true value is 2
+    rep = verify_next_to_maximal(cat15, eng)
+    assert [(r.term, r.check) for r in rep.failures] == [
+        ("PB(3,2,2)", "next-to-max.list-ii-realizes")]
+
+
+def _next_to_max_form_reference(v):
+    """Is v in list (i) or (ii), in normal form?  A `match` on the fields, the
+    reference that membership in ``next_to_max_list`` must equal."""
+    n = dim(v)
+    match v:
+        case PolarizedProduct(factors) if len(factors) == 2:
+            a, b = factors
+            for first, second in ((a, b), (b, a)):
+                if first == (n - 1, 1) and second[0] == 1 and second[1] >= 1:
+                    return True
+            return False
+        case ProjBundleP1(twists):
+            d = twists[-1]
+            return twists == (d + 1,) + (d,) * (n - 1)
+        case _:
+            return False
+
+
+@pytest.mark.parametrize("n_max, deg_max", [(15, 4), (20, 5)])
+def test_next_to_max_list_membership_matches_the_form_predicate(n_max, deg_max):
+    cat = build_catalog(n_max, deg_max)
+    lists = {n: set(next_to_max_list(n, max(n_max, deg_max))) for n in range(2, n_max + 1)}
+    members = [v for v in cat if dim(v) >= 2]
+    assert sum(_next_to_max_form_reference(v) for v in members) > 0
+    for v in members:
+        assert (v in lists[dim(v)]) == _next_to_max_form_reference(v), to_text(v)
+
+
+def test_next_to_max_list_members_are_normal_fano_picard_two_with_s_n_minus_1():
+    eng = ChainEngine()
+    for n in range(2, 13):
+        members = next_to_max_list(n, 4)
+        assert len(set(members)) == 8
+        for v in members:
+            assert normalize(v) == v
+            assert dim(v) == n and is_fano(v) and picard_number(v) == 2
+            assert eng.s_invariant(v) == exact(n - 1), to_text(v)
 
 
 def test_next_to_maximal_skip_keeps_every_form_record(cat15):
