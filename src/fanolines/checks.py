@@ -13,6 +13,7 @@ from .chains import ChainEngine, default_engine
 from .dsl import to_text
 from .errors import EngineError, ValidationError
 from .families import (
+    RULELESS_CONSTRUCTORS,
     above_half_list,
     even_dimension_list,
     family_outcome,
@@ -48,16 +49,15 @@ def classify_by_s(cat: Catalog, n: int, s: int,
                   engine: ChainEngine | None = None) -> list[VarietyTerm]:
     """Catalog members of dimension n, Picard number 1 and exact invariant s.
 
-    S is asked only of members whose family of lines allows the value s:
-    S <= 1 + ``family_dim`` on a member covered by lines, and S = 0 on one
-    that is not, so for s >= 1 a member with ``family_dim`` below s - 1 is
-    skipped without asking S.  A wrong S on a skipped member is therefore
-    caught by the family-dimension property tests, not here.
+    S is asked only of members whose ceiling on S,
+    :func:`~fanolines.terms.s_ceiling`, reaches s; the others are skipped.
+    A wrong S on a skipped member is therefore caught by the ceiling's
+    property tests, not here.
     """
     eng = engine or default_engine()
     out = []
     for v in cat.picard_one.by_dim.get(n, ()):
-        if s and v._family_dim() < s - 1:  # no wrapper call per member
+        if v._s_ceiling() < s:  # no wrapper call per member
             continue
         sv = eng.s_invariant(v)
         if sv.is_exact and sv.value == s:
@@ -80,6 +80,16 @@ def verify_classification(cat: Catalog, engine: ChainEngine | None = None) -> Su
     The three lists are :func:`~fanolines.families.above_half_list`,
     :func:`~fanolines.families.even_dimension_list` and
     :func:`~fanolines.families.odd_dimension_list`.
+
+    S is not asked of a member whose ceiling c,
+    :func:`~fanolines.terms.s_ceiling`, has 2c < n - 1 and whose
+    constructor is not in
+    :data:`~fanolines.families.RULELESS_CONSTRUCTORS`: no rule returns a
+    family of a ruleless constructor, so such a member has an exact S with
+    2S <= 2c < n - 1, and it counts as ``no_implication`` as it would with
+    S asked.  Every counter and record stays the same.  A wrong S on a
+    skipped member, a poisoned memo entry included, is therefore no longer
+    seen by this suite but by the ceiling's property tests.
     """
     eng = engine or default_engine()
     rep = SuiteReport("thm1", {"n_max": cat.n_max, "deg_max": cat.deg_max})
@@ -87,9 +97,12 @@ def verify_classification(cat: Catalog, engine: ChainEngine | None = None) -> Su
     _bump_nonzero(rep, "skipped_dim_lt_2", index.count(lambda n, rho: n < 2))
     _bump_nonzero(rep, "skipped_rho_ne_1", index.count(lambda n, rho: n >= 2 and rho != 1))
     for v in index.members:
-        n = dim(v)
+        n = v._dim()  # no wrapper calls: most members are skipped here
         if n < 2:
             continue  # counted above
+        if 2 * v._s_ceiling() < n - 1 and v.__class__ not in RULELESS_CONSTRUCTORS:
+            rep.bump("no_implication")
+            continue
         sv = eng.s_invariant(v)
         if not sv.is_exact:
             rep.bump("skipped_inexact_s")
@@ -136,11 +149,12 @@ def verify_next_to_maximal(cat: Catalog, engine: ChainEngine | None = None) -> S
     twist inequality.  Both directions read the lists from
     :func:`~fanolines.families.next_to_max_list`.
 
-    S <= 1 + ``family_dim``, and S = 0 on a member not covered by lines, so
-    S = n - 1 >= 1 needs a family of lines of dimension n - 2.  S is asked
-    only of the members that have one; the others are skipped, and every
-    record stays the same.  A wrong S on a skipped member is therefore
-    caught by the family-dimension property tests, not by this suite.
+    S = n - 1 >= 1 needs a ceiling on S,
+    :func:`~fanolines.terms.s_ceiling`, of at least n - 1, that is a family
+    of lines of dimension n - 2.  S is asked only of the members that have
+    one; the others are skipped, and every record stays the same.  A wrong
+    S on a skipped member is therefore caught by the ceiling's property
+    tests, not by this suite.
     """
     eng = engine or default_engine()
     rep = SuiteReport("prop32", {"n_max": cat.n_max, "deg_max": cat.deg_max})
@@ -150,7 +164,7 @@ def verify_next_to_maximal(cat: Catalog, engine: ChainEngine | None = None) -> S
     forms = {n: frozenset(next_to_max_list(n, d_max)) for n in range(2, cat.n_max + 1)}
     for v in cat:
         n = v._dim()  # no wrapper calls: most members are skipped here
-        if n < 2 or v._family_dim() < n - 2:
+        if n < 2 or v._s_ceiling() < n - 1:
             continue
         sv = eng.s_invariant(v)
         if not (sv.is_exact and sv.value == n - 1):

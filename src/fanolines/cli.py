@@ -36,7 +36,7 @@ from .families import FamilyRecord, family_outcome, no_rule_reason
 from .reports import report_text
 from .secant import (DEFAULT_PRIMES, DEFAULT_SEED, RankConfig, expected_secant_dim,
                      secant_row, segre_veronese, scroll)
-from .terms import Bound, covered_by_lines, dim, family_dim, normalize
+from .terms import Bound, dim, normalize, s_ceiling
 from .trace import classification_trace
 
 CHAIN_SYMBOL = " ⊨ "  # the "has a family of lines" turnstile
@@ -58,15 +58,16 @@ SIZE_CAPS = {
 #: ``chain 'CI(999998;1000000)' --json``, takes 1.4 to 1.6 s on the same host.
 TERM_INT_CAP = 10**6
 
-#: Largest accepted upper bound 1 + family_dim(term) on the chain invariant of
-#: a covered term, for the commands that walk its chains (``s``, ``chain``,
-#: ``cover``, ``trace``).  At the cap, on the same host, ``s 'P(200000)'``
-#: takes 1.6 to 2.3 s, ``chain 'P(200000)' --json`` 2.5 to 3.5 s, ``cover
-#: 'SG(2,200002)'`` 1.3 to 1.7 s and ``trace 'SG(2,200002)'`` 2.4 to 3.1 s;
-#: the time and the memo grow linearly in the chain length.  The bound is
-#: S's own, not the dimension, so a high-dimensional term with a short chain,
-#: such as ``CI(999998;1000000)``, still answers.  On quadrics it is about
-#: twice S, so ``Q(200001)`` (S = 100000) is the deepest quadric accepted.
+#: Largest accepted ceiling on the chain invariant, ``terms.s_ceiling(term)``
+#: (1 + family_dim(term) on a covered term), for the commands that walk its
+#: chains (``s``, ``chain``, ``cover``, ``trace``).  At the cap, on the same
+#: host, ``s 'P(200000)'`` takes 1.6 to 2.3 s, ``chain 'P(200000)' --json``
+#: 2.5 to 3.5 s, ``cover 'SG(2,200002)'`` 1.3 to 1.7 s and ``trace
+#: 'SG(2,200002)'`` 2.4 to 3.1 s; the time and the memo grow linearly in the
+#: chain length.  The bound is S's own, not the dimension, so a
+#: high-dimensional term with a short chain, such as ``CI(999998;1000000)``,
+#: still answers.  On quadrics it is about twice S, so ``Q(200001)``
+#: (S = 100000) is the deepest quadric accepted.
 DEPTH_CAP = 200_000
 
 
@@ -166,9 +167,9 @@ def _parse_term(expr: str):
 
 def _parse_chain_term(expr: str):
     """Parse a term whose chains are walked, rejecting chains that may be
-    longer than DEPTH_CAP (a point, never covered, has no family dimension)."""
+    longer than DEPTH_CAP."""
     term = _parse_term(expr)
-    bound = 1 + family_dim(term) if covered_by_lines(term) else 0
+    bound = s_ceiling(term)
     if bound > DEPTH_CAP:
         raise ValidationError(f"the chain invariant of the term may reach {bound},"
                               f" above the cap {DEPTH_CAP}; larger inputs are rejected",

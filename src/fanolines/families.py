@@ -14,6 +14,8 @@ Each rule returns its families as plain ``(variety, ambient_pt_dim,
 span_in_pt)`` triples, or the text of :class:`~fanolines.errors.NoRule`.
 Two cases have no rule (SG(k,N) with k >= 3 and the codimension-2 linear
 section of G(2,5)): their families exist but fall outside the term algebra.
+Each has its own ``"none"`` row, and ``RULELESS_CONSTRUCTORS`` is derived
+from those rows.
 :func:`family_outcome` reads the rules and is the one coverage test: it
 raises nothing, builds no record, and names why a chain ends
 (``"is_point"``, ``"not_covered"`` or ``"no_rule"``); the chain engine, the
@@ -208,7 +210,8 @@ def _g25_section_rule(v: LinearSectionG25, ambient: int) -> Families | str:
 
 #: The rule table: one row ``(constructor, rule, provenance)`` per
 #: :data:`RULE_PROVENANCE` row.  SympGrassmann k >= 3 is a case of the k = 2
-#: row's rule, and the recognition row has no constructor; a point, never
+#: row's rule, the codimension-2 section of G(2,5) a case of the other
+#: sections' rule, and the recognition row has no constructor; a point, never
 #: covered by lines, has no row.  ``status`` is "classical" (standard fact),
 #: "conjectural" (recognition only) or "none" (covered by lines, but the
 #: family falls outside the term algebra).
@@ -259,11 +262,17 @@ _RULE_TABLE = (
         " already attains dim - 1, the maximum for a non-linear term)",
     }),
     (LinearSectionG25, _g25_section_rule, {
-        "constructor": "LinearSectionG25",
+        "constructor": "LinearSectionG25 (c = 0, 1, 3)",
         "family": "linear section of the Segre P^1 x P^2: full Segre (c=0),"
-        " cubic scroll (c=1), none expressible (c=2), points (c=3)",
+        " cubic scroll (c=1), points (c=3)",
         "status": "classical",
-        "note": "c = 2 has a curve family outside the algebra; c = 4 is uncovered",
+        "note": "c = 4 is uncovered",
+    }),
+    (LinearSectionG25, None, {
+        "constructor": "LinearSectionG25 (c = 2)",
+        "family": None,
+        "status": "none",
+        "note": "the family is a curve outside the algebra",
     }),
     (None, None, {
         "constructor": "recognition: scroll P(O(2)+O(1)^(m-1)) filling P^(2m)",
@@ -277,6 +286,12 @@ _RULES = {ctor: rule for ctor, rule, _ in _RULE_TABLE if rule is not None}
 
 #: Machine-readable provenance of every family rule, one row per table row.
 RULE_PROVENANCE: tuple[dict, ...] = tuple(row for _, _, row in _RULE_TABLE)
+
+#: The constructors with a ruleless case, a "none" row.  Only their members
+#: can have an inexact chain invariant, since no rule returns a family of
+#: theirs; the classification suite asks S of every one of them.
+RULELESS_CONSTRUCTORS = frozenset(ctor for ctor, _, row in _RULE_TABLE
+                                  if row["status"] == "none")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ public functions only dispatch to them.  The ruling tables of maximal linear
 subspaces live here too, behind ``max_linear_in``, a view of the chain
 engine.  Line coverage has no definition of its own: a term is covered by
 lines exactly when it is not a point and its family dimension is
-non-negative.
+non-negative, that is when its ceiling on the chain invariant,
+``s_ceiling``, is positive.
 
 Complete-intersection and linear-section terms always denote GENERAL members
 of their families; every predicate is stated for the general member.
@@ -29,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, prod
-from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import NoLineFamily, ValidationError
@@ -88,7 +88,9 @@ class VarietyTerm:
     ``_normalize``.  The defaults below hold unless a constructor overrides
     them: a term is its own normal form, has Picard number 1, is Fano and
     has no ruling table.  Picard number, Fano-ness and the maximal linear
-    subspace are only asked of normal forms.
+    subspace are only asked of normal forms.  ``_s_ceiling``, the upper
+    bound on the chain invariant, is defined here once for every
+    constructor.
 
     The constructors are frozen dataclasses with hand-written ``__slots__``
     (``dataclass(slots=True)`` would re-create each class): an instance
@@ -100,6 +102,13 @@ class VarietyTerm:
 
     def __reduce__(self):  # a frozen slotted instance cannot be restored field by field
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def _s_ceiling(self) -> int:
+        # S <= 1 + family_dim on a term covered by lines, as S(H) <= dim(H)
+        # <= family_dim on each family H, and S = 0 on one that is not.
+        if self._dim() and (fd := self._family_dim()) >= 0:
+            return 1 + fd
+        return 0
 
     def _picard_number(self) -> int | None: return 1
     def _is_fano(self) -> bool: return True
@@ -283,7 +292,14 @@ class PolarizedProduct(VarietyTerm):
             if n < 1 or d < 1:
                 raise ValidationError("PolarizedProduct factors require n_i >= 1 and d_i >= 1")
 
-    def _dim(self): return sum(map(itemgetter(0), self.factors))
+    def _dim(self):
+        # A loop, as in _family_dim: the build, the picard_one index and the
+        # prop32 suite ask this of each product.
+        n = 0
+        for m, _ in self.factors:
+            n += m
+        return n
+
     def _ambient_dim(self): return prod(comb(n + d, n) for n, d in self.factors) - 1
     def _picard_number(self): return len(self.factors)
     def _family_dim(self):
@@ -426,10 +442,22 @@ def family_dim(v: VarietyTerm) -> int:
     return v._family_dim()
 
 
+def s_ceiling(v: VarietyTerm) -> int:
+    """Upper bound on the chain invariant S: 1 + ``family_dim`` on a term
+    covered by lines, and 0 (where S = 0) on one that is not.  The CLI's
+    depth cap and every suite that skips S read it.
+
+    >>> s_ceiling(Quadric(7)), s_ceiling(Point())
+    (6, 0)
+    """
+    return v._s_ceiling()
+
+
 def covered_by_lines(v: VarietyTerm) -> bool:
     """Is there a line on the variety through a general point?  Exactly when
-    it is no point and its family of lines has non-negative dimension."""
-    return v._dim() > 0 and v._family_dim() >= 0
+    it is no point and its family of lines has non-negative dimension, that
+    is when its :func:`s_ceiling` is positive."""
+    return v._s_ceiling() > 0
 
 
 def normalize(v: VarietyTerm) -> VarietyTerm:

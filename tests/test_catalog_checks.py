@@ -16,8 +16,14 @@ from fanolines.checks import (
     verify_next_to_maximal,
 )
 from fanolines.dsl import to_text
-from fanolines.errors import ValidationError
-from fanolines.families import next_to_max_list
+from fanolines.errors import EngineError, ValidationError
+from fanolines.families import (
+    RULELESS_CONSTRUCTORS,
+    above_half_list,
+    even_dimension_list,
+    next_to_max_list,
+    odd_dimension_list,
+)
 from fanolines.reports import SuiteReport, report_text
 from fanolines.terms import (
     Bound,
@@ -36,7 +42,9 @@ from fanolines.terms import (
     is_fano,
     normalize,
     picard_number,
+    s_ceiling,
 )
+from fanolines.trace import classification_trace
 
 
 # ---------------------------------------------------------------------------
@@ -438,24 +446,25 @@ def test_next_to_maximal_skip_keeps_every_form_record(cat15):
     assert {r.term for r in rep.records if r.check == "next-to-max.form"} == expected
 
 
+class _SpyEngine(ChainEngine):
+    """Records the terms a suite asks, not the engine's own recursion."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked, self.depth = [], 0
+
+    def s_invariant(self, v):
+        if not self.depth:
+            self.asked.append(v)
+        self.depth += 1
+        try:
+            return super().s_invariant(v)
+        finally:
+            self.depth -= 1
+
+
 def test_next_to_maximal_suite_asks_s_only_where_a_family_of_dimension_n_minus_2_exists(cat15):
-    class Spy(ChainEngine):
-        """Records the terms the suite asks, not the engine's own recursion."""
-
-        def __init__(self):
-            super().__init__()
-            self.asked, self.depth = [], 0
-
-        def s_invariant(self, v):
-            if not self.depth:
-                self.asked.append(v)
-            self.depth += 1
-            try:
-                return super().s_invariant(v)
-            finally:
-                self.depth -= 1
-
-    eng = Spy()
+    eng = _SpyEngine()
     verify_next_to_maximal(cat15, eng)
     members = set(cat15.members)
     asked = [v for v in eng.asked if v in members]
@@ -476,6 +485,70 @@ def test_classify_skip_matches_the_unpruned_filter(cat15):
                 if sv.is_exact and sv.value == s:
                     expected.append(v)
             assert classify_by_s(cat15, n, s, ChainEngine()) == expected, (n, s)
+
+
+def _classification_reference(cat: Catalog) -> SuiteReport:
+    """The classification suite without its skip: S asked, on a fresh
+    engine, of every member with Picard number 1 and dimension >= 2."""
+    eng = ChainEngine()
+    rep = SuiteReport("thm1", {"n_max": cat.n_max, "deg_max": cat.deg_max})
+    for v in cat:
+        n = dim(v)
+        if n < 2 or picard_number(v) != 1:
+            rep.bump("skipped_dim_lt_2" if n < 2 else "skipped_rho_ne_1")
+            continue
+        sv = eng.s_invariant(v)
+        if not sv.is_exact:
+            rep.bump("skipped_inexact_s")
+            continue
+        s, name = sv.value, to_text(v)
+        if 2 * s < n - 1:
+            rep.bump("no_implication")
+        elif 2 * s > n:
+            rep.add(name, "classify.s-above-half", v in above_half_list(n),
+                    f"2S = {2*s} > n = {n} must force a linear space")
+        elif 2 * s == n:
+            rep.add(name, "classify.s-half", v in even_dimension_list(s),
+                    f"2S = n = {n}: quadric or G(2,C^{s+2}) required")
+        else:
+            allowed = odd_dimension_list(s)
+            rep.add(name, "classify.s-below-half", v in allowed,
+                    f"2S = n - 1 = {n - 1}: odd-dimensional list required",
+                    conjecture_dependent=isinstance(v, SympGrassmann))
+            try:
+                trace = classification_trace(v, eng)
+            except EngineError as err:
+                rep.add(name, "classify.trace", False, f"trace aborted: {err}")
+            else:
+                rep.add(name, "classify.trace", allowed.get(v) == trace.verdict,
+                        f"trace verdict ({trace.verdict}) via {trace.case_tag}",
+                        conjecture_used=trace.conjecture_used)
+    return rep
+
+
+@pytest.mark.parametrize("n_max, deg_max", [(15, 4), (20, 5)])
+def test_classification_skip_keeps_every_counter_and_record(n_max, deg_max):
+    cat = build_catalog(n_max, deg_max)
+    pruned = verify_classification(cat, ChainEngine()).as_dict()
+    reference = _classification_reference(cat).as_dict()
+    assert reference["counters"]["no_implication"] > 0
+    assert reference["counters"]["skipped_inexact_s"] > 0
+    assert reference["records"]
+    assert pruned == reference
+
+
+def test_classification_suite_asks_s_only_where_2s_may_reach_n_minus_1(cat15):
+    eng = _SpyEngine()
+    verify_classification(cat15, eng)
+    # The members the suite iterates over; the traces ask S of P^1 and Q^1.
+    index = [v for v in cat15.picard_one.members if dim(v) >= 2]
+    asked = set(eng.asked).intersection(index)
+    kept = {v for v in index if 2 * s_ceiling(v) >= dim(v) - 1
+            or type(v) in RULELESS_CONSTRUCTORS}
+    assert any(type(v) in RULELESS_CONSTRUCTORS and 2 * s_ceiling(v) < dim(v) - 1
+               for v in kept)
+    assert 0 < len(kept) < len(index) // 2
+    assert asked == kept
 
 
 def test_report_serialization_shape(cat15):

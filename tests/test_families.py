@@ -9,6 +9,7 @@ from fanolines.errors import NoRule, NotCoveredByLines
 from fanolines.families import (
     _RULE_TABLE,
     _RULES,
+    RULELESS_CONSTRUCTORS,
     FamilyRecord,
     RULE_PROVENANCE,
     above_half_list,
@@ -307,3 +308,25 @@ def test_provenance_table_covers_the_rules():
             assert str(err.value) == reason
             no_rule.append(to_text(v))
     assert "SG(3,7)" in no_rule and "LS(G(2,5),2)" in no_rule
+
+
+def test_no_rule_returns_a_family_of_a_ruleless_constructor():
+    # The classification suite skips S only outside the ruleless set, which
+    # is sound because every other member then has an exact S: no rule, at
+    # any depth below a catalog member, returns a family of the set.
+    from fanolines.catalog import build_catalog
+
+    assert RULELESS_CONSTRUCTORS == {SympGrassmann, LinearSectionG25}
+    assert [row["constructor"] for row in RULE_PROVENANCE if row["status"] == "none"] == [
+        "SympGrassmann (k >= 3)", "LinearSectionG25 (c = 2)"]
+    starts = [*build_catalog(20, 5), SympGrassmann(3, 7), LinearSectionG25(2)]
+    pending, seen = list(starts), set(starts)
+    while pending:
+        v = pending.pop()
+        for fam, _, _ in family_outcome(v)[0]:
+            for form in (fam, normalize(fam)):
+                assert type(form) not in RULELESS_CONSTRUCTORS, (to_text(v), to_text(form))
+            if fam not in seen:
+                seen.add(fam)
+                pending.append(fam)
+    assert len(seen) > len(starts)  # families below the members were walked too

@@ -17,7 +17,11 @@ keyed on the constructor; it covers every family, or the reason a chain ends,
 of every term of ``build_catalog(20, 5)`` and of the edge cases listed below.
 The rule-provenance digest, of ``json.dumps(RULE_PROVENANCE)``, was recorded
 before the rules, their ``NoRule`` texts and their provenance rows became one
-table.
+table.  It was re-recorded once, when the ruleless codimension-2 section of
+G(2,5) got its own ``"none"`` row: the ``LinearSectionG25`` row became
+``LinearSectionG25 (c = 0, 1, 3)``, its ``family`` text no longer names
+c = 2 and its ``note`` keeps only c = 4, and a ``LinearSectionG25 (c = 2)``
+row with status ``"none"`` follows it; no other row moved.
 """
 
 import contextlib
@@ -86,7 +90,7 @@ PINNED = {
     "family outcomes":
         "48cd478a7565b3640d43091523fef4b803f2b1cd79122656c4a616977b42b356",
     "rule provenance":
-        "950c5b453b0067d3eeb480752d97dabc482e883a03a3e7d7c8da57d008f6325e",
+        "880e64fcdacfac2e5d3d81bb8263cb2b8bc288f87dfcf3da499c740b5ce32981",
 }
 
 

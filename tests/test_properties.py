@@ -26,6 +26,7 @@ from fanolines.terms import (
     is_linear,
     normalize,
     picard_number,
+    s_ceiling,
 )
 from fanolines.trace import classification_trace
 
@@ -243,15 +244,17 @@ def test_deep_views_do_not_depend_on_warmth_order_or_presentation(u, v):
 
 
 def _within_family_bound(eng, v) -> bool:
-    """S <= 1 + family_dim on a covered term, and S = 0 on one that is not.
+    """S <= ``terms.s_ceiling``, the one shared ceiling: 1 + family_dim on a
+    covered term, and 0 (so S = 0) on one that is not.
 
-    Three things rest on it: the CLI's depth cap, the skip in
-    ``checks.verify_next_to_maximal`` (S asked only where a family of
-    dimension n - 2 exists) and the skip in ``checks.classify_by_s`` (S
-    asked only where family_dim >= s - 1).
+    Four things rest on it, each reading the ceiling: the CLI's depth cap,
+    the skip in ``checks.verify_next_to_maximal`` (S asked only where the
+    ceiling reaches n - 1), the skip in ``checks.classify_by_s`` (S asked
+    only where it reaches s) and the skip in ``checks.verify_classification``
+    (S not asked where 2 * ceiling < n - 1 and the constructor has no
+    ruleless case).
     """
-    s = eng.s_invariant(v).value
-    return s <= 1 + family_dim(v) if covered_by_lines(v) else s == 0
+    return eng.s_invariant(v).value <= s_ceiling(v)
 
 
 @settings(max_examples=40, deadline=None)
@@ -263,3 +266,13 @@ def test_s_is_at_most_one_more_than_the_family_dimension_at_depth(v):
 def test_s_is_at_most_one_more_than_the_family_dimension_on_the_catalog():
     eng = ChainEngine()
     assert [to_text(v) for v in build_catalog(20, 5) if not _within_family_bound(eng, v)] == []
+
+
+@given(terms)
+def test_s_ceiling_is_one_more_than_the_family_dimension_on_covered_terms(v):
+    # The ceiling's definition, from dim and family_dim alone; a point and
+    # P^0 have no family dimension.
+    covered = dim(v) > 0 and family_dim(v) >= 0
+    assert s_ceiling(v) == (1 + family_dim(v) if covered else 0)
+    assert covered_by_lines(v) == covered
+    assert s_ceiling(normalize(v)) == s_ceiling(v)
