@@ -14,18 +14,22 @@ Each constructor is enumerated directly within the bounds: complete
 intersections as non-decreasing degree sequences whose excess sum(d_i - 1)
 is at most the dimension (the Fano condition), products as nested loops over
 the sorted factors that stop once the dimension passes ``n_max``.  No
-candidate is built only to be dropped by the dimension bound.  A candidate is
-normalized once, the guards and the index below ask the normal form's own
-constructor, and a member is printed once, as its sort key.  Members are
+candidate is built only to be dropped by the dimension bound.  A candidate of
+the other constructors is normalized once, and the dimension and Fano guards
+ask the normal form's own constructor; a product is inserted as enumerated,
+since it is its own normal form, Fano, and within the dimension bound by
+construction.  A member is printed once, as its sort key.  Members are
 deduplicated in enumeration order (a ``dict``, not a ``set``, so the key pass
 and the sort walk long runs that are already in order) and sorted once by
 ``to_text``; every member prints to its own text, so the order is the same
 whatever container deduplicates.
 
-:attr:`Catalog.picard_one` indexes the Picard-number-1 members (the slice
-the classification suites and ``classify`` read) by dimension and counts
-every (dimension, Picard number) class; it is built on first use from
-``members``.
+:attr:`Catalog.index` is built on first use, in one pass over ``members``.
+It files the Picard-number-1 members (the slice that the classification
+suites and ``classify`` read), also by dimension, and the members of
+dimension n >= 2 whose ceiling on S reaches n - 1 (the slice the
+next-to-maximal suite reads), each in catalog order, and it counts every
+(dimension, Picard number) class.
 """
 
 from __future__ import annotations
@@ -51,11 +55,12 @@ from .terms import (
 )
 
 
-class PicardOneIndex(NamedTuple):
-    """The Picard-number-1 members of a catalog, and the size of every class."""
+class CatalogIndex(NamedTuple):
+    """The slices of a catalog that the suites read, and the size of every class."""
 
-    members: tuple[VarietyTerm, ...]  # Picard number 1, in catalog order
+    picard_one: tuple[VarietyTerm, ...]  # Picard number 1, in catalog order
     by_dim: dict[int, tuple[VarietyTerm, ...]]  # the same, per dimension
+    near_max: tuple[VarietyTerm, ...]  # n >= 2 and s_ceiling >= n - 1, catalog order
     counts: dict[tuple[int, int | None], int]  # (dim, Picard number) -> members
 
     def count(self, pred) -> int:
@@ -84,10 +89,11 @@ class Catalog:
         return frozenset(self.members)
 
     @cached_property
-    def picard_one(self) -> PicardOneIndex:
+    def index(self) -> CatalogIndex:
         """Built on first use; holds no reference to the other members."""
         flat: list[VarietyTerm] = []
         by_dim: dict[int, list[VarietyTerm]] = {}
+        near_max: list[VarietyTerm] = []
         counts: dict[tuple[int, int | None], int] = {}
         for v in self.members:  # normal forms: ask their constructors directly
             n, rho = v._dim(), v._picard_number()
@@ -95,7 +101,10 @@ class Catalog:
             if rho == 1:
                 flat.append(v)
                 by_dim.setdefault(n, []).append(v)
-        return PicardOneIndex(tuple(flat), {n: tuple(b) for n, b in by_dim.items()}, counts)
+            if n >= 2 and v._s_ceiling() >= n - 1:
+                near_max.append(v)
+        return CatalogIndex(tuple(flat), {n: tuple(b) for n, b in by_dim.items()},
+                            tuple(near_max), counts)
 
 
 def _degree_sequences(deg_max: int, budget: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -148,7 +157,9 @@ def build_catalog(n_max: int, deg_max: int) -> Catalog:
             add(CompleteIntersection(degs, n + len(degs)))
 
     # Two or three factors in sorted order; the factors are sorted by
-    # dimension, so each loop stops at the first one past n_max.
+    # dimension, so each loop stops at the first one past n_max.  A product
+    # goes straight into ``found``, not through ``add``: it has no normalize
+    # rule, every product is Fano, and its dimension is between 2 and n_max.
     pairs = [
         (n, d) for n in range(1, n_max) for d in range(1, deg_max + 1)
     ]
@@ -158,12 +169,12 @@ def build_catalog(n_max: int, deg_max: int) -> Catalog:
             ab = a[0] + b[0]
             if ab > n_max:
                 break
-            add(PolarizedProduct((a, b)))
+            found[PolarizedProduct((a, b))] = None
             for k in range(j, len(pairs)):
                 c = pairs[k]
                 if ab + c[0] > n_max:
                     break
-                add(PolarizedProduct((a, b, c)))
+                found[PolarizedProduct((a, b, c))] = None
 
     # Fano scrolls over a line: at most one twist above the minimum, by one.
     for k in range(2, n_max + 1):

@@ -31,7 +31,6 @@ from .terms import (
     SympGrassmann,
     VarietyTerm,
     dim,
-    family_dim,
     is_fano,
     is_linear,
     normalize,
@@ -56,7 +55,7 @@ def classify_by_s(cat: Catalog, n: int, s: int,
     """
     eng = engine or default_engine()
     out = []
-    for v in cat.picard_one.by_dim.get(n, ()):
+    for v in cat.index.by_dim.get(n, ()):
         if v._s_ceiling() < s:  # no wrapper call per member
             continue
         sv = eng.s_invariant(v)
@@ -93,10 +92,10 @@ def verify_classification(cat: Catalog, engine: ChainEngine | None = None) -> Su
     """
     eng = engine or default_engine()
     rep = SuiteReport("thm1", {"n_max": cat.n_max, "deg_max": cat.deg_max})
-    index = cat.picard_one
+    index = cat.index
     _bump_nonzero(rep, "skipped_dim_lt_2", index.count(lambda n, rho: n < 2))
     _bump_nonzero(rep, "skipped_rho_ne_1", index.count(lambda n, rho: n >= 2 and rho != 1))
-    for v in index.members:
+    for v in index.picard_one:
         n = v._dim()  # no wrapper calls: most members are skipped here
         if n < 2:
             continue  # counted above
@@ -152,9 +151,11 @@ def verify_next_to_maximal(cat: Catalog, engine: ChainEngine | None = None) -> S
     S = n - 1 >= 1 needs a ceiling on S,
     :func:`~fanolines.terms.s_ceiling`, of at least n - 1, that is a family
     of lines of dimension n - 2.  S is asked only of the members that have
-    one; the others are skipped, and every record stays the same.  A wrong
-    S on a skipped member is therefore caught by the ceiling's property
-    tests, not by this suite.
+    one, the catalog's ``index.near_max`` slice, filed in catalog order by
+    the same pass that files the Picard-number-1 members; the others are
+    never visited, and every record stays the same.  A wrong S on a member
+    outside the slice is therefore caught by the ceiling's property tests,
+    not by this suite.
     """
     eng = engine or default_engine()
     rep = SuiteReport("prop32", {"n_max": cat.n_max, "deg_max": cat.deg_max})
@@ -162,10 +163,8 @@ def verify_next_to_maximal(cat: Catalog, engine: ChainEngine | None = None) -> S
     # twist, trivial scrolls included), so each list runs to the larger.
     d_max = max(cat.n_max, cat.deg_max)
     forms = {n: frozenset(next_to_max_list(n, d_max)) for n in range(2, cat.n_max + 1)}
-    for v in cat:
-        n = v._dim()  # no wrapper calls: most members are skipped here
-        if n < 2 or v._s_ceiling() < n - 1:
-            continue
+    for v in cat.index.near_max:
+        n = v._dim()
         sv = eng.s_invariant(v)
         if not (sv.is_exact and sv.value == n - 1):
             continue
@@ -212,19 +211,28 @@ def verify_family_lemmas(cat: Catalog, engine: ChainEngine | None = None) -> Sui
     * exact covering dimension >= n/2 forces membership of the linear-bundle
       / quadric / Grassmannian list,
       :func:`~fanolines.families.half_dim_cover_list`.
+
+    The members are the catalog's ``index.picard_one`` slice, normal forms
+    whose dimension and family dimension are asked of their constructors.
+    Their families come from :func:`~fanolines.families.family_outcome`,
+    which keeps the last complete-intersection degree expansion: catalog
+    order groups the members of each degree tuple, so each tuple is
+    expanded about once per sweep, not once per member.
     """
     eng = engine or default_engine()
     rep = SuiteReport("lemmas", {"n_max": cat.n_max, "deg_max": cat.deg_max})
     rep.counters["proper_linear_triggered"] = 0
     rep.counters["proper_linear_vacuous"] = 0
-    index = cat.picard_one
+    index = cat.index
     _bump_nonzero(rep, "skipped_rho_ne_1", index.count(lambda n, rho: rho != 1))
-    for v in index.members:
-        n = dim(v)  # v is printed per record only: most members get none
+    for v in index.picard_one:
+        # Normal forms: ask their constructors directly.  v is printed per
+        # record only: most members get none.
+        n = v._dim()
 
         # Recognition by family dimension, via the anticanonical-degree
         # formula (defined even where no family rule exists).
-        fd = family_dim(v)
+        fd = v._family_dim()
         candidates = recognition_list(n, fd)
         if candidates:
             rep.add(to_text(v), f"families.dimH-is-n-{n - fd}", v in candidates,

@@ -44,7 +44,7 @@ CHAIN_SYMBOL = " ⊨ "  # the "has a family of lines" turnstile
 #: Largest accepted value of each size option, per subcommand.  On a 2-vCPU
 #: host the largest accepted inputs take at most about 4 s a process (``secant
 #: --kind scroll -d 12 -m 12 --trials 8`` 1.9 to 2.6 s; at these caps ``verify
-#: --suite prop32`` 1.2 to 1.8 s, ``classify`` 1.4 to 1.6 s); beyond them the
+#: --suite prop32`` 1.0 to 1.3 s, ``classify`` 1.0 to 1.3 s); beyond them the
 #: time grows fast (cubically in the secant coordinate count (d+1)m+1, and
 #: steeply in both catalog bounds), so larger inputs are rejected, not run.
 SIZE_CAPS = {
@@ -333,9 +333,18 @@ def main(argv: list[str] | None = None) -> int:
         envelope = {"command": args.command, "result": payload}
         if "seed" in payload:  # the randomized command echoes its seed
             envelope["seed"] = payload["seed"]
-        print(json.dumps(envelope, indent=2, sort_keys=True))
+        text = json.dumps(envelope, indent=2, sort_keys=True)
     else:
-        print(render(payload, getattr(args, "quiet", False)))
+        text = render(payload, getattr(args, "quiet", False))
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone (``| head``): point stdout at os.devnull, so
+        # that the flush at exit raises nothing, and keep the exit code.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

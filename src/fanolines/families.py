@@ -41,6 +41,7 @@ Recognition, the verification suites and the traces all read them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .dsl import to_text
 from .errors import NoRule, NotCoveredByLines, ValidationError
@@ -170,8 +171,14 @@ def _symp_grassmann_rule(v: SympGrassmann, ambient: int) -> Families | str:
     return ((symplectic_scroll(v.N - 3), ambient, ambient),)
 
 
+#: :func:`expand_ci_degrees` keeping its last expansion.  Catalog order
+#: groups the members of each degree tuple, so a sweep hits one entry as
+#: often as it would hit more; it keeps one expansion alive, never more.
+_last_expansion = lru_cache(maxsize=1)(expand_ci_degrees)
+
+
 def _complete_intersection_rule(v: CompleteIntersection, ambient: int) -> Families:
-    fam_degrees = expand_ci_degrees(v.degrees)  # cutting out the family in P(T)
+    fam_degrees = _last_expansion(v.degrees)  # cutting out the family in P(T)
     if ambient == len(fam_degrees):
         return ((Point(), ambient, 0),)
     return ((CompleteIntersection(fam_degrees, ambient), ambient, ambient),)

@@ -293,8 +293,8 @@ class PolarizedProduct(VarietyTerm):
                 raise ValidationError("PolarizedProduct factors require n_i >= 1 and d_i >= 1")
 
     def _dim(self):
-        # A loop, as in _family_dim: the build, the picard_one index and the
-        # prop32 suite ask this of each product.
+        # A loop, as in _family_dim: the catalog index asks this of each
+        # product, directly and through _s_ceiling.
         n = 0
         for m, _ in self.factors:
             n += m
@@ -304,7 +304,8 @@ class PolarizedProduct(VarietyTerm):
     def _picard_number(self): return len(self.factors)
     def _family_dim(self):
         # A loop, not a generator: products are most of a catalog, and both
-        # family_outcome and the prop32 suite ask this of each.
+        # family_outcome and the catalog index (through _s_ceiling) ask this
+        # of each.
         top = 0  # the largest degree-1 factor
         for n, d in self.factors:
             if d == 1 and n > top:

@@ -5,9 +5,11 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from fanolines import families
 from fanolines.catalog import Catalog, build_catalog
 from fanolines.chains import ChainEngine
 from fanolines.checks import (
+    _RECOGNITION_DETAIL,
     classify_by_s,
     golden_suite,
     run_suite,
@@ -21,8 +23,11 @@ from fanolines.families import (
     RULELESS_CONSTRUCTORS,
     above_half_list,
     even_dimension_list,
+    family_outcome,
+    half_dim_cover_list,
     next_to_max_list,
     odd_dimension_list,
+    recognition_list,
 )
 from fanolines.reports import SuiteReport, report_text
 from fanolines.terms import (
@@ -40,6 +45,7 @@ from fanolines.terms import (
     exact,
     family_dim,
     is_fano,
+    is_linear,
     normalize,
     picard_number,
     s_ceiling,
@@ -170,12 +176,26 @@ def test_direct_enumeration_matches_generate_and_filter(deg_max):
 @pytest.mark.parametrize("grid", [(2, 2), (9, 3), (12, 5)])
 def test_picard_one_index_is_the_picard_one_slice(grid):
     cat = build_catalog(*grid)
-    index = cat.picard_one
-    assert list(index.members) == [v for v in cat if picard_number(v) == 1]
+    index = cat.index
+    assert list(index.picard_one) == [v for v in cat if picard_number(v) == 1]
     for n in range(0, cat.n_max + 2):
         want = [v for v in cat if dim(v) == n and picard_number(v) == 1]
         assert list(index.by_dim.get(n, ())) == want
     assert index.counts == Counter((dim(v), picard_number(v)) for v in cat)
+
+
+def _near_max_reference(members) -> list:
+    return [v for v in members if dim(v) >= 2 and s_ceiling(v) >= dim(v) - 1]
+
+
+@pytest.mark.parametrize("grid", [(2, 2), (9, 3), (12, 5)])
+def test_near_max_index_is_the_prop32_slice(grid):
+    cat = build_catalog(*grid)
+    assert list(cat.index.near_max) == _near_max_reference(cat)
+    # both lists of Prop 3.2 are in the slice wherever the catalog holds them
+    for n in range(2, cat.n_max + 1):
+        for v in next_to_max_list(n, cat.deg_max):
+            assert v not in cat or v in cat.index.near_max, to_text(v)
 
 
 @pytest.mark.parametrize("grid", [(2, 2), (9, 3), (15, 4)])
@@ -197,7 +217,9 @@ def test_three_argument_catalog_and_subclasses_keep_working():
     chosen = tuple(v for v in full if dim(v) in (1, 3, 7))
     cat = Catalog(9, 3, chosen)
     assert len(cat) == len(chosen) and Quadric(7) in cat and Quadric(5) not in cat
-    assert {n for n in cat.picard_one.by_dim} == {1, 3, 7}
+    assert {n for n in cat.index.by_dim} == {1, 3, 7}
+    assert cat.index.near_max
+    assert list(cat.index.near_max) == _near_max_reference(chosen)
     assert classify_by_s(cat, 7, 3) == classify_by_s(full, 7, 3)
     assert classify_by_s(cat, 5, 2) == []
     assert verify_classification(cat).counters["skipped_dim_lt_2"] == 2
@@ -207,8 +229,10 @@ def test_three_argument_catalog_and_subclasses_keep_working():
             super().__init__(base.n_max, base.deg_max, base.members[::-1])
 
     rev = Reversed(full)
-    assert rev.picard_one.by_dim[3] == full.picard_one.by_dim[3][::-1]
-    assert rev.picard_one.counts == full.picard_one.counts
+    assert rev.index.by_dim[3] == full.index.by_dim[3][::-1]
+    assert rev.index.counts == full.index.counts
+    assert list(rev.index.near_max) == _near_max_reference(rev.members)
+    assert rev.index.near_max == full.index.near_max[::-1]
 
     # a plane cubic is a curve of unknown Picard number: skipped by both suites
     curves = Catalog(2, 3, (CompleteIntersection((3,), 2), LinearSpace(1)))
@@ -526,6 +550,62 @@ def _classification_reference(cat: Catalog) -> SuiteReport:
     return rep
 
 
+def _lemmas_reference(cat: Catalog) -> SuiteReport:
+    """The lemmas suite without shared work: every member of the catalog
+    filtered through the public invariants, and each family built from a
+    cold complete-intersection expansion, on a fresh engine."""
+    eng = ChainEngine()
+    rep = SuiteReport("lemmas", {"n_max": cat.n_max, "deg_max": cat.deg_max})
+    rep.counters["proper_linear_triggered"] = 0
+    rep.counters["proper_linear_vacuous"] = 0
+    for v in cat:
+        if picard_number(v) != 1:
+            rep.bump("skipped_rho_ne_1")
+            continue
+        n, fd, name = dim(v), family_dim(v), to_text(v)
+        candidates = recognition_list(n, fd)
+        if candidates:
+            rep.add(name, f"families.dimH-is-n-{n - fd}", v in candidates,
+                    _RECOGNITION_DETAIL[n - fd])
+        families._last_expansion.cache_clear()  # nothing carried over
+        fams, end = family_outcome(v)
+        if end is not None:
+            rep.bump(end)
+            continue
+        for fam, ambient, span in fams:
+            fdim = dim(fam)
+            if 2 * fdim >= n - 1:
+                rep.add(name, "families.nondegenerate", span == ambient,
+                        f"family of dimension {fdim} >= (n-1)/2 must span P^{n-1}")
+            if is_linear(fam) and fdim >= 1 and span < ambient:
+                rep.bump("proper_linear_triggered")
+                rep.add(name, "families.proper-linear", 2 * fdim <= n - 4,
+                        f"proper linear family of dimension {fdim}:"
+                        " 2*dim <= n-4 required")
+            else:
+                rep.bump("proper_linear_vacuous")
+        ml = eng.max_linear_in(v)
+        if ml.is_exact and 2 * ml.value >= n >= 1:
+            rep.add(name, "covering.half-dim-list",
+                    v in half_dim_cover_list(n, ml.value),
+                    f"covered by P^{ml.value} with 2*{ml.value} >= n = {n}:"
+                    " bundle/quadric/Grassmannian list required")
+    return rep
+
+
+@pytest.mark.parametrize("n_max, deg_max", [(15, 4), (20, 5)])
+def test_shared_expansions_keep_every_lemmas_counter_and_record(n_max, deg_max):
+    cat = build_catalog(n_max, deg_max)
+    families._last_expansion.cache_clear()
+    shared = verify_family_lemmas(cat, ChainEngine()).as_dict()
+    assert families._last_expansion.cache_info().hits > 0
+    reference = _lemmas_reference(cat).as_dict()
+    assert reference["counters"]["proper_linear_vacuous"] > 0
+    assert reference["counters"]["not_covered"] > 0
+    assert reference["records"]
+    assert shared == reference
+
+
 @pytest.mark.parametrize("n_max, deg_max", [(15, 4), (20, 5)])
 def test_classification_skip_keeps_every_counter_and_record(n_max, deg_max):
     cat = build_catalog(n_max, deg_max)
@@ -541,7 +621,7 @@ def test_classification_suite_asks_s_only_where_2s_may_reach_n_minus_1(cat15):
     eng = _SpyEngine()
     verify_classification(cat15, eng)
     # The members the suite iterates over; the traces ask S of P^1 and Q^1.
-    index = [v for v in cat15.picard_one.members if dim(v) >= 2]
+    index = [v for v in cat15.index.picard_one if dim(v) >= 2]
     asked = set(eng.asked).intersection(index)
     kept = {v for v in index if 2 * s_ceiling(v) >= dim(v) - 1
             or type(v) in RULELESS_CONSTRUCTORS}

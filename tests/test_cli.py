@@ -236,12 +236,12 @@ def test_term_integer_above_cap_exits_2(capsys, expr, largest):
                    " larger inputs are rejected\n")
 
 
-def _fresh_cli(*argv, env: dict | None = None):
+def _fresh_cli(*argv, env: dict | None = None, stdout=subprocess.PIPE):
     src = str(Path(fanolines.__file__).parents[1])
     env = {**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "fanolines.cli", *argv],
-                          capture_output=True, text=True, timeout=60, env=env)
+    return subprocess.run([sys.executable, "-m", "fanolines.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=60, env=env)
 
 
 def test_oversized_secant_exits_2_from_a_fresh_process():
@@ -386,6 +386,37 @@ def test_domain_error_exits_1(capsys):
     code, _, err = run(capsys, "trace", "Q(4)")
     assert code == 1
     assert "checks:" in err
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("code", [0, 1])
+def test_a_closed_stdout_keeps_the_exit_code_without_a_traceback(monkeypatch, json_flag,
+                                                                  code):
+    # `fanolines ... | head` closes the pipe before the output is written.
+    # The handler of `s` is replaced so that the code-1 path prints too.
+    if code:
+        monkeypatch.setitem(_COMMANDS, "s", (lambda args: (1, {"s": "x" * 10**5}),
+                                             lambda result, quiet: result["s"]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        with pytest.raises(BrokenPipeError):  # the writer does raise
+            print("x", file=stdout, flush=True)
+        assert main(["s", "Q(7)", *json_flag]) == code
+        # stdout now writes to os.devnull, so the flush at exit succeeds
+        assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+        stdout.flush()
+
+
+def test_a_closed_pipe_prints_nothing_to_stderr_from_a_fresh_process():
+    # Without the handler, the flush at exit prints "Exception ignored".
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stdout:
+        proc = _fresh_cli("verify", "--suite", "lemmas", "--nmax", "2", "--degmax", "2",
+                          stdout=stdout)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 # ---------------------------------------------------------------------------
