@@ -24,12 +24,13 @@ and the sort walk long runs that are already in order) and sorted once by
 ``to_text``; every member prints to its own text, so the order is the same
 whatever container deduplicates.
 
-:attr:`Catalog.index` is built on first use, in one pass over ``members``.
-It files the Picard-number-1 members (the slice that the classification
-suites and ``classify`` read), also by dimension, and the members of
-dimension n >= 2 whose ceiling on S reaches n - 1 (the slice the
-next-to-maximal suite reads), each in catalog order, and it counts every
-(dimension, Picard number) class.
+:attr:`Catalog.index` is built on first use, in one pass over ``__iter__``,
+the one walk of a catalog, which the member set behind ``in`` reads too.  It
+files the Picard-number-1 members (the slice that the classification suites
+and ``classify`` read), also by dimension, and the members of dimension
+n >= 2 whose ceiling on S reaches n - 1 (the slice the next-to-maximal suite
+reads), each in catalog order, and it counts every (dimension, Picard
+number) class.
 """
 
 from __future__ import annotations
@@ -70,6 +71,8 @@ class CatalogIndex(NamedTuple):
 
 @dataclass(frozen=True)
 class Catalog:
+    """``__iter__`` yields ``members`` in order: the one walk, read by ``index`` and ``in``."""
+
     n_max: int
     deg_max: int
     members: tuple[VarietyTerm, ...]
@@ -86,7 +89,7 @@ class Catalog:
     @cached_property
     def _member_set(self) -> frozenset[VarietyTerm]:
         """Built on the first lookup only; sweeps iterate and never need it."""
-        return frozenset(self.members)
+        return frozenset(self)
 
     @cached_property
     def index(self) -> CatalogIndex:
@@ -95,7 +98,7 @@ class Catalog:
         by_dim: dict[int, list[VarietyTerm]] = {}
         near_max: list[VarietyTerm] = []
         counts: dict[tuple[int, int | None], int] = {}
-        for v in self.members:  # normal forms: ask their constructors directly
+        for v in self:  # normal forms: ask their constructors directly
             n, rho = v._dim(), v._picard_number()
             counts[n, rho] = counts.get((n, rho), 0) + 1
             if rho == 1:

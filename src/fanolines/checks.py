@@ -38,12 +38,6 @@ from .terms import (
 from .trace import classification_trace
 
 
-def _bump_nonzero(rep: SuiteReport, counter: str, by: int):
-    """Counters appear only once they count something."""
-    if by:
-        rep.bump(counter, by)
-
-
 def classify_by_s(cat: Catalog, n: int, s: int,
                   engine: ChainEngine | None = None) -> list[VarietyTerm]:
     """Catalog members of dimension n, Picard number 1 and exact invariant s.
@@ -87,14 +81,14 @@ def verify_classification(cat: Catalog, engine: ChainEngine | None = None) -> Su
     family of a ruleless constructor, so such a member has an exact S with
     2S <= 2c < n - 1, and it counts as ``no_implication`` as it would with
     S asked.  Every counter and record stays the same.  A wrong S on a
-    skipped member, a poisoned memo entry included, is therefore no longer
-    seen by this suite but by the ceiling's property tests.
+    skipped member, a poisoned memo entry included, is therefore caught by
+    the ceiling's property tests, not by this suite.
     """
     eng = engine or default_engine()
     rep = SuiteReport("thm1", {"n_max": cat.n_max, "deg_max": cat.deg_max})
     index = cat.index
-    _bump_nonzero(rep, "skipped_dim_lt_2", index.count(lambda n, rho: n < 2))
-    _bump_nonzero(rep, "skipped_rho_ne_1", index.count(lambda n, rho: n >= 2 and rho != 1))
+    rep.bump("skipped_dim_lt_2", index.count(lambda n, rho: n < 2))
+    rep.bump("skipped_rho_ne_1", index.count(lambda n, rho: n >= 2 and rho != 1))
     for v in index.picard_one:
         n = v._dim()  # no wrapper calls: most members are skipped here
         if n < 2:
@@ -224,7 +218,7 @@ def verify_family_lemmas(cat: Catalog, engine: ChainEngine | None = None) -> Sui
     rep.counters["proper_linear_triggered"] = 0
     rep.counters["proper_linear_vacuous"] = 0
     index = cat.index
-    _bump_nonzero(rep, "skipped_rho_ne_1", index.count(lambda n, rho: rho != 1))
+    rep.bump("skipped_rho_ne_1", index.count(lambda n, rho: rho != 1))
     for v in index.picard_one:
         # Normal forms: ask their constructors directly.  v is printed per
         # record only: most members get none.

@@ -7,13 +7,17 @@ Grammar (whitespace-insensitive)::
             | "PB(" a ("," a)+ ")" | "LS(G(2,5)," c ")"
     factor := "P(" n "):" d
 
-Every integer is a run of the ASCII digits 0-9; any other Unicode digit, such
-as a full-width or Arabic-Indic one, is a parse error at its position.
+Text is scanned by one pattern, ``_TOKEN``: each match skips the whitespace
+before a token (whatever ``str.isspace`` accepts) and reads a name, an
+integer, a symbol or any other character, which is a parse error at its
+position.  Every integer is a run of the ASCII digits 0-9; any other Unicode
+digit, such as a full-width or Arabic-Indic one, is such a character.
 
 Printing produces the same syntax back, so ``parse_variety(to_text(t)) == t``
 for every term.  :func:`to_text` reads one formatter table, ``_FORMATS``,
 keyed on the term's constructor as the family rules are in ``_RULE_TABLE``;
-a value of any other type raises ``TypeError``.
+a value of any other type raises ``TypeError``.  A product prints through
+the format of its arity, built once per arity.
 
 >>> parse_variety("CI(2,2;7)")
 CompleteIntersection(degrees=(2, 2), N=7)
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable
+from functools import lru_cache
 
 from .errors import ParseError
 from .terms import (
@@ -40,7 +45,7 @@ from .terms import (
     VarietyTerm,
 )
 
-_TOKEN = re.compile(r"(?P<name>[A-Za-z]+)|(?P<int>[0-9]+)|(?P<sym>[(),;:])")
+_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z]+)|(?P<int>[0-9]+)|(?P<sym>[(),;:])|(?P<bad>\S))")
 
 
 class _Tokens:
@@ -49,17 +54,11 @@ class _Tokens:
     def __init__(self, text: str):
         self.text = text
         self.items: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            if text[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN.match(text, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        for m in _TOKEN.finditer(text):  # trailing whitespace matches nothing
             kind = m.lastgroup
-            self.items.append((kind, m.group(kind), pos))
-            pos = m.end()
+            if kind == "bad":
+                raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+            self.items.append((kind, m[kind], m.start(kind)))
         self.i = 0
 
     def peek(self) -> tuple[str, str, int] | None:
@@ -112,10 +111,7 @@ _CONSTRUCTORS = {"P": LinearSpace, "Q": Quadric, "G": Grassmann, "SG": SympGrass
 
 
 def _parse_expr(toks: _Tokens) -> VarietyTerm:
-    tok = toks.peek()
-    if tok is None:
-        raise ParseError("expected a variety expression", 0)
-    kind, value, pos = tok
+    kind, value, pos = toks.peek()  # parse_variety has rejected blank text
     if kind != "name":
         raise ParseError(f"expected a constructor name, found {value!r}", pos)
     toks.i += 1
@@ -167,18 +163,9 @@ def _parse_factor(toks: _Tokens) -> tuple[int, int]:
     return (n, d)
 
 
+@lru_cache(maxsize=8)  # catalog products have two or three factors
 def _product_format(arity: int) -> str:
     return "Prod(" + ",".join(["P(%s):%s"] * arity) + ")"
-
-
-#: Every catalog product has two or three factors; other arities build their
-#: format on the spot, so no state grows with the terms printed.
-_PRODUCT_FORMATS = {arity: _product_format(arity) for arity in (2, 3)}
-
-
-def _product_text(v: PolarizedProduct) -> str:
-    facs = v.factors
-    return (_PRODUCT_FORMATS.get(len(facs)) or _product_format(len(facs))) % sum(facs, ())
 
 
 _FORMATS: dict[type[VarietyTerm], Callable[..., str]] = {
@@ -188,7 +175,7 @@ _FORMATS: dict[type[VarietyTerm], Callable[..., str]] = {
     Grassmann: lambda v: f"G({v.k},{v.N})",
     SympGrassmann: lambda v: f"SG({v.k},{v.N})",
     CompleteIntersection: lambda v: "CI(" + ",".join(map(str, v.degrees)) + f";{v.N})",
-    PolarizedProduct: _product_text,
+    PolarizedProduct: lambda v: _product_format(len(v.factors)) % sum(v.factors, ()),
     ProjBundleP1: lambda v: "PB(" + ",".join(map(str, v.twists)) + ")",
     LinearSectionG25: lambda v: f"LS(G(2,5),{v.c})",
 }

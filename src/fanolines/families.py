@@ -16,13 +16,13 @@ Two cases have no rule (SG(k,N) with k >= 3 and the codimension-2 linear
 section of G(2,5)): their families exist but fall outside the term algebra.
 Each has its own ``"none"`` row, and ``RULELESS_CONSTRUCTORS`` is derived
 from those rows.
-:func:`family_outcome` reads the rules and is the one coverage test: it
-raises nothing, builds no record, and names why a chain ends
-(``"is_point"``, ``"not_covered"`` or ``"no_rule"``); the chain engine, the
-lemmas suite and the CLI read it.  :func:`line_families`, its raising
-wrapper, raises :class:`~fanolines.errors.NotCoveredByLines` or
-:class:`~fanolines.errors.NoRule`, worded by :func:`no_rule_reason`, and
-otherwise wraps each triple in a validated :class:`FamilyRecord`.
+:func:`family_outcome` makes the coverage test that :mod:`~fanolines.terms`
+defines, inline, and reads the rules; it raises nothing, builds no record,
+and names why a chain ends (``"is_point"``, ``"not_covered"`` or
+``"no_rule"``); the chain engine, the lemmas suite and the CLI read it.
+:func:`line_families`, its raising wrapper, raises ``NotCoveredByLines`` or
+``NoRule``, worded by :func:`no_rule_reason`, and otherwise wraps each
+triple in a validated :class:`FamilyRecord`.
 
 The recognition step and the classification lists live here too, each
 defined once.  :func:`recognition_list` names the candidates that a family's

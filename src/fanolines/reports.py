@@ -44,7 +44,8 @@ class SuiteReport:
         self.records.append(CheckRecord(term, check, passed, detail, data))
 
     def bump(self, counter: str, by: int = 1):
-        self.counters[counter] = self.counters.get(counter, 0) + by
+        if by:  # a counter appears only once it counts something
+            self.counters[counter] = self.counters.get(counter, 0) + by
 
     @property
     def failures(self) -> list[CheckRecord]:

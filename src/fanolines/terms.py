@@ -9,10 +9,10 @@ Each constructor states its own invariants next to its fields and its
 validation, as the private methods listed on :class:`VarietyTerm`; the
 public functions only dispatch to them.  The ruling tables of maximal linear
 subspaces live here too, behind ``max_linear_in``, a view of the chain
-engine.  Line coverage has no definition of its own: a term is covered by
-lines exactly when it is not a point and its family dimension is
-non-negative, that is when its ceiling on the chain invariant,
-``s_ceiling``, is positive.
+engine.  Line coverage is defined here: a term is covered by lines exactly
+when it is not a point and its family dimension is non-negative, that is
+when its ceiling on the chain invariant, ``s_ceiling``, is positive;
+``families.family_outcome`` makes the same test inline on the engine path.
 
 Complete-intersection and linear-section terms always denote GENERAL members
 of their families; every predicate is stated for the general member.

@@ -1,9 +1,13 @@
 """Parser and printer round trips, error positions, validation mapping."""
 
+import re
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from fanolines.catalog import build_catalog
-from fanolines.dsl import _FORMATS, parse_variety, to_text
+from fanolines.dsl import _FORMATS, _product_format, _Tokens, parse_variety, to_text
 from fanolines.errors import ParseError, ValidationError
 from fanolines.terms import (
     CompleteIntersection,
@@ -76,6 +80,55 @@ def test_parse_normalizes_field_order_only_within_constructors():
 def test_parse_errors(text):
     with pytest.raises(ParseError):
         parse_variety(text)
+
+
+_REFERENCE_TOKEN = re.compile(r"(?P<name>[A-Za-z]+)|(?P<int>[0-9]+)|(?P<sym>[(),;:])")
+
+
+def _reference_tokens(text: str) -> list[tuple[str, str, int]]:
+    """A scan one character at a time, skipping whatever ``str.isspace``
+    accepts: the reference the tokenizer's single pattern must agree with."""
+    items = []
+    pos = 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        m = _REFERENCE_TOKEN.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        kind = m.lastgroup
+        items.append((kind, m.group(kind), pos))
+        pos = m.end()
+    return items
+
+
+# The grammar's characters, ASCII and Unicode whitespace, and stray
+# characters (non-ASCII digits among them).
+_SCAN_ALPHABET = ("ptPQGSCIProdBLSx(),;:0123456789"
+                  " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2003\u2028\u3000"
+                  "３٣#")
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet=_SCAN_ALPHABET, max_size=30))
+def test_token_scan_matches_the_reference_scan(text):
+    try:
+        want = _reference_tokens(text)
+    except ParseError as err:
+        with pytest.raises(ParseError) as got:
+            _Tokens(text)
+        assert str(got.value) == str(err) and got.value.position == err.position
+    else:
+        assert _Tokens(text).items == want
+
+
+def test_token_scan_skips_exactly_the_isspace_characters():
+    # One pattern skips what \s matches; the reference skips what
+    # str.isspace accepts.  The two agree on every code point.
+    space = re.compile(r"\s")
+    assert all(bool(space.match(c)) == c.isspace()
+               for c in map(chr, range(0x110000)))
 
 
 def test_parse_error_carries_position():
@@ -191,14 +244,16 @@ def test_formatter_table_covers_every_constructor():
 
 @pytest.mark.parametrize("arity", [2, 3, 4, 5, 6])
 def test_products_print_the_reference_form_at_every_arity(arity):
-    # Two and three factors print from a table, the others from a format
-    # built on the spot; both must give the factor-by-factor text.
+    # Every arity prints through one format per arity, which must give the
+    # factor-by-factor text; the formats kept stay bounded.
     for pairs in ([(1, 1), (2, 3)], [(12, 1), (3, 10)], [(10, 25), (1, 2), (99, 7)]):
         factors = tuple(sorted((pairs * arity)[:arity]))
         term = PolarizedProduct(factors)
         text = to_text(term)
         assert text == "Prod(" + ",".join("P(%s):%s" % f for f in factors) + ")"
         assert parse_variety(text) == term
+    info = _product_format.cache_info()
+    assert info.currsize <= info.maxsize
 
 
 @pytest.mark.parametrize("value", ["P(3)", None, 3, (1, 2), VarietyTerm()])

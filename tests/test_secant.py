@@ -551,9 +551,9 @@ def test_widest_benchmark_rows_are_pinned(builder, digest):
 
 
 def test_suite_calls_the_patchable_row_and_rank_globals(monkeypatch):
-    # The benchmark times rows and ranks by patching these module globals, so
-    # the suite must keep calling them by name.
-    rows, primes = [], []
+    # The benchmark times rows, the three methods and ranks by patching these
+    # module globals, so the suite must keep calling them by name.
+    rows, primes, methods = [], [], []
 
     def counting_row(par, cfg):
         rows.append((par.kind, par.d, par.m))
@@ -566,9 +566,17 @@ def test_suite_calls_the_patchable_row_and_rank_globals(monkeypatch):
     row, rank = secant_mod.secant_row, secant_mod.rank_mod_p
     monkeypatch.setattr(secant_mod, "secant_row", counting_row)
     monkeypatch.setattr(secant_mod, "rank_mod_p", counting_rank)
+    names = ("span_dim_numeric", "secant_dim_terracini", "secant_dim_chordmap")
+    for name in names:
+        def counting_method(par, cfg, name=name, method=getattr(secant_mod, name)):
+            methods.append(name)
+            return method(par, cfg)
+
+        monkeypatch.setattr(secant_mod, name, counting_method)
     rep = verify_secant_dimensions((2,), (2,))
     grid = [(kind, d, 2) for kind in ("segre", "scroll") for d in (1, 2)]
     assert rows == grid and rep.counters["rows"] == len(grid)
+    assert methods == list(names) * len(grid)
     # one rank per (method, trial, prime): span, terracini and chord, in turn
     assert primes == list(DEFAULT_PRIMES) * (len(grid) * 3 * RankConfig().trials)
 
