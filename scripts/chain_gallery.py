@@ -6,6 +6,9 @@ the same code paths the verification suites check.
 
     python3 scripts/chain_gallery.py
     python3 scripts/chain_gallery.py "Q(11)" "SG(2,9)"
+
+An expression the engine rejects prints one ``component: message`` line to
+stderr, as the CLI does; the gallery goes on with the others and exits 2.
 """
 
 import sys
@@ -39,7 +42,7 @@ def show(expr: str):
     except EngineError as err:
         print(f"  chain: ({err})")
     n = dim(term)
-    if n % 2 == 1 and sv.is_exact and 2 * sv.value == n - 1 and picard_number(term) == 1:
+    if n >= 3 and n % 2 == 1 and sv.is_exact and 2 * sv.value == n - 1 and picard_number(term) == 1:
         trace = classification_trace(term, eng)
         flag = " [conjecture used]" if trace.conjecture_used else ""
         print(f"  trace: {trace.case_tag}, verdict ({trace.verdict}){flag}")
@@ -47,10 +50,14 @@ def show(expr: str):
 
 
 def main() -> int:
-    exprs = sys.argv[1:] or SHOWCASE
-    for expr in exprs:
-        show(expr)
-    return 0
+    status = 0
+    for expr in sys.argv[1:] or SHOWCASE:
+        try:
+            show(expr)
+        except EngineError as err:
+            print(f"{err.component}: {err}", file=sys.stderr)
+            status = 2
+    return status
 
 
 if __name__ == "__main__":

@@ -3,8 +3,9 @@
 
 The catalog-backed suites (classification, next-to-maximal invariant, family
 implications) share one catalog; the golden values and the exact secant
-sweep run on top.  Exit status is non-zero as soon as any suite records a
-failure.
+sweep run on top.  Exit status is 1 as soon as any suite records a failure,
+and 2 on an engine error, such as a rejected input bound, with one
+``component: message`` line on stderr as the CLI prints it.
 
     python3 scripts/run_suites.py --nmax 15 --degmax 4
     python3 scripts/run_suites.py --json-out reports.json
@@ -19,6 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from fanolines.catalog import build_catalog
 from fanolines.checks import SUITES, golden_suite
+from fanolines.errors import EngineError
 from fanolines.secant import RankConfig, verify_secant_dimensions
 
 
@@ -33,7 +35,14 @@ def main() -> int:
     parser.add_argument("--verbose", action="store_true",
                         help="print every record, not just summaries")
     args = parser.parse_args()
+    try:
+        return run(args)
+    except EngineError as err:
+        print(f"{err.component}: {err}", file=sys.stderr)
+        return 2
 
+
+def run(args: argparse.Namespace) -> int:
     cat = build_catalog(args.nmax, args.degmax)
     print(f"catalog: {len(cat)} members (n_max={args.nmax}, deg_max={args.degmax})")
 

@@ -56,12 +56,6 @@ class NoRule(EngineError):
     component = "families"
 
 
-class NoLineFamily(EngineError):
-    """Asked for the family dimension of a point."""
-
-    component = "terms"
-
-
 class PreconditionFailed(EngineError):
     """An operation was called outside its stated hypotheses."""
 

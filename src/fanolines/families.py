@@ -17,9 +17,10 @@ section of G(2,5)): their families exist but fall outside the term algebra.
 Each has its own ``"none"`` row, and ``RULELESS_CONSTRUCTORS`` is derived
 from those rows.
 :func:`family_outcome` makes the coverage test that :mod:`~fanolines.terms`
-defines, inline, and reads the rules; it raises nothing, builds no record,
-and names why a chain ends (``"is_point"``, ``"not_covered"`` or
-``"no_rule"``); the chain engine, the lemmas suite and the CLI read it.
+defines, ``family_dim >= 0`` for every term (a point has -1), inline, and
+reads the rules; it raises nothing, builds no record, and names why a chain
+ends (``"is_point"``, ``"not_covered"`` or ``"no_rule"``); the chain
+engine, the lemmas suite and the CLI read it.
 :func:`line_families`, its raising wrapper, raises ``NotCoveredByLines`` or
 ``NoRule``, worded by :func:`no_rule_reason`, and otherwise wraps each
 triple in a validated :class:`FamilyRecord`.
@@ -57,7 +58,6 @@ from .terms import (
     SympGrassmann,
     VarietyTerm,
     dim,
-    family_dim,
     linear_space,
     normalize,
     segre_pair,
@@ -133,14 +133,12 @@ def no_rule_reason(v: VarietyTerm) -> str:
 def family_outcome(v: VarietyTerm) -> tuple[Families, str | None]:
     """The families of ``v`` as plain ``(variety, ambient_pt_dim,
     span_in_pt)`` triples and ``None``, or ``()`` and the reason a chain ends
-    at ``v``: ``"is_point"``, ``"not_covered"`` or ``"no_rule"``.  Nothing
-    is raised and no record is built."""
-    n = dim(v)
-    if n == 0:
-        return (), "is_point"
-    if family_dim(v) < 0:
-        return (), "not_covered"
-    found = _RULES[type(v)](v, n - 1)
+    at ``v``: ``"is_point"``, ``"not_covered"`` or ``"no_rule"``.  The chain
+    ends uncovered exactly when ``family_dim < 0``, a point included; the
+    point is only named apart.  Nothing is raised and no record is built."""
+    if v._family_dim() < 0:  # the one coverage test, as terms defines it
+        return (), "is_point" if v._dim() == 0 else "not_covered"
+    found = _RULES[type(v)](v, v._dim() - 1)
     return ((), "no_rule") if found.__class__ is str else (found, None)
 
 

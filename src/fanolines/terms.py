@@ -9,10 +9,11 @@ Each constructor states its own invariants next to its fields and its
 validation, as the private methods listed on :class:`VarietyTerm`; the
 public functions only dispatch to them.  The ruling tables of maximal linear
 subspaces live here too, behind ``max_linear_in``, a view of the chain
-engine.  Line coverage is defined here: a term is covered by lines exactly
-when it is not a point and its family dimension is non-negative, that is
-when its ceiling on the chain invariant, ``s_ceiling``, is positive;
-``families.family_outcome`` makes the same test inline on the engine path.
+engine.  Line coverage is defined here, by one predicate for every term: a
+term is covered by lines exactly when ``family_dim >= 0``, that is when its
+ceiling on the chain invariant, ``s_ceiling``, is positive.  A point has
+family dimension -1; ``families.family_outcome`` makes the same test inline
+on the engine path.
 
 Complete-intersection and linear-section terms always denote GENERAL members
 of their families; every predicate is stated for the general member.
@@ -32,7 +33,7 @@ from functools import lru_cache
 from math import comb, prod
 from typing import NamedTuple
 
-from .errors import NoLineFamily, ValidationError
+from .errors import ValidationError
 
 
 class Bound(NamedTuple):
@@ -106,9 +107,8 @@ class VarietyTerm:
     def _s_ceiling(self) -> int:
         # S <= 1 + family_dim on a term covered by lines, as S(H) <= dim(H)
         # <= family_dim on each family H, and S = 0 on one that is not.
-        if self._dim() and (fd := self._family_dim()) >= 0:
-            return 1 + fd
-        return 0
+        fd = self._family_dim()
+        return 1 + fd if fd >= 0 else 0
 
     def _picard_number(self) -> int | None: return 1
     def _is_fano(self) -> bool: return True
@@ -126,7 +126,7 @@ class Point(VarietyTerm):
     def _ambient_dim(self): return 0
     def _picard_number(self): return 0
     def _is_fano(self): return False
-    def _family_dim(self): raise NoLineFamily("a point carries no family of lines")
+    def _family_dim(self): return -1
     def _max_linear_in(self): return exact(0)
 
 
@@ -143,12 +143,7 @@ class LinearSpace(VarietyTerm):
 
     def _dim(self): return self.n
     def _ambient_dim(self): return self.n
-
-    def _family_dim(self):
-        if self.n == 0:
-            raise NoLineFamily("a point carries no family of lines")
-        return self.n - 1
-
+    def _family_dim(self): return self.n - 1
     def _max_linear_in(self): return exact(self.n)
     def _normalize(self): return Point() if self.n == 0 else self
 
@@ -294,7 +289,7 @@ class PolarizedProduct(VarietyTerm):
 
     def _dim(self):
         # A loop, as in _family_dim: the catalog index asks this of each
-        # product, directly and through _s_ceiling.
+        # product.
         n = 0
         for m, _ in self.factors:
             n += m
@@ -436,9 +431,10 @@ def family_dim(v: VarietyTerm) -> int:
     """Dimension of a family of lines through a general point.
 
     Evaluates the anticanonical-degree-minus-two formula per constructor; a
-    negative value signals that no line passes through a general point.  For
-    products (several families of different dimensions) this is the largest
-    one.
+    negative value signals that no line passes through a general point, and
+    a point (or P^0) has -1.  The term is covered by lines exactly when this
+    is >= 0.  For products (several families of different dimensions) this
+    is the largest one.
     """
     return v._family_dim()
 
@@ -456,8 +452,8 @@ def s_ceiling(v: VarietyTerm) -> int:
 
 def covered_by_lines(v: VarietyTerm) -> bool:
     """Is there a line on the variety through a general point?  Exactly when
-    it is no point and its family of lines has non-negative dimension, that
-    is when its :func:`s_ceiling` is positive."""
+    ``family_dim >= 0`` (a point has -1), that is when its
+    :func:`s_ceiling` is positive."""
     return v._s_ceiling() > 0
 
 

@@ -180,6 +180,7 @@ def test_chain_tree_depth_equals_exact_s():
 
 def test_chain_tree_terminal_reasons():
     assert family_outcome(Point()) == ((), "is_point")
+    assert family_outcome(LinearSpace(0)) == ((), "is_point")
     assert family_outcome(Quadric(1)) == ((), "not_covered")
     assert family_outcome(SympGrassmann(3, 7)) == ((), "no_rule")
     # the quadric tower is a single branch ending at the conic

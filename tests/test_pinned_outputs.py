@@ -11,7 +11,10 @@ non-normal, non-Fano and ruleless presentations listed below.  It was
 re-recorded once, when ``max_linear_in`` began to ask the normal form: four
 non-normal rows changed, ``CI(2;2)``, ``CI(2;3)`` and ``CI(2;9)`` from a
 lower bound to the quadric's exact value and ``LS(G(2,5),0)`` to the
-Grassmannian's, and no other row moved.  The
+Grassmannian's, and no other row moved.  It was re-recorded a second time,
+when a point got family dimension -1 in place of an error: the four point
+rows (``pt`` and ``P(0)``, each listed twice) changed their family-dimension
+cell from ``NoLineFamily`` to ``-1``, and no other cell moved.  The
 family-outcome digest was recorded before the family rules became a table
 keyed on the constructor; it covers every family, or the reason a chain ends,
 of every term of ``build_catalog(20, 5)`` and of the edge cases listed below.
@@ -39,7 +42,6 @@ from fanolines.catalog import build_catalog
 from fanolines.chains import max_linear_in
 from fanolines.cli import main
 from fanolines.dsl import to_text
-from fanolines.errors import EngineError
 from fanolines.families import RULE_PROVENANCE, FamilyRecord, family_outcome
 from fanolines.terms import (
     LinearSectionG25,
@@ -86,7 +88,7 @@ PINNED = {
     "cli domain errors":
         "87db9864a76d2d1550ffc3bfbe8ced1bb1e17c812bab3c0cb804c5a0c10658f9",
     "term tables":
-        "ed12bfb20e515f7d875fdf81705f9e885988f3c38d6194fab70f975025b6a24f",
+        "36bfeffbc9c6b7ab145d321c86ba00e3947ce965d00190c0ba7bc15f98a712ef",
     "family outcomes":
         "48cd478a7565b3640d43091523fef4b803f2b1cd79122656c4a616977b42b356",
     "rule provenance":
@@ -148,6 +150,25 @@ def test_run_suites_json_report_is_pinned(tmp_path):
     assert _sha(out.read_bytes()) == PINNED["run_suites_json"]
 
 
+def test_chain_gallery_prints_one_line_per_bad_expression_and_goes_on():
+    # Q(1) has 2S = n - 1 but no trace, which needs n >= 3.
+    done = subprocess.run([sys.executable, str(SCRIPTS / "chain_gallery.py"), "X(1)", "Q(1)"],
+                          capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stderr == "dsl: unknown constructor 'X' (at position 0)\n"
+    assert done.stdout == ("Q(1)  (dim 1, rho 1)\n"
+                           "  S = 0 (exact); covered by linear spaces of dimension >= 0\n"
+                           "  chain: (Q(1) is not covered by lines)\n\n")
+
+
+def test_run_suites_prints_one_line_on_a_bad_bound():
+    done = subprocess.run([sys.executable, str(SCRIPTS / "run_suites.py"), "--nmax", "1"],
+                          capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stderr == "catalog: build_catalog requires n_max >= 2 and deg_max >= 2\n"
+    assert done.stdout == ""
+
+
 @pytest.mark.parametrize("command", ["s", "chain", "cover", "trace"])
 def test_cli_answers_on_the_showcase_terms_are_pinned(command):
     assert _sha(_cli_transcript(command)) == PINNED[f"cli {command}"]
@@ -207,20 +228,13 @@ def test_cli_runs_without_a_term_and_domain_errors_are_pinned(name, monkeypatch)
     assert _sha(transcript) == PINNED[name]
 
 
-def _family_dim_or_error(v) -> str:
-    try:
-        return str(family_dim(v))
-    except EngineError as err:
-        return type(err).__name__
-
-
 def test_term_tables_are_pinned():
     terms = [*build_catalog(20, 5), *NON_NORMAL_PRESENTATIONS, *NON_FANO_TERMS,
              Point(), LinearSpace(0), SympGrassmann(3, 7), LinearSectionG25(2)]
     rows = [
         "|".join(map(str, (
             to_text(v), dim(v), ambient_dim(v), picard_number(v), is_fano(v),
-            _family_dim_or_error(v), max_linear_in(v), to_text(normalize(v)),
+            family_dim(v), max_linear_in(v), to_text(normalize(v)),
             covered_by_lines(v), is_linear(v),
         )))
         for v in terms

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from fanolines.chains import ChainEngine, max_linear_in
 from fanolines.dsl import parse_variety, to_text
 from fanolines.catalog import build_catalog
-from fanolines.errors import EngineError, NoRule, NotCoveredByLines, PreconditionFailed
+from fanolines.errors import NoRule, NotCoveredByLines, PreconditionFailed
 from fanolines.families import expand_ci_degrees, family_outcome, line_families
 from fanolines.terms import (
     CompleteIntersection,
@@ -68,13 +68,9 @@ def test_normalize_is_idempotent(v):
 
 def _answers(v) -> tuple:
     """Every invariant of ``v``, the chain ones on a fresh engine each."""
-    try:
-        fd = family_dim(v)
-    except EngineError as err:
-        fd = type(err)
-    return (dim(v), ambient_dim(v), picard_number(v), is_fano(v), fd, covered_by_lines(v),
-            is_linear(v), max_linear_in(v, ChainEngine()), ChainEngine().s_invariant(v),
-            ChainEngine().covering_ls_bound(v))
+    return (dim(v), ambient_dim(v), picard_number(v), is_fano(v), family_dim(v),
+            covered_by_lines(v), is_linear(v), max_linear_in(v, ChainEngine()),
+            ChainEngine().s_invariant(v), ChainEngine().covering_ls_bound(v))
 
 
 @given(terms)
@@ -150,8 +146,6 @@ def test_family_records_are_well_formed(v):
 
 @given(terms)
 def test_negative_family_dim_means_no_lines(v):
-    if dim(v) == 0:
-        return
     if family_dim(v) < 0:
         assert not covered_by_lines(v)
 
@@ -270,9 +264,19 @@ def test_s_is_at_most_one_more_than_the_family_dimension_on_the_catalog():
 
 @given(terms)
 def test_s_ceiling_is_one_more_than_the_family_dimension_on_covered_terms(v):
-    # The ceiling's definition, from dim and family_dim alone; a point and
-    # P^0 have no family dimension.
-    covered = dim(v) > 0 and family_dim(v) >= 0
+    # The ceiling's definition, from family_dim alone; a point and P^0 have
+    # family dimension -1.
+    covered = family_dim(v) >= 0
     assert s_ceiling(v) == (1 + family_dim(v) if covered else 0)
     assert covered_by_lines(v) == covered
     assert s_ceiling(normalize(v)) == s_ceiling(v)
+
+
+@given(terms)
+def test_family_dim_is_the_one_coverage_test(v):
+    # One predicate for every term, points included: the coverage test, the
+    # ceiling and the reason a chain ends all read the sign of family_dim.
+    fd = family_dim(v)
+    assert covered_by_lines(v) == (fd >= 0)
+    assert s_ceiling(v) == max(0, 1 + fd)
+    assert (family_outcome(v)[1] in ("is_point", "not_covered")) == (fd < 0)

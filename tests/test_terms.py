@@ -7,7 +7,7 @@ from dataclasses import fields
 import pytest
 
 from fanolines.chains import max_linear_in
-from fanolines.errors import NoLineFamily, ValidationError
+from fanolines.errors import ValidationError
 from fanolines.terms import (
     CompleteIntersection,
     Grassmann,
@@ -212,7 +212,7 @@ def test_covered_by_lines(term, expected):
 
 def _covered_by_lines_table(v) -> bool:
     """The classical coverage table, per constructor on the normal form:
-    the oracle for the derived test ``dim > 0 and family_dim >= 0``."""
+    the oracle for the derived test ``family_dim >= 0``."""
     match normalize(v):
         case Point():
             return False
@@ -275,17 +275,12 @@ def test_covered_by_lines_agrees_with_the_classical_table():
         (ProjBundleP1((2, 1, 1)), 1),
         (Quadric(1), -1),  # no line through any point of a conic
         (LinearSectionG25(4), -1),
+        (Point(), -1),  # no line through a point
+        (LinearSpace(0), -1),
     ],
 )
 def test_family_dim(term, expected):
     assert family_dim(term) == expected
-
-
-def test_family_dim_of_point_is_an_error():
-    with pytest.raises(NoLineFamily):
-        family_dim(Point())
-    with pytest.raises(NoLineFamily):
-        family_dim(LinearSpace(0))
 
 
 def test_family_dim_linear_section_adjunction_oracle():
