@@ -7,8 +7,10 @@ the same code paths the verification suites check.
     python3 scripts/chain_gallery.py
     python3 scripts/chain_gallery.py "Q(11)" "SG(2,9)"
 
-An expression the engine rejects prints one ``component: message`` line to
-stderr, as the CLI does; the gallery goes on with the others and exits 2.
+Each expression is parsed as the CLI's ``s`` and ``chain`` parse theirs, under
+the same caps (``cli.TERM_INT_CAP`` and ``cli.DEPTH_CAP``).  An expression the
+engine rejects prints one ``component: message`` line to stderr, as the CLI
+does; the gallery goes on with the others and exits 2.
 """
 
 import sys
@@ -17,7 +19,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from fanolines.chains import default_engine
-from fanolines.dsl import parse_variety, to_text
+from fanolines.cli import _parse_chain_term
+from fanolines.dsl import to_text
 from fanolines.errors import EngineError
 from fanolines.terms import dim, picard_number
 from fanolines.trace import classification_trace
@@ -31,7 +34,7 @@ SHOWCASE = [
 
 def show(expr: str):
     eng = default_engine()
-    term = parse_variety(expr)
+    term = _parse_chain_term(expr)
     sv = eng.s_invariant(term)
     bound = eng.covering_ls_bound(term)
     print(f"{expr}  (dim {dim(term)}, rho {picard_number(term)})")

@@ -58,7 +58,6 @@ from .terms import (
     Grassmann,
     LinearSectionG25,
     LinearSpace,
-    Point,
     PolarizedProduct,
     ProjBundleP1,
     Quadric,
@@ -95,7 +94,6 @@ __all__ = [
     "NotCoveredByLines",
     "Parameterization",
     "ParseError",
-    "Point",
     "PolarizedProduct",
     "PreconditionFailed",
     "ProjBundleP1",

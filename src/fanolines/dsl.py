@@ -7,6 +7,9 @@ Grammar (whitespace-insensitive)::
             | "PB(" a ("," a)+ ")" | "LS(G(2,5)," c ")"
     factor := "P(" n "):" d
 
+Each of the eight constructors has one name; the point is P^0, read from
+``pt`` or ``P(0)`` and printed ``pt``.
+
 Text is scanned by one pattern, ``_TOKEN``: each match skips the whitespace
 before a token (whatever ``str.isspace`` accepts) and reads a name, an
 integer, a symbol or any other character, which is a parse error at its
@@ -37,7 +40,6 @@ from .terms import (
     Grassmann,
     LinearSectionG25,
     LinearSpace,
-    Point,
     PolarizedProduct,
     ProjBundleP1,
     Quadric,
@@ -104,7 +106,8 @@ def parse_variety(text: str) -> VarietyTerm:
     return term
 
 
-#: The constructor each name of the grammar builds, ``pt`` aside.
+#: The constructor each name of the grammar builds, one per constructor; the
+#: point P^0 is ``P(0)``, and ``pt`` spells it too.
 _CONSTRUCTORS = {"P": LinearSpace, "Q": Quadric, "G": Grassmann, "SG": SympGrassmann,
                  "CI": CompleteIntersection, "Prod": PolarizedProduct, "PB": ProjBundleP1,
                  "LS": LinearSectionG25}
@@ -116,7 +119,7 @@ def _parse_expr(toks: _Tokens) -> VarietyTerm:
         raise ParseError(f"expected a constructor name, found {value!r}", pos)
     toks.i += 1
     if value == "pt":
-        return Point()
+        return LinearSpace(0)
     ctor = _CONSTRUCTORS.get(value)
     if ctor is None:
         raise ParseError(f"unknown constructor {value!r}", pos)
@@ -169,8 +172,7 @@ def _product_format(arity: int) -> str:
 
 
 _FORMATS: dict[type[VarietyTerm], Callable[..., str]] = {
-    Point: lambda v: "pt",
-    LinearSpace: lambda v: f"P({v.n})",
+    LinearSpace: lambda v: f"P({v.n})" if v.n else "pt",
     Quadric: lambda v: f"Q({v.n})",
     Grassmann: lambda v: f"G({v.k},{v.N})",
     SympGrassmann: lambda v: f"SG({v.k},{v.N})",

@@ -17,7 +17,7 @@ section of G(2,5)): their families exist but fall outside the term algebra.
 Each has its own ``"none"`` row, and ``RULELESS_CONSTRUCTORS`` is derived
 from those rows.
 :func:`family_outcome` makes the coverage test that :mod:`~fanolines.terms`
-defines, ``family_dim >= 0`` for every term (a point has -1), inline, and
+defines, ``family_dim >= 0`` for every term (the point P^0 has -1), inline, and
 reads the rules; it raises nothing, builds no record, and names why a chain
 ends (``"is_point"``, ``"not_covered"`` or ``"no_rule"``); the chain
 engine, the lemmas suite and the CLI read it.
@@ -51,14 +51,12 @@ from .terms import (
     Grassmann,
     LinearSectionG25,
     LinearSpace,
-    Point,
     PolarizedProduct,
     ProjBundleP1,
     Quadric,
     SympGrassmann,
     VarietyTerm,
     dim,
-    linear_space,
     normalize,
     segre_pair,
 )
@@ -134,8 +132,8 @@ def family_outcome(v: VarietyTerm) -> tuple[Families, str | None]:
     """The families of ``v`` as plain ``(variety, ambient_pt_dim,
     span_in_pt)`` triples and ``None``, or ``()`` and the reason a chain ends
     at ``v``: ``"is_point"``, ``"not_covered"`` or ``"no_rule"``.  The chain
-    ends uncovered exactly when ``family_dim < 0``, a point included; the
-    point is only named apart.  Nothing is raised and no record is built."""
+    ends uncovered exactly when ``family_dim < 0``, the point P^0 included;
+    the point is only named apart.  Nothing is raised and no record is built."""
     if v._family_dim() < 0:  # the one coverage test, as terms defines it
         return (), "is_point" if v._dim() == 0 else "not_covered"
     found = _RULES[type(v)](v, v._dim() - 1)
@@ -150,12 +148,12 @@ def family_outcome(v: VarietyTerm) -> tuple[Families, str | None]:
 
 def _linear_space_rule(v: LinearSpace, ambient: int) -> Families:
     # Lines through a point of P^n fill the projectivised tangent space.
-    return ((linear_space(v.n - 1), ambient, ambient),)
+    return ((LinearSpace(v.n - 1), ambient, ambient),)
 
 
 def _quadric_rule(v: Quadric, ambient: int) -> Families:
     if v.n == 2:
-        return ((Point(), 1, 0),)
+        return ((LinearSpace(0), 1, 0),)
     return ((Quadric(v.n - 2), ambient, ambient),)
 
 
@@ -178,14 +176,14 @@ _last_expansion = lru_cache(maxsize=1)(expand_ci_degrees)
 def _complete_intersection_rule(v: CompleteIntersection, ambient: int) -> Families:
     fam_degrees = _last_expansion(v.degrees)  # cutting out the family in P(T)
     if ambient == len(fam_degrees):
-        return ((Point(), ambient, 0),)
+        return ((LinearSpace(0), ambient, 0),)
     return ((CompleteIntersection(fam_degrees, ambient), ambient, ambient),)
 
 
 def _product_rule(v: PolarizedProduct, ambient: int) -> Families:
     # One family per degree-1 factor; it spans only that factor's tangent
     # directions, a proper subspace whenever other factors exist.
-    return tuple((linear_space(n - 1), ambient, n - 1) for n, d in v.factors if d == 1)
+    return tuple((LinearSpace(n - 1), ambient, n - 1) for n, d in v.factors if d == 1)
 
 
 def _scroll_rule(v: ProjBundleP1, ambient: int) -> Families:
@@ -193,7 +191,7 @@ def _scroll_rule(v: ProjBundleP1, ambient: int) -> Families:
     # change the chain invariant: the fiber family already attains the
     # maximum possible for a non-linear term.
     k = len(v.twists)
-    return ((linear_space(k - 2), ambient, k - 2),)
+    return ((LinearSpace(k - 2), ambient, k - 2),)
 
 
 #: The families of the covered linear sections of G(2,5), by codimension,
@@ -205,7 +203,7 @@ _G25_SECTION_FAMILIES: dict[int, Families | str] = {
     1: ((ProjBundleP1((2, 1)), 4, 4),),
     2: "no family rule for the codimension-2 section of G(2,5):"
        " its family is a curve outside the term algebra",
-    3: ((Point(), 2, 0),),
+    3: ((LinearSpace(0), 2, 0),),
 }
 
 
@@ -216,10 +214,11 @@ def _g25_section_rule(v: LinearSectionG25, ambient: int) -> Families | str:
 #: The rule table: one row ``(constructor, rule, provenance)`` per
 #: :data:`RULE_PROVENANCE` row.  SympGrassmann k >= 3 is a case of the k = 2
 #: row's rule, the codimension-2 section of G(2,5) a case of the other
-#: sections' rule, and the recognition row has no constructor; a point, never
-#: covered by lines, has no row.  ``status`` is "classical" (standard fact),
-#: "conjectural" (recognition only) or "none" (covered by lines, but the
-#: family falls outside the term algebra).
+#: sections' rule, and the recognition row has no constructor.  Of the eight
+#: constructors, only the point P^0 (``LinearSpace(0)``, printed ``pt``) never
+#: reaches its row's rule, as it is not covered by lines.  ``status`` is
+#: "classical" (standard fact), "conjectural" (recognition only) or "none"
+#: (covered by lines, but the family falls outside the term algebra).
 _RULE_TABLE = (
     (LinearSpace, _linear_space_rule, {
         "constructor": "LinearSpace",

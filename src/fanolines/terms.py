@@ -1,19 +1,19 @@
 """Term algebra of embedded projective varieties.
 
-A :class:`VarietyTerm` is one of nine immutable constructors, each of which
-fixes both an abstract variety and a projective embedding.  The operations in
-this module are classical invariants (dimension, Picard number, Fano-ness,
-family dimension, ambient spaces) plus a canonicalising rewrite
-:func:`normalize` that identifies terms denoting the same embedded variety.
-Each constructor states its own invariants next to its fields and its
-validation, as the private methods listed on :class:`VarietyTerm`; the
-public functions only dispatch to them.  The ruling tables of maximal linear
-subspaces live here too, behind ``max_linear_in``, a view of the chain
-engine.  Line coverage is defined here, by one predicate for every term: a
-term is covered by lines exactly when ``family_dim >= 0``, that is when its
-ceiling on the chain invariant, ``s_ceiling``, is positive.  A point has
-family dimension -1; ``families.family_outcome`` makes the same test inline
-on the engine path.
+A :class:`VarietyTerm` is one of eight immutable constructors, each of which
+fixes both an abstract variety and a projective embedding; the point is P^0,
+``LinearSpace(0)``, printed ``pt``.  The operations in this module are
+classical invariants (dimension, Picard number, Fano-ness, family dimension,
+ambient spaces) plus a canonicalising rewrite :func:`normalize` that
+identifies terms denoting the same embedded variety.  Each constructor states
+its own invariants next to its fields and its validation, as the private
+methods listed on :class:`VarietyTerm`; the public functions only dispatch to
+them.  The ruling tables of maximal linear subspaces live here too, behind
+``max_linear_in``, a view of the chain engine.  Line coverage is defined here,
+by one predicate for every term: a term is covered by lines exactly when
+``family_dim >= 0``, that is when its ceiling on the chain invariant,
+``s_ceiling``, is positive.  The point P^0 has family dimension -1;
+``families.family_outcome`` makes the same test inline on the engine path.
 
 Complete-intersection and linear-section terms always denote GENERAL members
 of their families; every predicate is stated for the general member.
@@ -80,7 +80,7 @@ def at_least(value: int) -> Bound:
 
 
 class VarietyTerm:
-    """Base of the nine term constructors.
+    """Base of the eight term constructors; the point is P^0, printed ``pt``.
 
     Each constructor answers, next to its fields, the questions behind the
     public invariants: ``_dim``, ``_ambient_dim``, ``_picard_number``,
@@ -117,22 +117,8 @@ class VarietyTerm:
 
 
 @dataclass(frozen=True)
-class Point(VarietyTerm):
-    """A single point, the terminal object of every chain."""
-
-    __slots__ = ()
-
-    def _dim(self): return 0
-    def _ambient_dim(self): return 0
-    def _picard_number(self): return 0
-    def _is_fano(self): return False
-    def _family_dim(self): return -1
-    def _max_linear_in(self): return exact(0)
-
-
-@dataclass(frozen=True)
 class LinearSpace(VarietyTerm):
-    """P^n, linearly embedded."""
+    """P^n, linearly embedded; P^0 is the point, where every chain ends."""
 
     __slots__ = ("n",)
     n: int
@@ -143,9 +129,10 @@ class LinearSpace(VarietyTerm):
 
     def _dim(self): return self.n
     def _ambient_dim(self): return self.n
+    def _picard_number(self): return 1 if self.n else 0
+    def _is_fano(self): return self.n > 0
     def _family_dim(self): return self.n - 1
     def _max_linear_in(self): return exact(self.n)
-    def _normalize(self): return Point() if self.n == 0 else self
 
 
 @dataclass(frozen=True)
@@ -190,7 +177,7 @@ class Grassmann(VarietyTerm):
         # G(k,N) is G(N-k,N); G(1,N) is P^{N-1}; G(2,4) is Q^4.
         k = min(self.k, self.N - self.k)
         if k == 1:
-            return linear_space(self.N - 1)
+            return LinearSpace(self.N - 1)
         if (k, self.N) == (2, 4):
             return Quadric(4)
         return Grassmann(k, self.N)
@@ -376,19 +363,12 @@ class LinearSectionG25(VarietyTerm):
 
 
 # ---------------------------------------------------------------------------
-# smart constructors (collapse degenerate shapes)
-
-
-def linear_space(n: int) -> VarietyTerm:
-    """P^n as a term; P^0 collapses to the point."""
-    return Point() if n <= 0 else LinearSpace(n)
+# a smart constructor (collapses a degenerate shape)
 
 
 def segre_pair(a: int, b: int) -> VarietyTerm:
     """Segre-embedded P^a x P^b, collapsing zero-dimensional factors."""
     a, b = sorted((a, b))
-    if b <= 0:
-        return Point()
     if a <= 0:
         return LinearSpace(b)
     return PolarizedProduct(((a, 1), (b, 1)))
@@ -432,9 +412,9 @@ def family_dim(v: VarietyTerm) -> int:
 
     Evaluates the anticanonical-degree-minus-two formula per constructor; a
     negative value signals that no line passes through a general point, and
-    a point (or P^0) has -1.  The term is covered by lines exactly when this
-    is >= 0.  For products (several families of different dimensions) this
-    is the largest one.
+    the point P^0, printed ``pt``, has -1.  The term is covered by lines
+    exactly when this is >= 0.  For products (several families of different
+    dimensions) this is the largest one.
     """
     return v._family_dim()
 
@@ -444,7 +424,7 @@ def s_ceiling(v: VarietyTerm) -> int:
     covered by lines, and 0 (where S = 0) on one that is not.  The CLI's
     depth cap and every suite that skips S read it.
 
-    >>> s_ceiling(Quadric(7)), s_ceiling(Point())
+    >>> s_ceiling(Quadric(7)), s_ceiling(LinearSpace(0))
     (6, 0)
     """
     return v._s_ceiling()
@@ -452,7 +432,7 @@ def s_ceiling(v: VarietyTerm) -> int:
 
 def covered_by_lines(v: VarietyTerm) -> bool:
     """Is there a line on the variety through a general point?  Exactly when
-    ``family_dim >= 0`` (a point has -1), that is when its
+    ``family_dim >= 0`` (the point P^0 has -1), that is when its
     :func:`s_ceiling` is positive."""
     return v._s_ceiling() > 0
 
@@ -462,7 +442,6 @@ def normalize(v: VarietyTerm) -> VarietyTerm:
 
     Identifications performed (each classical):
 
-    * P^0 and the point;
     * G(k,N) with G(N-k,N); G(1,N) with P^{N-1}; G(2,4) with Q^4;
     * a single quadric hypersurface CI(2; P^N) with Q^{N-1};
     * Q^2 with P^1 x P^1 (Segre);
@@ -477,5 +456,5 @@ def normalize(v: VarietyTerm) -> VarietyTerm:
 
 
 def is_linear(v: VarietyTerm) -> bool:
-    """Is the term a linearly embedded linear space (including P^0)?"""
-    return isinstance(normalize(v), (LinearSpace, Point))
+    """Is the term a linearly embedded linear space (the point P^0 included)?"""
+    return isinstance(normalize(v), LinearSpace)

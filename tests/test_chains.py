@@ -23,7 +23,6 @@ from fanolines.terms import (
     Grassmann,
     LinearSectionG25,
     LinearSpace,
-    Point,
     PolarizedProduct,
     Quadric,
     SympGrassmann,
@@ -128,7 +127,7 @@ def test_witness_chain_length_matches_exact_s():
 
 def test_witness_chain_requires_coverage():
     with pytest.raises(NotCoveredByLines):
-        witness_chain(Point())
+        witness_chain(LinearSpace(0))
     with pytest.raises(NotCoveredByLines):
         witness_chain(Quadric(1))
 
@@ -179,7 +178,7 @@ def test_chain_tree_depth_equals_exact_s():
 
 
 def test_chain_tree_terminal_reasons():
-    assert family_outcome(Point()) == ((), "is_point")
+    assert family_outcome(parse_variety("pt")) == ((), "is_point")
     assert family_outcome(LinearSpace(0)) == ((), "is_point")
     assert family_outcome(Quadric(1)) == ((), "not_covered")
     assert family_outcome(SympGrassmann(3, 7)) == ((), "no_rule")

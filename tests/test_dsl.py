@@ -14,7 +14,6 @@ from fanolines.terms import (
     Grassmann,
     LinearSectionG25,
     LinearSpace,
-    Point,
     PolarizedProduct,
     ProjBundleP1,
     Quadric,
@@ -26,7 +25,7 @@ from fanolines.terms import (
 @pytest.mark.parametrize(
     "text, expected",
     [
-        ("pt", Point()),
+        ("pt", LinearSpace(0)),
         ("P(0)", LinearSpace(0)),
         ("P(12)", LinearSpace(12)),
         ("Q(7)", Quadric(7)),
@@ -41,6 +40,12 @@ from fanolines.terms import (
 )
 def test_parse(text, expected):
     assert parse_variety(text) == expected
+
+
+def test_the_point_is_p0_and_prints_pt():
+    # One term for the point: both spellings read as P^0, which prints pt.
+    assert parse_variety("P(0)") == parse_variety("pt") == LinearSpace(0)
+    assert to_text(parse_variety("P(0)")) == "pt"
 
 
 def test_parse_is_whitespace_insensitive():
@@ -222,7 +227,7 @@ def test_round_trip_over_catalog():
 
 
 def test_print_examples():
-    assert to_text(Point()) == "pt"
+    assert to_text(LinearSpace(0)) == "pt"
     assert to_text(SympGrassmann(2, 6)) == "SG(2,6)"
     assert to_text(CompleteIntersection((2, 3), 6)) == "CI(2,3;6)"
     assert to_text(PolarizedProduct(((1, 2), (3, 1)))) == "Prod(P(1):2,P(3):1)"
@@ -231,10 +236,10 @@ def test_print_examples():
 
 def test_formatter_table_covers_every_constructor():
     # One formatter per constructor, keyed on the class: a term of each of
-    # the nine prints as text that parses back to it.
+    # the eight prints as text that parses back to it, the point P^0 too.
     assert set(_FORMATS) == set(VarietyTerm.__subclasses__())
-    assert len(_FORMATS) == 9
-    samples = [Point(), LinearSpace(0), Quadric(2), Grassmann(3, 5), SympGrassmann(3, 7),
+    assert len(_FORMATS) == 8
+    samples = [LinearSpace(0), LinearSpace(4), Quadric(2), Grassmann(3, 5), SympGrassmann(3, 7),
                CompleteIntersection((3, 2, 2), 9), PolarizedProduct(((2, 1), (1, 3), (2, 1))),
                ProjBundleP1((1, 1)), LinearSectionG25(4)]
     assert {type(v) for v in samples} == set(_FORMATS)

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from fanolines.dsl import to_text
+from fanolines.dsl import parse_variety, to_text
 from fanolines.errors import NoRule, NotCoveredByLines
 from fanolines.families import (
     _RULE_TABLE,
@@ -28,7 +28,6 @@ from fanolines.terms import (
     Grassmann,
     LinearSectionG25,
     LinearSpace,
-    Point,
     PolarizedProduct,
     ProjBundleP1,
     Quadric,
@@ -63,7 +62,7 @@ def test_quadric_families():
     assert fam.variety == Quadric(2)
     assert fam.ambient_pt_dim == fam.span_in_pt == 3
     fam2 = only(line_families(Quadric(2)))
-    assert fam2.variety == Point()
+    assert fam2.variety == LinearSpace(0)
     assert (fam2.ambient_pt_dim, fam2.span_in_pt) == (1, 0)
 
 
@@ -88,7 +87,7 @@ def test_symplectic_family_is_scroll():
 
 def test_complete_intersection_families():
     fam = only(line_families(CompleteIntersection((3,), 4)))
-    assert fam.variety == Point()  # degrees (2,3) in P^2 leave dimension 0
+    assert fam.variety == LinearSpace(0)  # degrees (2,3) in P^2 leave dimension 0
     fam = only(line_families(CompleteIntersection((2, 2), 7)))
     assert fam.variety == CompleteIntersection((2, 2), 4)
     assert fam.ambient_pt_dim == fam.span_in_pt == 4
@@ -113,7 +112,7 @@ def test_expand_ci_degrees_stays_linear_in_its_output():
 
 def test_product_families_span_only_their_factor():
     fams = line_families(PolarizedProduct(((1, 1), (3, 1))))
-    assert [f.variety for f in fams] == [Point(), LinearSpace(2)]
+    assert [f.variety for f in fams] == [LinearSpace(0), LinearSpace(2)]
     assert [f.span_in_pt for f in fams] == [0, 2]
     assert all(f.ambient_pt_dim == 3 for f in fams)
     # degree-2 factors carry no family of lines
@@ -135,7 +134,7 @@ def test_linear_section_families():
     assert fam.variety == ProjBundleP1((2, 1))
     assert fam.ambient_pt_dim == fam.span_in_pt == 4
     fam = only(line_families(LinearSectionG25(3)))
-    assert fam.variety == Point()
+    assert fam.variety == LinearSpace(0)
 
 
 def test_no_rule_is_a_first_class_outcome():
@@ -149,7 +148,7 @@ def test_no_rule_is_a_first_class_outcome():
 
 
 def test_not_covered_raises():
-    for term in (Point(), Quadric(1), LinearSectionG25(4),
+    for term in (parse_variety("pt"), Quadric(1), LinearSectionG25(4),
                  CompleteIntersection((2, 2), 4), LinearSpace(0)):
         with pytest.raises(NotCoveredByLines):
             line_families(term)
@@ -160,7 +159,7 @@ def test_lookup_reads_the_same_outcome_without_raising():
     # and otherwise wraps the same triples.
     from fanolines.catalog import build_catalog
 
-    uncovered = [Point(), LinearSpace(0), Quadric(1), LinearSectionG25(4),
+    uncovered = [parse_variety("pt"), LinearSpace(0), Quadric(1), LinearSectionG25(4),
                  CompleteIntersection((2, 2), 4), PolarizedProduct(((2, 2), (3, 2)))]
     for v in [*build_catalog(10, 4), *uncovered, SympGrassmann(3, 7)]:
         fams, end = family_outcome(v)

@@ -14,10 +14,15 @@ lower bound to the quadric's exact value and ``LS(G(2,5),0)`` to the
 Grassmannian's, and no other row moved.  It was re-recorded a second time,
 when a point got family dimension -1 in place of an error: the four point
 rows (``pt`` and ``P(0)``, each listed twice) changed their family-dimension
-cell from ``NoLineFamily`` to ``-1``, and no other cell moved.  The
-family-outcome digest was recorded before the family rules became a table
-keyed on the constructor; it covers every family, or the reason a chain ends,
-of every term of ``build_catalog(20, 5)`` and of the edge cases listed below.
+cell from ``NoLineFamily`` to ``-1``, and no other cell moved.  It was
+re-recorded a third time, when the point became P^0, ``LinearSpace(0)``: the
+two ``P(0)`` rows (31,926 and 31,953) now print their first cell as ``pt``,
+and no other cell or row moved.  The family-outcome digest was recorded
+before the family rules became a table keyed on the constructor; it covers
+every family, or the reason a chain ends, of every term of
+``build_catalog(20, 5)`` and of the edge cases listed below.  It was
+re-recorded once, when the point became P^0: the row ``P(0)|is_point`` (row
+31,927) became ``pt|is_point``, and no other row moved.
 The rule-provenance digest, of ``json.dumps(RULE_PROVENANCE)``, was recorded
 before the rules, their ``NoRule`` texts and their provenance rows became one
 table.  It was re-recorded once, when the ruleless codimension-2 section of
@@ -46,7 +51,6 @@ from fanolines.families import RULE_PROVENANCE, FamilyRecord, family_outcome
 from fanolines.terms import (
     LinearSectionG25,
     LinearSpace,
-    Point,
     Quadric,
     SympGrassmann,
     ambient_dim,
@@ -88,9 +92,9 @@ PINNED = {
     "cli domain errors":
         "87db9864a76d2d1550ffc3bfbe8ced1bb1e17c812bab3c0cb804c5a0c10658f9",
     "term tables":
-        "36bfeffbc9c6b7ab145d321c86ba00e3947ce965d00190c0ba7bc15f98a712ef",
+        "4dae57e9726e69b83a37c275ae1ab11498d2afa2967a599700df20271099078c",
     "family outcomes":
-        "48cd478a7565b3640d43091523fef4b803f2b1cd79122656c4a616977b42b356",
+        "f3c3d5be956778c6c1daa8d8a225d1368a8882f04d254a258e1053b149438992",
     "rule provenance":
         "880e64fcdacfac2e5d3d81bb8263cb2b8bc288f87dfcf3da499c740b5ce32981",
 }
@@ -169,6 +173,32 @@ def test_run_suites_prints_one_line_on_a_bad_bound():
     assert done.stdout == ""
 
 
+def test_chain_gallery_applies_the_cli_caps():
+    # Each expression is parsed under the CLI's caps: a rejected one prints
+    # its cli: line at once, and the gallery goes on with the others.
+    done = subprocess.run([sys.executable, str(SCRIPTS / "chain_gallery.py"),
+                           "Q(99999999)", "Q(400001)", "P(1)"],
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 2
+    assert done.stderr == (
+        "cli: integer 99999999 in the term is above the cap 1000000;"
+        " larger inputs are rejected\n"
+        "cli: the chain invariant of the term may reach 400000, above the cap 200000;"
+        " larger inputs are rejected\n")
+    assert done.stdout == ("P(1)  (dim 1, rho 1)\n"
+                           "  S = 1 (exact); covered by linear spaces of dimension >= 1\n"
+                           "  chain: P(1) ⊨ pt\n\n")
+
+
+def test_run_suites_checks_the_golden_bounds_before_the_catalog():
+    done = subprocess.run([sys.executable, str(SCRIPTS / "run_suites.py"), "--golden-nmax", "-1"],
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 2
+    assert done.stderr == ("checks: golden suite requires n_max >= 1 and m_max >= 0,"
+                           " got -1 and 15\n")
+    assert done.stdout == ""  # no catalog: line, as no catalog was built
+
+
 @pytest.mark.parametrize("command", ["s", "chain", "cover", "trace"])
 def test_cli_answers_on_the_showcase_terms_are_pinned(command):
     assert _sha(_cli_transcript(command)) == PINNED[f"cli {command}"]
@@ -230,7 +260,7 @@ def test_cli_runs_without_a_term_and_domain_errors_are_pinned(name, monkeypatch)
 
 def test_term_tables_are_pinned():
     terms = [*build_catalog(20, 5), *NON_NORMAL_PRESENTATIONS, *NON_FANO_TERMS,
-             Point(), LinearSpace(0), SympGrassmann(3, 7), LinearSectionG25(2)]
+             LinearSpace(0), LinearSpace(0), SympGrassmann(3, 7), LinearSectionG25(2)]
     rows = [
         "|".join(map(str, (
             to_text(v), dim(v), ambient_dim(v), picard_number(v), is_fano(v),
@@ -245,7 +275,7 @@ def test_term_tables_are_pinned():
 def test_family_outcomes_are_pinned():
     # Each family is wrapped in a validated FamilyRecord, so this also
     # range-checks every rule output over the whole catalog.
-    terms = [*build_catalog(20, 5), Point(), LinearSpace(0), Quadric(1), Quadric(2),
+    terms = [*build_catalog(20, 5), LinearSpace(0), LinearSpace(0), Quadric(1), Quadric(2),
              SympGrassmann(3, 7), LinearSectionG25(2), LinearSectionG25(4)]
     rows = []
     for v in terms:

@@ -13,7 +13,6 @@ from fanolines.terms import (
     Grassmann,
     LinearSectionG25,
     LinearSpace,
-    Point,
     PolarizedProduct,
     ProjBundleP1,
     Quadric,
@@ -56,14 +55,19 @@ scrolls = st.lists(st.integers(1, 4), min_size=2, max_size=5).map(
 sections = st.integers(0, 4).map(LinearSectionG25)
 
 terms = st.one_of(
-    st.just(Point()), linear_spaces, quadrics, grassmannians, symplectic,
-    complete_intersections, products, scrolls, sections,
+    linear_spaces, quadrics, grassmannians, symplectic, complete_intersections,
+    products, scrolls, sections,
 )
 
 
 @given(terms)
 def test_normalize_is_idempotent(v):
     assert normalize(normalize(v)) == normalize(v)
+
+
+@given(terms)
+def test_the_point_is_the_one_normal_form_of_dimension_zero(v):
+    assert (normalize(v) == LinearSpace(0)) == (dim(v) == 0)
 
 
 def _answers(v) -> tuple:
@@ -264,7 +268,7 @@ def test_s_is_at_most_one_more_than_the_family_dimension_on_the_catalog():
 
 @given(terms)
 def test_s_ceiling_is_one_more_than_the_family_dimension_on_covered_terms(v):
-    # The ceiling's definition, from family_dim alone; a point and P^0 have
+    # The ceiling's definition, from family_dim alone; the point P^0 has
     # family dimension -1.
     covered = family_dim(v) >= 0
     assert s_ceiling(v) == (1 + family_dim(v) if covered else 0)

@@ -7,13 +7,13 @@ from dataclasses import fields
 import pytest
 
 from fanolines.chains import max_linear_in
+from fanolines.dsl import parse_variety
 from fanolines.errors import ValidationError
 from fanolines.terms import (
     CompleteIntersection,
     Grassmann,
     LinearSectionG25,
     LinearSpace,
-    Point,
     PolarizedProduct,
     ProjBundleP1,
     Quadric,
@@ -40,7 +40,7 @@ def test_constructors_are_variety_terms_holding_only_their_fields():
     # The invariants live on the classes: after every question has been
     # asked, an instance still holds just the fields that name it.
     expected = {
-        Point(): (), LinearSpace(3): ("n",), Quadric(5): ("n",), Grassmann(2, 6): ("k", "N"),
+        LinearSpace(0): ("n",), LinearSpace(3): ("n",), Quadric(5): ("n",), Grassmann(2, 6): ("k", "N"),
         SympGrassmann(2, 7): ("k", "N"), CompleteIntersection((2, 3), 7): ("degrees", "N"),
         PolarizedProduct(((1, 2), (3, 1))): ("factors",), ProjBundleP1((2, 1)): ("twists",),
         LinearSectionG25(2): ("c",),
@@ -53,9 +53,10 @@ def test_constructors_are_variety_terms_holding_only_their_fields():
         assert tuple(f.name for f in fields(v)) == names
         assert type(v).__slots__ == names and not hasattr(v, "__dict__")
     assert set(VarietyTerm.__subclasses__()) == {type(v) for v in expected}
+    assert len(VarietyTerm.__subclasses__()) == 8
 
 
-@pytest.mark.parametrize("v", [Point(), LinearSpace(3), CompleteIntersection((3, 2), 7),
+@pytest.mark.parametrize("v", [LinearSpace(0), LinearSpace(3), CompleteIntersection((3, 2), 7),
                                PolarizedProduct(((3, 1), (1, 2))), ProjBundleP1((1, 2))])
 def test_slotted_frozen_terms_pickle_and_copy(v):
     for back in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)):
@@ -69,7 +70,7 @@ def test_slotted_frozen_terms_pickle_and_copy(v):
 @pytest.mark.parametrize(
     "term, expected",
     [
-        (Point(), 0),
+        (parse_variety("pt"), 0),
         (LinearSpace(0), 0),
         (LinearSpace(7), 7),
         (Quadric(4), 4),
@@ -137,7 +138,7 @@ def test_picard_ci_oracle():
 @pytest.mark.parametrize(
     "term, expected",
     [
-        (Point(), 0),
+        (LinearSpace(0), 0),
         (LinearSpace(1), 1),
         (Quadric(1), 1),
         (Quadric(2), 2),
@@ -177,7 +178,7 @@ def test_picard_unknown_for_low_dim_ci():
         (ProjBundleP1((4, 3, 3)), True),
         (LinearSpace(3), True),
         (LinearSpace(0), False),  # a point
-        (Point(), False),
+        (parse_variety("pt"), False),
         (Quadric(1), True),
         (PolarizedProduct(((2, 3), (2, 2))), True),
         (LinearSectionG25(4), True),
@@ -195,7 +196,7 @@ def test_is_fano(term, expected):
         (CompleteIntersection((2, 2), 5), True),
         (Quadric(1), False),
         (Quadric(2), True),
-        (Point(), False),
+        (parse_variety("pt"), False),
         (LinearSpace(0), False),
         (LinearSpace(1), True),
         (SympGrassmann(3, 7), True),
@@ -214,8 +215,6 @@ def _covered_by_lines_table(v) -> bool:
     """The classical coverage table, per constructor on the normal form:
     the oracle for the derived test ``family_dim >= 0``."""
     match normalize(v):
-        case Point():
-            return False
         case LinearSpace(n):
             return n >= 1
         case Quadric(n):
@@ -231,6 +230,8 @@ def _covered_by_lines_table(v) -> bool:
     raise TypeError(v)
 
 
+# P(0) is its own normal form; it stays first, as the term-table pin lists
+# its rows in this order.
 NON_NORMAL_PRESENTATIONS = [
     LinearSpace(0), Quadric(2), Grassmann(1, 2), Grassmann(1, 6), Grassmann(5, 6),
     Grassmann(2, 4), Grassmann(3, 7), CompleteIntersection((2,), 2),
@@ -240,7 +241,7 @@ NON_NORMAL_PRESENTATIONS = [
 ]
 
 NON_FANO_TERMS = [
-    Point(), Quadric(1), CompleteIntersection((2, 2), 4), CompleteIntersection((5,), 4),
+    LinearSpace(0), Quadric(1), CompleteIntersection((2, 2), 4), CompleteIntersection((5,), 4),
     CompleteIntersection((3, 3), 7), CompleteIntersection((3, 4), 7),
     PolarizedProduct(((2, 2), (3, 2))), PolarizedProduct(((1, 3), (1, 3), (2, 2))),
     ProjBundleP1((3, 1, 1)), ProjBundleP1((5, 2)), LinearSectionG25(4),
@@ -275,7 +276,7 @@ def test_covered_by_lines_agrees_with_the_classical_table():
         (ProjBundleP1((2, 1, 1)), 1),
         (Quadric(1), -1),  # no line through any point of a conic
         (LinearSectionG25(4), -1),
-        (Point(), -1),  # no line through a point
+        (parse_variety("pt"), -1),  # no line through a point
         (LinearSpace(0), -1),
     ],
 )
@@ -333,7 +334,7 @@ def test_max_linear_quadric_matches_isotropic_oracle(n):
     "term, expected",
     [
         (LinearSpace(4), ("exact", 4)),
-        (Point(), ("exact", 0)),
+        (LinearSpace(0), ("exact", 0)),
         (Grassmann(2, 6), ("exact", 4)),
         (Grassmann(2, 4), ("exact", 2)),
         (Grassmann(3, 6), ("exact", 3)),
@@ -391,7 +392,7 @@ def test_max_linear_at_most_dim():
         (Quadric(2), PolarizedProduct(((1, 1), (1, 1)))),
         (CompleteIntersection((2,), 7), Quadric(6)),
         (CompleteIntersection((2,), 3), PolarizedProduct(((1, 1), (1, 1)))),
-        (LinearSpace(0), Point()),
+        (parse_variety("P(0)"), parse_variety("pt")),
         (ProjBundleP1((2, 2, 2)), PolarizedProduct(((1, 2), (2, 1)))),
         (ProjBundleP1((1, 1)), PolarizedProduct(((1, 1), (1, 1)))),
         (ProjBundleP1((3, 2)), ProjBundleP1((3, 2))),
@@ -427,7 +428,7 @@ def test_normalize_plucker_quadric_oracle():
 
 def test_is_linear():
     assert is_linear(LinearSpace(3))
-    assert is_linear(Point())
+    assert is_linear(LinearSpace(0))
     assert is_linear(Grassmann(1, 5))
     assert not is_linear(Quadric(3))
     assert not is_linear(PolarizedProduct(((1, 1), (1, 1))))
