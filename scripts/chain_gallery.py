@@ -18,10 +18,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from fanolines.chains import default_engine
+from fanolines.chains import ChainEngine
 from fanolines.cli import _parse_chain_term
 from fanolines.dsl import to_text
-from fanolines.errors import EngineError
+from fanolines.errors import EngineError, PreconditionFailed
 from fanolines.terms import dim, picard_number
 from fanolines.trace import classification_trace
 
@@ -32,8 +32,7 @@ SHOWCASE = [
 ]
 
 
-def show(expr: str):
-    eng = default_engine()
+def show(expr: str, eng: ChainEngine):
     term = _parse_chain_term(expr)
     sv = eng.s_invariant(term)
     bound = eng.covering_ls_bound(term)
@@ -44,19 +43,21 @@ def show(expr: str):
         print("  chain: " + " ⊨ ".join(to_text(t) for t in chain))
     except EngineError as err:
         print(f"  chain: ({err})")
-    n = dim(term)
-    if n >= 3 and n % 2 == 1 and sv.is_exact and 2 * sv.value == n - 1 and picard_number(term) == 1:
+    try:
         trace = classification_trace(term, eng)
+    except PreconditionFailed:
+        pass  # the trace replays only odd dimensions with S = (dim - 1) / 2
+    else:
         flag = " [conjecture used]" if trace.conjecture_used else ""
         print(f"  trace: {trace.case_tag}, verdict ({trace.verdict}){flag}")
     print()
 
 
 def main() -> int:
-    status = 0
+    status, eng = 0, ChainEngine()
     for expr in sys.argv[1:] or SHOWCASE:
         try:
-            show(expr)
+            show(expr, eng)
         except EngineError as err:
             print(f"{err.component}: {err}", file=sys.stderr)
             status = 2

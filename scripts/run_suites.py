@@ -19,6 +19,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from fanolines.catalog import build_catalog
+from fanolines.chains import ChainEngine
 from fanolines.checks import SUITES, golden_suite
 from fanolines.errors import EngineError
 from fanolines.secant import RankConfig, verify_secant_dimensions
@@ -44,13 +45,15 @@ def main() -> int:
 
 def run(args: argparse.Namespace) -> int:
     # The golden suite goes first, so that its bounds are checked before the
-    # catalog is built; S does not depend on what the engine has memoized.
-    golden = golden_suite(args.golden_nmax, args.golden_mmax)
+    # catalog is built; S does not depend on what the engine has memoized,
+    # so one engine serves every suite and its memo is shared among them.
+    eng = ChainEngine()
+    golden = golden_suite(args.golden_nmax, args.golden_mmax, eng)
     cat = build_catalog(args.nmax, args.degmax)
     print(f"catalog: {len(cat)} members (n_max={args.nmax}, deg_max={args.degmax})")
 
     cfg = RankConfig(seed=args.seed) if args.seed is not None else RankConfig()
-    reports = [suite(cat) for suite in SUITES.values()]
+    reports = [suite(cat, eng) for suite in SUITES.values()]
     reports += [golden, verify_secant_dimensions((2, 3), (2, 3, 4), cfg)]
 
     failed = 0

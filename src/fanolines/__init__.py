@@ -7,14 +7,7 @@ and an exact finite-field laboratory for spans and secant dimensions.
 """
 
 from .catalog import Catalog, build_catalog
-from .chains import (
-    ChainEngine,
-    covering_ls_bound,
-    default_engine,
-    max_linear_in,
-    s_invariant,
-    witness_chain,
-)
+from .chains import ChainEngine
 from .checks import (
     classify_by_s,
     golden_suite,
@@ -111,20 +104,16 @@ __all__ = [
     "classification_trace",
     "classify_by_s",
     "covered_by_lines",
-    "covering_ls_bound",
-    "default_engine",
     "dim",
     "family_dim",
     "golden_suite",
     "is_fano",
     "is_linear",
     "line_families",
-    "max_linear_in",
     "normalize",
     "parse_variety",
     "picard_number",
     "run_suite",
-    "s_invariant",
     "scroll",
     "secant_dim_chordmap",
     "secant_dim_terracini",
@@ -135,5 +124,4 @@ __all__ = [
     "verify_family_lemmas",
     "verify_next_to_maximal",
     "verify_secant_dimensions",
-    "witness_chain",
 ]

@@ -21,8 +21,11 @@ beyond the memo.
 The maximal linear subspace is an engine view, next to the covering bound:
 the normal form's ruling table, or else its invariant as a lower bound.
 
+There is no process-wide engine: each caller holds its own
+:class:`ChainEngine`, and the memo lives exactly as long as that engine.
+
 >>> from fanolines.terms import Quadric
->>> s_invariant(Quadric(7))
+>>> ChainEngine().s_invariant(Quadric(7))
 Bound(kind='exact', value=3)
 """
 
@@ -172,26 +175,3 @@ class ChainEngine:
         fams, _ = family_outcome(v)
         lifted = (1 + self.max_linear_in(fam).value for fam, _, _ in fams)
         return at_least(max([self.s_invariant(v).value, *lifted]))
-
-
-_DEFAULT_ENGINE = ChainEngine()
-
-
-def default_engine() -> ChainEngine:
-    return _DEFAULT_ENGINE
-
-
-def s_invariant(v: VarietyTerm, engine: ChainEngine | None = None) -> Bound:
-    return (engine or _DEFAULT_ENGINE).s_invariant(v)
-
-
-def witness_chain(v: VarietyTerm, engine: ChainEngine | None = None) -> list[VarietyTerm]:
-    return (engine or _DEFAULT_ENGINE).witness_chain(v)
-
-
-def covering_ls_bound(v: VarietyTerm, engine: ChainEngine | None = None) -> Bound:
-    return (engine or _DEFAULT_ENGINE).covering_ls_bound(v)
-
-
-def max_linear_in(v: VarietyTerm, engine: ChainEngine | None = None) -> Bound:
-    return (engine or _DEFAULT_ENGINE).max_linear_in(v)

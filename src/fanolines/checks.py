@@ -4,12 +4,16 @@ Each suite checks an implication for every qualifying catalog member and
 reports one record per member and check.  The suites verify that no member
 VIOLATES a classification; completeness of the classification lists is a
 mathematical fact outside any enumeration and is never claimed.
+
+Every suite, :func:`classify_by_s` and :func:`run_suite` read S from the
+:class:`~fanolines.chains.ChainEngine` they are given; ``engine=None`` means
+a fresh engine for that one call, dropped when the call returns.
 """
 
 from __future__ import annotations
 
 from .catalog import Catalog, build_catalog
-from .chains import ChainEngine, default_engine
+from .chains import ChainEngine
 from .dsl import to_text
 from .errors import EngineError, ValidationError
 from .families import (
@@ -47,7 +51,7 @@ def classify_by_s(cat: Catalog, n: int, s: int,
     A wrong S on a skipped member is therefore caught by the ceiling's
     property tests, not here.
     """
-    eng = engine or default_engine()
+    eng = engine or ChainEngine()
     out = []
     for v in cat.index.by_dim.get(n, ()):
         if v._s_ceiling() < s:  # no wrapper call per member
@@ -84,7 +88,7 @@ def verify_classification(cat: Catalog, engine: ChainEngine | None = None) -> Su
     skipped member, a poisoned memo entry included, is therefore caught by
     the ceiling's property tests, not by this suite.
     """
-    eng = engine or default_engine()
+    eng = engine or ChainEngine()
     rep = SuiteReport("thm1", {"n_max": cat.n_max, "deg_max": cat.deg_max})
     index = cat.index
     rep.bump("skipped_dim_lt_2", index.count(lambda n, rho: n < 2))
@@ -151,7 +155,7 @@ def verify_next_to_maximal(cat: Catalog, engine: ChainEngine | None = None) -> S
     outside the slice is therefore caught by the ceiling's property tests,
     not by this suite.
     """
-    eng = engine or default_engine()
+    eng = engine or ChainEngine()
     rep = SuiteReport("prop32", {"n_max": cat.n_max, "deg_max": cat.deg_max})
     # A member's d is at most deg_max (a product degree) or n_max (a scroll
     # twist, trivial scrolls included), so each list runs to the larger.
@@ -213,7 +217,7 @@ def verify_family_lemmas(cat: Catalog, engine: ChainEngine | None = None) -> Sui
     order groups the members of each degree tuple, so each tuple is
     expanded about once per sweep, not once per member.
     """
-    eng = engine or default_engine()
+    eng = engine or ChainEngine()
     rep = SuiteReport("lemmas", {"n_max": cat.n_max, "deg_max": cat.deg_max})
     rep.counters["proper_linear_triggered"] = 0
     rep.counters["proper_linear_vacuous"] = 0
@@ -233,7 +237,7 @@ def verify_family_lemmas(cat: Catalog, engine: ChainEngine | None = None) -> Sui
                     _RECOGNITION_DETAIL[n - fd])
 
         fams, end = family_outcome(v)
-        if end is not None:  # "not_covered" or "no_rule"; members are never points
+        if end is not None:  # "not_covered" or "no_rule"
             rep.bump(end)
             continue
 
@@ -272,7 +276,7 @@ def golden_suite(n_max: int = 40, m_max: int | None = None,
     and S(SG(2,C^{m+3})) = m for m <= m_max.  Raises ValidationError unless
     n_max >= 1 and m_max >= 0, so an empty range never reads as a pass.
     """
-    eng = engine or default_engine()
+    eng = engine or ChainEngine()
     if m_max is None:
         m_max = n_max
     if n_max < 1 or m_max < 0:

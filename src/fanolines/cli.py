@@ -28,7 +28,7 @@ import sys
 from importlib import resources
 
 from .catalog import build_catalog
-from .chains import default_engine
+from .chains import ChainEngine
 from .checks import SUITES, classify_by_s, run_suite
 from .dsl import parse_variety, to_text
 from .errors import EngineError, ParseError, ValidationError
@@ -179,7 +179,7 @@ def _parse_chain_term(expr: str):
 
 def _cmd_s(args):
     term = _parse_chain_term(args.expr)
-    sv = default_engine().s_invariant(term)
+    sv = ChainEngine().s_invariant(term)
     return 0, {"term": to_text(term), "canonical": to_text(normalize(term)),
                "s": sv._asdict()}
 
@@ -190,7 +190,7 @@ def _render_s(r, quiet):
 
 def _cmd_chain(args):
     term = _parse_chain_term(args.expr)
-    eng = default_engine()
+    eng = ChainEngine()
     chain = eng.witness_chain(term)
     return 0, {"term": to_text(term), "chain": [to_text(t) for t in chain],
                "s": eng.s_invariant(term)._asdict()}
@@ -228,7 +228,7 @@ def _render_families(r, quiet):
 
 def _cmd_cover(args):
     term = _parse_chain_term(args.expr)
-    return 0, {"term": to_text(term), "at_least": default_engine().covering_ls_bound(term).value}
+    return 0, {"term": to_text(term), "at_least": ChainEngine().covering_ls_bound(term).value}
 
 
 def _render_cover(r, quiet):

@@ -19,7 +19,7 @@ from those rows.
 :func:`family_outcome` makes the coverage test that :mod:`~fanolines.terms`
 defines, ``family_dim >= 0`` for every term (the point P^0 has -1), inline, and
 reads the rules; it raises nothing, builds no record, and names why a chain
-ends (``"is_point"``, ``"not_covered"`` or ``"no_rule"``); the chain
+ends (``"not_covered"`` or ``"no_rule"``); the chain
 engine, the lemmas suite and the CLI read it.
 :func:`line_families`, its raising wrapper, raises ``NotCoveredByLines`` or
 ``NoRule``, worded by :func:`no_rule_reason`, and otherwise wraps each
@@ -131,11 +131,11 @@ def no_rule_reason(v: VarietyTerm) -> str:
 def family_outcome(v: VarietyTerm) -> tuple[Families, str | None]:
     """The families of ``v`` as plain ``(variety, ambient_pt_dim,
     span_in_pt)`` triples and ``None``, or ``()`` and the reason a chain ends
-    at ``v``: ``"is_point"``, ``"not_covered"`` or ``"no_rule"``.  The chain
-    ends uncovered exactly when ``family_dim < 0``, the point P^0 included;
-    the point is only named apart.  Nothing is raised and no record is built."""
+    at ``v``: ``"not_covered"`` or ``"no_rule"``.  The chain ends uncovered
+    exactly when ``family_dim < 0``, the point P^0 included.  Nothing is
+    raised and no record is built."""
     if v._family_dim() < 0:  # the one coverage test, as terms defines it
-        return (), "is_point" if v._dim() == 0 else "not_covered"
+        return (), "not_covered"
     found = _RULES[type(v)](v, v._dim() - 1)
     return ((), "no_rule") if found.__class__ is str else (found, None)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chains import ChainEngine, default_engine
+from .chains import ChainEngine
 from .dsl import to_text
 from .errors import PreconditionFailed, TraceError
 from .families import VERDICT_NAMES, odd_dimension_list, recognition_list, symplectic_scroll
@@ -57,9 +57,11 @@ def classification_trace(v: VarietyTerm, engine: ChainEngine | None = None) -> T
 
     Preconditions: Picard number 1, odd dimension >= 3, and an exact chain
     invariant equal to (dim - 1) / 2.  Violations raise
-    :class:`PreconditionFailed` naming the failed predicate.
+    :class:`PreconditionFailed` naming the failed predicate.  S and the
+    realizing chains are read from ``engine``; ``None`` means a fresh
+    :class:`~fanolines.chains.ChainEngine` for this one call.
     """
-    eng = engine or default_engine()
+    eng = engine or ChainEngine()
     n = dim(v)
     if picard_number(v) != 1:
         raise PreconditionFailed(f"picard_number({to_text(v)}) = 1 required")

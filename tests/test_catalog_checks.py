@@ -349,15 +349,47 @@ def test_family_lemmas_suite_passes(cat15):
 def test_family_lemmas_suite_reads_the_engine_it_is_given(monkeypatch):
     # The SG and LS members bound their linear subspaces by the chain
     # invariant; that computation belongs to the engine passed in.
-    from fanolines import chains
-    from fanolines.chains import ChainEngine
+    from fanolines import checks
 
     default = ChainEngine()
-    monkeypatch.setattr(chains, "_DEFAULT_ENGINE", default)
+    monkeypatch.setattr(checks, "ChainEngine", lambda: default)  # what engine=None builds
     passed = ChainEngine()
     assert verify_family_lemmas(build_catalog(12, 4), passed).ok
     assert passed._s_memo
     assert not default._s_memo
+
+
+@pytest.mark.parametrize("call", [
+    lambda cat: classify_by_s(cat, 5, 2),
+    verify_classification,
+    verify_next_to_maximal,
+    verify_family_lemmas,
+    lambda cat: golden_suite(6, 4),
+    lambda cat: run_suite("thm1", 7, 3),
+    lambda cat: classification_trace(Quadric(7)),
+], ids=["classify", "thm1", "prop32", "lemmas", "golden", "run_suite", "trace"])
+def test_a_suite_without_an_engine_builds_one_and_drops_it(monkeypatch, call):
+    # engine=None is a fresh engine for that one call, not a memo shared by
+    # the process: nothing keeps it, or what it memoized, once the call
+    # returns.  thm1 hands its engine on to the trace, so it builds just one.
+    import gc
+    import weakref
+
+    from fanolines import checks, trace
+
+    built = []
+
+    def fresh():
+        eng = ChainEngine()
+        built.append(weakref.ref(eng))
+        return eng
+
+    monkeypatch.setattr(checks, "ChainEngine", fresh)
+    monkeypatch.setattr(trace, "ChainEngine", fresh)
+    call(build_catalog(7, 3))
+    gc.collect()
+    assert len(built) == 1
+    assert built[0]() is None
 
 
 def test_family_lemmas_suite_catches_a_wrong_covering_dimension(monkeypatch):

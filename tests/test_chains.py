@@ -9,12 +9,7 @@ from pathlib import Path
 import pytest
 
 import fanolines
-from fanolines.chains import (
-    ChainEngine,
-    covering_ls_bound,
-    s_invariant,
-    witness_chain,
-)
+from fanolines.chains import ChainEngine
 from fanolines.dsl import parse_variety, to_text
 from fanolines.errors import NotCoveredByLines
 from fanolines.families import family_outcome
@@ -66,7 +61,7 @@ from fanolines.terms import (
     ],
 )
 def test_s_values(expr, expected):
-    assert s_invariant(parse_variety(expr)) == expected
+    assert ChainEngine().s_invariant(parse_variety(expr)) == expected
 
 
 def test_s_two_quadrics_in_p9_frozen_chain():
@@ -82,15 +77,17 @@ def test_s_two_quadrics_in_p9_frozen_chain():
 
 
 def test_s_lower_bounds_on_ruleless_terms():
-    assert s_invariant(SympGrassmann(3, 7)) == at_least(1)
-    assert s_invariant(LinearSectionG25(2)) == at_least(1)
+    eng = ChainEngine()
+    assert eng.s_invariant(SympGrassmann(3, 7)) == at_least(1)
+    assert eng.s_invariant(LinearSectionG25(2)) == at_least(1)
 
 
 def test_s_bounded_by_dim_with_equality_only_for_linear_spaces():
+    eng = ChainEngine()
     for expr in ("P(6)", "Q(6)", "G(2,5)", "SG(2,6)", "CI(2,3;9)",
                  "Prod(P(2):1,P(3):1)", "PB(3,2,2)", "LS(G(2,5),3)"):
         term = parse_variety(expr)
-        sv = s_invariant(term)
+        sv = eng.s_invariant(term)
         assert sv.value <= dim(term)
         if sv.is_exact and sv.value == dim(term):
             assert isinstance(normalize(term), LinearSpace)
@@ -112,24 +109,26 @@ def test_s_bounded_by_dim_with_equality_only_for_linear_spaces():
     ],
 )
 def test_witness_chains(expr, chain):
-    got = witness_chain(parse_variety(expr))
+    got = ChainEngine().witness_chain(parse_variety(expr))
     assert [to_text(t) for t in got] == chain
 
 
 def test_witness_chain_length_matches_exact_s():
+    eng = ChainEngine()
     for expr in ("P(9)", "Q(11)", "G(2,7)", "SG(2,8)", "CI(2,2;9)",
                  "Prod(P(1):3,P(4):1)", "PB(2,1,1,1)"):
         term = parse_variety(expr)
-        sv = s_invariant(term)
+        sv = eng.s_invariant(term)
         assert sv.is_exact
-        assert len(witness_chain(term)) - 1 == sv.value
+        assert len(eng.witness_chain(term)) - 1 == sv.value
 
 
 def test_witness_chain_requires_coverage():
+    eng = ChainEngine()
     with pytest.raises(NotCoveredByLines):
-        witness_chain(LinearSpace(0))
+        eng.witness_chain(LinearSpace(0))
     with pytest.raises(NotCoveredByLines):
-        witness_chain(Quadric(1))
+        eng.witness_chain(Quadric(1))
 
 
 def test_engine_path_constructs_no_not_covered_exception(monkeypatch):
@@ -156,7 +155,7 @@ def test_engine_path_constructs_no_not_covered_exception(monkeypatch):
 
 
 def test_witness_chain_stops_at_ruleless_terms():
-    assert witness_chain(LinearSectionG25(2)) == [LinearSectionG25(2)]
+    assert ChainEngine().witness_chain(LinearSectionG25(2)) == [LinearSectionG25(2)]
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +177,8 @@ def test_chain_tree_depth_equals_exact_s():
 
 
 def test_chain_tree_terminal_reasons():
-    assert family_outcome(parse_variety("pt")) == ((), "is_point")
-    assert family_outcome(LinearSpace(0)) == ((), "is_point")
+    assert family_outcome(parse_variety("pt")) == ((), "not_covered")
+    assert family_outcome(LinearSpace(0)) == ((), "not_covered")
     assert family_outcome(Quadric(1)) == ((), "not_covered")
     assert family_outcome(SympGrassmann(3, 7)) == ((), "no_rule")
     # the quadric tower is a single branch ending at the conic
@@ -230,7 +229,7 @@ def test_realizing_chains_enumerate_every_maximal_branch():
     ],
 )
 def test_covering_bounds(expr, bound):
-    got = covering_ls_bound(parse_variety(expr))
+    got = ChainEngine().covering_ls_bound(parse_variety(expr))
     assert got.kind == "at_least"
     assert got.value == bound
 

@@ -290,7 +290,7 @@ def test_depth_cap_is_checked_before_the_engine_runs(capsys, monkeypatch, argv):
     def engine_ran(*_):
         raise AssertionError("the engine ran on a term above the depth cap")
 
-    monkeypatch.setattr(cli, "default_engine", engine_ran)
+    monkeypatch.setattr(cli, "ChainEngine", engine_ran)
     monkeypatch.setattr(cli, "classification_trace", engine_ran)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")

@@ -167,7 +167,7 @@ def test_lookup_reads_the_same_outcome_without_raising():
             records, raised = line_families(v), None
         except NotCoveredByLines as err:
             assert str(err) == f"{to_text(v)} is not covered by lines"
-            records, raised = [], "is_point" if dim(v) == 0 else "not_covered"
+            records, raised = [], "not_covered"
         except NoRule:
             records, raised = [], "no_rule"
         triples = tuple((r.variety, r.ambient_pt_dim, r.span_in_pt) for r in records)
@@ -306,7 +306,7 @@ def test_provenance_table_covers_the_rules():
     no_rule = []
     for v in [*build_catalog(20, 5), SympGrassmann(3, 7), LinearSectionG25(2)]:
         _, end = family_outcome(v)
-        if end in ("is_point", "not_covered"):
+        if end == "not_covered":
             continue
         assert type(v) in _RULES, to_text(v)
         if end == "no_rule":

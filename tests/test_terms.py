@@ -6,7 +6,7 @@ from dataclasses import fields
 
 import pytest
 
-from fanolines.chains import max_linear_in
+from fanolines.chains import ChainEngine
 from fanolines.dsl import parse_variety
 from fanolines.errors import ValidationError
 from fanolines.terms import (
@@ -47,8 +47,8 @@ def test_constructors_are_variety_terms_holding_only_their_fields():
     }
     for v, names in expected.items():
         assert isinstance(v, VarietyTerm)
-        for question in (dim, ambient_dim, picard_number, is_fano, max_linear_in, normalize,
-                         covered_by_lines):
+        for question in (dim, ambient_dim, picard_number, is_fano, ChainEngine().max_linear_in,
+                         normalize, covered_by_lines):
             question(v)
         assert tuple(f.name for f in fields(v)) == names
         assert type(v).__slots__ == names and not hasattr(v, "__dict__")
@@ -325,7 +325,7 @@ def _standard_isotropic_check(n: int) -> int:
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 10, 11])
 def test_max_linear_quadric_matches_isotropic_oracle(n):
-    kind, value = max_linear_in(Quadric(n))
+    kind, value = ChainEngine().max_linear_in(Quadric(n))
     assert kind == "exact"
     assert value == _standard_isotropic_check(n) == n // 2
 
@@ -346,31 +346,30 @@ def test_max_linear_quadric_matches_isotropic_oracle(n):
     ],
 )
 def test_max_linear_table(term, expected):
-    assert tuple(max_linear_in(term)) == expected
+    assert tuple(ChainEngine().max_linear_in(term)) == expected
 
 
 def test_max_linear_delegated_to_chain_invariant():
-    from fanolines.chains import s_invariant
-
+    eng = ChainEngine()
     for term in (SympGrassmann(2, 6), LinearSectionG25(2), LinearSectionG25(4)):
-        kind, value = max_linear_in(term)
+        kind, value = eng.max_linear_in(term)
         assert kind == "at_least"
-        assert value == s_invariant(term).value
+        assert value == eng.s_invariant(term).value
 
 
 def test_bound_str_names_no_invariant():
-    from fanolines.chains import covering_ls_bound
-
+    eng = ChainEngine()
     assert str(exact(3)) == "= 3 (exact)"
     assert str(at_least(1)) == ">= 1 (lower bound)"
-    assert str(covering_ls_bound(CompleteIntersection((2, 2), 7))) == ">= 2 (lower bound)"
-    assert str(max_linear_in(Quadric(6))) == "= 3 (exact)"
+    assert str(eng.covering_ls_bound(CompleteIntersection((2, 2), 7))) == ">= 2 (lower bound)"
+    assert str(eng.max_linear_in(Quadric(6))) == "= 3 (exact)"
 
 
 def test_max_linear_at_most_dim():
+    eng = ChainEngine()
     for term in (LinearSpace(4), Quadric(6), Grassmann(2, 6),
                  PolarizedProduct(((1, 1), (2, 1))), ProjBundleP1((3, 2))):
-        kind, value = max_linear_in(term)
+        kind, value = eng.max_linear_in(term)
         assert value <= dim(term)
         if kind == "exact" and value == dim(term):
             assert isinstance(normalize(term), LinearSpace)

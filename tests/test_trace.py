@@ -3,7 +3,7 @@
 import pytest
 
 from fanolines.catalog import build_catalog
-from fanolines.chains import ChainEngine, default_engine
+from fanolines.chains import ChainEngine
 from fanolines.dsl import parse_variety
 from fanolines.errors import PreconditionFailed
 from fanolines.terms import dim, normalize, picard_number
@@ -60,7 +60,7 @@ def test_case2_lines_carry_the_actual_numbers():
 
 def test_conjecture_used_iff_case2_verdict_b():
     cat = build_catalog(13, 4)
-    eng = default_engine()
+    eng = ChainEngine()
     for v in cat:
         n = dim(v)
         if n < 3 or n % 2 == 0 or picard_number(v) != 1:
@@ -68,7 +68,7 @@ def test_conjecture_used_iff_case2_verdict_b():
         sv = eng.s_invariant(v)
         if not (sv.is_exact and 2 * sv.value == n - 1):
             continue
-        trace = classification_trace(v)
+        trace = classification_trace(v, eng)
         assert trace.conjecture_used == (trace.case_tag == "case2")
         if trace.conjecture_used:
             assert trace.verdict == "b"
