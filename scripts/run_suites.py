@@ -22,7 +22,7 @@ from fanolines.catalog import build_catalog
 from fanolines.chains import ChainEngine
 from fanolines.checks import SUITES, golden_suite
 from fanolines.errors import EngineError
-from fanolines.secant import RankConfig, verify_secant_dimensions
+from fanolines.secant import DEFAULT_SEED, RankConfig, verify_secant_dimensions
 
 
 def main() -> int:
@@ -31,7 +31,8 @@ def main() -> int:
     parser.add_argument("--degmax", type=int, default=4)
     parser.add_argument("--golden-nmax", type=int, default=40)
     parser.add_argument("--golden-mmax", type=int, default=15)
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                        help=f"seed of the secant rank trials (default: {DEFAULT_SEED})")
     parser.add_argument("--json-out", type=Path, default=None)
     parser.add_argument("--verbose", action="store_true",
                         help="print every record, not just summaries")
@@ -52,9 +53,8 @@ def run(args: argparse.Namespace) -> int:
     cat = build_catalog(args.nmax, args.degmax)
     print(f"catalog: {len(cat)} members (n_max={args.nmax}, deg_max={args.degmax})")
 
-    cfg = RankConfig(seed=args.seed) if args.seed is not None else RankConfig()
     reports = [suite(cat, eng) for suite in SUITES.values()]
-    reports += [golden, verify_secant_dimensions((2, 3), (2, 3, 4), cfg)]
+    reports += [golden, verify_secant_dimensions((2, 3), (2, 3, 4), RankConfig(seed=args.seed))]
 
     failed = 0
     for rep in reports:

@@ -268,17 +268,14 @@ def verify_family_lemmas(cat: Catalog, engine: ChainEngine | None = None) -> Sui
 # golden chain values
 
 
-def golden_suite(n_max: int = 40, m_max: int | None = None,
-                 engine: ChainEngine | None = None) -> SuiteReport:
+def golden_suite(n_max: int, m_max: int, engine: ChainEngine | None = None) -> SuiteReport:
     """Closed-form chain invariants of the four classical families.
 
-    S(P^n) = n and S(Q^n) = floor(n/2) for n <= n_max; S(G(2,C^{m+2})) = m
-    and S(SG(2,C^{m+3})) = m for m <= m_max.  Raises ValidationError unless
-    n_max >= 1 and m_max >= 0, so an empty range never reads as a pass.
+    S(P^n) = n and S(Q^n) = floor(n/2) for 1 <= n <= n_max; S(G(2,C^{m+2}))
+    = m and S(SG(2,C^{m+3})) = m for 2 <= m <= m_max.  Raises ValidationError
+    unless n_max >= 1 and m_max >= 0, so an empty range never reads as a pass.
     """
     eng = engine or ChainEngine()
-    if m_max is None:
-        m_max = n_max
     if n_max < 1 or m_max < 0:
         raise ValidationError(
             f"golden suite requires n_max >= 1 and m_max >= 0, got {n_max} and {m_max}",
@@ -312,7 +309,7 @@ SUITES = {
 
 def run_suite(name: str, n_max: int, deg_max: int,
               engine: ChainEngine | None = None) -> SuiteReport:
-    """Build a catalog and run one named suite ('golden' needs no catalog)."""
+    """Run one named suite on a fresh catalog; 'golden' takes n_max as both bounds."""
     if name == "golden":
-        return golden_suite(n_max, engine=engine)
+        return golden_suite(n_max, n_max, engine)
     return SUITES[name](build_catalog(n_max, deg_max), engine)

@@ -13,9 +13,8 @@ Each subcommand is a handler and a renderer, paired in ``_COMMANDS``.  The
 handler returns the exit code and one payload, the envelope's ``result``;
 the renderer writes the text from that payload alone (and ``--quiet``).
 
-The only randomized command is ``secant``; it requires a seed, which it
-echoes.  The default seed is fixed and can be overridden with the
-``FANOLINES_SEED`` environment variable (an integer) or ``--seed``.
+The only randomized command is ``secant``; its seed is ``--seed``, or
+``DEFAULT_SEED`` when the option is not given, and it echoes the seed.
 """
 
 from __future__ import annotations
@@ -79,17 +78,6 @@ def load_schema() -> dict:
     return json.loads(schema_path().read_text())
 
 
-def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("FANOLINES_SEED")
-    try:
-        return int(env) if env else DEFAULT_SEED
-    except ValueError:
-        raise ValidationError(f"FANOLINES_SEED must be an integer, got {env!r}",
-                              component="cli") from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
@@ -141,8 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-d", type=int, required=True, dest="d")
     p.add_argument("-m", type=int, required=True, dest="m")
     p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed of the rank trials (default: FANOLINES_SEED or a fixed constant)")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help=f"seed of the rank trials (default: {DEFAULT_SEED})")
 
     return parser
 
@@ -280,7 +268,7 @@ def _render_trace(r, quiet):
 
 
 def _cmd_secant(args):
-    cfg = RankConfig(trials=args.trials, seed=_resolve_seed(args.seed))
+    cfg = RankConfig(trials=args.trials, seed=args.seed)
     builder = segre_veronese if args.kind == "segre" else scroll
     row = secant_row(builder(args.d, args.m), cfg)  # kind, d, m and the three dimensions
     expected = expected_secant_dim(args.d, args.m)

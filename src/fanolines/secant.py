@@ -270,11 +270,7 @@ def secant_row(par: Parameterization, cfg: RankConfig = RankConfig()) -> dict:
     }
 
 
-def verify_secant_dimensions(
-    d_range=(2, 3),
-    m_range=(2, 3, 4),
-    cfg: RankConfig = RankConfig(),
-) -> SuiteReport:
+def verify_secant_dimensions(d_range, m_range, cfg: RankConfig = RankConfig()) -> SuiteReport:
     """Secant dimensions of both families equal 2m+1 whenever d >= 2.
 
     Also records the d = 1 control rows: the product family then spans only

@@ -36,12 +36,15 @@ from .terms import (
 
 @dataclass(frozen=True)
 class TraceReport:
-    subject: VarietyTerm
     chain_dims: tuple[int, ...]
     case_tag: str  # "case1" | "case2"
     inequality_lines: tuple[str, ...]
     verdict: str  # one of "a".."e"
-    conjecture_used: bool
+
+    @property
+    def conjecture_used(self) -> bool:
+        """Case 2 ends in the conjectural scroll recognition rule."""
+        return self.case_tag == "case2"
 
 
 def _linear_step_index(chain: list[VarietyTerm], m: int) -> int | None:
@@ -155,7 +158,7 @@ def _trace_case1(v, eng, n, m, chain) -> TraceReport:
                 " is isomorphic to SG(2,C^5)"
             )
             _require(lines, nv == section, line)
-    return TraceReport(v, dims, "case1", tuple(lines), odd_dimension_list(m)[nv], False)
+    return TraceReport(dims, "case1", tuple(lines), odd_dimension_list(m)[nv])
 
 
 def _trace_case2(v, eng, n, m, chain, i) -> TraceReport:
@@ -230,4 +233,4 @@ def _trace_case2(v, eng, n, m, chain, i) -> TraceReport:
     )
     _require(lines, normalize(h1) == symplectic_scroll(m) and nv == SympGrassmann(2, m + 3),
              line)
-    return TraceReport(v, dims, "case2", tuple(lines), odd_dimension_list(m)[nv], True)
+    return TraceReport(dims, "case2", tuple(lines), odd_dimension_list(m)[nv])

@@ -260,12 +260,18 @@ def test_overlong_integer_is_a_parse_error_from_a_fresh_process(command):
     assert proc.stderr == "dsl: integer of 5001 digits is too long (at position 2)\n"
 
 
-def test_non_integer_seed_env_exits_2_from_a_fresh_process():
-    proc = _fresh_cli("secant", "--kind", "segre", "-d", "2", "-m", "2",
-                      env={"FANOLINES_SEED": "abc"})
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == "cli: FANOLINES_SEED must be an integer, got 'abc'\n"
+def test_secant_seed_ignores_the_environment_from_a_fresh_process(monkeypatch):
+    # The seed is --seed or DEFAULT_SEED: FANOLINES_SEED, integer or not,
+    # changes neither the output nor the exit code.
+    argv = ("secant", "--kind", "segre", "-d", "2", "-m", "2")
+    monkeypatch.delenv("FANOLINES_SEED", raising=False)
+    unset = _fresh_cli(*argv)
+    assert unset.returncode == 0
+    assert unset.stderr == ""
+    assert " seed=20260809 " in unset.stdout  # DEFAULT_SEED
+    for value in ("abc", "31337"):
+        proc = _fresh_cli(*argv, env={"FANOLINES_SEED": value})
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, unset.stdout, "")
 
 
 #: One term per chain-walking command whose bound 1 + family_dim on the
@@ -483,13 +489,6 @@ def test_json_secant(capsys, schema):
     assert doc["result"]["secant_terracini"] == 5
     assert doc["result"]["expected"] == 5
     assert doc["result"]["pass"] is True
-
-
-def test_seed_env_override(capsys, monkeypatch, schema):
-    monkeypatch.setenv("FANOLINES_SEED", "31337")
-    code, doc, _ = run_json(capsys, schema, "secant", "--kind", "segre",
-                            "-d", "2", "-m", "2")
-    assert doc["seed"] == 31337
 
 
 # ---------------------------------------------------------------------------

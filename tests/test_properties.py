@@ -219,12 +219,10 @@ deep_terms = st.one_of(
 
 def _deep_views(eng, v) -> tuple:
     """S, the witness chain (in normal forms), the covering bound and the
-    trace (without its subject), or the exception the trace raises."""
+    trace, or the exception the trace raises."""
     witness = [normalize(t) for t in eng.witness_chain(v)] if covered_by_lines(v) else None
     try:
-        report = classification_trace(v, eng)
-        trace = (report.chain_dims, report.case_tag, report.inequality_lines, report.verdict,
-                 report.conjecture_used)
+        trace = classification_trace(v, eng)
     except PreconditionFailed:
         trace = PreconditionFailed
     return eng.s_invariant(v), witness, eng.covering_ls_bound(v), trace

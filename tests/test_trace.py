@@ -6,7 +6,7 @@ from fanolines.catalog import build_catalog
 from fanolines.chains import ChainEngine
 from fanolines.dsl import parse_variety
 from fanolines.errors import PreconditionFailed
-from fanolines.terms import dim, normalize, picard_number
+from fanolines.terms import dim, picard_number
 from fanolines.trace import classification_trace
 
 
@@ -92,7 +92,8 @@ def test_trace_preconditions(expr):
 
 
 def test_trace_uses_a_fresh_engine_consistently():
-    eng = ChainEngine()
-    trace = classification_trace(parse_variety("SG(2,7)"), eng)
+    v = parse_variety("SG(2,7)")
+    trace = classification_trace(v, ChainEngine())
     assert trace.verdict == "b"
-    assert normalize(trace.subject) == parse_variety("SG(2,7)")
+    assert trace.chain_dims[0] == dim(v)
+    assert trace == classification_trace(v)  # a caller-held engine, then a fresh one
