@@ -14,15 +14,18 @@ Each constructor is enumerated directly within the bounds: complete
 intersections as non-decreasing degree sequences whose excess sum(d_i - 1)
 is at most the dimension (the Fano condition), products as nested loops over
 the sorted factors that stop once the dimension passes ``n_max``.  No
-candidate is built only to be dropped by the dimension bound.  A candidate of
-the other constructors is normalized once, and the dimension and Fano guards
-ask the normal form's own constructor; a product is inserted as enumerated,
-since it is its own normal form, Fano, and within the dimension bound by
-construction.  A member is printed once, as its sort key.  Members are
-deduplicated in enumeration order (a ``dict``, not a ``set``, so the key pass
-and the sort walk long runs that are already in order) and sorted once by
-``to_text``; every member prints to its own text, so the order is the same
-whatever container deduplicates.
+candidate is built only to be dropped by the dimension bound.  Products and
+complete intersections are canonical by construction (sorted, valid fields),
+so both are built by the trusted constructor ``terms._trusted``, which skips
+the public constructors' re-sorting and re-validation.  Every candidate but
+a product, complete intersections included, is normalized once, and the
+dimension and Fano guards ask the normal form's own constructor; a product
+is inserted as enumerated, since it is its own normal form, Fano,
+and within the dimension bound by construction.  A member is printed once,
+as its sort key.  Members are deduplicated in enumeration order (a ``dict``,
+not a ``set``, so the key pass and the sort walk long runs that are already
+in order) and sorted once by ``to_text``; every member prints to its own
+text, so the order is the same whatever container deduplicates.
 
 :attr:`Catalog.index` is built on first use, in one pass over ``__iter__``,
 the one walk of a catalog, which the member set behind ``in`` reads too.  It
@@ -51,6 +54,7 @@ from .terms import (
     Quadric,
     SympGrassmann,
     VarietyTerm,
+    _trusted,
     dim,
     normalize,
 )
@@ -155,14 +159,17 @@ def build_catalog(n_max: int, deg_max: int) -> Catalog:
             k += 1
 
     # A CI of dimension n in P^(n + count) is Fano iff its excess is <= n.
+    # The sequences are non-decreasing, every degree is >= 2 and n >= 1, so
+    # each CI is valid as built; ``add`` still normalizes and guards it.
     for degs, excess in _degree_sequences(deg_max, n_max):
         for n in range(excess, n_max + 1):
-            add(CompleteIntersection(degs, n + len(degs)))
+            add(_trusted(CompleteIntersection, degs, n + len(degs)))
 
     # Two or three factors in sorted order; the factors are sorted by
     # dimension, so each loop stops at the first one past n_max.  A product
     # goes straight into ``found``, not through ``add``: it has no normalize
     # rule, every product is Fano, and its dimension is between 2 and n_max.
+    # Its factors are sorted and valid as enumerated, so it is built trusted.
     pairs = [
         (n, d) for n in range(1, n_max) for d in range(1, deg_max + 1)
     ]
@@ -172,12 +179,12 @@ def build_catalog(n_max: int, deg_max: int) -> Catalog:
             ab = a[0] + b[0]
             if ab > n_max:
                 break
-            found[PolarizedProduct((a, b))] = None
+            found[_trusted(PolarizedProduct, (a, b))] = None
             for k in range(j, len(pairs)):
                 c = pairs[k]
                 if ab + c[0] > n_max:
                     break
-                found[PolarizedProduct((a, b, c))] = None
+                found[_trusted(PolarizedProduct, (a, b, c))] = None
 
     # Fano scrolls over a line: at most one twist above the minimum, by one.
     for k in range(2, n_max + 1):

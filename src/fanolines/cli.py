@@ -35,7 +35,7 @@ from .families import FamilyRecord, family_outcome, no_rule_reason
 from .reports import report_text
 from .secant import (DEFAULT_PRIMES, DEFAULT_SEED, RankConfig, expected_secant_dim,
                      secant_row, segre_veronese, scroll)
-from .terms import Bound, dim, normalize, s_ceiling
+from .terms import Bound, normalize, s_ceiling
 from .trace import classification_trace
 
 CHAIN_SYMBOL = " ⊨ "  # the "has a family of lines" turnstile
@@ -195,6 +195,7 @@ def _cmd_families(args):
     records = [FamilyRecord(*fam) for fam in fams]
     return 0, {"term": to_text(term), "covered": end in (None, "no_rule"),
                "no_rule": end == "no_rule",
+               "no_rule_reason": no_rule_reason(term) if end == "no_rule" else None,
                "families": [{"variety": to_text(f.variety), "ambient_pt_dim": f.ambient_pt_dim,
                              "span_in_pt": f.span_in_pt,
                              "anticanonical_degree": f.anticanonical_degree} for f in records]}
@@ -204,10 +205,10 @@ def _render_families(r, quiet):
     name = r["term"]
     if not r["covered"]:
         return f"{name} is not covered by lines: no families"
-    term = parse_variety(name)  # exact: parse_variety(to_text(t)) == t
     if r["no_rule"]:
-        return f"{name}: {no_rule_reason(term)} (the chain invariant degrades to a lower bound)"
-    lines = [f"{name}: {len(r['families'])} family(ies) in P^{dim(term) - 1}"]
+        return f"{name}: {r['no_rule_reason']} (the chain invariant degrades to a lower bound)"
+    # Every family of a covered term lies in the same P(T) = P^(n-1).
+    lines = [f"{name}: {len(r['families'])} family(ies) in P^{r['families'][0]['ambient_pt_dim']}"]
     lines += [f"  H{i} = {fam['variety']}: span P^{fam['span_in_pt']}"
               f" of P^{fam['ambient_pt_dim']}, anticanonical degree {fam['anticanonical_degree']}"
               for i, fam in enumerate(r["families"], start=1)]

@@ -56,6 +56,7 @@ from .terms import (
     Quadric,
     SympGrassmann,
     VarietyTerm,
+    _trusted,
     dim,
     normalize,
     segre_pair,
@@ -175,9 +176,12 @@ _last_expansion = lru_cache(maxsize=1)(expand_ci_degrees)
 
 def _complete_intersection_rule(v: CompleteIntersection, ambient: int) -> Families:
     fam_degrees = _last_expansion(v.degrees)  # cutting out the family in P(T)
+    # ambient - #fam_degrees is family_dim(v) >= 0, as v is covered; off the
+    # point, the degrees are ascending, each >= 2 and fewer than ambient, so
+    # the family is built trusted.
     if ambient == len(fam_degrees):
         return ((LinearSpace(0), ambient, 0),)
-    return ((CompleteIntersection(fam_degrees, ambient), ambient, ambient),)
+    return ((_trusted(CompleteIntersection, fam_degrees, ambient), ambient, ambient),)
 
 
 def _product_rule(v: PolarizedProduct, ambient: int) -> Families:

@@ -18,6 +18,15 @@ by one predicate for every term: a term is covered by lines exactly when
 Complete-intersection and linear-section terms always denote GENERAL members
 of their families; every predicate is stated for the general member.
 
+Every public constructor sorts and validates its fields.  The private
+``_trusted(cls, *fields)`` skips both: it may be called only where the
+fields are already in the constructor's canonical order and valid by
+construction, and only from the catalog build and the complete-intersection
+family rule (a test guards the call sites).  A trusted term equals, hashes
+and pickles as its validated construction, but it need not be a normal
+form: the rule's ``CompleteIntersection((2,), N)`` is a quadric, so the
+chain engine still normalizes its memo keys.
+
 >>> dim(Grassmann(2, 5))
 6
 >>> normalize(Grassmann(3, 5))
@@ -363,7 +372,25 @@ class LinearSectionG25(VarietyTerm):
 
 
 # ---------------------------------------------------------------------------
-# a smart constructor (collapses a degenerate shape)
+# the trusted constructor and a smart one (collapses a degenerate shape)
+
+_new_instance = object.__new__
+_set_field = object.__setattr__
+
+
+def _trusted(cls, *fields):
+    """An instance of ``cls`` whose ``fields``, in ``__slots__`` order, are
+    already canonical and valid: no sorting, no check, no ``__post_init__``.
+    A module-level function, not a classmethod, and an indexed loop, not
+    ``zip``: the catalog build calls it once per product, and on CPython
+    3.11 a classmethod took about 1.7 times and ``zip`` about 1.4 times as
+    long a call."""
+    term = _new_instance(cls)
+    i = 0
+    for name in cls.__slots__:
+        _set_field(term, name, fields[i])
+        i += 1
+    return term
 
 
 def segre_pair(a: int, b: int) -> VarietyTerm:

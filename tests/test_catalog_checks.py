@@ -1,9 +1,12 @@
 """Catalog enumeration and the verification suites."""
 
+import pickle
 from collections import Counter
 from itertools import combinations_with_replacement
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from fanolines import families
 from fanolines.catalog import Catalog, build_catalog
@@ -171,6 +174,53 @@ def test_direct_enumeration_matches_generate_and_filter(deg_max):
     for n_max in range(2, 17):
         assert build_catalog(n_max, deg_max).members == \
             _generate_and_filter_catalog(n_max, deg_max), (n_max, deg_max)
+
+
+def _validated(v):
+    """``v`` rebuilt through its public, sorting and validating constructor."""
+    return type(v)(*(getattr(v, name) for name in type(v).__slots__))
+
+
+def _assert_trusted_terms_are_their_validated_construction(terms):
+    for v in terms:
+        w = _validated(v)
+        assert w == v and hash(w) == hash(v), to_text(v)
+        back = pickle.loads(pickle.dumps(v))
+        assert back == v and type(back) is type(v), to_text(v)
+
+
+def _ci_rule_walk(v, depth):
+    """The complete-intersection families reached from ``v`` by at most
+    ``depth`` steps of the rule, each applied to the previous output as is."""
+    walk = []
+    while len(walk) < depth:
+        fams, _ = family_outcome(v)
+        if not fams or type(fams[0][0]) is not CompleteIntersection:
+            break
+        v = fams[0][0]
+        walk.append(v)
+    return walk
+
+
+@pytest.mark.parametrize("grid", [(15, 4), (20, 5)])
+def test_trusted_members_and_ci_rule_outputs_equal_their_validated_construction(grid):
+    # The build and the CI rule skip the validating constructor; what they
+    # build is canonical, so it equals, hashes and pickles as the term the
+    # public constructor makes from the same fields.
+    cat = build_catalog(*grid)
+    _assert_trusted_terms_are_their_validated_construction(cat)
+    cis = [v for v in cat if type(v) is CompleteIntersection]
+    outputs = [w for v in cis for w in _ci_rule_walk(v, 50)]
+    assert outputs
+    _assert_trusted_terms_are_their_validated_construction(outputs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(2, 5), min_size=1, max_size=4), st.integers(0, 120))
+def test_ci_rule_outputs_equal_their_validated_construction(degrees, fam_dim):
+    # A covered CI of family dimension fam_dim, walked up to 50 steps deep.
+    v = CompleteIntersection(tuple(degrees), fam_dim + 1 + sum(degrees))
+    _assert_trusted_terms_are_their_validated_construction(_ci_rule_walk(v, 50))
 
 
 @pytest.mark.parametrize("grid", [(2, 2), (9, 3), (12, 5)])

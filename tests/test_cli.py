@@ -17,6 +17,8 @@ from jsonschema import validate
 import fanolines
 from fanolines import cli
 from fanolines.cli import _COMMANDS, DEPTH_CAP, SIZE_CAPS, TERM_INT_CAP, load_schema, main
+from fanolines.dsl import parse_variety
+from fanolines.families import no_rule_reason
 
 
 @pytest.fixture(scope="module")
@@ -452,6 +454,18 @@ def test_json_families(capsys, schema):
     fams = doc["result"]["families"]
     assert [f["variety"] for f in fams] == ["pt", "P(2)"]
     assert [f["span_in_pt"] for f in fams] == [0, 2]
+
+
+@pytest.mark.parametrize("expr", ["SG(3,7)", "LS(G(2,5),2)", "Q(1)", "G(2,5)"])
+def test_json_families_carries_the_no_rule_reason_its_text_prints(capsys, schema, expr):
+    code, doc, _ = run_json(capsys, schema, "families", expr)
+    result = doc["result"]
+    if result["no_rule"]:
+        assert result["no_rule_reason"] == no_rule_reason(parse_variety(expr))
+        _, out, _ = run(capsys, "families", expr)
+        assert result["no_rule_reason"] in out
+    else:
+        assert result["no_rule_reason"] is None
 
 
 def test_json_cover(capsys, schema):

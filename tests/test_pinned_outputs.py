@@ -33,6 +33,12 @@ G(2,5) got its own ``"none"`` row: the ``LinearSectionG25`` row became
 ``LinearSectionG25 (c = 0, 1, 3)``, its ``family`` text no longer names
 c = 2 and its ``note`` keeps only c = 4, and a ``LinearSectionG25 (c = 2)``
 row with status ``"none"`` follows it; no other row moved.
+The ``cli families`` digest was re-recorded once, when the ``families``
+payload began to carry the no-rule reason that its text prints: each of the
+18 ``--json`` answers gained one row after its ``"no_rule"`` row:
+``"no_rule_reason": null``, except for ``LS(G(2,5),2)`` and ``SG(3,7)``,
+whose new row holds the reason their text already printed.  No text answer, exit code or
+other row moved.
 """
 
 import contextlib
@@ -83,7 +89,7 @@ PINNED = {
     "cli cover":
         "03ec71f5428e3d41a1323cf6b2c6cf5575c8fd6602f4978d7ab442bbba49233c",
     "cli families":
-        "428235ec99f2231b0f861b0903a6ed2db7700e4b964b0e1dcd1eaf57493e0dd6",
+        "7cc6be9b263eee90e7ccdbdaa172712c84dc2e24a0344e6c70ed631feac1b1f1",
     "cli trace":
         "0a498559588b54b23a7750ec0192ed8663e657be9d6e2d9de3933c4d8a92be4e",
     "cli classify":
