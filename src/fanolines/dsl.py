@@ -20,7 +20,9 @@ Printing produces the same syntax back, so ``parse_variety(to_text(t)) == t``
 for every term.  :func:`to_text` reads one formatter table, ``_FORMATS``,
 keyed on the term's constructor as the family rules are in ``_RULE_TABLE``;
 a value of any other type raises ``TypeError``.  A product prints through
-the format of its arity, built once per arity.
+the format of its arity, built once per arity from the product's spelling
+(``PRODUCT_FACTOR`` in the frame ``PRODUCT_OPEN`` ... ``PRODUCT_CLOSE``),
+which the catalog build shares: it names its products from the same pieces.
 
 >>> parse_variety("CI(2,2;7)")
 CompleteIntersection(degrees=(2, 2), N=7)
@@ -166,9 +168,16 @@ def _parse_factor(toks: _Tokens) -> tuple[int, int]:
     return (n, d)
 
 
+#: A product's spelling: its factors in the frame ``Prod(`` ... ``)``, one
+#: ``P(n):d`` each, separated by commas.  The catalog build names its
+#: products from these pieces, so the spelling is written here alone.
+PRODUCT_FACTOR = "P(%s):%s"
+PRODUCT_OPEN, PRODUCT_SEP, PRODUCT_CLOSE = "Prod(", ",", ")"
+
+
 @lru_cache(maxsize=8)  # catalog products have two or three factors
 def _product_format(arity: int) -> str:
-    return "Prod(" + ",".join(["P(%s):%s"] * arity) + ")"
+    return PRODUCT_OPEN + PRODUCT_SEP.join([PRODUCT_FACTOR] * arity) + PRODUCT_CLOSE
 
 
 _FORMATS: dict[type[VarietyTerm], Callable[..., str]] = {

@@ -1,14 +1,16 @@
 """Catalog enumeration and the verification suites."""
 
+import gc
 import pickle
 from collections import Counter
 from itertools import combinations_with_replacement
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from fanolines import families
+from fanolines import catalog, families
 from fanolines.catalog import Catalog, build_catalog
 from fanolines.chains import ChainEngine
 from fanolines.checks import (
@@ -108,11 +110,49 @@ def test_catalog_is_deterministic():
     assert build_catalog(7, 3) == build_catalog(7, 3)
 
 
-def test_catalog_rejects_tiny_bounds():
+def test_catalog_rejects_tiny_bounds(monkeypatch):
+    # The bounds are checked before the collector is paused: a spy in place
+    # of ``gc`` sees no call until a build runs.
+    calls = []
+    spy = SimpleNamespace(**{name: (lambda name=name: calls.append(name) or True)
+                             for name in ("isenabled", "disable", "enable")})
+    monkeypatch.setattr(catalog, "gc", spy)
     with pytest.raises(ValidationError):
         build_catalog(1, 4)
     with pytest.raises(ValidationError):
         build_catalog(5, 1)
+    assert calls == []
+    build_catalog(2, 2)
+    assert calls == ["isenabled", "disable", "enable"]
+
+
+@pytest.fixture
+def keep_collector_state():
+    """Restores the collector's state after the test, whatever it did."""
+    before = gc.isenabled()
+    yield
+    (gc.enable if before else gc.disable)()
+
+
+@pytest.mark.parametrize("on", [True, False], ids=["enabled", "disabled"])
+def test_build_pauses_the_collector_and_restores_its_state(monkeypatch, keep_collector_state, on):
+    (gc.enable if on else gc.disable)()
+    build_catalog(6, 3)
+    assert gc.isenabled() is on
+
+    # A build that raises midway, inside the pause, still restores it.
+    seen = []
+
+    def failing_sequences(deg_max, budget):
+        yield (2,), 1
+        seen.append(gc.isenabled())
+        raise RuntimeError("midway")
+
+    monkeypatch.setattr(catalog, "_degree_sequences", failing_sequences)
+    with pytest.raises(RuntimeError, match="midway"):
+        build_catalog(6, 3)
+    assert seen == [False]  # paused during the build, whatever the caller had
+    assert gc.isenabled() is on
 
 
 def test_catalog_contains_no_non_fano_scrolls():
@@ -174,6 +214,20 @@ def test_direct_enumeration_matches_generate_and_filter(deg_max):
     for n_max in range(2, 17):
         assert build_catalog(n_max, deg_max).members == \
             _generate_and_filter_catalog(n_max, deg_max), (n_max, deg_max)
+
+
+@pytest.mark.parametrize("grid", [(11, 10), (12, 11)])
+def test_product_names_with_two_digit_fields_sort_as_their_text(grid):
+    # The build names its products by concatenating factor texts.  With two
+    # digits, P(1):1 is a prefix of P(1):10 and P(1) one of P(10); the names
+    # must still be the members' texts, in strictly increasing order.
+    cat = build_catalog(*grid)
+    assert cat.members == _generate_and_filter_catalog(*grid)
+    names = [to_text(v) for v in cat]
+    assert all(a < b for a, b in zip(names, names[1:]))
+    for name in ("Prod(P(1):1,P(1):1)", "Prod(P(1):1,P(1):10)", "Prod(P(1):10,P(1):10)",
+                 "Prod(P(1):1,P(10):1)", "Prod(P(1):1,P(1):1,P(1):10)"):
+        assert name in names
 
 
 def _validated(v):
