@@ -18,11 +18,21 @@ left.  No candidate is built only to be dropped by the dimension bound.
 Products and complete intersections are canonical by construction (sorted,
 valid fields), so both are built by the trusted constructor
 ``terms._trusted``, which skips the public constructors' re-sorting and
-re-validation.  Every candidate but a product, complete intersections
-included, is normalized once, and the dimension and Fano guards ask the
-normal form's own constructor; a product is inserted as enumerated, since
-it is its own normal form, Fano, and within the dimension bound by
-construction.
+re-validation, and both skip ``add``, inserted as enumerated with no
+normalization and no guard:
+
+* a product has no normalize rule, every product is Fano, and its
+  dimension lies between 2 and n_max;
+* a complete intersection of excess e = sum(d_i - 1) >= 1 is enumerated
+  for each dimension n in [e, n_max], and it is Fano, since sum(d_i) =
+  e + #degrees <= n + #degrees = N.  Its one normalize rule, CI(2; N) ->
+  Q^{N-1}, reaches only the normal forms that ``add(Quadric(n))`` has added
+  for every n up to n_max, so the sequence (2,) is skipped and every other
+  complete intersection is its own normal form.
+
+What is left on ``add``, about 960 linear spaces, quadrics, Grassmannians,
+scrolls and G(2,5) sections at (30,5), is normalized once, and the
+dimension and Fano guards ask the normal form's own constructor.
 
 Each member is named once by its text, in a ``dict`` from name to member,
 and the names are sorted with no key function; every member is a normal
@@ -30,9 +40,14 @@ form and ``parse_variety(to_text(t)) == t``, so names deduplicate as terms
 do.  A member added through ``add`` is named by ``to_text``; a product
 (93,425 of the 114,889 members at (30,5)) by concatenating its factors'
 texts in ``dsl``'s product spelling, sharing the prefix of its first two
-factors.  The products are named in a second walk, after all are built:
-names made between retained terms leave their memory scattered when freed,
-which raised the benchmark sweep's peak RSS by about 2 MB.
+factors; a complete intersection (20,504 of them) by appending N and the
+closing parenthesis to its degree sequence's prefix in ``dsl``'s complete
+intersection spelling.  The products are named in a second walk, after all
+are built: names made between retained terms leave their memory scattered
+when freed, which raised the benchmark sweep's peak RSS by about 2 MB.  The
+complete intersections are named as they are built: one prefix per degree
+sequence leaves few temporaries, and a process that builds (30,5) peaks
+about 0.4 MB lower than with ``add``.
 
 The cyclic garbage collector is paused for the build, after the bounds
 check, and its state on entry is restored however the build ends.  The
@@ -56,7 +71,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
-from .dsl import PRODUCT_CLOSE, PRODUCT_FACTOR, PRODUCT_OPEN, PRODUCT_SEP, to_text
+from .dsl import (
+    CI_CLOSE,
+    PRODUCT_CLOSE,
+    PRODUCT_FACTOR,
+    PRODUCT_OPEN,
+    PRODUCT_SEP,
+    ci_prefix,
+    to_text,
+)
 from .errors import ValidationError
 from .terms import (
     CompleteIntersection,
@@ -157,8 +180,9 @@ def _product_shapes(n_max: int, deg_max: int) -> Iterator[tuple[int, int, range]
 
 
 def build_catalog(n_max: int, deg_max: int) -> Catalog:
-    """Enumerate each constructor within the bounds, normalize, name each
-    member by its text and sort the names once; deterministic output."""
+    """Enumerate each constructor within the bounds, normalize what is not
+    canonical as enumerated, name each member by its text and sort the
+    names once; deterministic output."""
     if n_max < 2 or deg_max < 2:
         raise ValidationError("build_catalog requires n_max >= 2 and deg_max >= 2",
                               component="catalog")
@@ -198,11 +222,16 @@ def _build(n_max: int, deg_max: int) -> Catalog:
             k += 1
 
     # A CI of dimension n in P^(n + count) is Fano iff its excess is <= n.
-    # The sequences are non-decreasing, every degree is >= 2 and n >= 1, so
-    # each CI is valid as built; ``add`` still normalizes and guards it.
+    # A CI skips ``add``: with 1 <= excess <= n <= n_max it is valid, Fano
+    # and within the bound as built, and its own normal form unless its
+    # degrees are (2,), the quadrics added above (see the module docstring).
+    # Each CI is named from its sequence's prefix.
     for degs, excess in _degree_sequences(deg_max, n_max):
-        for n in range(excess, n_max + 1):
-            add(_trusted(CompleteIntersection, degs, n + len(degs)))
+        if degs == (2,):
+            continue
+        prefix, count = ci_prefix(degs), len(degs)
+        for N in range(excess + count, n_max + count + 1):  # n = N - count
+            named[prefix + str(N) + CI_CLOSE] = _trusted(CompleteIntersection, degs, N)
 
     # Two or three factors in sorted order, walked by ``_product_shapes``.  A
     # product skips ``add``: it has no normalize rule, every product is Fano,

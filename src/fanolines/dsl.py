@@ -22,7 +22,9 @@ keyed on the term's constructor as the family rules are in ``_RULE_TABLE``;
 a value of any other type raises ``TypeError``.  A product prints through
 the format of its arity, built once per arity from the product's spelling
 (``PRODUCT_FACTOR`` in the frame ``PRODUCT_OPEN`` ... ``PRODUCT_CLOSE``),
-which the catalog build shares: it names its products from the same pieces.
+and a complete intersection as ``ci_prefix`` of its degrees, then N and
+``CI_CLOSE``.  The catalog build shares both spellings: it names its
+products and its complete intersections from the same pieces.
 
 >>> parse_variety("CI(2,2;7)")
 CompleteIntersection(degrees=(2, 2), N=7)
@@ -180,12 +182,24 @@ def _product_format(arity: int) -> str:
     return PRODUCT_OPEN + PRODUCT_SEP.join([PRODUCT_FACTOR] * arity) + PRODUCT_CLOSE
 
 
+#: A complete intersection's spelling: ``ci_prefix`` of its degrees, then its
+#: ambient dimension N and ``CI_CLOSE``.  The catalog build names its complete
+#: intersections from one prefix per degree sequence, so the spelling is
+#: written here alone.
+CI_CLOSE = ")"
+
+
+def ci_prefix(degrees: tuple[int, ...]) -> str:
+    """``CI(`` and the degrees separated by commas, up to and with the ``;``."""
+    return "CI(" + ",".join(map(str, degrees)) + ";"
+
+
 _FORMATS: dict[type[VarietyTerm], Callable[..., str]] = {
     LinearSpace: lambda v: f"P({v.n})" if v.n else "pt",
     Quadric: lambda v: f"Q({v.n})",
     Grassmann: lambda v: f"G({v.k},{v.N})",
     SympGrassmann: lambda v: f"SG({v.k},{v.N})",
-    CompleteIntersection: lambda v: "CI(" + ",".join(map(str, v.degrees)) + f";{v.N})",
+    CompleteIntersection: lambda v: ci_prefix(v.degrees) + str(v.N) + CI_CLOSE,
     PolarizedProduct: lambda v: _product_format(len(v.factors)) % sum(v.factors, ()),
     ProjBundleP1: lambda v: "PB(" + ",".join(map(str, v.twists)) + ")",
     LinearSectionG25: lambda v: f"LS(G(2,5),{v.c})",

@@ -3,6 +3,7 @@
 import gc
 import pickle
 from collections import Counter
+from functools import cache
 from itertools import combinations_with_replacement
 from types import SimpleNamespace
 
@@ -161,6 +162,7 @@ def test_catalog_contains_no_non_fano_scrolls():
     assert "PB(2,1,1)" in names
 
 
+@cache  # the (12,11) reference takes seconds and two tests read it
 def _generate_and_filter_catalog(n_max: int, deg_max: int) -> tuple:
     """The members of the first catalog builder, which generated every
     complete-intersection and product candidate and filtered by dimension."""
@@ -228,6 +230,40 @@ def test_product_names_with_two_digit_fields_sort_as_their_text(grid):
     for name in ("Prod(P(1):1,P(1):1)", "Prod(P(1):1,P(1):10)", "Prod(P(1):10,P(1):10)",
                  "Prod(P(1):1,P(10):1)", "Prod(P(1):1,P(1):1,P(1):10)"):
         assert name in names
+
+
+def test_ci_names_with_two_digit_fields_sort_as_their_text():
+    # The build names its complete intersections from one prefix per degree
+    # sequence.  With two digits, CI(3;10) sorts before CI(3;4) and CI(2,10;
+    # after CI(2,2;; the names must still be the members' texts, in strictly
+    # increasing order.
+    cis = [v for v in build_catalog(12, 11) if type(v) is CompleteIntersection]
+    assert cis == [v for v in _generate_and_filter_catalog(12, 11)
+                   if type(v) is CompleteIntersection]
+    names = [to_text(v) for v in cis]
+    assert names == [f"CI({','.join(map(str, v.degrees))};{v.N})" for v in cis]
+    assert all(a < b for a, b in zip(names, names[1:]))
+    assert names.index("CI(3;10)") < names.index("CI(3;4)")
+    for name in ("CI(3;4)", "CI(3;10)", "CI(10;10)", "CI(10;11)", "CI(11;12)",
+                 "CI(2,2;10)", "CI(2,10;12)"):
+        assert name in names
+
+
+@pytest.mark.parametrize("grid", [(15, 4), (20, 5), (12, 11)])
+def test_ci_members_pass_the_guards_the_build_does_not_ask(grid):
+    # The build inserts each complete intersection unnormalized and unguarded,
+    # and skips the sequence (2,), whose members normalize to quadrics.
+    n_max = grid[0]
+    members = build_catalog(*grid).members
+    cis = [v for v in members if type(v) is CompleteIntersection]
+    assert cis
+    for v in cis:
+        assert normalize(v) == v, to_text(v)
+        assert 1 <= dim(v) <= n_max and is_fano(v), to_text(v)
+        assert v.degrees != (2,), to_text(v)
+    member_set = set(members)
+    for n in range(1, n_max + 1):
+        assert normalize(Quadric(n)) in member_set, n
 
 
 def _validated(v):
