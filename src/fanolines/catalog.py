@@ -12,14 +12,13 @@ has nothing to do with the tables being checked.
 
 Each constructor is enumerated directly within the bounds: complete
 intersections as non-decreasing degree sequences whose excess sum(d_i - 1)
-is at most the dimension (the Fano condition), products as index shapes
-over the factors sorted by dimension, each loop bounded by the dimension
-left.  No candidate is built only to be dropped by the dimension bound.
-Products and complete intersections are canonical by construction (sorted,
-valid fields), so both are built by the trusted constructor
-``terms._trusted``, which skips the public constructors' re-sorting and
-re-validation, and both skip ``add``, inserted as enumerated with no
-normalization and no guard:
+is at most the dimension (the Fano condition), products as factors taken in
+canonical order, each loop bounded by the dimension left.  No candidate is
+built only to be dropped by the dimension bound.  Products and complete
+intersections are canonical by construction (sorted, valid fields), so both
+are built by the trusted constructor ``terms._trusted``, which skips the
+public constructors' re-sorting and re-validation, and both skip ``add``,
+inserted as enumerated with no normalization and no guard:
 
 * a product has no normalize rule, every product is Fano, and its
   dimension lies between 2 and n_max;
@@ -34,26 +33,45 @@ What is left on ``add``, about 960 linear spaces, quadrics, Grassmannians,
 scrolls and G(2,5) sections at (30,5), is normalized once, and the
 dimension and Fano guards ask the normal form's own constructor.
 
-Each member is named once by its text, in a ``dict`` from name to member,
-and the names are sorted with no key function; every member is a normal
-form and ``parse_variety(to_text(t)) == t``, so names deduplicate as terms
-do.  A member added through ``add`` is named by ``to_text``; a product
-(93,425 of the 114,889 members at (30,5)) by concatenating its factors'
-texts in ``dsl``'s product spelling, sharing the prefix of its first two
-factors; a complete intersection (20,504 of them) by appending N and the
-closing parenthesis to its degree sequence's prefix in ``dsl``'s complete
-intersection spelling.  The products are named in a second walk, after all
-are built: names made between retained terms leave their memory scattered
-when freed, which raised the benchmark sweep's peak RSS by about 2 MB.  The
-complete intersections are named as they are built: one prefix per degree
-sequence leaves few temporaries, and a process that builds (30,5) peaks
-about 0.4 MB lower than with ``add``.
+Catalog order is the order of the members' texts.  Each member that is not
+a product is named once by its text, in a ``dict`` from name to member, and
+the names are sorted with no key function; every member is a normal form
+and ``parse_variety(to_text(t)) == t``, so names deduplicate as terms do.  A
+member added through ``add`` is named by ``to_text``, a complete
+intersection (20,504 of the 114,889 members at (30,5)) by appending N and
+the closing parenthesis to its degree sequence's prefix in ``dsl``'s
+complete intersection spelling.
+
+The products (93,425 members at (30,5)) are never named: one walk emits
+them already in catalog order.  In ``dsl``'s product spelling a product's
+text sorts as the tuple of its factors' texts, because the separator and
+the closing parenthesis sort below every digit, and a digit is the only
+thing that can follow a factor text that is a proper prefix of another
+(``P(1):1`` and ``P(1):10``, ``P(1)`` and ``P(10)``); the close also sorts
+below the separator, so a pair comes before the triples that extend it.  So
+the factors are ordered once by their text, and the walk takes the factors
+a <= b <= c of each product (numeric, the canonical field order) in that
+order.  Every product's text, and no other member's, starts with the
+product opening, so the block is spliced into the sorted names where that
+opening would sort.  ``add`` makes products too: Q(2)'s Segre form and the
+trivial scrolls, 870 distinct at (30,5), some with a degree above
+``deg_max``.  Each is merged into the block by its factor texts: a search
+over the walk's pairs finds the run of products that share its first two
+factors, and only that run is read, dropping the ones the walk has made.
 
 The cyclic garbage collector is paused for the build, after the bounds
 check, and its state on entry is restored however the build ends.  The
 build frees almost nothing, and terms are frozen and slotted and hold only
 ints and tuples, so a collection would walk the growing catalog and find no
-cycle.
+cycle.  A build that returns then promotes every object the collector
+tracks to its oldest generation (``gc.freeze`` then ``gc.unfreeze``, each a
+constant-time list move), so that neither the first young collection after
+the pause nor a later middle one walks the catalog again.  The promotion is
+process-wide, and a caller sees it in one way: a young unreachable cycle of
+its own, made before the build, waits for the next full collection, which
+``gc.collect()`` or the collector's own full-collection trigger runs,
+instead of the next young one.  Nothing is left frozen, and a caller that
+has frozen objects itself is left as it was: the promotion is skipped.
 
 :attr:`Catalog.index` is built on first use, in one pass over ``__iter__``,
 the one walk of a catalog, which the member set behind ``in`` reads too.  It
@@ -67,19 +85,12 @@ number) class.
 from __future__ import annotations
 
 import gc
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterator, NamedTuple
 
-from .dsl import (
-    CI_CLOSE,
-    PRODUCT_CLOSE,
-    PRODUCT_FACTOR,
-    PRODUCT_OPEN,
-    PRODUCT_SEP,
-    ci_prefix,
-    to_text,
-)
+from .dsl import CI_CLOSE, PRODUCT_FACTOR, PRODUCT_OPEN, ci_prefix, to_text
 from .errors import ValidationError
 from .terms import (
     CompleteIntersection,
@@ -166,23 +177,68 @@ def _degree_sequences(deg_max: int, budget: int) -> Iterator[tuple[tuple[int, ..
         frontier = longer
 
 
-def _product_shapes(n_max: int, deg_max: int) -> Iterator[tuple[int, int, range]]:
-    """The two- and three-factor products within the bounds, as indices into
-    the factor list ``[(n, d) for n in range(1, n_max) for d in range(1,
-    deg_max + 1)]``, in enumeration order: each ``(i, j, ks)`` is the pair
-    (i, j), i <= j, followed by the triples (i, j, k) for k in ``ks``.  The
-    list is sorted by dimension, and its factors of dimension at most m are
-    its first m * deg_max entries: each loop bound is one multiplication."""
-    for i in range((n_max - 1) * deg_max):
-        room = n_max - i // deg_max - 1  # dimension left beside factor i
-        for j in range(i, room * deg_max):
-            yield i, j, range(j, (room - j // deg_max - 1) * deg_max)
+def _products(n_max: int, deg_max: int, made: set[VarietyTerm]) -> list[VarietyTerm]:
+    """The two- and three-factor products within the bounds in catalog order,
+    merged with the products ``made`` by ``add``.
+
+    A product's text sorts as the tuple of its factors' texts (see the module
+    docstring).  So the factors (n, d), 1 <= n < n_max, 1 <= d <= deg_max, are
+    ordered once by text, and the walk takes factors a <= b <= c (numeric,
+    the canonical field order) in that order within the dimension bound:
+    each pair (a, b) is followed by the triples (a, b, c) that extend it.  A
+    product skips ``add``: it has no normalize rule, every product is Fano,
+    and its dimension is between 2 and n_max.  Its factors are sorted and
+    valid as enumerated, so it is built trusted."""
+    text = {(n, d): PRODUCT_FACTOR % (n, d)
+            for n in range(1, n_max) for d in range(1, deg_max + 1)}
+    ordered = sorted(text, key=text.__getitem__)
+    fits = [[f for f in ordered if f[0] <= room] for room in range(n_max)]
+
+    @cache
+    def after(least: tuple[int, int], room: int) -> list[tuple[int, int]]:
+        """The factors f >= least of dimension at most ``room``, in text order."""
+        return [f for f in fits[room] if f >= least]
+
+    block: list[VarietyTerm] = []
+    pair_texts: list[tuple[str, str]] = []  # each pair's factor texts, in walk order
+    starts: list[int] = []  # where each pair, then its triples, begin in ``block``
+    for a in ordered:
+        for b in after(a, n_max - a[0]):
+            pair_texts.append((text[a], text[b]))
+            starts.append(len(block))
+            block.append(_trusted(PolarizedProduct, (a, b)))
+            for c in after(b, n_max - a[0] - b[0]):
+                block.append(_trusted(PolarizedProduct, (a, b, c)))
+    starts.append(len(block))
+
+    # A product from ``add`` goes before the first pair whose texts sort
+    # after its first two factors' texts, or, when a pair has the same two,
+    # into that pair's run: the walk's products are read only in that run,
+    # and one the walk has made is dropped.
+    def texts_of(v: VarietyTerm) -> tuple[str, ...]:
+        return tuple([text[f] for f in v.factors])
+
+    by_texts = {tuple([PRODUCT_FACTOR % f for f in v.factors]): v for v in made}
+    merged: list[VarietyTerm] = []
+    done = 0
+    for key in sorted(by_texts):
+        p = bisect_left(pair_texts, key[:2])
+        at = starts[p]
+        if p < len(pair_texts) and pair_texts[p] == key[:2]:
+            at = bisect_left(block, key, at, starts[p + 1], key=texts_of)
+            if at < starts[p + 1] and texts_of(block[at]) == key:
+                continue  # the walk made it
+        merged += block[done:at]
+        merged.append(by_texts[key])
+        done = at
+    merged += block[done:]
+    return merged
 
 
 def build_catalog(n_max: int, deg_max: int) -> Catalog:
     """Enumerate each constructor within the bounds, normalize what is not
-    canonical as enumerated, name each member by its text and sort the
-    names once; deterministic output."""
+    canonical as enumerated, sort the members by their text and promote them
+    to the collector's oldest generation; deterministic output."""
     if n_max < 2 or deg_max < 2:
         raise ValidationError("build_catalog requires n_max >= 2 and deg_max >= 2",
                               component="catalog")
@@ -191,7 +247,14 @@ def build_catalog(n_max: int, deg_max: int) -> Catalog:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _build(n_max, deg_max)
+        catalog = _build(n_max, deg_max)
+        # Promote every tracked object to the oldest generation, so that no
+        # young collection walks the catalog again; a caller's own freeze
+        # is left as it is (see the module docstring).
+        if gc.get_freeze_count() == 0:
+            gc.freeze()
+            gc.unfreeze()
+        return catalog
     finally:
         if collecting:
             gc.enable()
@@ -199,11 +262,15 @@ def build_catalog(n_max: int, deg_max: int) -> Catalog:
 
 def _build(n_max: int, deg_max: int) -> Catalog:
     named: dict[str, VarietyTerm] = {}  # text -> member; a member prints to its own text
+    made: set[VarietyTerm] = set()  # the products ``add`` makes
 
     def add(term: VarietyTerm):
         term = term._normalize()  # normalized once; asked directly from here on
         if 1 <= term._dim() <= n_max and term._is_fano():
-            named[to_text(term)] = term
+            if type(term) is PolarizedProduct:  # Q(2) and the trivial scrolls
+                made.add(term)
+            else:
+                named[to_text(term)] = term
 
     for n in range(1, n_max + 1):
         add(LinearSpace(n))
@@ -233,28 +300,6 @@ def _build(n_max: int, deg_max: int) -> Catalog:
         for N in range(excess + count, n_max + count + 1):  # n = N - count
             named[prefix + str(N) + CI_CLOSE] = _trusted(CompleteIntersection, degs, N)
 
-    # Two or three factors in sorted order, walked by ``_product_shapes``.  A
-    # product skips ``add``: it has no normalize rule, every product is Fano,
-    # and its dimension is between 2 and n_max.  Its factors are sorted and
-    # valid as enumerated, so it is built trusted.  The products are named in
-    # a second walk of the same shapes, after all of them are built (see the
-    # module docstring), each extending the text of its first two factors.
-    pairs = [(n, d) for n in range(1, n_max) for d in range(1, deg_max + 1)]
-    products: list[VarietyTerm] = []
-    for i, j, ks in _product_shapes(n_max, deg_max):
-        a, b = pairs[i], pairs[j]
-        products.append(_trusted(PolarizedProduct, (a, b)))
-        for k in ks:
-            products.append(_trusted(PolarizedProduct, (a, b, pairs[k])))
-    texts = [PRODUCT_FACTOR % p for p in pairs]
-    terms = iter(products)
-    for i, j, ks in _product_shapes(n_max, deg_max):
-        ab = PRODUCT_OPEN + texts[i] + PRODUCT_SEP + texts[j]
-        named[ab + PRODUCT_CLOSE] = next(terms)
-        ab += PRODUCT_SEP
-        for k in ks:
-            named[ab + texts[k] + PRODUCT_CLOSE] = next(terms)
-
     # Fano scrolls over a line: at most one twist above the minimum, by one.
     for k in range(2, n_max + 1):
         for d in range(1, n_max + 1):
@@ -265,4 +310,10 @@ def _build(n_max: int, deg_max: int) -> Catalog:
     for c in range(0, 5):
         add(LinearSectionG25(c))
 
-    return Catalog(n_max, deg_max, tuple([named[name] for name in sorted(named)]))
+    # Every product's text, and no other member's, starts with PRODUCT_OPEN,
+    # so the products are one block at that point of the sorted names.
+    names = sorted(named)
+    members = [named[name] for name in names]
+    at = bisect_left(names, PRODUCT_OPEN)
+    members[at:at] = _products(n_max, deg_max, made)
+    return Catalog(n_max, deg_max, tuple(members))

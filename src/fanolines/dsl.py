@@ -23,8 +23,9 @@ a value of any other type raises ``TypeError``.  A product prints through
 the format of its arity, built once per arity from the product's spelling
 (``PRODUCT_FACTOR`` in the frame ``PRODUCT_OPEN`` ... ``PRODUCT_CLOSE``),
 and a complete intersection as ``ci_prefix`` of its degrees, then N and
-``CI_CLOSE``.  The catalog build shares both spellings: it names its
-products and its complete intersections from the same pieces.
+``CI_CLOSE``.  The catalog build shares both spellings: it orders its
+products by their factors' texts and names its complete intersections from
+the same pieces.
 
 >>> parse_variety("CI(2,2;7)")
 CompleteIntersection(degrees=(2, 2), N=7)
@@ -171,8 +172,10 @@ def _parse_factor(toks: _Tokens) -> tuple[int, int]:
 
 
 #: A product's spelling: its factors in the frame ``Prod(`` ... ``)``, one
-#: ``P(n):d`` each, separated by commas.  The catalog build names its
-#: products from these pieces, so the spelling is written here alone.
+#: ``P(n):d`` each, separated by commas.  The catalog build orders its
+#: products by their factors' texts, which sort as the products' texts only
+#: while the separator and the close sort below every digit and the close
+#: below the separator; the spelling is written here alone.
 PRODUCT_FACTOR = "P(%s):%s"
 PRODUCT_OPEN, PRODUCT_SEP, PRODUCT_CLOSE = "Prod(", ",", ")"
 

@@ -2,6 +2,7 @@
 
 import gc
 import pickle
+import weakref
 from collections import Counter
 from functools import cache
 from itertools import combinations_with_replacement
@@ -9,7 +10,7 @@ from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from fanolines import catalog, families
 from fanolines.catalog import Catalog, build_catalog
@@ -23,7 +24,7 @@ from fanolines.checks import (
     verify_family_lemmas,
     verify_next_to_maximal,
 )
-from fanolines.dsl import to_text
+from fanolines.dsl import PRODUCT_CLOSE, PRODUCT_FACTOR, PRODUCT_SEP, to_text
 from fanolines.errors import EngineError, ValidationError
 from fanolines.families import (
     RULELESS_CONSTRUCTORS,
@@ -113,10 +114,13 @@ def test_catalog_is_deterministic():
 
 def test_catalog_rejects_tiny_bounds(monkeypatch):
     # The bounds are checked before the collector is paused: a spy in place
-    # of ``gc`` sees no call until a build runs.
+    # of ``gc``, reporting it enabled and nothing frozen, sees no call until
+    # a build runs.
     calls = []
-    spy = SimpleNamespace(**{name: (lambda name=name: calls.append(name) or True)
-                             for name in ("isenabled", "disable", "enable")})
+    answers = {"isenabled": True, "disable": None, "get_freeze_count": 0,
+               "freeze": None, "unfreeze": None, "enable": None}
+    spy = SimpleNamespace(**{name: (lambda name=name: calls.append(name) or answers[name])
+                             for name in answers})
     monkeypatch.setattr(catalog, "gc", spy)
     with pytest.raises(ValidationError):
         build_catalog(1, 4)
@@ -124,7 +128,7 @@ def test_catalog_rejects_tiny_bounds(monkeypatch):
         build_catalog(5, 1)
     assert calls == []
     build_catalog(2, 2)
-    assert calls == ["isenabled", "disable", "enable"]
+    assert calls == ["isenabled", "disable", "get_freeze_count", "freeze", "unfreeze", "enable"]
 
 
 @pytest.fixture
@@ -150,10 +154,52 @@ def test_build_pauses_the_collector_and_restores_its_state(monkeypatch, keep_col
         raise RuntimeError("midway")
 
     monkeypatch.setattr(catalog, "_degree_sequences", failing_sequences)
+    promotions = []
+    for name in ("freeze", "unfreeze"):
+        monkeypatch.setattr(gc, name, lambda name=name: promotions.append(name))
     with pytest.raises(RuntimeError, match="midway"):
         build_catalog(6, 3)
     assert seen == [False]  # paused during the build, whatever the caller had
     assert gc.isenabled() is on
+    assert promotions == []  # nothing is promoted from a build that raised
+
+
+class _Node:
+    """An object that can be watched by ``weakref.finalize``."""
+
+
+@pytest.fixture
+def unfreeze_after():
+    """Moves back whatever the test left frozen, so that later tests find
+    nothing frozen."""
+    yield
+    gc.unfreeze()
+
+
+def test_the_promotion_leaves_the_caller_a_full_collection_and_its_own_freeze(
+        keep_collector_state, unfreeze_after):
+    # A young unreachable cycle made before a build is promoted with the
+    # catalog: no young collection reclaims it, the next full one does.
+    gc.disable()  # keeps the cycle young until the build
+    assert gc.get_freeze_count() == 0
+    reclaimed = []
+    node = _Node()
+    node.self = node
+    weakref.finalize(node, reclaimed.append, True)
+    del node
+    build_catalog(6, 3)
+    assert gc.get_freeze_count() == 0  # nothing is left frozen
+    gc.collect(1)
+    assert reclaimed == []
+    gc.collect()
+    assert reclaimed == [True]
+
+    # With the caller's own freeze in force, the build leaves it as it was.
+    gc.freeze()
+    frozen = gc.get_freeze_count()
+    assert frozen > 0
+    build_catalog(6, 3)
+    assert gc.get_freeze_count() == frozen
 
 
 def test_catalog_contains_no_non_fano_scrolls():
@@ -230,6 +276,35 @@ def test_product_names_with_two_digit_fields_sort_as_their_text(grid):
     for name in ("Prod(P(1):1,P(1):1)", "Prod(P(1):1,P(1):10)", "Prod(P(1):10,P(1):10)",
                  "Prod(P(1):1,P(10):1)", "Prod(P(1):1,P(1):1,P(1):10)"):
         assert name in names
+
+
+def test_product_texts_sort_as_the_tuples_of_their_factor_texts():
+    # The premise of the build's product walk: a product's text sorts as the
+    # tuple of its factors' texts, and a pair before the triples extending it.
+    # What follows a factor text is the separator or the close, so both must
+    # sort below what can follow a factor text that is a proper prefix of
+    # another, which is a digit.
+    digits = "0123456789"
+    assert all(PRODUCT_SEP[0] < c and PRODUCT_CLOSE[0] < c for c in digits)
+    assert PRODUCT_CLOSE[0] < PRODUCT_SEP[0]
+    texts = [PRODUCT_FACTOR % (n, d) for n in range(1, 12) for d in range(1, 12)]
+    prefixed = [(a, b) for a in texts for b in texts if a != b and b.startswith(a)]
+    assert ("P(1):1", "P(1):10") in prefixed
+    assert all(b[len(a)] in digits for a, b in prefixed)
+
+
+_FACTOR = st.tuples(st.integers(1, 12), st.integers(1, 12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(_FACTOR, min_size=2, max_size=3), max_size=6))
+@example([[(1, 1), (1, 1), (1, 9)], [(1, 1), (2, 2), (3, 1)]])  # inside a pair's run
+def test_the_product_walk_merges_products_from_add_by_text(factor_lists):
+    # ``add`` makes only two-factor products, inside and outside the walk's
+    # bounds; the merge must place any product, made by the walk or not.
+    made = {PolarizedProduct(tuple(fs)) for fs in factor_lists}
+    walk = catalog._products(7, 3, set())
+    assert catalog._products(7, 3, made) == sorted(set(walk) | made, key=to_text)
 
 
 def test_ci_names_with_two_digit_fields_sort_as_their_text():
