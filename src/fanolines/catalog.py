@@ -16,9 +16,11 @@ is at most the dimension (the Fano condition), products as factors taken in
 canonical order, each loop bounded by the dimension left.  No candidate is
 built only to be dropped by the dimension bound.  Products and complete
 intersections are canonical by construction (sorted, valid fields), so both
-are built by the trusted constructor ``terms._trusted``, which skips the
-public constructors' re-sorting and re-validation, and both skip ``add``,
-inserted as enumerated with no normalization and no guard:
+are built in bulk by the column-wise trusted constructor
+``terms._trusted_columns``, which skips the public constructors' re-sorting
+and re-validation and makes every term of a constructor from one column per
+field, and both skip ``add``, inserted as enumerated with no normalization
+and no guard:
 
 * a product has no normalize rule, every product is Fano, and its
   dimension lies between 2 and n_max;
@@ -55,9 +57,10 @@ order.  Every product's text, and no other member's, starts with the
 product opening, so the block is spliced into the sorted names where that
 opening would sort.  ``add`` makes products too: Q(2)'s Segre form and the
 trivial scrolls, 870 distinct at (30,5), some with a degree above
-``deg_max``.  Each is merged into the block by its factor texts: a search
-over the walk's pairs finds the run of products that share its first two
-factors, and only that run is read, dropping the ones the walk has made.
+``deg_max``.  The walk places each by its factor texts as it reaches it,
+before the first pair that sorts after it and among the triples of the run
+it ends, and drops the ones it makes itself.  Then the whole block is built
+from its one column of factors.
 
 The cyclic garbage collector is paused for the build, after the bounds
 check, and its state on entry is restored however the build ends.  The
@@ -73,21 +76,32 @@ its own, made before the build, waits for the next full collection, which
 instead of the next young one.  Nothing is left frozen, and a caller that
 has frozen objects itself is left as it was: the promotion is skipped.
 
-:attr:`Catalog.index` is built on first use, in one pass over ``__iter__``,
-the one walk of a catalog, which the member set behind ``in`` reads too.  It
-files the Picard-number-1 members (the slice that the classification suites
-and ``classify`` read), also by dimension, and the members of dimension
-n >= 2 whose ceiling on S reaches n - 1 (the slice the next-to-maximal suite
-reads), each in catalog order, and it counts every (dimension, Picard
-number) class.
+:attr:`Catalog.index` files the Picard-number-1 members (the slice that the
+classification suites and ``classify`` read), also by dimension, and the
+members of dimension n >= 2 whose ceiling on S reaches n - 1 (the slice the
+next-to-maximal suite reads), each in catalog order, and it counts every
+(dimension, Picard number) class.  The build files the index of the catalog
+it returns as it places the members, so no suite walks the catalog for it.
+The members that are not products are filed by the per-member pass, which
+asks each its own dimension, Picard number and ceiling on S, in the order of
+their names; so are the pairs and the products from ``add``, where the walk
+places them.  A triple is never asked: it has Picard number 3 and a ceiling
+of at most n - 2, so it is in no slice, and the walk counts the triples per
+pair from how many third factors of each dimension the pair takes.  A
+catalog made from a tuple, ``Catalog(n_max, deg_max, members)`` or a
+subclass, files its index on first use by the per-member pass over
+``__iter__``, the one walk of a catalog, which the member set behind ``in``
+reads too; that pass is the reference the build's filing is tested against.
 """
 
 from __future__ import annotations
 
 import gc
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import repeat
 from typing import Iterator, NamedTuple
 
 from .dsl import CI_CLOSE, PRODUCT_FACTOR, PRODUCT_OPEN, ci_prefix, to_text
@@ -102,7 +116,7 @@ from .terms import (
     Quadric,
     SympGrassmann,
     VarietyTerm,
-    _trusted,
+    _trusted_columns,
     dim,
     normalize,
 )
@@ -123,7 +137,8 @@ class CatalogIndex(NamedTuple):
 
 @dataclass(frozen=True)
 class Catalog:
-    """``__iter__`` yields ``members`` in order: the one walk, read by ``index`` and ``in``."""
+    """``__iter__`` yields ``members`` in order: the one walk, read by ``in``
+    and by ``index`` where the build has not filed it."""
 
     n_max: int
     deg_max: int
@@ -145,21 +160,12 @@ class Catalog:
 
     @cached_property
     def index(self) -> CatalogIndex:
-        """Built on first use; holds no reference to the other members."""
-        flat: list[VarietyTerm] = []
-        by_dim: dict[int, list[VarietyTerm]] = {}
-        near_max: list[VarietyTerm] = []
-        counts: dict[tuple[int, int | None], int] = {}
-        for v in self:  # normal forms: ask their constructors directly
-            n, rho = v._dim(), v._picard_number()
-            counts[n, rho] = counts.get((n, rho), 0) + 1
-            if rho == 1:
-                flat.append(v)
-                by_dim.setdefault(n, []).append(v)
-            if n >= 2 and v._s_ceiling() >= n - 1:
-                near_max.append(v)
-        return CatalogIndex(tuple(flat), {n: tuple(b) for n, b in by_dim.items()},
-                            tuple(near_max), counts)
+        """Filed by the build for a catalog it returns; for a catalog made
+        from a tuple, filed on first use in one pass over ``__iter__``.
+        Holds no reference to the other members."""
+        filing = _filing()
+        _file(self, filing)
+        return _frozen(filing)
 
 
 def _degree_sequences(deg_max: int, budget: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -177,9 +183,60 @@ def _degree_sequences(deg_max: int, budget: int) -> Iterator[tuple[tuple[int, ..
         frontier = longer
 
 
-def _products(n_max: int, deg_max: int, made: set[VarietyTerm]) -> list[VarietyTerm]:
+def _complete_intersections(n_max: int, deg_max: int) -> Iterator[tuple[str, VarietyTerm]]:
+    """Each complete intersection within the bounds but the quadrics, with its
+    name.
+
+    A CI of dimension n in P^(n + count) is Fano iff its excess is <= n.  A
+    CI skips ``add``: with 1 <= excess <= n <= n_max it is valid, Fano and
+    within the bound as built, and its own normal form unless its degrees
+    are (2,), the quadrics that ``add`` makes (see the module docstring).
+    Each is named from its sequence's prefix, and all are built trusted from
+    their columns; the columns are freed on return."""
+    names: list[str] = []
+    degrees: list[tuple[int, ...]] = []
+    ambients: list[int] = []
+    for degs, excess in _degree_sequences(deg_max, n_max):
+        if degs == (2,):
+            continue
+        prefix, count = ci_prefix(degs), len(degs)
+        spaces = range(excess + count, n_max + count + 1)  # N, of dimension N - count
+        names += [prefix + str(N) + CI_CLOSE for N in spaces]
+        degrees += repeat(degs, len(spaces))
+        ambients += spaces
+    return zip(names, _trusted_columns(CompleteIntersection, degrees, ambients))
+
+
+def _filing() -> CatalogIndex:
+    """An empty index to file members into, in lists until it is frozen."""
+    return CatalogIndex([], {}, [], {})
+
+
+def _file(members, filing: CatalogIndex) -> None:
+    """File ``members`` into ``filing`` in their order, asking each its own
+    dimension, Picard number and ceiling on S."""
+    flat, by_dim, near_max, counts = filing
+    for v in members:  # normal forms: ask their constructors directly
+        n, rho = v._dim(), v._picard_number()
+        counts[n, rho] = counts.get((n, rho), 0) + 1
+        if rho == 1:
+            flat.append(v)
+            by_dim.setdefault(n, []).append(v)
+        if n >= 2 and v._s_ceiling() >= n - 1:
+            near_max.append(v)
+
+
+def _frozen(filing: CatalogIndex) -> CatalogIndex:
+    flat, by_dim, near_max, counts = filing
+    return CatalogIndex(tuple(flat), {n: tuple(b) for n, b in by_dim.items()},
+                        tuple(near_max), counts)
+
+
+def _products(n_max: int, deg_max: int, made: set[tuple[tuple[int, int], ...]],
+              filing: CatalogIndex) -> list[VarietyTerm]:
     """The two- and three-factor products within the bounds in catalog order,
-    merged with the products ``made`` by ``add``.
+    merged with the products whose factors ``add`` has ``made``, each filed
+    into ``filing`` in that order.
 
     A product's text sorts as the tuple of its factors' texts (see the module
     docstring).  So the factors (n, d), 1 <= n < n_max, 1 <= d <= deg_max, are
@@ -187,8 +244,16 @@ def _products(n_max: int, deg_max: int, made: set[VarietyTerm]) -> list[VarietyT
     the canonical field order) in that order within the dimension bound:
     each pair (a, b) is followed by the triples (a, b, c) that extend it.  A
     product skips ``add``: it has no normalize rule, every product is Fano,
-    and its dimension is between 2 and n_max.  Its factors are sorted and
-    valid as enumerated, so it is built trusted."""
+    and its dimension is between 2 and n_max.  A product from ``add`` is
+    placed by its factor texts as the walk reaches it: before the first pair
+    that sorts after it, at its place among the triples of the run it ends,
+    and it is dropped if the walk makes it.  Every product's factors are
+    sorted and valid, so all are built trusted, from one column.
+
+    The pairs and the products from ``add`` are filed per member.  A triple
+    has Picard number 3 and a ceiling on S of at most n - 2, since its
+    largest factor has dimension at most n - 2; so it is only counted, per
+    pair, from how many of the pair's third factors have each dimension."""
     text = {(n, d): PRODUCT_FACTOR % (n, d)
             for n in range(1, n_max) for d in range(1, deg_max + 1)}
     ordered = sorted(text, key=text.__getitem__)
@@ -199,40 +264,56 @@ def _products(n_max: int, deg_max: int, made: set[VarietyTerm]) -> list[VarietyT
         """The factors f >= least of dimension at most ``room``, in text order."""
         return [f for f in fits[room] if f >= least]
 
-    block: list[VarietyTerm] = []
-    pair_texts: list[tuple[str, str]] = []  # each pair's factor texts, in walk order
-    starts: list[int] = []  # where each pair, then its triples, begin in ``block``
+    @cache
+    def dims_after(least: tuple[int, int], room: int) -> tuple[tuple[int, int], ...]:
+        """How many of the factors ``after(least, room)`` have each dimension."""
+        return tuple(Counter([m for m, _ in after(least, room)]).items())
+
+    def texts_of(shape: tuple[tuple[int, int], ...]) -> tuple[str, ...]:
+        # formatted, not looked up in ``text``: a factor from ``add`` may
+        # have a degree above deg_max
+        return tuple([PRODUCT_FACTOR % f for f in shape])
+
+    shapes: list[tuple[tuple[int, int], ...]] = []  # each product's factors, in catalog order
+    asked: list[int] = []  # where the pairs and the products from ``add`` are in ``shapes``
+    pending = sorted([(texts_of(shape), shape) for shape in made])
+    i = 0  # the products from ``add`` placed or dropped so far
+    run = 0  # where the last run's triples not yet passed begin in ``shapes``
+
+    def place(upto: tuple[str, ...] | None) -> None:
+        """Place the pending products that sort below ``upto`` (all of them
+        if None) into the last run, and drop one equal to it."""
+        nonlocal i, run
+        while i < len(pending) and (upto is None or pending[i][0] < upto):
+            key, shape = pending[i]
+            i += 1
+            at = bisect_left(shapes, key, run, key=texts_of)
+            if at == len(shapes) or texts_of(shapes[at]) != key:  # not the walk's
+                shapes.insert(at, shape)
+                asked.append(at)
+            run = at + 1
+        if i < len(pending) and pending[i][0] == upto:
+            i += 1  # the walk makes it
+
+    counts = filing.counts
     for a in ordered:
         for b in after(a, n_max - a[0]):
-            pair_texts.append((text[a], text[b]))
-            starts.append(len(block))
-            block.append(_trusted(PolarizedProduct, (a, b)))
-            for c in after(b, n_max - a[0] - b[0]):
-                block.append(_trusted(PolarizedProduct, (a, b, c)))
-    starts.append(len(block))
-
-    # A product from ``add`` goes before the first pair whose texts sort
-    # after its first two factors' texts, or, when a pair has the same two,
-    # into that pair's run: the walk's products are read only in that run,
-    # and one the walk has made is dropped.
-    def texts_of(v: VarietyTerm) -> tuple[str, ...]:
-        return tuple([text[f] for f in v.factors])
-
-    by_texts = {tuple([PRODUCT_FACTOR % f for f in v.factors]): v for v in made}
-    merged: list[VarietyTerm] = []
-    done = 0
-    for key in sorted(by_texts):
-        p = bisect_left(pair_texts, key[:2])
-        at = starts[p]
-        if p < len(pair_texts) and pair_texts[p] == key[:2]:
-            at = bisect_left(block, key, at, starts[p + 1], key=texts_of)
-            if at < starts[p + 1] and texts_of(block[at]) == key:
-                continue  # the walk made it
-        merged += block[done:at]
-        merged.append(by_texts[key])
-        done = at
-    merged += block[done:]
-    return merged
+            pair = (text[a], text[b])
+            if i < len(pending) and pending[i][0] <= pair:
+                place(pair)
+            asked.append(len(shapes))
+            shapes.append((a, b))
+            run = len(shapes)
+            room = n_max - a[0] - b[0]
+            shapes += zip(repeat(a), repeat(b), after(b, room))
+            for m, k in dims_after(b, room):
+                key = (a[0] + b[0] + m, 3)
+                counts[key] = counts.get(key, 0) + k
+    place(None)
+    block = _trusted_columns(PolarizedProduct, shapes)
+    del shapes
+    _file(map(block.__getitem__, asked), filing)
+    return block
 
 
 def build_catalog(n_max: int, deg_max: int) -> Catalog:
@@ -262,13 +343,13 @@ def build_catalog(n_max: int, deg_max: int) -> Catalog:
 
 def _build(n_max: int, deg_max: int) -> Catalog:
     named: dict[str, VarietyTerm] = {}  # text -> member; a member prints to its own text
-    made: set[VarietyTerm] = set()  # the products ``add`` makes
+    made: set[tuple[tuple[int, int], ...]] = set()  # the factors of the products ``add`` makes
 
     def add(term: VarietyTerm):
         term = term._normalize()  # normalized once; asked directly from here on
         if 1 <= term._dim() <= n_max and term._is_fano():
             if type(term) is PolarizedProduct:  # Q(2) and the trivial scrolls
-                made.add(term)
+                made.add(term.factors)
             else:
                 named[to_text(term)] = term
 
@@ -288,17 +369,7 @@ def _build(n_max: int, deg_max: int) -> Catalog:
                 N += 1
             k += 1
 
-    # A CI of dimension n in P^(n + count) is Fano iff its excess is <= n.
-    # A CI skips ``add``: with 1 <= excess <= n <= n_max it is valid, Fano
-    # and within the bound as built, and its own normal form unless its
-    # degrees are (2,), the quadrics added above (see the module docstring).
-    # Each CI is named from its sequence's prefix.
-    for degs, excess in _degree_sequences(deg_max, n_max):
-        if degs == (2,):
-            continue
-        prefix, count = ci_prefix(degs), len(degs)
-        for N in range(excess + count, n_max + count + 1):  # n = N - count
-            named[prefix + str(N) + CI_CLOSE] = _trusted(CompleteIntersection, degs, N)
+    named.update(_complete_intersections(n_max, deg_max))
 
     # Fano scrolls over a line: at most one twist above the minimum, by one.
     for k in range(2, n_max + 1):
@@ -311,9 +382,18 @@ def _build(n_max: int, deg_max: int) -> Catalog:
         add(LinearSectionG25(c))
 
     # Every product's text, and no other member's, starts with PRODUCT_OPEN,
-    # so the products are one block at that point of the sorted names.
+    # so the products are one block at that point of the sorted names.  The
+    # index is filed in catalog order as the members are placed.
     names = sorted(named)
     members = [named[name] for name in names]
     at = bisect_left(names, PRODUCT_OPEN)
-    members[at:at] = _products(n_max, deg_max, made)
-    return Catalog(n_max, deg_max, tuple(members))
+    del named, names  # freed before the products are made, for a lower peak
+    filing = _filing()
+    _file(members[:at], filing)
+    products = _products(n_max, deg_max, made, filing)
+    _file(members[at:], filing)
+    members[at:at] = products
+    del products
+    catalog = Catalog(n_max, deg_max, tuple(members))
+    vars(catalog)["index"] = _frozen(filing)  # the cached property, seeded
+    return catalog

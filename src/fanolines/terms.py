@@ -19,13 +19,15 @@ Complete-intersection and linear-section terms always denote GENERAL members
 of their families; every predicate is stated for the general member.
 
 Every public constructor sorts and validates its fields.  The private
-``_trusted(cls, *fields)`` skips both: it may be called only where the
-fields are already in the constructor's canonical order and valid by
-construction, and only from the catalog build and the complete-intersection
-family rule (a test guards the call sites).  A trusted term equals, hashes
-and pickles as its validated construction, but it need not be a normal
-form: the rule's ``CompleteIntersection((2,), N)`` is a quadric, so the
-chain engine still normalizes its memo keys.
+``_trusted(cls, *fields)`` skips both, and so does its column-wise form
+``_trusted_columns(cls, *columns)``, which builds many terms at once: they
+may be called only where the fields are already in the constructor's
+canonical order and valid by construction, ``_trusted`` only from the
+complete-intersection family rule and ``_trusted_columns`` only from the
+catalog build (a test guards the call sites).  A trusted term equals,
+hashes and pickles as its validated construction, but it need not be a
+normal form: the rule's ``CompleteIntersection((2,), N)`` is a quadric, so
+the chain engine still normalizes its memo keys.
 
 >>> dim(Grassmann(2, 5))
 6
@@ -37,8 +39,10 @@ Grassmann(k=2, N=5)
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from math import comb, prod
 from typing import NamedTuple
 
@@ -284,8 +288,8 @@ class PolarizedProduct(VarietyTerm):
                 raise ValidationError("PolarizedProduct factors require n_i >= 1 and d_i >= 1")
 
     def _dim(self):
-        # A loop, as in _family_dim: the catalog index asks this of each
-        # product.
+        # A loop, as in _family_dim: the catalog's per-member index pass
+        # asks this of each product it files.
         n = 0
         for m, _ in self.factors:
             n += m
@@ -295,8 +299,8 @@ class PolarizedProduct(VarietyTerm):
     def _picard_number(self): return len(self.factors)
     def _family_dim(self):
         # A loop, not a generator: products are most of a catalog, and both
-        # family_outcome and the catalog index (through _s_ceiling) ask this
-        # of each.
+        # family_outcome and the catalog's per-member index pass (through
+        # _s_ceiling) ask this of each product they are given.
         top = 0  # the largest degree-1 factor
         for n, d in self.factors:
             if d == 1 and n > top:
@@ -372,7 +376,7 @@ class LinearSectionG25(VarietyTerm):
 
 
 # ---------------------------------------------------------------------------
-# the trusted constructor and a smart one (collapses a degenerate shape)
+# the trusted constructors and a smart one (collapses a degenerate shape)
 
 _new_instance = object.__new__
 _set_field = object.__setattr__
@@ -382,15 +386,29 @@ def _trusted(cls, *fields):
     """An instance of ``cls`` whose ``fields``, in ``__slots__`` order, are
     already canonical and valid: no sorting, no check, no ``__post_init__``.
     A module-level function, not a classmethod, and an indexed loop, not
-    ``zip``: the catalog build calls it once per product, and on CPython
-    3.11 a classmethod took about 1.7 times and ``zip`` about 1.4 times as
-    long a call."""
+    ``zip``: the complete-intersection family rule calls it on the engine
+    path, and on CPython 3.11 a classmethod took about 1.7 times and
+    ``zip`` about 1.4 times as long a call."""
     term = _new_instance(cls)
     i = 0
     for name in cls.__slots__:
         _set_field(term, name, fields[i])
         i += 1
     return term
+
+
+def _trusted_columns(cls, *columns) -> list:
+    """One instance of ``cls`` per row of ``columns``, each as ``_trusted``
+    builds it from that row.  There is one column per field, in
+    ``__slots__`` order; the first is sized, and it gives the number of
+    rows.  Column-wise, with no Python-level loop per instance: one ``map``
+    makes the bare instances, then each slot's member descriptor sets that
+    slot over its column.  The catalog build makes its products and complete
+    intersections this way."""
+    terms = list(map(_new_instance, repeat(cls, len(columns[0]))))
+    for name, column in zip(cls.__slots__, columns):
+        deque(map(vars(cls)[name].__set__, terms, column), maxlen=0)
+    return terms
 
 
 def segre_pair(a: int, b: int) -> VarietyTerm:

@@ -299,12 +299,20 @@ _FACTOR = st.tuples(st.integers(1, 12), st.integers(1, 12))
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(_FACTOR, min_size=2, max_size=3), max_size=6))
 @example([[(1, 1), (1, 1), (1, 9)], [(1, 1), (2, 2), (3, 1)]])  # inside a pair's run
+@example([[(1, 1), (1, 1), (1, 2)], [(1, 1), (1, 1), (1, 3)]])  # two made by the walk
+@example([[(1, 9), (4, 1)], [(1, 1), (6, 1)], [(1, 12), (12, 1)]])  # degree above deg_max
 def test_the_product_walk_merges_products_from_add_by_text(factor_lists):
     # ``add`` makes only two-factor products, inside and outside the walk's
-    # bounds; the merge must place any product, made by the walk or not.
+    # bounds; the merge must place any product, made by the walk or not, and
+    # file the block as the per-member pass files the products it returns.
     made = {PolarizedProduct(tuple(fs)) for fs in factor_lists}
-    walk = catalog._products(7, 3, set())
-    assert catalog._products(7, 3, made) == sorted(set(walk) | made, key=to_text)
+    walk = catalog._products(7, 3, set(), catalog._filing())
+    filing = catalog._filing()
+    products = catalog._products(7, 3, {v.factors for v in made}, filing)
+    assert products == sorted(set(walk) | made, key=to_text)
+    per_member = catalog._filing()
+    catalog._file(products, per_member)
+    assert filing == per_member
 
 
 def test_ci_names_with_two_digit_fields_sort_as_their_text():
@@ -388,7 +396,39 @@ def test_ci_rule_outputs_equal_their_validated_construction(degrees, fam_dim):
     _assert_trusted_terms_are_their_validated_construction(_ci_rule_walk(v, 50))
 
 
-@pytest.mark.parametrize("grid", [(2, 2), (9, 3), (12, 5)])
+@pytest.mark.parametrize("grid", [(2, 2), (9, 3), (12, 5), (12, 11), (15, 4), (20, 5)])
+def test_the_built_index_is_the_index_of_its_members(grid):
+    # The build files the index as it places the members; a catalog made
+    # from the same tuple files it in one pass over ``__iter__``.
+    cat = build_catalog(*grid)
+    built = cat.index
+    filed = Catalog(grid[0], grid[1], cat.members).index
+    assert built == filed
+    assert list(built.by_dim) == list(filed.by_dim)
+
+
+def test_no_three_factor_product_is_asked_its_invariants(monkeypatch):
+    # The build counts the triples from their shapes, and the suites read
+    # the index alone, so no triple is asked its dimension, Picard number or
+    # ceiling on S; the reference pass over ``__iter__`` asks every one.
+    asked = Counter()
+    for name in ("_dim", "_picard_number", "_s_ceiling"):
+        def spy(self, _method=getattr(PolarizedProduct, name), _name=name):
+            if len(self.factors) == 3:
+                asked[_name] += 1
+            return _method(self)
+        monkeypatch.setattr(PolarizedProduct, name, spy)
+    cat, eng = build_catalog(15, 4), ChainEngine()
+    for suite in (verify_classification, verify_next_to_maximal, verify_family_lemmas):
+        suite(cat, eng)
+    assert not asked
+    triples = sum(1 for v in cat if type(v) is PolarizedProduct and len(v.factors) == 3)
+    assert triples > 0
+    Catalog(cat.n_max, cat.deg_max, cat.members).index
+    assert asked == {"_dim": triples, "_picard_number": triples, "_s_ceiling": triples}
+
+
+@pytest.mark.parametrize("grid", [(2, 2), (9, 3), (12, 5), (12, 11), (20, 5)])
 def test_picard_one_index_is_the_picard_one_slice(grid):
     cat = build_catalog(*grid)
     index = cat.index
@@ -403,7 +443,7 @@ def _near_max_reference(members) -> list:
     return [v for v in members if dim(v) >= 2 and s_ceiling(v) >= dim(v) - 1]
 
 
-@pytest.mark.parametrize("grid", [(2, 2), (9, 3), (12, 5)])
+@pytest.mark.parametrize("grid", [(2, 2), (9, 3), (12, 5), (12, 11), (20, 5)])
 def test_near_max_index_is_the_prop32_slice(grid):
     cat = build_catalog(*grid)
     assert list(cat.index.near_max) == _near_max_reference(cat)

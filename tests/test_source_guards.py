@@ -5,8 +5,9 @@ The catalog build pauses the cyclic collector, and it is the one module that
 imports ``gc``: no other layer allocates a catalog's worth of objects at
 once.  A product's spelling, the factor ``P(n):d`` in the frame ``Prod(``
 ... ``)``, and a complete intersection's, ``CI(`` d,... ``;`` N ``)``, are
-written once, in ``dsl``; the build names its products and complete
-intersections from those pieces and retypes none of them.
+written once, in ``dsl``.  The build retypes none of them: it orders its
+products by their factor texts, which the factor format spells, and names its
+complete intersections from the prefix that ``dsl`` spells.
 """
 
 import ast
