@@ -104,7 +104,7 @@ from functools import cache, cached_property
 from itertools import repeat
 from typing import Iterator, NamedTuple
 
-from .dsl import CI_CLOSE, PRODUCT_FACTOR, PRODUCT_OPEN, ci_prefix, to_text
+from .dsl import CI_CLOSE, PRODUCT_FACTOR, PRODUCT_OPEN, ci_prefix, ci_prefix_extended, to_text
 from .errors import ValidationError
 from .terms import (
     CompleteIntersection,
@@ -168,17 +168,18 @@ class Catalog:
         return _frozen(filing)
 
 
-def _degree_sequences(deg_max: int, budget: int) -> Iterator[tuple[tuple[int, ...], int]]:
+def _degree_sequences(deg_max: int, budget: int) -> Iterator[tuple[tuple[int, ...], int, str]]:
     """Non-decreasing degree sequences in [2, deg_max] with their excess
-    sum(d - 1), for every excess up to ``budget``."""
-    frontier: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    sum(d - 1), for every excess up to ``budget``, and their ``ci_prefix``,
+    each extended from its parent sequence's."""
+    frontier: list[tuple[tuple[int, ...], int, str]] = [((), 0, ci_prefix(()))]
     while frontier:
         longer = []
-        for degs, excess in frontier:
+        for degs, excess, prefix in frontier:
             for d in range(degs[-1] if degs else 2, deg_max + 1):
                 if excess + d - 1 > budget:
                     break
-                longer.append((degs + (d,), excess + d - 1))
+                longer.append((degs + (d,), excess + d - 1, ci_prefix_extended(prefix, d)))
         yield from longer
         frontier = longer
 
@@ -196,10 +197,10 @@ def _complete_intersections(n_max: int, deg_max: int) -> Iterator[tuple[str, Var
     names: list[str] = []
     degrees: list[tuple[int, ...]] = []
     ambients: list[int] = []
-    for degs, excess in _degree_sequences(deg_max, n_max):
+    for degs, excess, prefix in _degree_sequences(deg_max, n_max):
         if degs == (2,):
             continue
-        prefix, count = ci_prefix(degs), len(degs)
+        count = len(degs)
         spaces = range(excess + count, n_max + count + 1)  # N, of dimension N - count
         names += [prefix + str(N) + CI_CLOSE for N in spaces]
         degrees += repeat(degs, len(spaces))

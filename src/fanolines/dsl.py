@@ -187,14 +187,26 @@ def _product_format(arity: int) -> str:
 
 #: A complete intersection's spelling: ``ci_prefix`` of its degrees, then its
 #: ambient dimension N and ``CI_CLOSE``.  The catalog build names its complete
-#: intersections from one prefix per degree sequence, so the spelling is
-#: written here alone.
+#: intersections from one prefix per degree sequence, each extended from its
+#: parent sequence's by ``ci_prefix_extended``, so the spelling is written
+#: here alone.
 CI_CLOSE = ")"
+
+
+_CI_OPEN, _CI_SEP, _CI_END = "CI(", ",", ";"
 
 
 def ci_prefix(degrees: tuple[int, ...]) -> str:
     """``CI(`` and the degrees separated by commas, up to and with the ``;``."""
-    return "CI(" + ",".join(map(str, degrees)) + ";"
+    return _CI_OPEN + _CI_SEP.join(map(str, degrees)) + _CI_END
+
+
+def ci_prefix_extended(prefix: str, d: int) -> str:
+    """``ci_prefix(degrees + (d,))`` from ``prefix``, the ``ci_prefix`` of
+    ``degrees`` (of ``()`` too): one degree is appended, and the others are
+    not joined again."""
+    head = prefix[:-1]
+    return (head if head == _CI_OPEN else head + _CI_SEP) + str(d) + _CI_END
 
 
 _FORMATS: dict[type[VarietyTerm], Callable[..., str]] = {

@@ -15,7 +15,11 @@ span_in_pt)`` triples, or the text of :class:`~fanolines.errors.NoRule`.
 Two cases have no rule (SG(k,N) with k >= 3 and the codimension-2 linear
 section of G(2,5)): their families exist but fall outside the term algebra.
 Each has its own ``"none"`` row, and ``RULELESS_CONSTRUCTORS`` is derived
-from those rows.
+from those rows.  One fact about the rows is stated beside the table: the
+rows whose rule returns one family, no proper linear space of positive
+dimension and no larger than ``family_dim``.  ``ONE_FAMILY_CONSTRUCTORS``,
+the constructors all of whose rows state it, is derived from it, and the
+lemmas suite reads it to skip the families that can record nothing.
 :func:`family_outcome` makes the coverage test that :mod:`~fanolines.terms`
 defines, ``family_dim >= 0`` for every term (the point P^0 has -1), inline, and
 reads the rules; it raises nothing, builds no record, and names why a chain
@@ -300,6 +304,21 @@ RULE_PROVENANCE: tuple[dict, ...] = tuple(row for _, _, row in _RULE_TABLE)
 #: theirs; the classification suite asks S of every one of them.
 RULELESS_CONSTRUCTORS = frozenset(ctor for ctor, _, row in _RULE_TABLE
                                   if row["status"] == "none")
+
+#: The rows, by their ``"constructor"`` name, whose rule returns exactly one
+#: family, never a proper linear space of positive dimension (a point is
+#: allowed), and of dimension at most ``family_dim`` of the term.
+_ONE_FAMILY_ROWS = frozenset({
+    "LinearSpace", "Quadric", "Grassmann", "SympGrassmann (k = 2)",
+    "CompleteIntersection", "LinearSectionG25 (c = 0, 1, 3)",
+})
+
+#: The constructors all of whose rows are in ``_ONE_FAMILY_ROWS``.  On their
+#: covered members of dimension n with 2 * family_dim < n - 1, the lemmas
+#: suite can record nothing from the family, and it never builds one.
+ONE_FAMILY_CONSTRUCTORS = frozenset(
+    ctor for ctor, _, _ in _RULE_TABLE
+    if all(row["constructor"] in _ONE_FAMILY_ROWS for c, _, row in _RULE_TABLE if c is ctor))
 
 
 # ---------------------------------------------------------------------------

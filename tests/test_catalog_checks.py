@@ -24,9 +24,10 @@ from fanolines.checks import (
     verify_family_lemmas,
     verify_next_to_maximal,
 )
-from fanolines.dsl import PRODUCT_CLOSE, PRODUCT_FACTOR, PRODUCT_SEP, to_text
+from fanolines.dsl import PRODUCT_CLOSE, PRODUCT_FACTOR, PRODUCT_SEP, ci_prefix, to_text
 from fanolines.errors import EngineError, ValidationError
 from fanolines.families import (
+    ONE_FAMILY_CONSTRUCTORS,
     RULELESS_CONSTRUCTORS,
     above_half_list,
     even_dimension_list,
@@ -149,7 +150,7 @@ def test_build_pauses_the_collector_and_restores_its_state(monkeypatch, keep_col
     seen = []
 
     def failing_sequences(deg_max, budget):
-        yield (2,), 1
+        yield (2,), 1, ci_prefix((2,))
         seen.append(gc.isenabled())
         raise RuntimeError("midway")
 
@@ -900,16 +901,26 @@ def _lemmas_reference(cat: Catalog) -> SuiteReport:
     return rep
 
 
-@pytest.mark.parametrize("n_max, deg_max", [(15, 4), (20, 5)])
+def _lemmas_builds_families(v) -> bool:
+    """Does the lemmas suite build the families of the member ``v``?  Not
+    where the one-family fact leaves nothing to record: a covered member of
+    a one-family constructor with 2 * family_dim < n - 1."""
+    fd = family_dim(v)
+    return not (type(v) in ONE_FAMILY_CONSTRUCTORS and 0 <= fd and 2 * fd < dim(v) - 1)
+
+
+@pytest.mark.parametrize("n_max, deg_max", [(15, 4), (20, 5), (12, 11), (30, 5)])
 def test_shared_expansions_keep_every_lemmas_counter_and_record(n_max, deg_max):
     cat = build_catalog(n_max, deg_max)
     families._last_expansion.cache_clear()
     shared = verify_family_lemmas(cat, ChainEngine()).as_dict()
     # Catalog order groups each degree tuple, so the one-entry memo misses
-    # once per distinct tuple among the members whose CI rule runs.
+    # once per distinct tuple among the members whose CI rule runs: the
+    # covered ones whose families the suite builds.
     info = families._last_expansion.cache_info()
     expanded = [v.degrees for v in cat.index.picard_one
-                if isinstance(v, CompleteIntersection) and s_ceiling(v) > 0]
+                if isinstance(v, CompleteIntersection) and s_ceiling(v) > 0
+                and _lemmas_builds_families(v)]
     assert info.misses == len(set(expanded))
     assert info.hits + info.misses == len(expanded)
     reference = _lemmas_reference(cat).as_dict()
@@ -928,6 +939,49 @@ def test_classification_skip_keeps_every_counter_and_record(n_max, deg_max):
     assert reference["counters"]["skipped_inexact_s"] > 0
     assert reference["records"]
     assert pruned == reference
+
+
+class _LinearSpy(ChainEngine):
+    """Records the terms a suite asks ``max_linear_in`` of."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked = []
+
+    def max_linear_in(self, v):
+        self.asked.append(v)
+        return super().max_linear_in(v)
+
+
+def test_lemmas_suite_builds_families_only_where_a_record_can_come_out(cat15, monkeypatch):
+    from fanolines import checks
+
+    built = []
+
+    def spy(v):
+        built.append(v)
+        return family_outcome(v)
+
+    monkeypatch.setattr(checks, "family_outcome", spy)
+    eng = _LinearSpy()
+    verify_family_lemmas(cat15, eng)
+    members = cat15.index.picard_one
+    kept = [v for v in members if _lemmas_builds_families(v)]
+    assert 0 < len(kept) < len(members) // 2
+    assert any(not _lemmas_builds_families(v) for v in members
+               if not isinstance(v, CompleteIntersection))
+    assert built == kept
+    # The covering check runs where a family was found, or not looked for.
+    unruled = [v for v in members if v._max_linear_in() is None
+               and family_outcome(v)[1] is None]
+    assert unruled and {type(v) for v in unruled} == {SympGrassmann, LinearSectionG25}
+    assert eng.asked == unruled
+
+
+def test_degree_sequences_extend_their_parents_prefix():
+    for deg_max, budget in [(2, 6), (5, 12), (11, 12)]:
+        seqs = list(catalog._degree_sequences(deg_max, budget))
+        assert seqs and all(prefix == ci_prefix(degs) for degs, _, prefix in seqs)
 
 
 def test_classification_suite_asks_s_only_where_2s_may_reach_n_minus_1(cat15):

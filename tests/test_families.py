@@ -3,13 +3,18 @@
 import time
 from collections import Counter
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from fanolines.catalog import build_catalog
 from fanolines.dsl import parse_variety, to_text
 from fanolines.errors import NoRule, NotCoveredByLines
 from fanolines.families import (
+    _ONE_FAMILY_ROWS,
     _RULE_TABLE,
     _RULES,
+    ONE_FAMILY_CONSTRUCTORS,
     RULELESS_CONSTRUCTORS,
     FamilyRecord,
     RULE_PROVENANCE,
@@ -36,6 +41,7 @@ from fanolines.terms import (
     dim,
     exact,
     family_dim,
+    is_linear,
     normalize,
     picard_number,
 )
@@ -339,3 +345,92 @@ def test_no_rule_returns_a_family_of_a_ruleless_constructor():
                 seen.add(fam)
                 pending.append(fam)
     assert len(seen) > len(starts)  # families below the members were walked too
+
+
+# ---------------------------------------------------------------------------
+# the one-family fact beside the rule table
+
+
+def _row_of(v):
+    """The ``"constructor"`` name of the table row whose case ``v`` is."""
+    if isinstance(v, SympGrassmann):
+        return "SympGrassmann (k = 2)" if v.k == 2 else "SympGrassmann (k >= 3)"
+    if isinstance(v, LinearSectionG25):
+        return "LinearSectionG25 (c = 2)" if v.c == 2 else "LinearSectionG25 (c = 0, 1, 3)"
+    return type(v).__name__
+
+
+def _one_family_breaks(claimed, terms):
+    """The covered terms of which ``claimed`` states the fact, but whose rule
+    returns no family, several, a proper linear space of positive dimension,
+    or one of dimension above ``family_dim``."""
+    broken = []
+    for v in terms:
+        if not claimed(v):
+            continue
+        fams, end = family_outcome(v)
+        if end == "not_covered":
+            continue
+        if end is not None or len(fams) != 1:
+            broken.append(v)
+            continue
+        (fam, ambient, span), = fams
+        d = dim(fam)
+        if d > family_dim(v) or (d >= 1 and span < ambient and is_linear(fam)):
+            broken.append(v)
+    return broken
+
+
+def _in_the_set(v):
+    return type(v) in ONE_FAMILY_CONSTRUCTORS
+
+
+def _in_the_rows(v):
+    return _row_of(v) in _ONE_FAMILY_ROWS
+
+
+def test_the_one_family_rows_name_rows_of_the_table():
+    names = {row["constructor"] for row in RULE_PROVENANCE}
+    assert _ONE_FAMILY_ROWS <= names
+    assert not any(row["status"] == "none" for row in RULE_PROVENANCE
+                   if row["constructor"] in _ONE_FAMILY_ROWS)
+
+
+def test_the_one_family_set_is_the_constructors_all_of_whose_rows_state_it():
+    assert ONE_FAMILY_CONSTRUCTORS == {LinearSpace, Quadric, Grassmann, CompleteIntersection}
+
+
+@pytest.mark.parametrize("n_max, deg_max", [(15, 4), (20, 5), (12, 11)])
+def test_every_rule_output_below_the_fact_has_one_family_within_family_dim(n_max, deg_max):
+    members = build_catalog(n_max, deg_max).members
+    rows = {_row_of(v) for v in members}
+    assert _ONE_FAMILY_ROWS <= rows  # every row of the fact is reached
+    assert _one_family_breaks(_in_the_rows, members) == []
+    assert _one_family_breaks(_in_the_set, members) == []
+
+
+_one_family_terms = st.one_of(
+    st.integers(0, 40).map(LinearSpace),
+    st.integers(1, 40).map(Quadric),
+    st.tuples(st.integers(1, 8), st.integers(2, 16)).filter(
+        lambda kn: kn[0] < kn[1]).map(lambda kn: Grassmann(*kn)),
+    st.integers(5, 30).map(lambda N: SympGrassmann(2, N)),
+    st.sampled_from([0, 1, 3, 4]).map(LinearSectionG25),
+    st.tuples(st.lists(st.integers(2, 7), min_size=1, max_size=6), st.integers(2, 40)).filter(
+        lambda dn: len(dn[0]) < dn[1]).map(lambda dn: CompleteIntersection(tuple(dn[0]), dn[1])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_one_family_terms)
+def test_drawn_terms_below_the_fact_have_one_family_within_family_dim(v):
+    assert _in_the_rows(v)
+    assert _one_family_breaks(_in_the_rows, [v]) == []
+
+
+@pytest.mark.parametrize("extra", [PolarizedProduct, ProjBundleP1, SympGrassmann, LinearSectionG25])
+def test_a_set_claiming_another_constructor_breaks_the_fact(extra):
+    members = build_catalog(15, 4).members
+    widened = ONE_FAMILY_CONSTRUCTORS | {extra}
+    broken = _one_family_breaks(lambda v: type(v) in widened, members)
+    assert broken and {type(v) for v in broken} == {extra}
