@@ -65,9 +65,9 @@ def run(args: argparse.Namespace) -> int:
         failed += len(rep.failures)
 
     if args.json_out:
-        args.json_out.write_text(
-            json.dumps([rep.as_dict() for rep in reports], indent=2, sort_keys=True)
-        )
+        # Streamed into the file: the whole text is never held at once.
+        with args.json_out.open("w") as out:
+            json.dump([rep.as_dict() for rep in reports], out, indent=2, sort_keys=True)
         print(f"wrote {args.json_out}")
 
     print(f"total failures: {failed}")

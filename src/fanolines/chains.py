@@ -18,6 +18,11 @@ factors, whose families are linear spaces) recurses, so the depth of the
 Python stack does not grow with the chain.  Nothing is stored per node
 beyond the memo.
 
+The realizing chains follow the same runs by their rule alone: the
+invariant sets S(node) = 1 + S(family) on every single-family node, so the
+one family always realizes what is left of the chain.  Only a node with
+several families reads the memo, to keep the families that realize it.
+
 The maximal linear subspace is an engine view, next to the covering bound:
 the normal form's ruling table, or else its invariant as a lower bound.
 
@@ -59,8 +64,9 @@ class ChainEngine:
     (linear-space tails in particular) dominate the walk, which is why memo
     keys are normalized terms.  A single-family run is walked in a loop, so
     the answer at any depth does not depend on how warm the memo is.  The
-    invariant is the only memoized quantity; chains are rebuilt on every
-    call, guided by it.
+    invariant is the only memoized quantity.  Chains are rebuilt on every
+    call: a single-family run is followed by its rule alone, and only nodes
+    with several families read the memo.
     """
 
     def __init__(self):
@@ -118,8 +124,10 @@ class ChainEngine:
     def realizing_chains(self, v: VarietyTerm) -> Iterator[list[VarietyTerm]]:
         """Every chain below ``v`` whose length attains the invariant's value.
 
-        Depth first, with the families of each node in sort order.  A node
-        with one realizing step extends the current path in place; pending
+        Depth first, with the families of each node in sort order.  A run of
+        single-family nodes extends the current path in place by its rule
+        alone; only a node with several families reads the memo, keeping
+        the families with 1 + S(family) equal to its target, and pending
         nodes of a branch wait on an explicit stack.  The one current path
         is copied only when a chain is yielded.
         """
@@ -130,27 +138,23 @@ class ChainEngine:
             node, depth = stack.pop()
             del path[depth:]
             path.append(node)
-            steps = self._realizing_steps(node, top - depth)
-            while len(steps) == 1:
-                node = steps[0]
+            steps = []
+            while depth < top:  # a chain of length top ends at depth top
+                fams, _ = family_outcome(node)
+                if len(fams) != 1:
+                    steps = [fam for fam, _, _ in fams
+                             if 1 + self.s_invariant(fam).value == top - depth]
+                    break
+                # S(node) = 1 + S(family): the one family realizes the target.
+                node = fams[0][0]
                 depth += 1
                 path.append(node)
-                steps = self._realizing_steps(node, top - depth)
             if steps:
+                if len(steps) > 1:
+                    steps.sort(key=_family_sort_key)
                 stack.extend((step, depth + 1) for step in reversed(steps))
             else:
                 yield list(path)
-
-    def _realizing_steps(self, v: VarietyTerm, target: int) -> list[VarietyTerm]:
-        """The families of ``v`` with invariant ``target - 1``, in sort order;
-        empty where a chain of length ``target`` ends at ``v``."""
-        if target == 0:
-            return []
-        fams, _ = family_outcome(v)
-        steps = [fam for fam, _, _ in fams if 1 + self.s_invariant(fam).value == target]
-        if len(steps) > 1:
-            steps.sort(key=_family_sort_key)
-        return steps
 
     def max_linear_in(self, v: VarietyTerm) -> Bound:
         """Maximal dimension of a linear subspace contained in ``v``.

@@ -63,6 +63,12 @@ def classification_trace(v: VarietyTerm, engine: ChainEngine | None = None) -> T
     :class:`PreconditionFailed` naming the failed predicate.  S and the
     realizing chains are read from ``engine``; ``None`` means a fresh
     :class:`~fanolines.chains.ChainEngine` for this one call.
+
+    Each realizing chain t_0, ..., t_m is checked against the memo before
+    any case runs: every node t_i must have invariant m - i, which is what
+    realizing means.  The walk follows single-family runs by their rules,
+    not by the memo, so an engine whose memo contradicts its own chains
+    raises :class:`TraceError` here.
     """
     eng = engine or ChainEngine()
     n = dim(v)
@@ -83,6 +89,14 @@ def classification_trace(v: VarietyTerm, engine: ChainEngine | None = None) -> T
             f"no materialized chain below {to_text(v)} achieves the memoized"
             f" invariant {m}"
         )
+    for chain in chains:
+        for i, t in enumerate(chain):
+            st = eng.s_invariant(t)
+            if st.value != m - i:
+                raise TraceError(
+                    f"the chain below {to_text(v)} reaches {to_text(t)} at step {i},"
+                    f" whose memoized invariant {st.value} is not m - {i} = {m - i}"
+                )
     case2 = None
     for chain in chains:
         i = _linear_step_index(chain, m)

@@ -375,6 +375,84 @@ def test_views_do_not_depend_on_the_presentation_asked_first(first, second):
     assert all(chain[0] == term for chain in eng.realizing_chains(term))
 
 
+# ---------------------------------------------------------------------------
+# the walk against a reference that asks S of every family on every node
+
+
+def _reference_chains(eng, v):
+    """Every chain below ``v`` attaining S(v), plain and slow: a node at
+    depth i keeps each family with 1 + S(family) = S(v) - i, asked of the
+    engine, in the order of the families' normal-form texts."""
+    top = eng.s_invariant(v).value
+    chains, stack = [], [[v]]
+    while stack:
+        path = stack.pop()
+        target = top - (len(path) - 1)
+        fams = family_outcome(path[-1])[0] if target > 0 else ()
+        steps = sorted((fam for fam, _, _ in fams if 1 + eng.s_invariant(fam).value == target),
+                       key=lambda fam: to_text(normalize(fam)))
+        if steps:
+            stack.extend(path + [step] for step in reversed(steps))
+        else:
+            chains.append(path)
+    return chains
+
+
+@pytest.mark.parametrize("grid", [(12, 4), (15, 4)])
+def test_realizing_chains_match_the_reference_over_a_catalog(grid):
+    from fanolines.catalog import build_catalog
+
+    members = [v for v in build_catalog(*grid) if covered_by_lines(v)]
+    warm = ChainEngine()  # every member walked first, in reverse order
+    for v in reversed(members):
+        list(warm.realizing_chains(v))
+    for v in members:
+        expected = _reference_chains(ChainEngine(), v)
+        assert list(ChainEngine().realizing_chains(v)) == expected, to_text(v)
+        assert list(warm.realizing_chains(v)) == expected, to_text(v)
+
+
+#: Deep single-family runs at S = 300 and multi-family products, each with the
+#: terms an engine is warmed by first: other presentations of the term or of
+#: its families, and terms sharing its tail.
+_WARMED_BY = {
+    "P(300)": ("G(1,301)", "G(300,301)"),
+    "Q(601)": ("CI(2;602)", "Q(599)"),
+    "G(2,302)": ("G(300,302)", "P(299)"),
+    "SG(2,303)": ("SG(2,302)", "P(299)"),
+    "G(2,4)": ("Q(4)", "PB(1,1)"),
+    "Prod(P(2):1,P(3):1)": ("G(2,6)", "P(3)"),
+}
+
+
+@pytest.mark.parametrize("expr", _WARMED_BY)
+def test_realizing_chains_match_the_reference_cold_and_warm(expr):
+    term = parse_variety(expr)
+    expected = _reference_chains(ChainEngine(), term)
+    assert list(ChainEngine().realizing_chains(term)) == expected
+    warm = ChainEngine()
+    for other in _WARMED_BY[expr]:
+        list(warm.realizing_chains(parse_variety(other)))
+    assert list(warm.realizing_chains(term)) == expected
+    assert len(expected[0]) - 1 == ChainEngine().s_invariant(term).value
+
+
+@pytest.mark.parametrize("expr", ["P(500)", "Q(1001)"])
+def test_witness_walk_asks_the_invariant_only_of_the_root(expr, monkeypatch):
+    # A single-family run is followed by its rule alone.
+    asked = []
+    real = ChainEngine.s_invariant
+
+    def spy(self, v):
+        asked.append(v)
+        return real(self, v)
+
+    monkeypatch.setattr(ChainEngine, "s_invariant", spy)
+    term = parse_variety(expr)
+    assert len(ChainEngine().witness_chain(term)) == 501
+    assert asked == [term]
+
+
 def test_realizing_chains_walk_is_not_bounded_by_the_recursion_limit():
     # S(Q^5001) = 2500: the invariant and the walk both spend no stack frame
     # per chain step.

@@ -5,8 +5,8 @@ import pytest
 from fanolines.catalog import build_catalog
 from fanolines.chains import ChainEngine
 from fanolines.dsl import parse_variety
-from fanolines.errors import PreconditionFailed
-from fanolines.terms import dim, picard_number
+from fanolines.errors import PreconditionFailed, TraceError
+from fanolines.terms import dim, exact, normalize, picard_number
 from fanolines.trace import classification_trace
 
 
@@ -89,6 +89,24 @@ def test_conjecture_used_iff_case2_verdict_b():
 def test_trace_preconditions(expr):
     with pytest.raises(PreconditionFailed):
         classification_trace(parse_variety(expr))
+
+
+@pytest.mark.parametrize("expr, step", [
+    ("Q(11)", 2),    # Q(7), in the middle of the quadric run
+    ("SG(2,9)", 3),  # P(3), in the middle of the linear tail below the scroll
+])
+def test_trace_checks_every_chain_node_against_the_memo(expr, step):
+    term = parse_variety(expr)
+    eng = ChainEngine()
+    assert classification_trace(term, eng) == classification_trace(term)
+    chain = eng.witness_chain(term)
+    m = len(chain) - 1
+    eng._s_memo[normalize(chain[step])] = exact(m - step + 1)  # true value is m - step
+    # the root keeps its value and the walk its chain, which follows the rules
+    assert eng.s_invariant(term) == exact(m)
+    assert eng.witness_chain(term) == chain
+    with pytest.raises(TraceError, match=f"at step {step},"):
+        classification_trace(term, eng)
 
 
 def test_trace_uses_a_fresh_engine_consistently():
