@@ -51,7 +51,8 @@ the closing parenthesis sort below every digit, and a digit is the only
 thing that can follow a factor text that is a proper prefix of another
 (``P(1):1`` and ``P(1):10``, ``P(1)`` and ``P(10)``); the close also sorts
 below the separator, so a pair comes before the triples that extend it.  So
-the factors are ordered once by their text, and the walk takes the factors
+the factors are ordered once by their text, read from ``dsl.FACTOR_TEXTS``,
+the table ``to_text`` prints products from, and the walk takes the factors
 a <= b <= c of each product (numeric, the canonical field order) in that
 order.  Every product's text, and no other member's, starts with the
 product opening, so the block is spliced into the sorted names where that
@@ -104,7 +105,7 @@ from functools import cache, cached_property
 from itertools import repeat
 from typing import Iterator, NamedTuple
 
-from .dsl import CI_CLOSE, PRODUCT_FACTOR, PRODUCT_OPEN, ci_prefix, ci_prefix_extended, to_text
+from .dsl import CI_CLOSE, FACTOR_TEXTS, PRODUCT_OPEN, ci_prefix, ci_prefix_extended, to_text
 from .errors import ValidationError
 from .terms import (
     CompleteIntersection,
@@ -255,8 +256,7 @@ def _products(n_max: int, deg_max: int, made: set[tuple[tuple[int, int], ...]],
     has Picard number 3 and a ceiling on S of at most n - 2, since its
     largest factor has dimension at most n - 2; so it is only counted, per
     pair, from how many of the pair's third factors have each dimension."""
-    text = {(n, d): PRODUCT_FACTOR % (n, d)
-            for n in range(1, n_max) for d in range(1, deg_max + 1)}
+    text = {(n, d): FACTOR_TEXTS[n, d] for n in range(1, n_max) for d in range(1, deg_max + 1)}
     ordered = sorted(text, key=text.__getitem__)
     fits = [[f for f in ordered if f[0] <= room] for room in range(n_max)]
 
@@ -271,9 +271,9 @@ def _products(n_max: int, deg_max: int, made: set[tuple[tuple[int, int], ...]],
         return tuple(Counter([m for m, _ in after(least, room)]).items())
 
     def texts_of(shape: tuple[tuple[int, int], ...]) -> tuple[str, ...]:
-        # formatted, not looked up in ``text``: a factor from ``add`` may
-        # have a degree above deg_max
-        return tuple([PRODUCT_FACTOR % f for f in shape])
+        # from the table, not ``text``: a factor from ``add`` may have a
+        # degree above deg_max
+        return tuple(map(FACTOR_TEXTS.__getitem__, shape))
 
     shapes: list[tuple[tuple[int, int], ...]] = []  # each product's factors, in catalog order
     asked: list[int] = []  # where the pairs and the products from ``add`` are in ``shapes``

@@ -19,13 +19,16 @@ digit, such as a full-width or Arabic-Indic one, is such a character.
 Printing produces the same syntax back, so ``parse_variety(to_text(t)) == t``
 for every term.  :func:`to_text` reads one formatter table, ``_FORMATS``,
 keyed on the term's constructor as the family rules are in ``_RULE_TABLE``;
-a value of any other type raises ``TypeError``.  A product prints through
-the format of its arity, built once per arity from the product's spelling
-(``PRODUCT_FACTOR`` in the frame ``PRODUCT_OPEN`` ... ``PRODUCT_CLOSE``),
-and a complete intersection as ``ci_prefix`` of its degrees, then N and
-``CI_CLOSE``.  The catalog build shares both spellings: it orders its
-products by their factors' texts and names its complete intersections from
-the same pieces.
+a value of any other type raises ``TypeError``.  A product prints as its
+factors' texts joined by ``PRODUCT_SEP`` in the frame ``PRODUCT_OPEN`` ...
+``PRODUCT_CLOSE``; each factor's text, ``PRODUCT_FACTOR`` of ``(n, d)``, is
+read from one table, ``FACTOR_TEXTS``, which spells a factor on its first
+lookup and keeps at most ``_FACTOR_TEXTS_MAX`` texts.  A complete
+intersection prints through one format per degree count, ``CI(%d,...,%d;%d)``
+from the same pieces as ``ci_prefix`` and ``CI_CLOSE``, filled with its
+degrees and N; nothing is kept per term or per degree sequence.  The catalog
+build shares both spellings: it orders its products by the factor texts of
+the same table and names its complete intersections from ``ci_prefix``.
 
 >>> parse_variety("CI(2,2;7)")
 CompleteIntersection(degrees=(2, 2), N=7)
@@ -36,6 +39,7 @@ CompleteIntersection(degrees=(2, 2), N=7)
 from __future__ import annotations
 
 import re
+import threading
 from collections.abc import Callable
 from functools import lru_cache
 
@@ -179,17 +183,39 @@ def _parse_factor(toks: _Tokens) -> tuple[int, int]:
 PRODUCT_FACTOR = "P(%s):%s"
 PRODUCT_OPEN, PRODUCT_SEP, PRODUCT_CLOSE = "Prod(", ",", ")"
 
+#: How many factor texts ``FACTOR_TEXTS`` keeps at most; (30,5) has 170
+#: distinct factors and (40,6) 268.
+_FACTOR_TEXTS_MAX = 4096
 
-@lru_cache(maxsize=8)  # catalog products have two or three factors
-def _product_format(arity: int) -> str:
-    return PRODUCT_OPEN + PRODUCT_SEP.join([PRODUCT_FACTOR] * arity) + PRODUCT_CLOSE
+
+class _FactorTexts(dict):
+    """Each factor's ``PRODUCT_FACTOR`` text, keyed by the ``(n, d)`` factor.
+
+    A missing factor is spelled on lookup and kept only while the table
+    holds fewer than ``_FACTOR_TEXTS_MAX`` texts, so the table stays bounded
+    whatever a caller prints, from any number of threads."""
+
+    __slots__ = ()
+    _adding = threading.Lock()
+
+    def __missing__(self, factor: tuple[int, int]) -> str:
+        text = PRODUCT_FACTOR % factor
+        with self._adding:  # the size check and the insert, as one step
+            if len(self) < _FACTOR_TEXTS_MAX:
+                self[factor] = text
+        return text
 
 
-#: A complete intersection's spelling: ``ci_prefix`` of its degrees, then its
-#: ambient dimension N and ``CI_CLOSE``.  The catalog build names its complete
-#: intersections from one prefix per degree sequence, each extended from its
-#: parent sequence's by ``ci_prefix_extended``, so the spelling is written
-#: here alone.
+#: The one table of factor texts: products print from it, and the catalog
+#: build orders its factors by it.
+FACTOR_TEXTS = _FactorTexts()
+
+
+#: A complete intersection's spelling: ``CI(``, its degrees separated by
+#: commas, ``;``, its ambient dimension N and ``CI_CLOSE``.  The catalog
+#: build names its complete intersections from one ``ci_prefix`` per degree
+#: sequence, each extended from its parent sequence's by
+#: ``ci_prefix_extended``, so the spelling is written here alone.
 CI_CLOSE = ")"
 
 
@@ -209,13 +235,26 @@ def ci_prefix_extended(prefix: str, d: int) -> str:
     return (head if head == _CI_OPEN else head + _CI_SEP) + str(d) + _CI_END
 
 
+@lru_cache(maxsize=64)  # a catalog's complete intersections have at most n_max degrees
+def _ci_format(count: int) -> str:
+    """The format of a complete intersection of ``count`` degrees, filled
+    with its degrees and then N."""
+    return _CI_OPEN + _CI_SEP.join(["%d"] * count) + _CI_END + "%d" + CI_CLOSE
+
+
+def _product_text(v: PolarizedProduct, text=FACTOR_TEXTS.__getitem__,
+                  join=PRODUCT_SEP.join) -> str:
+    # the lookup and the join are bound at definition, not found on each call
+    return PRODUCT_OPEN + join(map(text, v.factors)) + PRODUCT_CLOSE
+
+
 _FORMATS: dict[type[VarietyTerm], Callable[..., str]] = {
     LinearSpace: lambda v: f"P({v.n})" if v.n else "pt",
     Quadric: lambda v: f"Q({v.n})",
     Grassmann: lambda v: f"G({v.k},{v.N})",
     SympGrassmann: lambda v: f"SG({v.k},{v.N})",
-    CompleteIntersection: lambda v: ci_prefix(v.degrees) + str(v.N) + CI_CLOSE,
-    PolarizedProduct: lambda v: _product_format(len(v.factors)) % sum(v.factors, ()),
+    CompleteIntersection: lambda v: _ci_format(len(v.degrees)) % (*v.degrees, v.N),
+    PolarizedProduct: _product_text,
     ProjBundleP1: lambda v: "PB(" + ",".join(map(str, v.twists)) + ")",
     LinearSectionG25: lambda v: f"LS(G(2,5),{v.c})",
 }

@@ -320,6 +320,32 @@ def test_ruleless_branch_below_the_cap_keeps_exactness(monkeypatch):
     assert sv == exact(4)
 
 
+def test_equally_deep_families_are_taken_in_text_order(monkeypatch):
+    # White box: a node whose two families realize the same S, listed in
+    # reverse text order; the walk must sort them.
+    import fanolines.chains as chains_mod
+    from fanolines.families import family_outcome as real_outcome
+
+    parent = Quadric(9)
+    reached = []
+
+    def fake_outcome(v):
+        if v == parent:
+            reached.append(v)
+            return ((Quadric(7), 8, 8), (LinearSpace(3), 8, 8)), None
+        return real_outcome(v)
+
+    monkeypatch.setattr(chains_mod, "family_outcome", fake_outcome)
+    eng = chains_mod.ChainEngine()
+    assert eng.s_invariant(parent) == exact(4)  # 1 + S(Q^7) = 1 + S(P^3)
+    assert [to_text(t) for t in eng.witness_chain(parent)] == ["Q(9)", "P(3)", "P(2)", "P(1)", "pt"]
+    assert [[to_text(t) for t in c] for c in eng.realizing_chains(parent)] == [
+        ["Q(9)", "P(3)", "P(2)", "P(1)", "pt"],
+        ["Q(9)", "Q(7)", "Q(5)", "Q(3)", "Q(1)"],
+    ]
+    assert reached and set(reached) == {parent}
+
+
 def test_concurrent_queries_agree_with_serial_ones():
     from concurrent.futures import ThreadPoolExecutor
 

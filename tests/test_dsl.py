@@ -1,5 +1,6 @@
 """Parser and printer round trips, error positions, validation mapping."""
 
+import hashlib
 import re
 
 import hypothesis.strategies as st
@@ -7,7 +8,21 @@ import pytest
 from hypothesis import given, settings
 
 from fanolines.catalog import build_catalog
-from fanolines.dsl import _FORMATS, _product_format, _Tokens, parse_variety, to_text
+from fanolines import dsl
+from fanolines.dsl import (
+    _FACTOR_TEXTS_MAX,
+    _FORMATS,
+    CI_CLOSE,
+    FACTOR_TEXTS,
+    PRODUCT_CLOSE,
+    PRODUCT_FACTOR,
+    PRODUCT_OPEN,
+    PRODUCT_SEP,
+    _Tokens,
+    ci_prefix,
+    parse_variety,
+    to_text,
+)
 from fanolines.errors import ParseError, ValidationError
 from fanolines.terms import (
     CompleteIntersection,
@@ -249,19 +264,115 @@ def test_formatter_table_covers_every_constructor():
 
 @pytest.mark.parametrize("arity", [2, 3, 4, 5, 6])
 def test_products_print_the_reference_form_at_every_arity(arity):
-    # Every arity prints through one format per arity, which must give the
-    # factor-by-factor text; the formats kept stay bounded.
+    # Every arity prints from the factor texts, which must give the
+    # factor-by-factor text; the factor texts kept stay bounded.
     for pairs in ([(1, 1), (2, 3)], [(12, 1), (3, 10)], [(10, 25), (1, 2), (99, 7)]):
         factors = tuple(sorted((pairs * arity)[:arity]))
         term = PolarizedProduct(factors)
         text = to_text(term)
         assert text == "Prod(" + ",".join("P(%s):%s" % f for f in factors) + ")"
         assert parse_variety(text) == term
-    info = _product_format.cache_info()
-    assert info.currsize <= info.maxsize
+    assert len(FACTOR_TEXTS) <= _FACTOR_TEXTS_MAX
 
 
-@pytest.mark.parametrize("value", ["P(3)", None, 3, (1, 2), VarietyTerm()])
+def _reference_text(v: VarietyTerm) -> str:
+    """A product through one format per arity and a complete intersection
+    through the prefix of its degrees, each a second spelling from ``dsl``'s
+    pieces that the printer must agree with; any other term as printed."""
+    if type(v) is PolarizedProduct:
+        arity = len(v.factors)
+        fmt = PRODUCT_OPEN + PRODUCT_SEP.join([PRODUCT_FACTOR] * arity) + PRODUCT_CLOSE
+        return fmt % sum(v.factors, ())
+    if type(v) is CompleteIntersection:
+        return ci_prefix(v.degrees) + str(v.N) + CI_CLOSE
+    return to_text(v)
+
+
+#: The digest of a catalog's member texts, one a line in catalog order; the
+#: (30,5) one is the order digest the ``sweep`` benchmark checks.
+_CATALOG_TEXT_DIGESTS = {(15, 4): "2fefb8386f299eda", (30, 5): "af40b84d73a9f685"}
+
+
+@pytest.mark.parametrize("grid", sorted(_CATALOG_TEXT_DIGESTS))
+def test_catalog_members_print_the_reference_text_and_parse_back(grid):
+    members = build_catalog(*grid).members
+    texts = [to_text(v) for v in members]
+    assert texts == [_reference_text(v) for v in members]
+    assert all(parse_variety(text) == v for text, v in zip(texts, members))
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()[:16]
+    assert digest == _CATALOG_TEXT_DIGESTS[grid]
+
+
+# Values far above the CLI's cap on a term's integers (10**6).
+_BIG = st.integers(1, 10**12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_BIG, _BIG), min_size=2, max_size=6))
+def test_drawn_products_print_the_reference_text(factors):
+    term = PolarizedProduct(tuple(factors))
+    text = to_text(term)
+    assert text == _reference_text(term)
+    assert parse_variety(text) == term
+    assert len(FACTOR_TEXTS) <= _FACTOR_TEXTS_MAX
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(2, 10**12), min_size=1, max_size=8), st.integers(0, 10**12))
+def test_drawn_complete_intersections_print_the_reference_text(degrees, extra):
+    term = CompleteIntersection(tuple(degrees), len(degrees) + 1 + extra)
+    text = to_text(term)
+    assert text == _reference_text(term)
+    assert parse_variety(text) == term
+
+
+def test_a_full_factor_table_keeps_nothing_and_prints_the_same(monkeypatch):
+    # With the bound at 0 every factor is spelled on each lookup: the texts,
+    # and the catalog order built from them, are unchanged, and nothing is
+    # kept.
+    kept = dict(FACTOR_TEXTS)
+    expected = build_catalog(12, 4).members
+    FACTOR_TEXTS.clear()
+    try:
+        monkeypatch.setattr(dsl, "_FACTOR_TEXTS_MAX", 0)
+        members = build_catalog(12, 4).members
+        assert members == expected
+        assert [to_text(v) for v in members] == [_reference_text(v) for v in members]
+        big = PolarizedProduct(((10**9, 7), (3, 10**8), (1, 1)))
+        assert to_text(big) == _reference_text(big)
+        assert FACTOR_TEXTS == {}
+    finally:
+        FACTOR_TEXTS.update(kept)
+
+
+def test_factor_table_stays_within_its_bound_under_threads(monkeypatch):
+    # Eight threads on two cores spell distinct factors at a short switch
+    # interval; the size check and the insert must act as one step.
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    kept = dict(FACTOR_TEXTS)
+    FACTOR_TEXTS.clear()
+    interval = sys.getswitchinterval()
+    try:
+        monkeypatch.setattr(dsl, "_FACTOR_TEXTS_MAX", 50)
+        sys.setswitchinterval(1e-6)
+
+        def spell(t):
+            terms = [PolarizedProduct(((t + 1, d), (1, 1))) for d in range(1, 400)]
+            return [to_text(v) for v in terms] == [_reference_text(v) for v in terms]
+
+        with ThreadPoolExecutor(8) as pool:
+            done = [f.result(timeout=60) for f in [pool.submit(spell, t) for t in range(8)]]
+        assert done == [True] * 8
+        assert len(FACTOR_TEXTS) == 50
+    finally:
+        sys.setswitchinterval(interval)
+        FACTOR_TEXTS.clear()
+        FACTOR_TEXTS.update(kept)
+
+
+@pytest.mark.parametrize("value",["P(3)", None, 3, (1, 2), VarietyTerm()])
 def test_printing_a_non_term_is_a_type_error(value):
     with pytest.raises(TypeError) as err:
         to_text(value)
