@@ -35,33 +35,35 @@ What is left on ``add``, about 960 linear spaces, quadrics, Grassmannians,
 scrolls and G(2,5) sections at (30,5), is normalized once, and the
 dimension and Fano guards ask the normal form's own constructor.
 
-Catalog order is the order of the members' texts.  Each member that is not
-a product is named once by its text, in a ``dict`` from name to member, and
-the names are sorted with no key function; every member is a normal form
-and ``parse_variety(to_text(t)) == t``, so names deduplicate as terms do.  A
-member added through ``add`` is named by ``to_text``, a complete
-intersection (20,504 of the 114,889 members at (30,5)) by appending N and
-the closing parenthesis to its degree sequence's prefix in ``dsl``'s
-complete intersection spelling.
+Catalog order is the order of the members' texts, and the build names no
+member: it places three ordered blocks.  What ``add`` keeps is held in a set
+and sorted with ``to_text`` as the key; members are normal forms, so two are
+equal exactly when their texts are.  The complete intersections (20,504 of
+the 114,889 members at (30,5)) and the products (93,425) come out of their
+own enumerations in catalog order.  Only a complete intersection's text
+starts with ``dsl.CI_OPEN``, and only a product's with ``dsl.PRODUCT_OPEN``;
+any other text that sorts after an opening differs from it within the
+opening, so each block is contiguous and is spliced in where its opening
+sorts.  A complete intersection's text is ``dsl.ci_prefix`` of its degrees,
+then N and the close.  A prefix ends in ``;``, found nowhere else in the
+text, so no prefix is a proper prefix of another; the close sorts below
+every digit (``CI(3;10)`` before ``CI(3;4)``).  So the sequences are taken
+in the order of their prefixes, and each one's N in the order of ``str(N)``.
 
-The products (93,425 members at (30,5)) are never named: one walk emits
-them already in catalog order.  In ``dsl``'s product spelling a product's
-text sorts as the tuple of its factors' texts, because the separator and
-the closing parenthesis sort below every digit, and a digit is the only
-thing that can follow a factor text that is a proper prefix of another
-(``P(1):1`` and ``P(1):10``, ``P(1)`` and ``P(10)``); the close also sorts
-below the separator, so a pair comes before the triples that extend it.  So
-the factors are ordered once by their text, read from ``dsl.FACTOR_TEXTS``,
-the table ``to_text`` prints products from, and the walk takes the factors
-a <= b <= c of each product (numeric, the canonical field order) in that
-order.  Every product's text, and no other member's, starts with the
-product opening, so the block is spliced into the sorted names where that
-opening would sort.  ``add`` makes products too: Q(2)'s Segre form and the
-trivial scrolls, 870 distinct at (30,5), some with a degree above
-``deg_max``.  The walk places each by its factor texts as it reaches it,
-before the first pair that sorts after it and among the triples of the run
-it ends, and drops the ones it makes itself.  Then the whole block is built
-from its one column of factors.
+In ``dsl``'s product spelling a product's text sorts as the tuple of its
+factors' texts, because the separator and the closing parenthesis sort
+below every digit, and a digit is the only thing that can follow a factor
+text that is a proper prefix of another (``P(1):1`` and ``P(1):10``,
+``P(1)`` and ``P(10)``); the close also sorts below the separator, so a pair
+comes before the triples that extend it.  So the factors are ordered once by
+their text, read from ``dsl.FACTOR_TEXTS``, the table ``to_text`` prints
+products from, and the walk takes the factors a <= b <= c of each product
+(numeric, the canonical field order) in that order.  ``add`` makes products
+too: Q(2)'s Segre form and the trivial scrolls, 870 distinct at (30,5), some
+with a degree above ``deg_max``.  The walk places each by its factor texts
+as it reaches it, before the first pair that sorts after it and among the
+triples of the run it ends, and drops the ones it makes itself.  Then the
+whole block is built from its one column of factors.
 
 The cyclic garbage collector is paused for the build, after the bounds
 check, and its state on entry is restored however the build ends.  The
@@ -84,15 +86,16 @@ next-to-maximal suite reads), each in catalog order, and it counts every
 (dimension, Picard number) class.  The build files the index of the catalog
 it returns as it places the members, so no suite walks the catalog for it.
 The members that are not products are filed by the per-member pass, which
-asks each its own dimension, Picard number and ceiling on S, in the order of
-their names; so are the pairs and the products from ``add``, where the walk
-places them.  A triple is never asked: it has Picard number 3 and a ceiling
-of at most n - 2, so it is in no slice, and the walk counts the triples per
-pair from how many third factors of each dimension the pair takes.  A
-catalog made from a tuple, ``Catalog(n_max, deg_max, members)`` or a
-subclass, files its index on first use by the per-member pass over
-``__iter__``, the one walk of a catalog, which the member set behind ``in``
-reads too; that pass is the reference the build's filing is tested against.
+asks each its own dimension, Picard number and ceiling on S, in catalog
+order as the blocks are placed; so are the pairs and the products from
+``add``, where the walk places them.  A triple is never asked: it has Picard
+number 3 and a ceiling of at most n - 2, so it is in no slice, and the walk
+counts the triples per pair from how many third factors of each dimension
+the pair takes.  A catalog made from a tuple, ``Catalog(n_max, deg_max,
+members)`` or a subclass, files its index on first use by the per-member
+pass over ``__iter__``, the one walk of a catalog, which the member set
+behind ``in`` reads too; that pass is the reference the build's filing is
+tested against.
 """
 
 from __future__ import annotations
@@ -105,7 +108,7 @@ from functools import cache, cached_property
 from itertools import repeat
 from typing import Iterator, NamedTuple
 
-from .dsl import CI_CLOSE, FACTOR_TEXTS, PRODUCT_OPEN, ci_prefix, ci_prefix_extended, to_text
+from .dsl import CI_OPEN, FACTOR_TEXTS, PRODUCT_OPEN, ci_prefix, to_text
 from .errors import ValidationError
 from .terms import (
     CompleteIntersection,
@@ -169,44 +172,46 @@ class Catalog:
         return _frozen(filing)
 
 
-def _degree_sequences(deg_max: int, budget: int) -> Iterator[tuple[tuple[int, ...], int, str]]:
+def _degree_sequences(deg_max: int, budget: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """Non-decreasing degree sequences in [2, deg_max] with their excess
-    sum(d - 1), for every excess up to ``budget``, and their ``ci_prefix``,
-    each extended from its parent sequence's."""
-    frontier: list[tuple[tuple[int, ...], int, str]] = [((), 0, ci_prefix(()))]
+    sum(d - 1), for every excess up to ``budget``."""
+    frontier: list[tuple[tuple[int, ...], int]] = [((), 0)]
     while frontier:
         longer = []
-        for degs, excess, prefix in frontier:
+        for degs, excess in frontier:
             for d in range(degs[-1] if degs else 2, deg_max + 1):
                 if excess + d - 1 > budget:
                     break
-                longer.append((degs + (d,), excess + d - 1, ci_prefix_extended(prefix, d)))
+                longer.append((degs + (d,), excess + d - 1))
         yield from longer
         frontier = longer
 
 
-def _complete_intersections(n_max: int, deg_max: int) -> Iterator[tuple[str, VarietyTerm]]:
-    """Each complete intersection within the bounds but the quadrics, with its
-    name.
+def _complete_intersections(n_max: int, deg_max: int) -> list[VarietyTerm]:
+    """The complete intersections within the bounds but the quadrics, in
+    catalog order: the sequences by their ``ci_prefix``, each one's N by
+    ``str(N)`` (see the module docstring).
 
     A CI of dimension n in P^(n + count) is Fano iff its excess is <= n.  A
     CI skips ``add``: with 1 <= excess <= n <= n_max it is valid, Fano and
     within the bound as built, and its own normal form unless its degrees
-    are (2,), the quadrics that ``add`` makes (see the module docstring).
-    Each is named from its sequence's prefix, and all are built trusted from
-    their columns; the columns are freed on return."""
-    names: list[str] = []
+    are (2,), the quadrics that ``add`` makes.  All are built trusted from
+    their columns."""
+
+    @cache
+    def spaces_of(count: int, excess: int) -> list[int]:
+        """The N of a sequence of ``count`` degrees and this excess, by text."""
+        return sorted(range(excess + count, n_max + count + 1), key=str)  # dimension N - count
+
     degrees: list[tuple[int, ...]] = []
     ambients: list[int] = []
-    for degs, excess, prefix in _degree_sequences(deg_max, n_max):
+    for degs, excess in sorted(_degree_sequences(deg_max, n_max), key=lambda s: ci_prefix(s[0])):
         if degs == (2,):
             continue
-        count = len(degs)
-        spaces = range(excess + count, n_max + count + 1)  # N, of dimension N - count
-        names += [prefix + str(N) + CI_CLOSE for N in spaces]
+        spaces = spaces_of(len(degs), excess)
         degrees += repeat(degs, len(spaces))
         ambients += spaces
-    return zip(names, _trusted_columns(CompleteIntersection, degrees, ambients))
+    return _trusted_columns(CompleteIntersection, degrees, ambients)
 
 
 def _filing() -> CatalogIndex:
@@ -319,8 +324,8 @@ def _products(n_max: int, deg_max: int, made: set[tuple[tuple[int, int], ...]],
 
 def build_catalog(n_max: int, deg_max: int) -> Catalog:
     """Enumerate each constructor within the bounds, normalize what is not
-    canonical as enumerated, sort the members by their text and promote them
-    to the collector's oldest generation; deterministic output."""
+    canonical as enumerated, place the members in text order and promote
+    them to the collector's oldest generation; deterministic output."""
     if n_max < 2 or deg_max < 2:
         raise ValidationError("build_catalog requires n_max >= 2 and deg_max >= 2",
                               component="catalog")
@@ -343,7 +348,9 @@ def build_catalog(n_max: int, deg_max: int) -> Catalog:
 
 
 def _build(n_max: int, deg_max: int) -> Catalog:
-    named: dict[str, VarietyTerm] = {}  # text -> member; a member prints to its own text
+    """What ``add`` keeps, sorted by text, and the two blocks spliced in
+    where their openings sort; the index is filed in that order."""
+    added: set[VarietyTerm] = set()  # normal forms: equal exactly when their texts are
     made: set[tuple[tuple[int, int], ...]] = set()  # the factors of the products ``add`` makes
 
     def add(term: VarietyTerm):
@@ -352,7 +359,7 @@ def _build(n_max: int, deg_max: int) -> Catalog:
             if type(term) is PolarizedProduct:  # Q(2) and the trivial scrolls
                 made.add(term.factors)
             else:
-                named[to_text(term)] = term
+                added.add(term)
 
     for n in range(1, n_max + 1):
         add(LinearSpace(n))
@@ -370,8 +377,6 @@ def _build(n_max: int, deg_max: int) -> Catalog:
                 N += 1
             k += 1
 
-    named.update(_complete_intersections(n_max, deg_max))
-
     # Fano scrolls over a line: at most one twist above the minimum, by one.
     for k in range(2, n_max + 1):
         for d in range(1, n_max + 1):
@@ -382,19 +387,20 @@ def _build(n_max: int, deg_max: int) -> Catalog:
     for c in range(0, 5):
         add(LinearSectionG25(c))
 
-    # Every product's text, and no other member's, starts with PRODUCT_OPEN,
-    # so the products are one block at that point of the sorted names.  The
-    # index is filed in catalog order as the members are placed.
-    names = sorted(named)
-    members = [named[name] for name in names]
-    at = bisect_left(names, PRODUCT_OPEN)
-    del named, names  # freed before the products are made, for a lower peak
+    members = sorted(added, key=to_text)
+    ci_at = bisect_left(members, CI_OPEN, key=to_text)
+    product_at = bisect_left(members, PRODUCT_OPEN, key=to_text)
     filing = _filing()
-    _file(members[:at], filing)
+    _file(members[:ci_at], filing)
+    cis = _complete_intersections(n_max, deg_max)
+    _file(cis, filing)
+    _file(members[ci_at:product_at], filing)
     products = _products(n_max, deg_max, made, filing)
-    _file(members[at:], filing)
-    members[at:at] = products
+    _file(members[product_at:], filing)
+    members[product_at:product_at] = products  # the later block first: ci_at stays
     del products
+    members[ci_at:ci_at] = cis
+    del cis
     catalog = Catalog(n_max, deg_max, tuple(members))
     vars(catalog)["index"] = _frozen(filing)  # the cached property, seeded
     return catalog

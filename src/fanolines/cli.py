@@ -41,11 +41,12 @@ from .trace import classification_trace
 CHAIN_SYMBOL = " ⊨ "  # the "has a family of lines" turnstile
 
 #: Largest accepted value of each size option, per subcommand.  On a 2-vCPU
-#: host the largest accepted inputs take at most about 4 s a process (``secant
-#: --kind scroll -d 12 -m 12 --trials 8`` 1.9 to 2.6 s; at these caps ``verify
-#: --suite prop32`` 1.0 to 1.3 s, ``classify`` 1.0 to 1.3 s); beyond them the
-#: time grows fast (cubically in the secant coordinate count (d+1)m+1, and
-#: steeply in both catalog bounds), so larger inputs are rejected, not run.
+#: shared Xeon host with Python 3.11.7 (3 runs each) the largest accepted
+#: inputs take under 2 s a process: ``secant --kind scroll -d 12 -m 12
+#: --trials 8`` 1.4 to 1.8 s, and at these caps ``verify --suite prop32``
+#: 0.19 to 0.20 s and ``classify`` 0.17 to 0.18 s.  Beyond them the time
+#: grows fast (cubically in the secant coordinate count (d+1)m+1, and steeply
+#: in both catalog bounds), so larger inputs are rejected, not run.
 SIZE_CAPS = {
     "secant": {"-d": 12, "-m": 12, "--trials": 8},
     "classify": {"--nmax": 32, "--degmax": 5},
@@ -54,15 +55,15 @@ SIZE_CAPS = {
 
 #: Largest integer in a term expression: some families have one entry per unit
 #: of it (SG(2,N), CI(d;N)).  At the cap the slowest term command measured,
-#: ``chain 'CI(999998;1000000)' --json``, takes 1.4 to 1.6 s on the same host.
+#: ``chain 'CI(999998;1000000)' --json``, takes 0.32 to 0.39 s on the same host.
 TERM_INT_CAP = 10**6
 
 #: Largest accepted ceiling on the chain invariant, ``terms.s_ceiling(term)``
 #: (1 + family_dim(term) on a covered term), for the commands that walk its
 #: chains (``s``, ``chain``, ``cover``, ``trace``).  At the cap, on the same
-#: host, ``s 'P(200000)'`` takes 1.6 to 2.3 s, ``chain 'P(200000)' --json``
-#: 2.5 to 3.5 s, ``cover 'SG(2,200002)'`` 1.3 to 1.7 s and ``trace
-#: 'SG(2,200002)'`` 2.4 to 3.1 s; the time and the memo grow linearly in the
+#: host, ``s 'P(200000)'`` takes 0.79 to 0.97 s, ``chain 'P(200000)' --json``
+#: 0.98 to 1.21 s, ``cover 'SG(2,200002)'`` 0.71 to 0.93 s and ``trace
+#: 'SG(2,200002)'`` 1.15 to 1.54 s; the time and the memo grow linearly in the
 #: chain length.  The bound is S's own, not the dimension, so a
 #: high-dimensional term with a short chain, such as ``CI(999998;1000000)``,
 #: still answers.  On quadrics it is about twice S, so ``Q(200001)``

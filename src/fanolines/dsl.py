@@ -27,8 +27,9 @@ lookup and keeps at most ``_FACTOR_TEXTS_MAX`` texts.  A complete
 intersection prints through one format per degree count, ``CI(%d,...,%d;%d)``
 from the same pieces as ``ci_prefix`` and ``CI_CLOSE``, filled with its
 degrees and N; nothing is kept per term or per degree sequence.  The catalog
-build shares both spellings: it orders its products by the factor texts of
-the same table and names its complete intersections from ``ci_prefix``.
+build names no member: it orders its products by the factor texts of the
+same table, its complete intersections by ``ci_prefix`` and then by the text
+of N, and it splices each block where ``PRODUCT_OPEN`` or ``CI_OPEN`` sorts.
 
 >>> parse_variety("CI(2,2;7)")
 CompleteIntersection(degrees=(2, 2), N=7)
@@ -211,35 +212,25 @@ class _FactorTexts(dict):
 FACTOR_TEXTS = _FactorTexts()
 
 
-#: A complete intersection's spelling: ``CI(``, its degrees separated by
-#: commas, ``;``, its ambient dimension N and ``CI_CLOSE``.  The catalog
-#: build names its complete intersections from one ``ci_prefix`` per degree
-#: sequence, each extended from its parent sequence's by
-#: ``ci_prefix_extended``, so the spelling is written here alone.
-CI_CLOSE = ")"
-
-
-_CI_OPEN, _CI_SEP, _CI_END = "CI(", ",", ";"
+#: A complete intersection's spelling: ``CI_OPEN``, its degrees separated by
+#: commas, ``;``, its ambient dimension N and ``CI_CLOSE``.  A ``ci_prefix``
+#: ends in the only ``;`` of a text, and the close sorts below every digit,
+#: so texts sort by prefix, then by the text of N (``CI(3;10)`` before
+#: ``CI(3;4)``): the catalog build's order.  The spelling is written here alone.
+CI_OPEN, CI_CLOSE = "CI(", ")"
+_CI_SEP, _CI_END = ",", ";"
 
 
 def ci_prefix(degrees: tuple[int, ...]) -> str:
     """``CI(`` and the degrees separated by commas, up to and with the ``;``."""
-    return _CI_OPEN + _CI_SEP.join(map(str, degrees)) + _CI_END
-
-
-def ci_prefix_extended(prefix: str, d: int) -> str:
-    """``ci_prefix(degrees + (d,))`` from ``prefix``, the ``ci_prefix`` of
-    ``degrees`` (of ``()`` too): one degree is appended, and the others are
-    not joined again."""
-    head = prefix[:-1]
-    return (head if head == _CI_OPEN else head + _CI_SEP) + str(d) + _CI_END
+    return CI_OPEN + _CI_SEP.join(map(str, degrees)) + _CI_END
 
 
 @lru_cache(maxsize=64)  # a catalog's complete intersections have at most n_max degrees
 def _ci_format(count: int) -> str:
     """The format of a complete intersection of ``count`` degrees, filled
     with its degrees and then N."""
-    return _CI_OPEN + _CI_SEP.join(["%d"] * count) + _CI_END + "%d" + CI_CLOSE
+    return CI_OPEN + _CI_SEP.join(["%d"] * count) + _CI_END + "%d" + CI_CLOSE
 
 
 def _product_text(v: PolarizedProduct, text=FACTOR_TEXTS.__getitem__,

@@ -24,7 +24,7 @@ from fanolines.checks import (
     verify_family_lemmas,
     verify_next_to_maximal,
 )
-from fanolines.dsl import PRODUCT_CLOSE, PRODUCT_FACTOR, PRODUCT_SEP, ci_prefix, to_text
+from fanolines.dsl import CI_CLOSE, PRODUCT_CLOSE, PRODUCT_FACTOR, PRODUCT_SEP, ci_prefix, to_text
 from fanolines.errors import EngineError, ValidationError
 from fanolines.families import (
     ONE_FAMILY_CONSTRUCTORS,
@@ -150,7 +150,7 @@ def test_build_pauses_the_collector_and_restores_its_state(monkeypatch, keep_col
     seen = []
 
     def failing_sequences(deg_max, budget):
-        yield (2,), 1, ci_prefix((2,))
+        yield (2,), 1
         seen.append(gc.isenabled())
         raise RuntimeError("midway")
 
@@ -316,11 +316,33 @@ def test_the_product_walk_merges_products_from_add_by_text(factor_lists):
     assert filing == per_member
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.integers(2, 12), min_size=1, max_size=4),
+                          st.integers(5, 10**4)), min_size=2, max_size=12))
+@example([([3], 10), ([3], 4)])
+@example([([2, 10], 12), ([2, 2], 10)])
+def test_ci_texts_sort_by_their_prefix_then_the_text_of_n(drawn):
+    # The premise of the build's complete-intersection block: a complete
+    # intersection's text sorts as its degree sequence's prefix, then the
+    # text of N.  That holds while ``;`` ends the prefix and occurs nowhere
+    # else, so no prefix is a proper prefix of another, and while the close
+    # sorts below every digit, so CI(3;10) comes before CI(3;4).
+    assert all(CI_CLOSE[0] < c for c in "0123456789")
+    terms = {CompleteIntersection(tuple(degs), N) for degs, N in drawn}
+    for v in terms:
+        text, prefix = to_text(v), ci_prefix(v.degrees)
+        assert text.startswith(prefix) and text.count(";") == 1
+        assert text.index(";") == len(prefix) - 1
+    assert sorted(terms, key=lambda v: (ci_prefix(v.degrees), str(v.N))) == \
+        sorted(terms, key=to_text)
+
+
 def test_ci_names_with_two_digit_fields_sort_as_their_text():
-    # The build names its complete intersections from one prefix per degree
-    # sequence.  With two digits, CI(3;10) sorts before CI(3;4) and CI(2,10;
-    # after CI(2,2;; the names must still be the members' texts, in strictly
-    # increasing order.
+    # The build emits its complete intersections by degree sequence, in the
+    # order of the sequences' prefixes, and each sequence's N in the order of
+    # their text.  With two digits, CI(3;10) sorts before CI(3;4) and
+    # CI(2,10; after CI(2,2;; the block must still be in strictly increasing
+    # text order.
     cis = [v for v in build_catalog(12, 11) if type(v) is CompleteIntersection]
     assert cis == [v for v in _generate_and_filter_catalog(12, 11)
                    if type(v) is CompleteIntersection]
@@ -976,12 +998,6 @@ def test_lemmas_suite_builds_families_only_where_a_record_can_come_out(cat15, mo
                and family_outcome(v)[1] is None]
     assert unruled and {type(v) for v in unruled} == {SympGrassmann, LinearSectionG25}
     assert eng.asked == unruled
-
-
-def test_degree_sequences_extend_their_parents_prefix():
-    for deg_max, budget in [(2, 6), (5, 12), (11, 12)]:
-        seqs = list(catalog._degree_sequences(deg_max, budget))
-        assert seqs and all(prefix == ci_prefix(degs) for degs, _, prefix in seqs)
 
 
 def test_classification_suite_asks_s_only_where_2s_may_reach_n_minus_1(cat15):

@@ -377,3 +377,28 @@ def test_printing_a_non_term_is_a_type_error(value):
     with pytest.raises(TypeError) as err:
         to_text(value)
     assert str(err.value) == f"not a variety term: {value!r}"
+
+
+def test_factor_table_holds_its_lock_for_the_size_check_and_the_insert():
+    # While the lock is held, a thread that spells a missing factor waits
+    # before the size check and the insert, and completes both once it is
+    # released.
+    import threading
+
+    factor = (10**9 + 1, 7)
+    kept = dict(FACTOR_TEXTS)
+    FACTOR_TEXTS.clear()
+    speller = threading.Thread(target=FACTOR_TEXTS.__getitem__, args=(factor,))
+    try:
+        with dsl._FactorTexts._adding:
+            speller.start()
+            speller.join(0.1)
+            assert speller.is_alive()
+            assert factor not in FACTOR_TEXTS
+        speller.join(60)
+        assert not speller.is_alive()
+        assert FACTOR_TEXTS.get(factor) == PRODUCT_FACTOR % factor  # get: no __missing__
+    finally:
+        speller.join(60)
+        FACTOR_TEXTS.clear()
+        FACTOR_TEXTS.update(kept)

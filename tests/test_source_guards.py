@@ -6,8 +6,9 @@ imports ``gc``: no other layer allocates a catalog's worth of objects at
 once.  A product's spelling, the factor ``P(n):d`` in the frame ``Prod(``
 ... ``)``, and a complete intersection's, ``CI(`` d,... ``;`` N ``)``, are
 written once, in ``dsl``.  The build retypes none of them: it orders its
-products by their factor texts, which the factor format spells, and names its
-complete intersections from the prefix that ``dsl`` spells.
+products by their factor texts, which the factor format spells, orders its
+complete intersections by the prefix that ``dsl`` spells, and splices each
+block at ``dsl``'s opening.
 """
 
 import ast
