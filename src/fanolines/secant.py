@@ -23,10 +23,13 @@ Each parameterization keeps the sparse support of every monomial, its
 and evaluation and gradients loop over that support only.  There is one
 monomial evaluator, the span row: it builds one power table per point, the
 powers x_j, ..., x_j^e of each parameter up to its largest exponent e (d or
-d + 1 for s and t, 1 for each fibre parameter), and each coordinate is the
-product of its table entries, reduced mod p once.  Jacobian rows read each
-coordinate's value from the span row, and every partial off that value as
-d/dx_j x^e = e_j x^e x_j^-1, the random coordinates being non-zero mod p.
+d + 1 for s and t, 1 for each fibre parameter).  A coordinate's head is its
+table entries but the last (the s^(d-a) t^a part of s^(d-a) t^a u_j), and
+many coordinates share one; each distinct head's product is computed once
+per point and appended to the table, then each coordinate is one product,
+head times last, reduced mod p.  Jacobian rows read each coordinate's value
+from the span row, and every partial off that value as d/dx_j x^e =
+e_j x^e x_j^-1, the random coordinates being non-zero mod p.
 Evaluation rows for the span are a lazy generator, and the streaming rank of
 ``modp`` stops pulling them at full column rank, so of the ``2 * num_coords``
 points allowed per trial only ``num_coords`` are drawn when the span fills
@@ -96,12 +99,27 @@ class Parameterization:
         """The largest exponent of each parameter over all coordinates."""
         return tuple(map(max, zip(*self.monomials)))
 
-    @cached_property
-    def table_indices(self) -> tuple[tuple[int, ...], ...]:
+    def _factor_indices(self) -> list[tuple[int, ...]]:
         """Where each factor x_j^e of each coordinate sits in a point's power
         table (``_power_table``): after the tables of parameters 0..j-1, at e-1."""
         start = tuple(accumulate(self.top_exponents, initial=0))
-        return tuple(tuple(start[j] + e - 1 for j, e in sup) for sup in self.supports)
+        return [tuple(start[j] + e - 1 for j, e in sup) for sup in self.supports]
+
+    @cached_property
+    def heads(self) -> tuple[tuple[int, ...], ...]:
+        """The distinct heads, in first-use order: a coordinate's head is its
+        power-table indices without the last one."""
+        return tuple(dict.fromkeys(idx[:-1] for idx in self._factor_indices()))
+
+    @cached_property
+    def head_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Each coordinate as (head, last), two indices into a point's power
+        table extended by the products of ``heads``: the coordinate is their
+        product.  An all-zero exponent vector pairs the empty head, whose
+        product is 1, with itself."""
+        at = {head: sum(self.top_exponents) + k for k, head in enumerate(self.heads)}
+        return tuple((at[idx[:-1]], idx[-1] if idx else at[()])
+                     for idx in self._factor_indices())
 
 
 def _monomial(m: int, deg: int, a: int, j: int) -> tuple[int, ...]:
@@ -155,21 +173,26 @@ def _point(rng: random.Random, k: int, p: int) -> list[int]:
 
 
 def _power_table(x: list[int], tops: tuple[int, ...], p: int) -> list[int]:
-    """x_j^1, ..., x_j^tops[j] mod p for each parameter j in turn, flat."""
+    """x_j^1, ..., x_j^tops[j] mod p for each parameter j in turn, flat; a
+    parameter no coordinate uses has no entry."""
     table = []
     for xj, top in zip(x, tops):
-        v = xj
-        table.append(v)
-        for _ in range(top - 1):
-            v = v * xj % p
+        if top:
+            v = xj
             table.append(v)
+            for _ in range(top - 1):
+                v = v * xj % p
+                table.append(v)
     return table
 
 
 def _span_row(par: Parameterization, x: list[int], p: int) -> list[int]:
-    """Every coordinate of ``par`` at ``x`` mod p, as products of power-table entries."""
-    get = _power_table(x, par.top_exponents, p).__getitem__
-    return [prod(map(get, idx)) % p for idx in par.table_indices]
+    """Every coordinate of ``par`` at ``x`` mod p: each distinct head once,
+    appended to the power table, then each coordinate as head times last."""
+    table = _power_table(x, par.top_exponents, p)
+    get = table.__getitem__
+    table += [prod(map(get, head)) % p for head in par.heads]
+    return [table[h] * table[last] % p for h, last in par.head_pairs]
 
 
 def _jacobian(par: Parameterization, x: list[int], p: int) -> list[tuple[int, list[int]]]:

@@ -7,6 +7,7 @@ from pathlib import Path
 import fanolines.chains
 import fanolines.dsl
 import fanolines.families
+import fanolines.modp
 import fanolines.terms
 from fanolines.dsl import to_text
 from fanolines.reports import SuiteReport
@@ -14,7 +15,8 @@ from fanolines.terms import at_least, exact
 
 
 def test_module_doctests():
-    for module in (fanolines.terms, fanolines.dsl, fanolines.chains, fanolines.families):
+    for module in (fanolines.terms, fanolines.dsl, fanolines.chains, fanolines.families,
+                   fanolines.modp):
         result = doctest.testmod(module)
         assert result.failed == 0, f"doctest failures in {module.__name__}"
         assert result.attempted > 0

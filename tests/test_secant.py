@@ -253,7 +253,8 @@ def test_packed_rank_reduces_unreduced_and_negative_entries(p):
 
 def _worst_case_growth(p, width):
     """Rows whose reduction drives one slot to the largest value the packed
-    kernel can meet, (p - 1) + (width - 1) * (p - 1)**2 up to a residue.
+    kernel can meet from entries in [0, p), (p - 1) + (width - 1) * (p - 1)**2
+    up to a residue.
 
     The first ``width - 1`` rows are pivots 1 followed by entries p - 1.  The
     last row makes the pivot factor f = 1 at every column, so each pivot adds
@@ -269,14 +270,68 @@ def _worst_case_growth(p, width):
 def test_packed_rank_survives_worst_case_slot_growth(p):
     mat = _worst_case_growth(p, MAX_WIDTH)
     assert rank_mod_p(mat, p) == rank_mod_p_reference(mat, p) == MAX_WIDTH - 1
-    # The largest slot value needs as many bits as the kernel's bound on it,
-    # so a slot narrower than that bound's bit length would overflow.
+    # The largest slot value reached from reduced entries needs as many bits
+    # as (p - 1) + width * (p - 1)**2, the reduced part of the kernel's bound.
     bound = (p - 1) + MAX_WIDTH * (p - 1) ** 2
     reached = (1 - MAX_WIDTH) % p + (MAX_WIDTH - 1) * (p - 1) ** 2
     assert reached.bit_length() == bound.bit_length()
     # with the last entry made independent, the rank is full
     mat[-1][-1] = (mat[-1][-1] + 1) % p
     assert rank_mod_p(mat, p) == rank_mod_p_reference(mat, p) == MAX_WIDTH
+
+
+def _slot_bytes(p, width):
+    """The kernel's slot width in bytes: the bit length of its bound on a
+    slot, (2**64 - 1) + width * (p - 1)**2, plus a margin bit, rounded up."""
+    return -(-(((2**64 - 1) + width * (p - 1) ** 2).bit_length() + 1) // 8)
+
+
+def _raised(row, p):
+    """``row`` with each entry raised by the largest multiple of p that keeps
+    it below 2**64: the same row mod p, packed unreduced."""
+    return [x + (2**64 - 1 - x) // p * p for x in row]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_packed_rank_survives_worst_case_growth_of_unreduced_entries(p):
+    mat = _worst_case_growth(p, MAX_WIDTH)
+    mat[-1] = _raised(mat[-1], p)
+    assert rank_mod_p(mat, p) == rank_mod_p_reference(mat, p) == MAX_WIDTH - 1
+    # The last slot starts at its raised entry and meets every pivot, each
+    # adding (p - 1) * (p - 1); that must fit below the slot's margin bit.
+    reached = mat[-1][-1] + (MAX_WIDTH - 1) * (p - 1) ** 2
+    assert reached > 2**64 - p + (MAX_WIDTH - 1) * (p - 1) ** 2
+    assert reached < 2 ** (8 * _slot_bytes(p, MAX_WIDTH) - 1)
+    mat[-1][-1] += 1
+    assert rank_mod_p(mat, p) == rank_mod_p_reference(mat, p) == MAX_WIDTH
+
+
+def test_slots_are_nine_bytes_for_the_default_primes_up_to_the_caps():
+    assert {_slot_bytes(p, MAX_WIDTH) for p in DEFAULT_PRIMES} == {9}
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_packed_rank_takes_entries_up_to_2_to_the_64_unreduced(p):
+    rng = random.Random(f"unreduced:{p}")
+    for rows, cols, k in [(6, 6, 6), (12, 9, 4), (40, MAX_WIDTH, 40), (MAX_WIDTH, 61, 20)]:
+        mat = [[x % p for x in row] for row in _field_deficient(rng, p, rows, cols, k)]
+        # odd rows raised as far as they go, even rows by random multiples
+        big = [_raised(row, p) if r % 2
+               else [x + rng.randrange((2**64 - 1 - x) // p + 1) * p for x in row]
+               for r, row in enumerate(mat)]
+        big[0][0] = 2**64 - 1
+        mat[0][0] = (2**64 - 1) % p
+        want = rank_mod_p_reference(mat, p)
+        assert rank_mod_p(big, p) == rank_mod_p_reference(big, p) == want
+        assert rank_mod_p(iter(big), p) == want
+
+
+@pytest.mark.parametrize("p", [0, 1, 2**64, 2**64 + 13])
+def test_rank_mod_p_rejects_a_modulus_outside_the_slot_range(p):
+    with pytest.raises(ValueError, match="modulus"):
+        rank_mod_p([[1, 2], [3, 4]], p)
+    with pytest.raises(ValueError, match="modulus"):
+        rank_mod_p([], p)
 
 
 @pytest.mark.parametrize("rows", [[[0], [0, 1, 0]], [[1, 2, 3], [1]], [[1, 0], [2, 0], [1, 1, 1]]])
@@ -341,6 +396,33 @@ def test_gradient_matches_the_partial_product_formula(p):
                          [partial_oracle(exp, j, x, p) for j in range(len(exp))])
                         for exp in par.monomials]
             assert _jacobian(par, x, p) == expected
+
+
+@st.composite
+def parameterizations_and_points(draw):
+    """A parameterization over 1-6 parameters with 3-30 coordinates of
+    exponents 0-5: an all-zero vector, two that differ only in the last
+    parameter's exponent, so share a head, and up to 27 drawn; and a point."""
+    k = draw(st.integers(1, 6))
+    exps = st.tuples(*[st.integers(0, 5)] * k)
+    monos = draw(st.lists(exps, max_size=27))
+    base = draw(exps)[:-1]
+    monos += [(0,) * k, base + (1,), base + (draw(st.integers(2, 5)),)]
+    monos = draw(st.permutations(monos))
+    p = draw(st.sampled_from([101, DEFAULT_PRIMES[0]]))
+    x = draw(st.lists(st.integers(1, p - 1), min_size=k, max_size=k))
+    return Parameterization("test", 0, 0, tuple(monos)), x, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(parameterizations_and_points())
+def test_span_row_and_jacobian_match_the_oracles_on_drawn_parameterizations(drawn):
+    par, x, p = drawn
+    assert len(par.heads) < par.num_coords  # the paired coordinates share one
+    assert _span_row(par, x, p) == [value_oracle(exp, x, p) for exp in par.monomials]
+    assert _jacobian(par, x, p) == [
+        (value_oracle(exp, x, p), [partial_oracle(exp, j, x, p) for j in range(len(exp))])
+        for exp in par.monomials]
 
 
 @pytest.mark.parametrize("builder", [segre_veronese, scroll])
