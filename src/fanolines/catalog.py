@@ -60,9 +60,11 @@ their text, read from ``dsl.FACTOR_TEXTS``, the table ``to_text`` prints
 products from, and the walk takes the factors a <= b <= c of each product
 (numeric, the canonical field order) in that order.  ``add`` makes products
 too: Q(2)'s Segre form and the trivial scrolls, 870 distinct at (30,5), some
-with a degree above ``deg_max``.  The walk places each by its factor texts
-as it reaches it, before the first pair that sorts after it and among the
-triples of the run it ends, and drops the ones it makes itself.  Then the
+with a degree above ``deg_max``, and every one a pair.  A pair the walk does
+not make differs from each walk pair within their two factor texts, so it
+sorts before or after that pair's whole run of triples, never inside it:
+the walk emits it just before the first of its own pairs that sorts after
+it, or after the last run, and drops the ones it makes itself.  Then the
 whole block is built from its one column of factors.
 
 The cyclic garbage collector is paused for the build, after the bounds
@@ -239,10 +241,10 @@ def _frozen(filing: CatalogIndex) -> CatalogIndex:
                         tuple(near_max), counts)
 
 
-def _products(n_max: int, deg_max: int, made: set[tuple[tuple[int, int], ...]],
+def _products(n_max: int, deg_max: int, made: set[tuple[tuple[int, int], tuple[int, int]]],
               filing: CatalogIndex) -> list[VarietyTerm]:
     """The two- and three-factor products within the bounds in catalog order,
-    merged with the products whose factors ``add`` has ``made``, each filed
+    merged with the pairs of factors that ``add`` has ``made``, each filed
     into ``filing`` in that order.
 
     A product's text sorts as the tuple of its factors' texts (see the module
@@ -251,71 +253,51 @@ def _products(n_max: int, deg_max: int, made: set[tuple[tuple[int, int], ...]],
     the canonical field order) in that order within the dimension bound:
     each pair (a, b) is followed by the triples (a, b, c) that extend it.  A
     product skips ``add``: it has no normalize rule, every product is Fano,
-    and its dimension is between 2 and n_max.  A product from ``add`` is
-    placed by its factor texts as the walk reaches it: before the first pair
-    that sorts after it, at its place among the triples of the run it ends,
-    and it is dropped if the walk makes it.  Every product's factors are
-    sorted and valid, so all are built trusted, from one column.
+    and its dimension is between 2 and n_max.  Each product from ``add`` is a
+    pair, emitted by its factor texts just before the first walk pair that
+    sorts after it, or after the walk, and dropped if the walk makes it: a
+    pair that differs from a walk pair sorts before or after that pair's
+    whole run of triples.  Every product's factors are sorted and valid, so
+    all are built trusted, from one column.
 
     The pairs and the products from ``add`` are filed per member.  A triple
     has Picard number 3 and a ceiling on S of at most n - 2, since its
     largest factor has dimension at most n - 2; so it is only counted, per
     pair, from how many of the pair's third factors have each dimension."""
-    text = {(n, d): FACTOR_TEXTS[n, d] for n in range(1, n_max) for d in range(1, deg_max + 1)}
-    ordered = sorted(text, key=text.__getitem__)
+    text = FACTOR_TEXTS.__getitem__  # also for ``add``'s factors, some of degree above deg_max
+    ordered = sorted([(n, d) for n in range(1, n_max) for d in range(1, deg_max + 1)], key=text)
     fits = [[f for f in ordered if f[0] <= room] for room in range(n_max)]
 
     @cache
-    def after(least: tuple[int, int], room: int) -> list[tuple[int, int]]:
-        """The factors f >= least of dimension at most ``room``, in text order."""
-        return [f for f in fits[room] if f >= least]
-
-    @cache
-    def dims_after(least: tuple[int, int], room: int) -> tuple[tuple[int, int], ...]:
-        """How many of the factors ``after(least, room)`` have each dimension."""
-        return tuple(Counter([m for m, _ in after(least, room)]).items())
-
-    def texts_of(shape: tuple[tuple[int, int], ...]) -> tuple[str, ...]:
-        # from the table, not ``text``: a factor from ``add`` may have a
-        # degree above deg_max
-        return tuple(map(FACTOR_TEXTS.__getitem__, shape))
+    def tail(least: tuple[int, int], room: int) -> tuple[list, tuple]:
+        """The factors f >= least of dimension at most ``room``, in text
+        order, and how many of them have each dimension."""
+        factors = [f for f in fits[room] if f >= least]
+        return factors, tuple(Counter([m for m, _ in factors]).items())
 
     shapes: list[tuple[tuple[int, int], ...]] = []  # each product's factors, in catalog order
     asked: list[int] = []  # where the pairs and the products from ``add`` are in ``shapes``
-    pending = sorted([(texts_of(shape), shape) for shape in made])
-    i = 0  # the products from ``add`` placed or dropped so far
-    run = 0  # where the last run's triples not yet passed begin in ``shapes``
-
-    def place(upto: tuple[str, ...] | None) -> None:
-        """Place the pending products that sort below ``upto`` (all of them
-        if None) into the last run, and drop one equal to it."""
-        nonlocal i, run
-        while i < len(pending) and (upto is None or pending[i][0] < upto):
-            key, shape = pending[i]
-            i += 1
-            at = bisect_left(shapes, key, run, key=texts_of)
-            if at == len(shapes) or texts_of(shapes[at]) != key:  # not the walk's
-                shapes.insert(at, shape)
-                asked.append(at)
-            run = at + 1
-        if i < len(pending) and pending[i][0] == upto:
-            i += 1  # the walk makes it
-
+    pending = sorted([(tuple(map(text, pair)), pair) for pair in made])
+    i = 0  # the products from ``add`` emitted or dropped so far
     counts = filing.counts
     for a in ordered:
-        for b in after(a, n_max - a[0]):
-            pair = (text[a], text[b])
-            if i < len(pending) and pending[i][0] <= pair:
-                place(pair)
+        for b in tail(a, n_max - a[0])[0]:
+            texts = (text(a), text(b))
+            while i < len(pending) and pending[i][0] <= texts:
+                if pending[i][0] != texts:  # not the walk's
+                    asked.append(len(shapes))
+                    shapes.append(pending[i][1])
+                i += 1
             asked.append(len(shapes))
             shapes.append((a, b))
-            run = len(shapes)
             room = n_max - a[0] - b[0]
-            shapes += zip(repeat(a), repeat(b), after(b, room))
-            for m, k in dims_after(b, room):
+            factors, dims = tail(b, room)
+            shapes += zip(repeat(a), repeat(b), factors)
+            for m, k in dims:
                 key = (a[0] + b[0] + m, 3)
                 counts[key] = counts.get(key, 0) + k
-    place(None)
+    asked += range(len(shapes), len(shapes) + len(pending) - i)
+    shapes += [pair for _, pair in pending[i:]]
     block = _trusted_columns(PolarizedProduct, shapes)
     del shapes
     _file(map(block.__getitem__, asked), filing)
@@ -351,7 +333,7 @@ def _build(n_max: int, deg_max: int) -> Catalog:
     """What ``add`` keeps, sorted by text, and the two blocks spliced in
     where their openings sort; the index is filed in that order."""
     added: set[VarietyTerm] = set()  # normal forms: equal exactly when their texts are
-    made: set[tuple[tuple[int, int], ...]] = set()  # the factors of the products ``add`` makes
+    made: set[tuple[tuple[int, int], tuple[int, int]]] = set()  # the pairs ``add`` makes
 
     def add(term: VarietyTerm):
         term = term._normalize()  # normalized once; asked directly from here on

@@ -55,19 +55,19 @@ SIZE_CAPS = {
 
 #: Largest integer in a term expression: some families have one entry per unit
 #: of it (SG(2,N), CI(d;N)).  At the cap the slowest term command measured,
-#: ``chain 'CI(999998;1000000)' --json``, takes 0.32 to 0.39 s on the same host.
+#: ``chain 'CI(999998;1000000)' --json``, takes 0.32 to 0.45 s on the same host.
 TERM_INT_CAP = 10**6
 
 #: Largest accepted ceiling on the chain invariant, ``terms.s_ceiling(term)``
 #: (1 + family_dim(term) on a covered term), for the commands that walk its
 #: chains (``s``, ``chain``, ``cover``, ``trace``).  At the cap, on the same
-#: host, ``s 'P(200000)'`` takes 0.79 to 0.97 s, ``chain 'P(200000)' --json``
-#: 0.98 to 1.21 s, ``cover 'SG(2,200002)'`` 0.71 to 0.93 s and ``trace
-#: 'SG(2,200002)'`` 1.15 to 1.54 s; the time and the memo grow linearly in the
+#: host, ``s 'P(200000)'`` takes 0.63 to 0.84 s, ``chain 'P(200000)' --json``
+#: 0.97 to 1.07 s, ``cover 'SG(2,200002)'`` 0.65 to 0.76 s and ``trace
+#: 'SG(2,200002)'`` 1.06 to 1.34 s; the time and the memo grow linearly in the
 #: chain length.  The bound is S's own, not the dimension, so a
 #: high-dimensional term with a short chain, such as ``CI(999998;1000000)``,
-#: still answers.  On quadrics it is about twice S, so ``Q(200001)``
-#: (S = 100000) is the deepest quadric accepted.
+#: still answers (``s`` in 0.20 to 0.25 s).  On quadrics it is about twice
+#: S, so ``Q(200001)`` (S = 100000) is the deepest quadric accepted.
 DEPTH_CAP = 200_000
 
 

@@ -298,14 +298,14 @@ _FACTOR = st.tuples(st.integers(1, 12), st.integers(1, 12))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.lists(_FACTOR, min_size=2, max_size=3), max_size=6))
-@example([[(1, 1), (1, 1), (1, 9)], [(1, 1), (2, 2), (3, 1)]])  # inside a pair's run
-@example([[(1, 1), (1, 1), (1, 2)], [(1, 1), (1, 1), (1, 3)]])  # two made by the walk
+@given(st.lists(st.lists(_FACTOR, min_size=2, max_size=2), max_size=6))
+@example([[(1, 1), (1, 10)], [(1, 1), (1, 1)]])  # after a run it ends, and one the walk makes
 @example([[(1, 9), (4, 1)], [(1, 1), (6, 1)], [(1, 12), (12, 1)]])  # degree above deg_max
 def test_the_product_walk_merges_products_from_add_by_text(factor_lists):
-    # ``add`` makes only two-factor products, inside and outside the walk's
-    # bounds; the merge must place any product, made by the walk or not, and
-    # file the block as the per-member pass files the products it returns.
+    # ``add`` makes only pairs (tests/test_properties.py checks that), inside
+    # and outside the walk's bounds; the merge must place any pair, made by
+    # the walk or not, and file the block as the per-member pass files the
+    # products it returns.
     made = {PolarizedProduct(tuple(fs)) for fs in factor_lists}
     walk = catalog._products(7, 3, set(), catalog._filing())
     filing = catalog._filing()

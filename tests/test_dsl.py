@@ -303,6 +303,17 @@ def test_catalog_members_print_the_reference_text_and_parse_back(grid):
     assert digest == _CATALOG_TEXT_DIGESTS[grid]
 
 
+#: Order digests checked without the parse-back: (40,6) holds 525,687
+#: members, and (20,2) pairs from ``add`` of degrees up to 20 above its deg_max.
+_ORDER_DIGESTS = {(20, 2): "d2568f659b528a06", (40, 6): "d7b5b9936ba30e80"}
+
+
+@pytest.mark.parametrize("grid", sorted(_ORDER_DIGESTS))
+def test_catalog_order_matches_the_pinned_digest(grid):
+    texts = map(to_text, build_catalog(*grid).members)
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest()[:16] == _ORDER_DIGESTS[grid]
+
+
 # Values far above the CLI's cap on a term's integers (10**6).
 _BIG = st.integers(1, 10**12)
 

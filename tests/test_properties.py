@@ -1,7 +1,7 @@
 """Property-based checks of the algebraic identities the engine relies on."""
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from fanolines.chains import ChainEngine
 from fanolines.dsl import parse_variety, to_text
@@ -63,6 +63,31 @@ terms = st.one_of(
 @given(terms)
 def test_normalize_is_idempotent(v):
     assert normalize(normalize(v)) == normalize(v)
+
+
+@given(st.one_of(
+    linear_spaces, quadrics, grassmannians, symplectic, complete_intersections, scrolls, sections,
+    st.tuples(st.integers(1, 12), st.integers(2, 12)).map(lambda dk: ProjBundleP1((dk[0],) * dk[1])),
+))
+@example(Quadric(2))
+@example(CompleteIntersection((2,), 3))
+@example(ProjBundleP1((1,) * 2))
+@example(ProjBundleP1((2,) * 3))
+@example(ProjBundleP1((3,) * 4))
+@example(ProjBundleP1((1,) * 5))
+@example(ProjBundleP1((2,) * 6))
+@example(ProjBundleP1((3,) * 7))
+@example(ProjBundleP1((1,) * 8))
+@example(ProjBundleP1((2,) * 9))
+@example(ProjBundleP1((3,) * 10))
+@example(ProjBundleP1((1,) * 11))
+@example(ProjBundleP1((2,) * 12))
+def test_normalize_makes_products_only_of_two_factors(v):
+    # The premise of the catalog build's product merge: every product that
+    # ``add`` makes from another constructor is a pair, so none sorts inside
+    # a walk pair's run of triples.
+    normal = v._normalize()  # what the build's ``add`` asks
+    assert type(normal) is not PolarizedProduct or len(normal.factors) == 2
 
 
 @given(terms)
