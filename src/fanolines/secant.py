@@ -21,15 +21,39 @@ so every reported projective dimension subtracts exactly one from a rank.
 Each parameterization keeps the sparse support of every monomial, its
 ``(param, exponent)`` pairs with a non-zero exponent (at most three here),
 and evaluation and gradients loop over that support only.  There is one
-monomial evaluator, the span row: it builds one power table per point, the
-powers x_j, ..., x_j^e of each parameter up to its largest exponent e (d or
-d + 1 for s and t, 1 for each fibre parameter).  A coordinate's head is its
-table entries but the last (the s^(d-a) t^a part of s^(d-a) t^a u_j), and
-many coordinates share one; each distinct head's product is computed once
-per point and appended to the table, then each coordinate is one product,
-head times last, reduced mod p.  Jacobian rows read each coordinate's value
-from the span row, and every partial off that value as d/dx_j x^e =
-e_j x^e x_j^-1, the random coordinates being non-zero mod p.
+monomial evaluator, the span row.  A point's power table is the point
+itself, then x_j^2, ..., x_j^e for each parameter whose largest exponent e
+is 2 or more (s and t, up to d or d + 1).  A coordinate's head is its table
+entries but the last (the s^(d-a) t^a part of s^(d-a) t^a u_j), and many
+coordinates share one; each distinct head's product is computed once per
+point, reduced mod p and appended to the table, then each coordinate is one
+product, head times last.  That product is left unreduced: it lies below
+p**2, under 2**64 for the fixed primes, and ``rank_mod_p`` takes such
+entries as they are.
+
+The Jacobians are ranked on fewer columns than there are parameters.  With
+E the ``num_coords x num_params`` exponent matrix (``monomials``), a point
+x with non-zero coordinates, Phi = diag phi(x) and X = diag x, the Jacobian
+is J(x) = Phi E X^-1 (d/dx_j x^e = e_j x^e x_j^-1), so over F_p its columns
+span Phi colspace(E mod p).  ``Parameterization.columns(p)`` works out, by
+one small elimination per prime, B_p: the parameters whose exponent columns
+mod p are independent of the columns before them.  J(x)'s columns on B_p
+span what all of them do, so the stacked Jacobians and the chord matrix
+keep only those, and every rank stays exactly as it is over F_p.  The chord
+matrix's value column phi(x) = Phi 1 lies in that span exactly when the
+all-ones vector lies in colspace(E mod p), as it does for every map
+homogeneous of a degree not divisible by p (then phi(x) = J(x) (b o x),
+entrywise, for E b = 1); the column is dropped then and kept otherwise.
+Both families have exponent rank m + 1, so their secant matrices are
+2m + 2 wide, and at the secant rank 2m + 2 the streaming rank stops early.
+A Jacobian row reads each coordinate's value from the span row and each
+partial on B_p off that value; the point's coordinates on B_p are inverted
+together with one ``pow``.
+
+Every random value is drawn by ``_point``, k values at a time, as the same
+stream that k calls ``randrange(1, p)`` give, straight from ``getrandbits``
+with the same rejection of draws of p - 1 and above.
+
 Evaluation rows for the span are a lazy generator, and the streaming rank of
 ``modp`` stops pulling them at full column rank, so of the ``2 * num_coords``
 points allowed per trial only ``num_coords`` are drawn when the span fills
@@ -61,6 +85,7 @@ DEFAULT_SEED = 20260809
 
 
 Support = tuple[tuple[int, int], ...]  # the (param, exponent) pairs, exponent > 0
+Columns = tuple  # (basis, value_column, slots): see Parameterization.columns
 
 
 @dataclass(frozen=True)
@@ -95,15 +120,20 @@ class Parameterization:
                      for exp in self.monomials)
 
     @cached_property
-    def top_exponents(self) -> tuple[int, ...]:
-        """The largest exponent of each parameter over all coordinates."""
-        return tuple(map(max, zip(*self.monomials)))
+    def powers(self) -> tuple[tuple[int, int], ...]:
+        """(j, top) for each parameter j whose largest exponent over all
+        coordinates, top, is 2 or more: the parameters whose powers a point's
+        power table extends past the point itself."""
+        tops = map(max, zip(*self.monomials))
+        return tuple((j, top) for j, top in enumerate(tops) if top > 1)
 
     def _factor_indices(self) -> list[tuple[int, ...]]:
         """Where each factor x_j^e of each coordinate sits in a point's power
-        table (``_power_table``): after the tables of parameters 0..j-1, at e-1."""
-        start = tuple(accumulate(self.top_exponents, initial=0))
-        return [tuple(start[j] + e - 1 for j, e in sup) for sup in self.supports]
+        table (``_span_row``): x_j at j, and x_j^2, ..., x_j^top after the
+        point, one parameter of ``powers`` after another."""
+        start = accumulate((top - 1 for _, top in self.powers), initial=self.num_params)
+        at = {j: s - 2 for (j, _), s in zip(self.powers, start)}
+        return [tuple(at[j] + e if e > 1 else j for j, e in sup) for sup in self.supports]
 
     @cached_property
     def heads(self) -> tuple[tuple[int, ...], ...]:
@@ -117,9 +147,51 @@ class Parameterization:
         table extended by the products of ``heads``: the coordinate is their
         product.  An all-zero exponent vector pairs the empty head, whose
         product is 1, with itself."""
-        at = {head: sum(self.top_exponents) + k for k, head in enumerate(self.heads)}
+        size = self.num_params + sum(top - 1 for _, top in self.powers)
+        at = {head: size + k for k, head in enumerate(self.heads)}
         return tuple((at[idx[:-1]], idx[-1] if idx else at[()])
                      for idx in self._factor_indices())
+
+    @cached_property
+    def _columns_by_prime(self) -> dict[int, Columns]:
+        return {}
+
+    def columns(self, p: int) -> Columns:
+        """What a Jacobian matrix over F_p keeps, worked out once per prime:
+        ``(basis, value_column, slots)``.
+
+        ``basis`` is B_p, the parameters whose exponent columns mod p are
+        independent of the columns before them, and ``value_column`` whether
+        the chord matrix keeps its value column (the all-ones vector lies
+        outside their span).  ``slots[c]`` is coordinate c's support on B_p,
+        as (position in ``basis``, exponent) pairs.
+        """
+        if p not in self._columns_by_prime:
+            kept = _independent([*zip(*self.monomials), (1,) * self.num_coords], p)
+            basis = tuple(j for j in kept if j < self.num_params)
+            at = {j: i for i, j in enumerate(basis)}
+            slots = tuple(tuple((at[j], e) for j, e in sup if j in at) for sup in self.supports)
+            self._columns_by_prime[p] = (basis, self.num_params in kept, slots)
+        return self._columns_by_prime[p]
+
+
+def _independent(vectors: list[tuple[int, ...]], p: int) -> list[int]:
+    """The indices of the vectors independent mod p of those before them.
+
+    Not a call of ``rank_mod_p``: the benchmark patches that module global
+    and counts one call per (method, trial, prime)."""
+    pivots, kept = [], []
+    for i, v in enumerate(vectors):
+        v = [a % p for a in v]
+        for lead, w in pivots:  # each pivot is 0 at the leads before its own
+            if f := v[lead]:
+                v = [(a - f * b) % p for a, b in zip(v, w)]
+        lead = next((c for c, a in enumerate(v) if a), None)
+        if lead is not None:
+            inv = pow(v[lead], -1, p)
+            pivots.append((lead, [a * inv % p for a in v]))
+            kept.append(i)
+    return kept
 
 
 def _monomial(m: int, deg: int, a: int, j: int) -> tuple[int, ...]:
@@ -169,42 +241,60 @@ def _rng(cfg: RankConfig, label: str, trial: int, p: int) -> random.Random:
 
 
 def _point(rng: random.Random, k: int, p: int) -> list[int]:
-    return [rng.randrange(1, p) for _ in range(k)]
+    """k values in [1, p-1], the stream of k calls ``rng.randrange(1, p)``:
+    each is 1 plus a draw of ``(p-1).bit_length()`` bits, a draw of p-1 or
+    more being discarded and drawn again."""
+    n = p - 1
+    bits, draw = n.bit_length(), rng.getrandbits
+    x: list[int] = []
+    while len(x) < k:  # a discarded draw is made up for after the others
+        x += [r + 1 for r in [draw(bits) for _ in range(k - len(x))] if r < n]
+    return x
 
 
-def _power_table(x: list[int], tops: tuple[int, ...], p: int) -> list[int]:
-    """x_j^1, ..., x_j^tops[j] mod p for each parameter j in turn, flat; a
-    parameter no coordinate uses has no entry."""
-    table = []
-    for xj, top in zip(x, tops):
-        if top:
-            v = xj
-            table.append(v)
-            for _ in range(top - 1):
-                v = v * xj % p
-                table.append(v)
-    return table
+def _inverses(xs: list[int], p: int) -> list[int]:
+    """The inverses mod p of the non-zero residues ``xs``, from one ``pow``:
+    the running products' last inverse, walked back down."""
+    run = list(accumulate(xs, lambda a, b: a * b % p))
+    out = [0] * len(xs)
+    if xs:
+        inv = pow(run[-1], -1, p)
+        for i in range(len(xs) - 1, 0, -1):
+            out[i] = inv * run[i - 1] % p
+            inv = inv * xs[i] % p
+        out[0] = inv
+    return out
 
 
 def _span_row(par: Parameterization, x: list[int], p: int) -> list[int]:
-    """Every coordinate of ``par`` at ``x`` mod p: each distinct head once,
-    appended to the power table, then each coordinate as head times last."""
-    table = _power_table(x, par.top_exponents, p)
+    """Every coordinate of ``par`` at ``x``, congruent to it mod p and below
+    p**2: the power table is x then the higher powers, each distinct head's
+    product is appended to it, and each coordinate is head times last."""
+    table = list(x)
+    for j, top in par.powers:
+        v = xj = x[j]
+        for _ in range(top - 1):
+            v = v * xj % p
+            table.append(v)
     get = table.__getitem__
     table += [prod(map(get, head)) % p for head in par.heads]
-    return [table[h] * table[last] % p for h, last in par.head_pairs]
+    return [table[h] * table[last] for h, last in par.head_pairs]
 
 
-def _jacobian(par: Parameterization, x: list[int], p: int) -> list[tuple[int, list[int]]]:
-    """Every coordinate of ``par`` at ``x`` mod p, from :func:`_span_row`, with
-    its gradient: each partial is d/dx_j x^e = e_j x^e x_j^-1, the coordinates
-    of ``x`` being non-zero mod p."""
-    inv_x = [pow(xj, -1, p) for xj in x]
+def _jacobian(par: Parameterization, x: list[int], p: int,
+              scale: int = 1) -> list[tuple[int, list[int]]]:
+    """Every coordinate of ``par`` at ``x`` as :func:`_span_row` gives it, with
+    ``scale`` times its gradient mod p on the columns B_p (``Parameterization.
+    columns``): each partial is d/dx_j x^e = e_j x^e x_j^-1, the coordinates
+    of ``x`` being non-zero mod p, and inverted together."""
+    basis, _, slots_by_coord = par.columns(p)
+    inv = [scale * v % p for v in _inverses([x[j] for j in basis], p)]
+    width = len(basis)
     out = []
-    for value, support in zip(_span_row(par, x, p), par.supports):
-        grad = [0] * len(x)
-        for j, e in support:
-            grad[j] = e * value * inv_x[j] % p
+    for value, slots in zip(_span_row(par, x, p), slots_by_coord):
+        grad = [0] * width
+        for i, e in slots:
+            grad[i] = e * value * inv[i] % p
         out.append((value, grad))
     return out
 
@@ -265,9 +355,11 @@ def secant_dim_chordmap(par: Parameterization, cfg: RankConfig = RankConfig()) -
     def rows(rng, p):
         x = _point(rng, par.num_params, p)
         y = _point(rng, par.num_params, p)
-        t = rng.randrange(1, p)
-        return [[t * g % p for g in dx] + dy + [value]
-                for (value, dx), (_, dy) in zip(_jacobian(par, x, p), _jacobian(par, y, p))]
+        t = _point(rng, 1, p)[0]
+        jx, jy = _jacobian(par, x, p, t), _jacobian(par, y, p)
+        if par.columns(p)[1]:  # the value column is kept
+            return [dx + dy + [value] for (value, dx), (_, dy) in zip(jx, jy)]
+        return [dx + dy for (_, dx), (_, dy) in zip(jx, jy)]
 
     return _dimension(par, cfg, "chord", rows)
 

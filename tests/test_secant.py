@@ -10,7 +10,7 @@ from math import isqrt
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import fanolines.secant as secant_mod
 from fanolines.errors import DegenerateRandomness, ValidationError
@@ -384,6 +384,30 @@ def partial_oracle(exp, j, x, p):
     return out
 
 
+def _reduced(entries, p):
+    """``entries`` mod p, after checking that each lies in [0, p**2): the
+    range that row builders may leave unreduced for ``rank_mod_p``."""
+    assert all(0 <= a < p * p for a in entries)
+    return [a % p for a in entries]
+
+
+def _span_row_mod_p(par, x, p):
+    return _reduced(_span_row(par, x, p), p)
+
+
+def _jacobian_mod_p(par, x, p, scale=1):
+    return [(*_reduced([value], p), _reduced(grad, p))
+            for value, grad in _jacobian(par, x, p, scale)]
+
+
+def _jacobian_oracle(par, x, p, scale=1):
+    """Each coordinate's value and ``scale`` times its partials on the columns
+    B_p, from the naive formulas."""
+    basis = par.columns(p)[0]
+    return [(value_oracle(exp, x, p), [scale * partial_oracle(exp, j, x, p) % p for j in basis])
+            for exp in par.monomials]
+
+
 @pytest.mark.parametrize("p", [101, 2147483629])
 def test_gradient_matches_the_partial_product_formula(p):
     rng = random.Random(p)
@@ -392,10 +416,9 @@ def test_gradient_matches_the_partial_product_formula(p):
     for par in pars:
         for _ in range(3):
             x = [rng.randrange(1, p) for _ in range(par.num_params)]
-            expected = [(value_oracle(exp, x, p),
-                         [partial_oracle(exp, j, x, p) for j in range(len(exp))])
-                        for exp in par.monomials]
-            assert _jacobian(par, x, p) == expected
+            assert _jacobian_mod_p(par, x, p) == _jacobian_oracle(par, x, p)
+            t = rng.randrange(1, p)  # the chord's scaled gradient at x
+            assert _jacobian_mod_p(par, x, p, t) == _jacobian_oracle(par, x, p, t)
 
 
 @st.composite
@@ -419,10 +442,67 @@ def parameterizations_and_points(draw):
 def test_span_row_and_jacobian_match_the_oracles_on_drawn_parameterizations(drawn):
     par, x, p = drawn
     assert len(par.heads) < par.num_coords  # the paired coordinates share one
-    assert _span_row(par, x, p) == [value_oracle(exp, x, p) for exp in par.monomials]
-    assert _jacobian(par, x, p) == [
-        (value_oracle(exp, x, p), [partial_oracle(exp, j, x, p) for j in range(len(exp))])
-        for exp in par.monomials]
+    assert _span_row_mod_p(par, x, p) == [value_oracle(exp, x, p) for exp in par.monomials]
+    assert _jacobian_mod_p(par, x, p) == _jacobian_oracle(par, x, p)
+
+
+@st.composite
+def maps_with_degenerate_columns(draw):
+    """A monomial map, seldom homogeneous, over 3-7 parameters with 1-12
+    coordinates of exponents 0-5: one parameter that no coordinate uses and
+    one whose exponent column repeats another's, among 1-5 drawn columns."""
+    rows = draw(st.integers(1, 12))
+    column = st.lists(st.integers(0, 5), min_size=rows, max_size=rows)
+    cols = draw(st.lists(column, min_size=1, max_size=5))
+    cols += [[0] * rows, draw(st.sampled_from(cols))]
+    return Parameterization("test", 0, 0, tuple(zip(*draw(st.permutations(cols)))))
+
+
+def _in_span(vectors, v, p):
+    return rank_mod_p_reference([*vectors, v], p) == rank_mod_p_reference(vectors, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(maps_with_degenerate_columns(), st.sampled_from([2, 3, 101, DEFAULT_PRIMES[0]]),
+       st.integers(0, 2**32))
+@example(segre_veronese(1, 4), DEFAULT_PRIMES[0], 0)
+@example(segre_veronese(1, 2), 3, 1)
+@example(scroll(3, 1), DEFAULT_PRIMES[0], 0)
+@example(scroll(1, 1), 2, 1)
+def test_jacobian_ranks_on_the_column_basis_equal_the_full_ranks(par, p, seed):
+    # J(x) = diag(phi(x)) E diag(x)^-1, so over F_p the columns of J(x) span
+    # diag(phi(x)) colspace(E mod p), as do its columns on B_p; and phi(x) =
+    # diag(phi(x)) 1 lies in that span exactly when 1 lies in colspace(E mod p).
+    rng = random.Random(seed)
+    x, y = ([rng.randrange(1, p) for _ in range(par.num_params)] for _ in "xy")
+    t = rng.randrange(1, p)
+    basis, value_column, _ = par.columns(p)
+    exps = [[e % p for e in col] for col in zip(*par.monomials)]
+    kept = [exps[j] for j in basis]
+    assert rank_mod_p_reference(kept, p) == len(kept) == rank_mod_p_reference(exps, p)
+    assert all(_in_span(exps[:j], exps[j], p) for j in range(len(exps)) if j not in basis)
+    assert value_column == (not _in_span(exps, [1] * par.num_coords, p))
+
+    def full(z, scale=1):
+        return [(value_oracle(exp, z, p), [scale * partial_oracle(exp, j, z, p) % p
+                                            for j in range(len(exp))]) for exp in par.monomials]
+
+    terracini = [dx + dy for (_, dx), (_, dy) in zip(full(x), full(y))]
+    chord = [dx + dy + [value] for (value, dx), (_, dy) in zip(full(x, t), full(y))]
+    on_basis = [dx + dy for (_, dx), (_, dy) in zip(_jacobian(par, x, p), _jacobian(par, y, p))]
+    assert rank_mod_p_reference(on_basis, p) == rank_mod_p_reference(terracini, p)
+    chord_on_basis = [dx + dy + [value] * value_column for (value, dx), (_, dy)
+                      in zip(_jacobian(par, x, p, t), _jacobian(par, y, p))]
+    assert rank_mod_p_reference(chord_on_basis, p) == rank_mod_p_reference(chord, p)
+
+
+@pytest.mark.parametrize("p", [*DEFAULT_PRIMES, 2, 65537])
+def test_point_draws_the_stream_of_randrange(p):
+    # At 65537 a draw is 17 bits and about half of them are discarded.
+    ours, theirs = random.Random(f"point:{p}"), random.Random(f"point:{p}")
+    for k in (1, 3, 14, 40, 157):
+        assert secant_mod._point(ours, k, p) == [theirs.randrange(1, p) for _ in range(k)]
+        assert ours.getstate() == theirs.getstate()
 
 
 @pytest.mark.parametrize("builder", [segre_veronese, scroll])
@@ -434,8 +514,8 @@ def test_span_row_matches_monomial_evaluation(builder):
             for p in DEFAULT_PRIMES:
                 for _ in range(2):
                     x = [rng.randrange(1, p) for _ in range(par.num_params)]
-                    assert _span_row(par, x, p) == [value_oracle(exp, x, p)
-                                                    for exp in par.monomials]
+                    assert _span_row_mod_p(par, x, p) == [value_oracle(exp, x, p)
+                                                          for exp in par.monomials]
 
 
 # ---------------------------------------------------------------------------
@@ -630,6 +710,33 @@ def test_widest_benchmark_rows_are_pinned(builder, digest):
     # the list-based rank kernel and dense monomial evaluation.
     row = secant_row(builder(4, 12), RankConfig(seed=1))
     assert hashlib.sha256(json.dumps(row, sort_keys=True).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("builder, d, m, span, secant", [
+    (scroll, 4, 12, 61, 26),
+    (segre_veronese, 4, 12, 60, 26),
+    (segre_veronese, 1, 12, 24, 24),
+    (scroll, 1, 12, 25, 25),
+])
+def test_every_rank_of_each_method_trial_and_prime_is_pinned(monkeypatch, builder, d, m,
+                                                              span, secant):
+    # Recorded before the Jacobian matrices were ranked on a column basis of
+    # the exponent matrix: every single rank, not only the stable maximum
+    # that a report keeps, in (trial, prime) order.
+    ranks = []
+
+    def recording_rank(rows, p):
+        ranks.append((p, rank(rows, p)))
+        return ranks[-1][1]
+
+    rank = secant_mod.rank_mod_p
+    monkeypatch.setattr(secant_mod, "rank_mod_p", recording_rank)
+    par, cfg = builder(d, m), RankConfig(seed=secant_mod.DEFAULT_SEED)
+    for method, want in [(span_dim_numeric, span), (secant_dim_terracini, secant),
+                         (secant_dim_chordmap, secant)]:
+        ranks.clear()
+        assert method(par, cfg) == want - 1
+        assert ranks == [(p, want) for _ in range(cfg.trials) for p in DEFAULT_PRIMES]
 
 
 def test_suite_calls_the_patchable_row_and_rank_globals(monkeypatch):
