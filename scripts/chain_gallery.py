@@ -19,7 +19,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from fanolines.chains import ChainEngine
-from fanolines.cli import _parse_chain_term
+from fanolines.cli import CHAIN_SYMBOL, _parse_chain_term
 from fanolines.dsl import to_text
 from fanolines.errors import EngineError, PreconditionFailed
 from fanolines.terms import dim, picard_number
@@ -40,7 +40,7 @@ def show(expr: str, eng: ChainEngine):
     print(f"  S {sv}; covered by linear spaces of dimension >= {bound.value}")
     try:
         chain = eng.witness_chain(term)
-        print("  chain: " + " ⊨ ".join(to_text(t) for t in chain))
+        print("  chain: " + CHAIN_SYMBOL.join(to_text(t) for t in chain))
     except EngineError as err:
         print(f"  chain: ({err})")
     try:

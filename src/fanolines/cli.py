@@ -43,7 +43,7 @@ CHAIN_SYMBOL = " ⊨ "  # the "has a family of lines" turnstile
 #: Largest accepted value of each size option, per subcommand.  On a 2-vCPU
 #: shared Xeon host with Python 3.11.7 (3 runs each) the largest accepted
 #: inputs take under 1 s a process: ``secant --kind scroll -d 12 -m 12
-#: --trials 8`` 0.79 to 0.84 s, and at these caps ``verify --suite prop32``
+#: --trials 8`` 0.78 to 0.91 s, and at these caps ``verify --suite prop32``
 #: 0.19 to 0.20 s and ``classify`` 0.17 to 0.18 s.  Beyond them the time
 #: grows fast (cubically in the secant coordinate count (d+1)m+1, and steeply
 #: in both catalog bounds), so larger inputs are rejected, not run.
@@ -327,7 +327,11 @@ def main(argv: list[str] | None = None) -> int:
     else:
         text = render(payload, getattr(args, "quiet", False))
     try:
-        print(text)
+        try:
+            print(text)
+        except UnicodeEncodeError:  # the turnstile on an ASCII stdout: print its escape
+            encoding = sys.stdout.encoding
+            print(text.encode(encoding, "backslashreplace").decode(encoding))
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader has gone (``| head``): point stdout at os.devnull, so

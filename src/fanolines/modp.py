@@ -1,6 +1,7 @@
-"""Exact matrix rank over prime fields.
+"""Exact matrix rank, and the columns that carry it, over prime fields.
 
-``rank_mod_p`` is a streaming row-echelon reduction on Python integers.
+``pivot_columns`` is a streaming row-echelon reduction on Python integers,
+and ``rank_mod_p`` counts the pivot columns it returns.
 Rows are pulled one at a time from any iterable and reduced against the
 pivot rows kept so far, in ascending pivot-column order; a row that stays
 non-zero becomes a new pivot, normalised to 1 at its pivot column.  The
@@ -38,6 +39,11 @@ them is dependent and is dropped without being unpacked.  A new pivot's
 tail is a full-width entry list, 1 at the lead, the normalised free columns
 after it and 0 elsewhere, packed by the same ``Struct``.
 
+The pivot columns come out ascending.  Whatever order the rows come in,
+they are the columns independent of those before them, as in any echelon
+form; the secant laboratory takes its column basis from them, so the
+package's one modular inverse is the pivot normalisation here.
+
 The field is the caller's: the secant laboratory passes its three fixed
 primes just below 2^31, and nothing here checks that ``p`` is prime.
 """
@@ -50,7 +56,8 @@ from struct import Struct, error as StructError
 
 
 def rank_mod_p(rows: Iterable[Sequence[int]], p: int) -> int:
-    """Rank of the matrix with the given integer rows, over F_p.
+    """Rank of the matrix with the given integer rows, over F_p: the number
+    of its :func:`pivot_columns`.
 
     Raises ``ValueError`` unless 1 < p < 2**64, and on a row whose length
     differs from the first row's; rows after full column rank are never
@@ -59,6 +66,19 @@ def rank_mod_p(rows: Iterable[Sequence[int]], p: int) -> int:
 
     >>> rank_mod_p([[1, 2, 3], [2, 4, 6], [-1, 0, 108]], 101)
     2
+    """
+    return len(pivot_columns(rows, p))
+
+
+def pivot_columns(rows: Iterable[Sequence[int]], p: int) -> list[int]:
+    """The columns of the matrix with the given integer rows that are
+    independent over F_p of the columns before them, ascending; the checks
+    and the early stop are ``rank_mod_p``'s.  Below, column 1 is twice
+    column 0, and column 3 is column 0 plus column 2 mod 7 but not mod 5:
+
+    >>> rows = [[1, 2, 0, 1], [3, 6, 1, 4], [0, 0, 0, 7]]
+    >>> pivot_columns(rows, 7), pivot_columns(rows, 5)
+    ([0, 2], [0, 2, 3])
     """
     if not 1 < p < 2**64:
         raise ValueError(f"rank_mod_p: modulus {p} is outside (1, 2**64)")
@@ -99,4 +119,4 @@ def rank_mod_p(rows: Iterable[Sequence[int]], p: int) -> int:
         insort(pivots, (lead * bits, int.from_bytes(pack(*entries), "little")))
         if not free:
             break
-    return len(pivots)
+    return [offset // bits for offset, _ in pivots]

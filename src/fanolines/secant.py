@@ -31,24 +31,25 @@ product, head times last.  That product is left unreduced: it lies below
 p**2, under 2**64 for the fixed primes, and ``rank_mod_p`` takes such
 entries as they are.
 
-The Jacobians are ranked on fewer columns than there are parameters.  With
-E the ``num_coords x num_params`` exponent matrix (``monomials``), a point
-x with non-zero coordinates, Phi = diag phi(x) and X = diag x, the Jacobian
-is J(x) = Phi E X^-1 (d/dx_j x^e = e_j x^e x_j^-1), so over F_p its columns
-span Phi colspace(E mod p).  ``Parameterization.columns(p)`` works out, by
-one small elimination per prime, B_p: the parameters whose exponent columns
-mod p are independent of the columns before them.  J(x)'s columns on B_p
-span what all of them do, so the stacked Jacobians and the chord matrix
-keep only those, and every rank stays exactly as it is over F_p.  The chord
-matrix's value column phi(x) = Phi 1 lies in that span exactly when the
-all-ones vector lies in colspace(E mod p), as it does for every map
-homogeneous of a degree not divisible by p (then phi(x) = J(x) (b o x),
-entrywise, for E b = 1); the column is dropped then and kept otherwise.
+The Jacobians are ranked column-scaled, on fewer columns than there are
+parameters.  With E the ``num_coords x num_params`` exponent matrix
+(``monomials``), Phi = diag phi(x) and X = diag x at a point x with
+non-zero coordinates, x_j d/dx_j x^e = e_j x^e gives J(x) X = Phi E.
+Scaling column j by the non-zero x_j changes no rank over F_p, so the
+Jacobians are taken as Phi E, with nothing inverted; their columns span
+Phi colspace(E mod p), and so do their columns on B_p, the parameters whose
+exponent columns mod p are independent of those before them.  The stacked
+Jacobians and the chord matrix keep only those, and every rank stays
+exactly as it is over F_p.  The chord matrix's value column phi(x) = Phi 1
+lies in that span exactly when the all-ones vector lies in colspace(E mod
+p), as it does for every map homogeneous of a degree not divisible by p
+(then phi(x) = Phi E b for E b = 1); the column is dropped then and kept
+otherwise, and the x-block keeps its t.  ``Parameterization.columns(p)``
+reads both facts off the pivot columns of [E | 1] mod p, once per prime.
 Both families have exponent rank m + 1, so their secant matrices are
 2m + 2 wide, and at the secant rank 2m + 2 the streaming rank stops early.
-A Jacobian row reads each coordinate's value from the span row and each
-partial on B_p off that value; the point's coordinates on B_p are inverted
-together with one ``pow``.
+A Jacobian entry is an exponent mod p times its coordinate's span value
+(times t) mod p, below p**2 like a span entry.
 
 Every random value is drawn by ``_point``, k values at a time, as the same
 stream that k calls ``randrange(1, p)`` give, straight from ``getrandbits``
@@ -72,7 +73,7 @@ from itertools import product as iproduct
 from math import prod
 
 from .errors import DegenerateRandomness, ValidationError
-from .modp import rank_mod_p
+from .modp import pivot_columns, rank_mod_p
 from .reports import SuiteReport
 
 #: The three distinct primes every rank is taken over, just below 2^31.
@@ -163,35 +164,18 @@ class Parameterization:
         ``basis`` is B_p, the parameters whose exponent columns mod p are
         independent of the columns before them, and ``value_column`` whether
         the chord matrix keeps its value column (the all-ones vector lies
-        outside their span).  ``slots[c]`` is coordinate c's support on B_p,
-        as (position in ``basis``, exponent) pairs.
+        outside their span): the pivot columns of [E | 1] mod p.  ``slots[c]``
+        is coordinate c's support on B_p, as (position in ``basis``,
+        exponent mod p) pairs.
         """
         if p not in self._columns_by_prime:
-            kept = _independent([*zip(*self.monomials), (1,) * self.num_coords], p)
+            kept = pivot_columns([(*exp, 1) for exp in self.monomials], p)
             basis = tuple(j for j in kept if j < self.num_params)
             at = {j: i for i, j in enumerate(basis)}
-            slots = tuple(tuple((at[j], e) for j, e in sup if j in at) for sup in self.supports)
+            slots = tuple(tuple((at[j], e % p) for j, e in sup if j in at)
+                          for sup in self.supports)
             self._columns_by_prime[p] = (basis, self.num_params in kept, slots)
         return self._columns_by_prime[p]
-
-
-def _independent(vectors: list[tuple[int, ...]], p: int) -> list[int]:
-    """The indices of the vectors independent mod p of those before them.
-
-    Not a call of ``rank_mod_p``: the benchmark patches that module global
-    and counts one call per (method, trial, prime)."""
-    pivots, kept = [], []
-    for i, v in enumerate(vectors):
-        v = [a % p for a in v]
-        for lead, w in pivots:  # each pivot is 0 at the leads before its own
-            if f := v[lead]:
-                v = [(a - f * b) % p for a, b in zip(v, w)]
-        lead = next((c for c, a in enumerate(v) if a), None)
-        if lead is not None:
-            inv = pow(v[lead], -1, p)
-            pivots.append((lead, [a * inv % p for a in v]))
-            kept.append(i)
-    return kept
 
 
 def _monomial(m: int, deg: int, a: int, j: int) -> tuple[int, ...]:
@@ -252,20 +236,6 @@ def _point(rng: random.Random, k: int, p: int) -> list[int]:
     return x
 
 
-def _inverses(xs: list[int], p: int) -> list[int]:
-    """The inverses mod p of the non-zero residues ``xs``, from one ``pow``:
-    the running products' last inverse, walked back down."""
-    run = list(accumulate(xs, lambda a, b: a * b % p))
-    out = [0] * len(xs)
-    if xs:
-        inv = pow(run[-1], -1, p)
-        for i in range(len(xs) - 1, 0, -1):
-            out[i] = inv * run[i - 1] % p
-            inv = inv * xs[i] % p
-        out[0] = inv
-    return out
-
-
 def _span_row(par: Parameterization, x: list[int], p: int) -> list[int]:
     """Every coordinate of ``par`` at ``x``, congruent to it mod p and below
     p**2: the power table is x then the higher powers, each distinct head's
@@ -284,17 +254,17 @@ def _span_row(par: Parameterization, x: list[int], p: int) -> list[int]:
 def _jacobian(par: Parameterization, x: list[int], p: int,
               scale: int = 1) -> list[tuple[int, list[int]]]:
     """Every coordinate of ``par`` at ``x`` as :func:`_span_row` gives it, with
-    ``scale`` times its gradient mod p on the columns B_p (``Parameterization.
-    columns``): each partial is d/dx_j x^e = e_j x^e x_j^-1, the coordinates
-    of ``x`` being non-zero mod p, and inverted together."""
+    ``scale`` times its gradient on the columns B_p (``Parameterization.
+    columns``), column j scaled by x_j: x_j d/dx_j x^e = e_j x^e.  Each entry
+    is the exponent mod p times the scaled value mod p, so below p**2."""
     basis, _, slots_by_coord = par.columns(p)
-    inv = [scale * v % p for v in _inverses([x[j] for j in basis], p)]
     width = len(basis)
     out = []
     for value, slots in zip(_span_row(par, x, p), slots_by_coord):
         grad = [0] * width
+        v = value * scale % p
         for i, e in slots:
-            grad[i] = e * value * inv[i] % p
+            grad[i] = e * v
         out.append((value, grad))
     return out
 

@@ -427,6 +427,21 @@ def test_a_closed_pipe_prints_nothing_to_stderr_from_a_fresh_process():
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
+def test_a_stdout_without_the_turnstile_gets_its_escape(monkeypatch):
+    buffer = io.BytesIO()
+    stdout = io.TextIOWrapper(buffer, encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["chain", "Q(5)"]) == 0
+    stdout.flush()
+    assert buffer.getvalue() == b"Q(5) \\u22a8 Q(3) \\u22a8 Q(1), S = 2\n"
+
+
+def test_an_ascii_stdout_prints_no_traceback_from_a_fresh_process():
+    proc = _fresh_cli("chain", "Q(5)", env={"PYTHONIOENCODING": "ascii"})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "Q(5) \\u22a8 Q(3) \\u22a8 Q(1), S = 2\n", "")
+
+
 # ---------------------------------------------------------------------------
 # structured mode
 

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 
 import fanolines.secant as secant_mod
 from fanolines.errors import DegenerateRandomness, ValidationError
-from fanolines.modp import rank_mod_p
+from fanolines.modp import pivot_columns, rank_mod_p
 from fanolines.secant import (
     DEFAULT_PRIMES,
     Parameterization,
@@ -103,6 +103,17 @@ def small_matrices(draw):
 def test_rank_mod_p_matches_rational_rank_property(mat):
     assert rank_mod_p(mat, P61) == rank_over_q(mat)
     assert rank_mod_p((row for row in mat), P61) == rank_over_q(mat)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrices(), st.sampled_from([2, 3, 101, DEFAULT_PRIMES[0]]))
+def test_pivot_columns_are_the_greedy_independent_columns(mat, p):
+    cols = [list(col) for col in zip(*mat)]
+    greedy = [c for c, col in enumerate(cols) if not _in_span(cols[:c], col, p)]
+    assert pivot_columns(mat, p) == greedy
+    assert pivot_columns(iter(mat), p) == greedy
+    assert rank_mod_p(mat, p) == len(greedy)
+    assert pivot_columns([], p) == []
 
 
 def _random_rows(rng, rows, cols):
@@ -402,9 +413,10 @@ def _jacobian_mod_p(par, x, p, scale=1):
 
 def _jacobian_oracle(par, x, p, scale=1):
     """Each coordinate's value and ``scale`` times its partials on the columns
-    B_p, from the naive formulas."""
+    B_p, each column j scaled by x_j, from the naive formulas."""
     basis = par.columns(p)[0]
-    return [(value_oracle(exp, x, p), [scale * partial_oracle(exp, j, x, p) % p for j in basis])
+    return [(value_oracle(exp, x, p),
+             [scale * x[j] * partial_oracle(exp, j, x, p) % p for j in basis])
             for exp in par.monomials]
 
 
@@ -471,8 +483,9 @@ def _in_span(vectors, v, p):
 @example(scroll(1, 1), 2, 1)
 def test_jacobian_ranks_on_the_column_basis_equal_the_full_ranks(par, p, seed):
     # J(x) = diag(phi(x)) E diag(x)^-1, so over F_p the columns of J(x) span
-    # diag(phi(x)) colspace(E mod p), as do its columns on B_p; and phi(x) =
-    # diag(phi(x)) 1 lies in that span exactly when 1 lies in colspace(E mod p).
+    # diag(phi(x)) colspace(E mod p), as do those of J(x) diag(x) on B_p; and
+    # phi(x) = diag(phi(x)) 1 lies in that span exactly when 1 lies in
+    # colspace(E mod p).  ``full`` is the unscaled J on every column.
     rng = random.Random(seed)
     x, y = ([rng.randrange(1, p) for _ in range(par.num_params)] for _ in "xy")
     t = rng.randrange(1, p)

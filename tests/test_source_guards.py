@@ -12,7 +12,9 @@ block at ``dsl``'s opening.
 
 In the secant laboratory every random value comes from ``_point``, whose
 stream ``tests/test_secant.py`` pins against ``randrange``, and every random
-generator from ``_rng``, one per (method, trial, prime).
+generator from ``_rng``, one per (method, trial, prime).  Only ``modp``
+inverts mod p: the rank kernel normalises its pivots, and the laboratory's
+Jacobians are column-scaled so that they need no inverse.
 """
 
 import ast
@@ -47,6 +49,21 @@ def _spells_a_complete_intersection(tree: ast.AST) -> bool:
     ``"CI(2,2;7)"`` is not, and may be parsed anywhere."""
     return any(isinstance(node, ast.Constant) and node.value == CI_OPEN
                for node in ast.walk(tree))
+
+
+def _inverts_mod_p(tree: ast.AST) -> bool:
+    """A call of ``pow``, bare or as an attribute, with a modulus and a
+    negated exponent, positional or by keyword."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and (
+                (isinstance(node.func, ast.Name) and node.func.id == "pow")
+                or (isinstance(node.func, ast.Attribute) and node.func.attr == "pow")):
+            args = dict(zip(("base", "exp", "mod"), node.args))
+            args.update((kw.arg, kw.value) for kw in node.keywords)
+            exp = args.get("exp")
+            if "mod" in args and isinstance(exp, ast.UnaryOp) and isinstance(exp.op, ast.USub):
+                return True
+    return False
 
 
 DRAWS = ("randrange", "getrandbits", "random")
@@ -119,6 +136,23 @@ def test_the_guards_see_each_form():
     assert _modules(sources, _imports_gc) == {"cli", "checks", "trace"}
     assert _modules(sources, _spells_a_product) == {"families", "reports", "chains"}
     assert _modules(sources, _spells_a_complete_intersection) == {"catalog", "secant", "modp"}
+
+
+def test_only_modp_inverts_mod_p():
+    assert _modules(_read(), _inverts_mod_p) == {"modp"}
+
+
+def test_the_inverse_guard_sees_each_form():
+    sources = [
+        ("secant", "inv = pow(x, -1, p)\n"),
+        ("cli", "def f(xs, p):\n    return [pow(v, - 1, p) for v in xs]\n"),
+        ("trace", "import builtins\ny = builtins.pow(a, -2, m)\n"),
+        ("chains", "y = pow(a, exp=-1, mod=m)\n"),
+        ("checks", "y = pow(a, -1)\n"),  # no modulus: a float
+        ("terms", "y = pow(a, 5, m)\n"),
+        ("reports", "y = pow(a, e, m)\n"),
+    ]
+    assert _modules(sources, _inverts_mod_p) == {"secant", "cli", "trace", "chains"}
 
 
 def test_only_point_draws_and_only_rng_builds_a_generator_in_secant():
