@@ -10,7 +10,10 @@ the same code paths the verification suites check.
 Each expression is parsed as the CLI's ``s`` and ``chain`` parse theirs, under
 the same caps (``cli.TERM_INT_CAP`` and ``cli.DEPTH_CAP``).  An expression the
 engine rejects prints one ``component: message`` line to stderr, as the CLI
-does; the gallery goes on with the others and exits 2.
+does; the gallery goes on with the others and exits 2.  Every stdout line goes
+through the CLI's ``print_stdout``, so on a stdout whose encoding lacks the
+turnstile it prints as its backslash escape, and a closed pipe prints no
+traceback.
 """
 
 import sys
@@ -19,7 +22,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from fanolines.chains import ChainEngine
-from fanolines.cli import CHAIN_SYMBOL, _parse_chain_term
+from fanolines.cli import CHAIN_SYMBOL, _parse_chain_term, print_stdout
 from fanolines.dsl import to_text
 from fanolines.errors import EngineError, PreconditionFailed
 from fanolines.terms import dim, picard_number
@@ -36,21 +39,21 @@ def show(expr: str, eng: ChainEngine):
     term = _parse_chain_term(expr)
     sv = eng.s_invariant(term)
     bound = eng.covering_ls_bound(term)
-    print(f"{expr}  (dim {dim(term)}, rho {picard_number(term)})")
-    print(f"  S {sv}; covered by linear spaces of dimension >= {bound.value}")
+    print_stdout(f"{expr}  (dim {dim(term)}, rho {picard_number(term)})")
+    print_stdout(f"  S {sv}; covered by linear spaces of dimension >= {bound.value}")
     try:
         chain = eng.witness_chain(term)
-        print("  chain: " + CHAIN_SYMBOL.join(to_text(t) for t in chain))
+        print_stdout("  chain: " + CHAIN_SYMBOL.join(to_text(t) for t in chain))
     except EngineError as err:
-        print(f"  chain: ({err})")
+        print_stdout(f"  chain: ({err})")
     try:
         trace = classification_trace(term, eng)
     except PreconditionFailed:
         pass  # the trace replays only odd dimensions with S = (dim - 1) / 2
     else:
         flag = " [conjecture used]" if trace.conjecture_used else ""
-        print(f"  trace: {trace.case_tag}, verdict ({trace.verdict}){flag}")
-    print()
+        print_stdout(f"  trace: {trace.case_tag}, verdict ({trace.verdict}){flag}")
+    print_stdout("")
 
 
 def main() -> int:

@@ -43,10 +43,11 @@ CHAIN_SYMBOL = " ⊨ "  # the "has a family of lines" turnstile
 #: Largest accepted value of each size option, per subcommand.  On a 2-vCPU
 #: shared Xeon host with Python 3.11.7 (3 runs each) the largest accepted
 #: inputs take under 1 s a process: ``secant --kind scroll -d 12 -m 12
-#: --trials 8`` 0.78 to 0.91 s, and at these caps ``verify --suite prop32``
+#: --trials 8`` 0.15 to 0.22 s, and at these caps ``verify --suite prop32``
 #: 0.19 to 0.20 s and ``classify`` 0.17 to 0.18 s.  Beyond them the time
-#: grows fast (cubically in the secant coordinate count (d+1)m+1, and steeply
-#: in both catalog bounds), so larger inputs are rejected, not run.
+#: grows (with the secant coordinate count (d+1)m+1 times the Jacobian width
+#: 2m+2, and steeply in both catalog bounds), so larger inputs are rejected,
+#: not run.
 SIZE_CAPS = {
     "secant": {"-d": 12, "-m": 12, "--trials": 8},
     "classify": {"--nmax": 32, "--degmax": 5},
@@ -303,6 +304,25 @@ _COMMANDS = {
 }
 
 
+def print_stdout(text: str) -> None:
+    """Print ``text`` and a newline to stdout and flush, raising nothing on
+    an encoding or a reader that cannot take it, so the caller keeps its
+    exit code."""
+    try:
+        try:
+            print(text)
+        except UnicodeEncodeError:  # the turnstile on an ASCII stdout: print its escape
+            encoding = sys.stdout.encoding
+            print(text.encode(encoding, "backslashreplace").decode(encoding))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone (``| head``): point stdout at os.devnull, so
+        # that the flush at exit raises nothing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -326,19 +346,7 @@ def main(argv: list[str] | None = None) -> int:
         text = json.dumps(envelope, indent=2, sort_keys=True)
     else:
         text = render(payload, getattr(args, "quiet", False))
-    try:
-        try:
-            print(text)
-        except UnicodeEncodeError:  # the turnstile on an ASCII stdout: print its escape
-            encoding = sys.stdout.encoding
-            print(text.encode(encoding, "backslashreplace").decode(encoding))
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader has gone (``| head``): point stdout at os.devnull, so
-        # that the flush at exit raises nothing, and keep the exit code.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    print_stdout(text)
     return code
 
 

@@ -3,12 +3,23 @@
 Both families that matter here are monomial images of products of projective
 spaces: the two-factor product P^1 x P^{m-1} embedded by O(d,1), and the
 scroll P(O(d+1) + O(d)^{m-1}) over a line under its tautological embedding.
-Spans and secant dimensions are computed as ranks of evaluation and Jacobian
-matrices at random points over large prime fields: exact arithmetic, with
-rank over F_p lower-bounding rank over the rationals and agreeing away from
-a measure-zero set of points and primes.  Every rank is taken once per
-trial over each of the three fixed primes ``DEFAULT_PRIMES`` and the max is
-kept; more than one disagreeing trial raises instead of reporting.
+
+A span is a count.  Distinct monomials are linearly independent over Q, so
+a monomial map with N distinct exponent vectors spans exactly P^(N-1), and
+``span_dim_numeric`` returns N - 1 with no randomness.  Over F_p the same
+holds for exponent vectors that stay distinct mod p - 1 (distinct characters
+of the torus), and the builders meet that with room to spare: no exponent
+exceeds d + 1, 13 at the CLI caps, far below p - 1.  So the suite's
+``secant.span-linear-normality`` record checks that each builder made
+distinct monomials; the random evaluation rank that agrees with the count
+is a test oracle.
+
+Secant dimensions are computed as ranks of Jacobian matrices at random
+points over large prime fields: exact arithmetic, with rank over F_p
+lower-bounding rank over the rationals and agreeing away from a measure-zero
+set of points and primes.  Every rank is taken once per trial over each of
+the three fixed primes ``DEFAULT_PRIMES`` and the max is kept; more than one
+disagreeing trial raises instead of reporting.
 
 Two independent methods compute each secant dimension: the stacked-Jacobian
 method (two tangent spaces at independent points span the secant's cone) and
@@ -21,15 +32,9 @@ so every reported projective dimension subtracts exactly one from a rank.
 Each parameterization keeps the sparse support of every monomial, its
 ``(param, exponent)`` pairs with a non-zero exponent (at most three here),
 and evaluation and gradients loop over that support only.  There is one
-monomial evaluator, the span row.  A point's power table is the point
-itself, then x_j^2, ..., x_j^e for each parameter whose largest exponent e
-is 2 or more (s and t, up to d or d + 1).  A coordinate's head is its table
-entries but the last (the s^(d-a) t^a part of s^(d-a) t^a u_j), and many
-coordinates share one; each distinct head's product is computed once per
-point, reduced mod p and appended to the table, then each coordinate is one
-product, head times last.  That product is left unreduced: it lies below
-p**2, under 2**64 for the fixed primes, and ``rank_mod_p`` takes such
-entries as they are.
+monomial evaluator, ``_span_row``: each coordinate is one product of its
+factors x_j^e, reduced mod p.  The Jacobian methods call it at four
+points per (trial, prime), two for each method.
 
 The Jacobians are ranked column-scaled, on fewer columns than there are
 parameters.  With E the ``num_coords x num_params`` exponent matrix
@@ -48,19 +53,12 @@ otherwise, and the x-block keeps its t.  ``Parameterization.columns(p)``
 reads both facts off the pivot columns of [E | 1] mod p, once per prime.
 Both families have exponent rank m + 1, so their secant matrices are
 2m + 2 wide, and at the secant rank 2m + 2 the streaming rank stops early.
-A Jacobian entry is an exponent mod p times its coordinate's span value
-(times t) mod p, below p**2 like a span entry.
+A Jacobian entry is an exponent mod p times its coordinate's value (times
+t) mod p, so below p**2, which ``rank_mod_p`` takes as it is.
 
 Every random value is drawn by ``_point``, k values at a time, as the same
 stream that k calls ``randrange(1, p)`` give, straight from ``getrandbits``
 with the same rejection of draws of p - 1 and above.
-
-Evaluation rows for the span are a lazy generator, and the streaming rank of
-``modp`` stops pulling them at full column rank, so of the ``2 * num_coords``
-points allowed per trial only ``num_coords`` are drawn when the span fills
-its ambient space.  Every rank equals that of the full matrix: the early exit
-happens only at the largest rank possible, and each (trial, prime) pair has
-its own random generator, so no report depends on how many rows were pulled.
 """
 
 from __future__ import annotations
@@ -68,7 +66,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from itertools import product as iproduct
 from math import prod
 
@@ -119,39 +116,6 @@ class Parameterization:
     def supports(self) -> tuple[Support, ...]:
         return tuple(tuple((j, e) for j, e in enumerate(exp) if e)
                      for exp in self.monomials)
-
-    @cached_property
-    def powers(self) -> tuple[tuple[int, int], ...]:
-        """(j, top) for each parameter j whose largest exponent over all
-        coordinates, top, is 2 or more: the parameters whose powers a point's
-        power table extends past the point itself."""
-        tops = map(max, zip(*self.monomials))
-        return tuple((j, top) for j, top in enumerate(tops) if top > 1)
-
-    def _factor_indices(self) -> list[tuple[int, ...]]:
-        """Where each factor x_j^e of each coordinate sits in a point's power
-        table (``_span_row``): x_j at j, and x_j^2, ..., x_j^top after the
-        point, one parameter of ``powers`` after another."""
-        start = accumulate((top - 1 for _, top in self.powers), initial=self.num_params)
-        at = {j: s - 2 for (j, _), s in zip(self.powers, start)}
-        return [tuple(at[j] + e if e > 1 else j for j, e in sup) for sup in self.supports]
-
-    @cached_property
-    def heads(self) -> tuple[tuple[int, ...], ...]:
-        """The distinct heads, in first-use order: a coordinate's head is its
-        power-table indices without the last one."""
-        return tuple(dict.fromkeys(idx[:-1] for idx in self._factor_indices()))
-
-    @cached_property
-    def head_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Each coordinate as (head, last), two indices into a point's power
-        table extended by the products of ``heads``: the coordinate is their
-        product.  An all-zero exponent vector pairs the empty head, whose
-        product is 1, with itself."""
-        size = self.num_params + sum(top - 1 for _, top in self.powers)
-        at = {head: size + k for k, head in enumerate(self.heads)}
-        return tuple((at[idx[:-1]], idx[-1] if idx else at[()])
-                     for idx in self._factor_indices())
 
     @cached_property
     def _columns_by_prime(self) -> dict[int, Columns]:
@@ -237,18 +201,9 @@ def _point(rng: random.Random, k: int, p: int) -> list[int]:
 
 
 def _span_row(par: Parameterization, x: list[int], p: int) -> list[int]:
-    """Every coordinate of ``par`` at ``x``, congruent to it mod p and below
-    p**2: the power table is x then the higher powers, each distinct head's
-    product is appended to it, and each coordinate is head times last."""
-    table = list(x)
-    for j, top in par.powers:
-        v = xj = x[j]
-        for _ in range(top - 1):
-            v = v * xj % p
-            table.append(v)
-    get = table.__getitem__
-    table += [prod(map(get, head)) % p for head in par.heads]
-    return [table[h] * table[last] for h, last in par.head_pairs]
+    """Every coordinate of ``par`` at ``x`` mod p: the product of its factors
+    x_j^e over its support."""
+    return [prod([pow(x[j], e, p) for j, e in sup]) % p for sup in par.supports]
 
 
 def _jacobian(par: Parameterization, x: list[int], p: int,
@@ -289,18 +244,18 @@ def _dimension(par: Parameterization, cfg: RankConfig, method: str, rows) -> int
     return _stable_rank(ranks) - 1
 
 
-def span_dim_numeric(par: Parameterization, cfg: RankConfig = RankConfig()) -> int:
-    """Dimension of the projective linear span of the image.
+def span_dim_numeric(par: Parameterization) -> int:
+    """Dimension of the projective linear span of the image: one less than
+    the number of distinct monomials.
 
-    Evaluation rows at random points are drawn lazily, at most
-    ``2 * num_coords`` of them; the rank stops pulling rows once it reaches
-    ``num_coords``.
+    Distinct monomials are linearly independent over Q, so the count is
+    exact.  Over F_p a monomial is a character of the torus (F_p^*)^k that
+    depends on its exponents mod p - 1 only, and distinct characters are
+    independent too, so the count holds there while the exponent vectors stay
+    distinct mod p - 1.  Both builders keep every exponent at most d + 1, 13
+    at the CLI caps and far below p - 1 for each of ``DEFAULT_PRIMES``.
     """
-    def rows(rng, p):
-        points = (_point(rng, par.num_params, p) for _ in range(2 * par.num_coords))
-        return (_span_row(par, x, p) for x in points)
-
-    return _dimension(par, cfg, "span", rows)
+    return len(set(par.monomials)) - 1
 
 
 def secant_dim_terracini(par: Parameterization, cfg: RankConfig = RankConfig()) -> int:
@@ -349,7 +304,7 @@ def secant_row(par: Parameterization, cfg: RankConfig = RankConfig()) -> dict:
         "kind": par.kind,
         "d": par.d,
         "m": par.m,
-        "span": span_dim_numeric(par, cfg),
+        "span": span_dim_numeric(par),
         "secant_terracini": secant_dim_terracini(par, cfg),
         "secant_chord": secant_dim_chordmap(par, cfg),
     }

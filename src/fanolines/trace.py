@@ -13,7 +13,8 @@ while it is emitted; a violation raises :class:`~fanolines.errors.TraceError`
 since it would mean the engine's own tables contradict each other.  The two
 case-2 lines on secant dimensions (d >= 2 gives 2m+1; the d = 1 product
 spans only a P^{2m-1}) are not checked here: they cite the secant suite's
-``secant.dimension`` and ``secant.control-span`` records.
+``secant.dimension`` record, a rank, and its ``secant.control-span`` record,
+a count: the d = 1 product has 2m distinct monomials.
 """
 
 from __future__ import annotations

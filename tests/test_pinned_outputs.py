@@ -46,6 +46,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -173,6 +174,17 @@ def test_chain_gallery_prints_one_line_per_bad_expression_and_goes_on():
                            "  S = 0 (exact); covered by linear spaces of dimension >= 0\n"
                            "  chain: (Q(1) is not covered by lines)\n\n")
 
+
+
+def test_chain_gallery_on_an_ascii_stdout_prints_the_turnstile_escaped():
+    # The gallery prints through the CLI's printer, so a stdout without the
+    # turnstile gets its backslash escape instead of a UnicodeEncodeError.
+    done = subprocess.run([sys.executable, str(SCRIPTS / "chain_gallery.py"), "Q(5)"],
+                          capture_output=True, text=True, timeout=30,
+                          env={**os.environ, "PYTHONIOENCODING": "ascii"})
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "  chain: Q(5) \\u22a8 Q(3) \\u22a8 Q(1)\n" in done.stdout
+    assert "⊨" in done.stdout.encode("ascii").decode("unicode_escape")
 
 def test_run_suites_prints_one_line_on_a_bad_bound():
     done = subprocess.run([sys.executable, str(SCRIPTS / "run_suites.py"), "--nmax", "1"],

@@ -19,7 +19,9 @@ from fanolines.secant import (
     DEFAULT_PRIMES,
     Parameterization,
     RankConfig,
+    _dimension,
     _jacobian,
+    _point,
     _span_row,
     _stable_rank,
     expected_secant_dim,
@@ -188,6 +190,17 @@ def rank_mod_p_reference(rows, p):
     return len(pivots)
 
 
+def span_rank_oracle(par, cfg):
+    """The span's projective dimension as a random evaluation rank: the
+    stable rank of ``2 * num_coords`` rows at random points per (trial,
+    prime), under the ``"span:..."`` generator labels."""
+    def rows(rng, p):
+        return [_span_row(par, _point(rng, par.num_params, p), p)
+                for _ in range(2 * par.num_coords)]
+
+    return _dimension(par, cfg, "span", rows)
+
+
 # 65537 is the smallest prime above 2^16, 2^31 - 1 the first default and
 # 18446744073709551557 the largest prime below 2^64.
 PRIMES = [65537, 2**31 - 1, 18446744073709551557]
@@ -353,20 +366,6 @@ def test_rank_mod_p_rejects_ragged_rows(rows):
         rank_mod_p(iter(rows), 2147483647)
 
 
-def test_span_draws_only_num_coords_points_per_trial(monkeypatch):
-    drawn = []
-
-    def counting_point(rng, k, p):
-        drawn.append(k)
-        return point(rng, k, p)
-
-    point = secant_mod._point
-    monkeypatch.setattr(secant_mod, "_point", counting_point)
-    par, cfg = scroll(2, 3), RankConfig()
-    assert span_dim_numeric(par, cfg) == par.num_coords - 1
-    assert len(drawn) == cfg.trials * len(DEFAULT_PRIMES) * par.num_coords
-
-
 # ---------------------------------------------------------------------------
 # monomial values and gradients against naive per-coordinate formulas
 
@@ -435,14 +434,16 @@ def test_gradient_matches_the_partial_product_formula(p):
 
 @st.composite
 def parameterizations_and_points(draw):
-    """A parameterization over 1-6 parameters with 3-30 coordinates of
+    """A parameterization over 1-6 parameters with 4-31 coordinates of
     exponents 0-5: an all-zero vector, two that differ only in the last
-    parameter's exponent, so share a head, and up to 27 drawn; and a point."""
+    parameter's exponent, up to 27 drawn and a repeat of one of them; and a
+    point."""
     k = draw(st.integers(1, 6))
     exps = st.tuples(*[st.integers(0, 5)] * k)
     monos = draw(st.lists(exps, max_size=27))
     base = draw(exps)[:-1]
     monos += [(0,) * k, base + (1,), base + (draw(st.integers(2, 5)),)]
+    monos.append(draw(st.sampled_from(monos)))
     monos = draw(st.permutations(monos))
     p = draw(st.sampled_from([101, DEFAULT_PRIMES[0]]))
     x = draw(st.lists(st.integers(1, p - 1), min_size=k, max_size=k))
@@ -453,7 +454,6 @@ def parameterizations_and_points(draw):
 @given(parameterizations_and_points())
 def test_span_row_and_jacobian_match_the_oracles_on_drawn_parameterizations(drawn):
     par, x, p = drawn
-    assert len(par.heads) < par.num_coords  # the paired coordinates share one
     assert _span_row_mod_p(par, x, p) == [value_oracle(exp, x, p) for exp in par.monomials]
     assert _jacobian_mod_p(par, x, p) == _jacobian_oracle(par, x, p)
 
@@ -612,6 +612,16 @@ def test_segre_degree_one_span_is_2m_minus_1():
         assert span_dim_numeric(segre_veronese(1, m)) == 2 * m - 1
 
 
+@settings(max_examples=60, deadline=None)
+@given(parameterizations_and_points())
+def test_span_count_equals_the_random_evaluation_rank(drawn):
+    par = drawn[0]
+    # Exponents up to 5 stay distinct mod p - 1 for every default prime, so
+    # distinct monomials are distinct characters of the torus, independent
+    # over F_p: the count is the rank that random points reach.
+    assert span_dim_numeric(par) == span_rank_oracle(par, RankConfig())
+
+
 # ---------------------------------------------------------------------------
 # secant dimensions
 
@@ -657,14 +667,15 @@ def test_symbolic_spans_match_numeric_ranks():
     # The span table in the term algebra against the evaluation-rank route.
     from fanolines.terms import PolarizedProduct, ProjBundleP1, ambient_dim
 
-    assert ambient_dim(PolarizedProduct(((1, 1), (2, 1)))) == 5 == span_dim_numeric(
-        segre_veronese(1, 3)
+    cfg = RankConfig()
+    assert ambient_dim(PolarizedProduct(((1, 1), (2, 1)))) == 5 == span_rank_oracle(
+        segre_veronese(1, 3), cfg
     )
-    assert ambient_dim(PolarizedProduct(((1, 2), (1, 1)))) == 5 == span_dim_numeric(
-        segre_veronese(2, 2)
+    assert ambient_dim(PolarizedProduct(((1, 2), (1, 1)))) == 5 == span_rank_oracle(
+        segre_veronese(2, 2), cfg
     )
-    assert ambient_dim(ProjBundleP1((2, 1, 1))) == 6 == span_dim_numeric(scroll(1, 3))
-    assert ambient_dim(ProjBundleP1((3, 2))) == 6 == span_dim_numeric(scroll(2, 2))
+    assert ambient_dim(ProjBundleP1((2, 1, 1))) == 6 == span_rank_oracle(scroll(1, 3), cfg)
+    assert ambient_dim(ProjBundleP1((3, 2))) == 6 == span_rank_oracle(scroll(2, 2), cfg)
 
 
 def test_conic_three_point_rank_oracle():
@@ -672,7 +683,7 @@ def test_conic_three_point_rank_oracle():
     # random points of the degree-2 rational normal curve always span the
     # plane (rank 3), so no three of its points are collinear and it
     # contains no line.
-    from fanolines.secant import _point, _rng
+    from fanolines.secant import _rng
     from fanolines.terms import Quadric, covered_by_lines
 
     par = segre_veronese(2, 1)  # the conic, with a trivial second factor
@@ -735,7 +746,8 @@ def test_every_rank_of_each_method_trial_and_prime_is_pinned(monkeypatch, builde
                                                               span, secant):
     # Recorded before the Jacobian matrices were ranked on a column basis of
     # the exponent matrix: every single rank, not only the stable maximum
-    # that a report keeps, in (trial, prime) order.
+    # that a report keeps, in (trial, prime) order.  The span ranks are the
+    # random evaluation ranks of the oracle, since the package counts spans.
     ranks = []
 
     def recording_rank(rows, p):
@@ -745,7 +757,7 @@ def test_every_rank_of_each_method_trial_and_prime_is_pinned(monkeypatch, builde
     rank = secant_mod.rank_mod_p
     monkeypatch.setattr(secant_mod, "rank_mod_p", recording_rank)
     par, cfg = builder(d, m), RankConfig(seed=secant_mod.DEFAULT_SEED)
-    for method, want in [(span_dim_numeric, span), (secant_dim_terracini, secant),
+    for method, want in [(span_rank_oracle, span), (secant_dim_terracini, secant),
                          (secant_dim_chordmap, secant)]:
         ranks.clear()
         assert method(par, cfg) == want - 1
@@ -770,17 +782,18 @@ def test_suite_calls_the_patchable_row_and_rank_globals(monkeypatch):
     monkeypatch.setattr(secant_mod, "rank_mod_p", counting_rank)
     names = ("span_dim_numeric", "secant_dim_terracini", "secant_dim_chordmap")
     for name in names:
-        def counting_method(par, cfg, name=name, method=getattr(secant_mod, name)):
+        def counting_method(*args, name=name, method=getattr(secant_mod, name)):
             methods.append(name)
-            return method(par, cfg)
+            return method(*args)
 
         monkeypatch.setattr(secant_mod, name, counting_method)
     rep = verify_secant_dimensions((2,), (2,))
     grid = [(kind, d, 2) for kind in ("segre", "scroll") for d in (1, 2)]
     assert rows == grid and rep.counters["rows"] == len(grid)
     assert methods == list(names) * len(grid)
-    # one rank per (method, trial, prime): span, terracini and chord, in turn
-    assert primes == list(DEFAULT_PRIMES) * (len(grid) * 3 * RankConfig().trials)
+    # one rank per (method, trial, prime) of terracini and chord, in turn; the
+    # span is a count of exponent vectors and takes none
+    assert primes == list(DEFAULT_PRIMES) * (len(grid) * 2 * RankConfig().trials)
 
 
 def test_verify_secant_dimensions_validates_ranges():
