@@ -18,9 +18,9 @@ built only to be dropped by the dimension bound.  Products and complete
 intersections are canonical by construction (sorted, valid fields), so both
 are built in bulk by the column-wise trusted constructor
 ``terms._trusted_columns``, which skips the public constructors' re-sorting
-and re-validation and makes every term of a constructor from one column per
-field, and both skip ``add``, inserted as enumerated with no normalization
-and no guard:
+and re-validation and makes many terms of a constructor at once, from one
+column per field, and both skip ``add``, inserted as enumerated with no
+normalization and no guard:
 
 * a product has no normalize rule, every product is Fano, and its
   dimension lies between 2 and n_max;
@@ -64,8 +64,19 @@ with a degree above ``deg_max``, and every one a pair.  A pair the walk does
 not make differs from each walk pair within their two factor texts, so it
 sorts before or after that pair's whole run of triples, never inside it:
 the walk emits it just before the first of its own pairs that sorts after
-it, or after the last run, and drops the ones it makes itself.  Then the
-whole block is built from its one column of factors.
+it, or after the last run, and drops the ones it makes itself.
+
+The product block is kept as those runs, not as terms: each run is a pair
+and the list of third factors that extend it, the list the walk already
+shares among the pairs with the same second factor and room, and a pair
+from ``add`` is a run with none.  Only the pairs are built, from one
+column, and kept; at (30,5) they are 6,200 of the 93,425 products.  A
+triple is built only when something iterates over the catalog, which
+builds each run's triples from one column as it reaches the run and keeps
+none, or asks ``members[i]`` of one.  ``len`` comes from the counts, ``in``
+from the runs (a triple is a member when its pair heads a run whose third
+factors hold its last), and the index from the walk, so neither these nor
+any suite builds a triple.
 
 The cyclic garbage collector is paused for the build, after the bounds
 check, and its state on entry is restored however the build ends.  The
@@ -93,21 +104,23 @@ order as the blocks are placed; so are the pairs and the products from
 ``add``, where the walk places them.  A triple is never asked: it has Picard
 number 3 and a ceiling of at most n - 2, so it is in no slice, and the walk
 counts the triples per pair from how many third factors of each dimension
-the pair takes.  A catalog made from a tuple, ``Catalog(n_max, deg_max,
-members)`` or a subclass, files its index on first use by the per-member
+the pair takes.  Any other catalog, ``Catalog(n_max, deg_max, members)``
+from a tuple or a subclass, files its index on first use by the per-member
 pass over ``__iter__``, the one walk of a catalog, which the member set
-behind ``in`` reads too; that pass is the reference the build's filing is
-tested against.
+behind its ``in`` reads too; that pass is the reference the build's filing
+is tested against.
 """
 
 from __future__ import annotations
 
 import gc
-from bisect import bisect_left
+import operator
+from bisect import bisect_left, bisect_right
 from collections import Counter
+from collections.abc import Container, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import repeat
+from itertools import accumulate, chain, repeat
 from typing import Iterator, NamedTuple
 
 from .dsl import CI_OPEN, FACTOR_TEXTS, PRODUCT_OPEN, ci_prefix, to_text
@@ -141,14 +154,110 @@ class CatalogIndex(NamedTuple):
         return sum(c for (n, rho), c in self.counts.items() if pred(n, rho))
 
 
+class _Members(Sequence):
+    """The members of a built catalog, in catalog order: what ``add`` kept,
+    sorted by text, with the complete intersections and the products spliced
+    in where their openings sort (see the module docstring).
+
+    The products are held as the walk's runs: each run's pair term and its
+    third factors, which iteration extends the pair by.  Only the pair terms
+    are kept.  Iteration builds each run's triples from its third factors,
+    all at once, and ``[i]`` builds the one triple it returns; neither keeps
+    a triple.  ``len`` comes from the counts, and ``in`` answers from the
+    runs: a product is a member when its first two factors head a run, and
+    a triple when that run's third factors hold its last.  A read-only
+    sequence: two builds of the same grid compare equal."""
+
+    def __init__(self, added: tuple, ci_at: int, cis: list, product_at: int,
+                 pairs: list, thirds: list):
+        self._added = added  # what ``add`` kept, by text
+        self._ci_at, self._product_at = ci_at, product_at  # where each block splices in
+        self._cis = cis
+        self._pairs = pairs  # each run's pair term
+        self._thirds = thirds  # each run's third factors: shared lists, or () for ``add``'s
+        self._starts = list(accumulate((1 + len(t) for t in thirds), initial=0))  # of each run
+        self._n_products = self._starts.pop()
+        self._len = len(added) + len(cis) + self._n_products
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[VarietyTerm]:
+        added, ci_at, product_at = self._added, self._ci_at, self._product_at
+        yield from added[:ci_at]
+        yield from self._cis
+        yield from added[ci_at:product_at]
+        for pair, thirds in zip(self._pairs, self._thirds):
+            yield pair
+            if thirds:
+                a, b = pair.factors
+                yield from _trusted_columns(PolarizedProduct, list(zip(repeat(a), repeat(b), thirds)))
+        yield from added[product_at:]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(self._len))))
+        i = operator.index(i)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("catalog member index out of range")
+        ci_at, n_cis = self._ci_at, len(self._cis)
+        if ci_at <= i < ci_at + n_cis:
+            return self._cis[i - ci_at]
+        if i >= ci_at:
+            i -= n_cis
+        j = i - self._product_at  # the place within the products, if it is one
+        if not 0 <= j < self._n_products:
+            return self._added[i if j < 0 else i - self._n_products]
+        run = bisect_right(self._starts, j) - 1
+        pair, k = self._pairs[run], j - self._starts[run]
+        if k == 0:
+            return pair
+        return _trusted_columns(PolarizedProduct, [(*pair.factors, self._thirds[run][k - 1])])[0]
+
+    def __contains__(self, v) -> bool:
+        if type(v) is PolarizedProduct:
+            thirds = self._runs.get(v.factors[:2])
+            return thirds is not None and (len(v.factors) == 2 or
+                                           len(v.factors) == 3 and v.factors[2] in thirds)
+        return v in self._others
+
+    @cached_property
+    def _runs(self) -> dict:
+        """Each run's third factors by its pair's factors; built on the first lookup."""
+        return {pair.factors: thirds for pair, thirds in zip(self._pairs, self._thirds)}
+
+    @cached_property
+    def _others(self) -> frozenset[VarietyTerm]:
+        """The members that are not products; built on the first lookup."""
+        return frozenset(chain(self._added, self._cis))
+
+    def __eq__(self, other):
+        if not isinstance(other, _Members):
+            return NotImplemented
+        return (self._added, self._cis, self._pairs, self._thirds) == \
+            (other._added, other._cis, other._pairs, other._thirds)
+
+    def __hash__(self) -> int:
+        return hash((self._len, self._added))
+
+
 @dataclass(frozen=True)
 class Catalog:
     """``__iter__`` yields ``members`` in order: the one walk, read by ``in``
-    and by ``index`` where the build has not filed it."""
+    and by ``index`` where the build has not seeded them.
+
+    A built catalog's ``members`` is a read-only sequence that keeps the
+    products as the walk's runs: ``len``, ``in``, ``index`` and the suites
+    build no three-factor product, and iteration builds each one anew.  A
+    catalog made from any other sequence, ``Catalog(n_max, deg_max,
+    members)`` or a subclass, answers ``in`` from ``frozenset(self)`` and
+    files ``index`` in one pass over ``__iter__``, both on first use."""
 
     n_max: int
     deg_max: int
-    members: tuple[VarietyTerm, ...]
+    members: Sequence[VarietyTerm]
 
     def __len__(self) -> int:
         return len(self.members)
@@ -160,15 +269,16 @@ class Catalog:
         return normalize(v) in self._member_set
 
     @cached_property
-    def _member_set(self) -> frozenset[VarietyTerm]:
-        """Built on the first lookup only; sweeps iterate and never need it."""
+    def _member_set(self) -> Container[VarietyTerm]:
+        """Built on the first lookup only; sweeps iterate and never need it.
+        The build seeds it with its own members, which answer from the runs."""
         return frozenset(self)
 
     @cached_property
     def index(self) -> CatalogIndex:
-        """Filed by the build for a catalog it returns; for a catalog made
-        from a tuple, filed on first use in one pass over ``__iter__``.
-        Holds no reference to the other members."""
+        """Filed by the build for a catalog it returns; for any other
+        catalog, filed on first use in one pass over ``__iter__``.  Holds no
+        reference to the other members."""
         filing = _filing()
         _file(self, filing)
         return _frozen(filing)
@@ -242,28 +352,29 @@ def _frozen(filing: CatalogIndex) -> CatalogIndex:
 
 
 def _products(n_max: int, deg_max: int, made: set[tuple[tuple[int, int], tuple[int, int]]],
-              filing: CatalogIndex) -> list[VarietyTerm]:
-    """The two- and three-factor products within the bounds in catalog order,
-    merged with the pairs of factors that ``add`` has ``made``, each filed
-    into ``filing`` in that order.
+              filing: CatalogIndex) -> tuple[list[VarietyTerm], list]:
+    """The two- and three-factor products within the bounds, merged with the
+    pairs of factors that ``add`` has ``made``, as runs in catalog order:
+    each run's pair term and its third factors, each pair filed into
+    ``filing`` in that order.
 
     A product's text sorts as the tuple of its factors' texts (see the module
     docstring).  So the factors (n, d), 1 <= n < n_max, 1 <= d <= deg_max, are
     ordered once by text, and the walk takes factors a <= b <= c (numeric,
     the canonical field order) in that order within the dimension bound:
-    each pair (a, b) is followed by the triples (a, b, c) that extend it.  A
+    each pair (a, b) heads the run of triples (a, b, c) that extend it.  A
     product skips ``add``: it has no normalize rule, every product is Fano,
     and its dimension is between 2 and n_max.  Each product from ``add`` is a
-    pair, emitted by its factor texts just before the first walk pair that
-    sorts after it, or after the walk, and dropped if the walk makes it: a
-    pair that differs from a walk pair sorts before or after that pair's
-    whole run of triples.  Every product's factors are sorted and valid, so
-    all are built trusted, from one column.
+    pair, a run with no third factors, emitted by its factor texts just
+    before the first walk pair that sorts after it, or after the walk, and
+    dropped if the walk makes it: a pair that differs from a walk pair sorts
+    before or after that pair's whole run of triples.  Only the pairs are
+    built, trusted, from one column; no triple is.
 
-    The pairs and the products from ``add`` are filed per member.  A triple
-    has Picard number 3 and a ceiling on S of at most n - 2, since its
-    largest factor has dimension at most n - 2; so it is only counted, per
-    pair, from how many of the pair's third factors have each dimension."""
+    The pairs are filed per member.  A triple has Picard number 3 and a
+    ceiling on S of at most n - 2, since its largest factor has dimension at
+    most n - 2; so it is only counted, per pair, from how many of the pair's
+    third factors have each dimension."""
     text = FACTOR_TEXTS.__getitem__  # also for ``add``'s factors, some of degree above deg_max
     ordered = sorted([(n, d) for n in range(1, n_max) for d in range(1, deg_max + 1)], key=text)
     fits = [[f for f in ordered if f[0] <= room] for room in range(n_max)]
@@ -275,8 +386,8 @@ def _products(n_max: int, deg_max: int, made: set[tuple[tuple[int, int], tuple[i
         factors = [f for f in fits[room] if f >= least]
         return factors, tuple(Counter([m for m, _ in factors]).items())
 
-    shapes: list[tuple[tuple[int, int], ...]] = []  # each product's factors, in catalog order
-    asked: list[int] = []  # where the pairs and the products from ``add`` are in ``shapes``
+    pairs: list[tuple[tuple[int, int], tuple[int, int]]] = []  # each run's pair, in catalog order
+    thirds: list = []  # each run's third factors
     pending = sorted([(tuple(map(text, pair)), pair) for pair in made])
     i = 0  # the products from ``add`` emitted or dropped so far
     counts = filing.counts
@@ -285,23 +396,20 @@ def _products(n_max: int, deg_max: int, made: set[tuple[tuple[int, int], tuple[i
             texts = (text(a), text(b))
             while i < len(pending) and pending[i][0] <= texts:
                 if pending[i][0] != texts:  # not the walk's
-                    asked.append(len(shapes))
-                    shapes.append(pending[i][1])
+                    pairs.append(pending[i][1])
+                    thirds.append(())
                 i += 1
-            asked.append(len(shapes))
-            shapes.append((a, b))
-            room = n_max - a[0] - b[0]
-            factors, dims = tail(b, room)
-            shapes += zip(repeat(a), repeat(b), factors)
+            pairs.append((a, b))
+            factors, dims = tail(b, n_max - a[0] - b[0])
+            thirds.append(factors)
             for m, k in dims:
                 key = (a[0] + b[0] + m, 3)
                 counts[key] = counts.get(key, 0) + k
-    asked += range(len(shapes), len(shapes) + len(pending) - i)
-    shapes += [pair for _, pair in pending[i:]]
-    block = _trusted_columns(PolarizedProduct, shapes)
-    del shapes
-    _file(map(block.__getitem__, asked), filing)
-    return block
+    pairs += [pair for _, pair in pending[i:]]
+    thirds += repeat((), len(pending) - i)
+    terms = _trusted_columns(PolarizedProduct, pairs)
+    _file(terms, filing)
+    return terms, thirds
 
 
 def build_catalog(n_max: int, deg_max: int) -> Catalog:
@@ -369,7 +477,7 @@ def _build(n_max: int, deg_max: int) -> Catalog:
     for c in range(0, 5):
         add(LinearSectionG25(c))
 
-    members = sorted(added, key=to_text)
+    members = tuple(sorted(added, key=to_text))
     ci_at = bisect_left(members, CI_OPEN, key=to_text)
     product_at = bisect_left(members, PRODUCT_OPEN, key=to_text)
     filing = _filing()
@@ -377,12 +485,10 @@ def _build(n_max: int, deg_max: int) -> Catalog:
     cis = _complete_intersections(n_max, deg_max)
     _file(cis, filing)
     _file(members[ci_at:product_at], filing)
-    products = _products(n_max, deg_max, made, filing)
+    pairs, thirds = _products(n_max, deg_max, made, filing)
     _file(members[product_at:], filing)
-    members[product_at:product_at] = products  # the later block first: ci_at stays
-    del products
-    members[ci_at:ci_at] = cis
-    del cis
-    catalog = Catalog(n_max, deg_max, tuple(members))
-    vars(catalog)["index"] = _frozen(filing)  # the cached property, seeded
+    members = _Members(members, ci_at, cis, product_at, pairs, thirds)
+    catalog = Catalog(n_max, deg_max, members)
+    vars(catalog)["index"] = _frozen(filing)  # the cached properties, seeded
+    vars(catalog)["_member_set"] = members
     return catalog

@@ -41,13 +41,14 @@ from .trace import classification_trace
 CHAIN_SYMBOL = " ⊨ "  # the "has a family of lines" turnstile
 
 #: Largest accepted value of each size option, per subcommand.  On a 2-vCPU
-#: shared Xeon host with Python 3.11.7 (3 runs each) the largest accepted
-#: inputs take under 1 s a process: ``secant --kind scroll -d 12 -m 12
-#: --trials 8`` 0.15 to 0.22 s, and at these caps ``verify --suite prop32``
-#: 0.19 to 0.20 s and ``classify`` 0.17 to 0.18 s.  Beyond them the time
-#: grows (with the secant coordinate count (d+1)m+1 times the Jacobian width
-#: 2m+2, and steeply in both catalog bounds), so larger inputs are rejected,
-#: not run.
+#: shared Xeon host with Python 3.11.7 (3 runs each, wall time and max RSS
+#: of the process) the largest accepted inputs take under 1 s and 25 MB a
+#: process: ``secant --kind scroll -d 12 -m 12 --trials 8`` 0.19 to 0.26 s
+#: and 16.2 to 16.3 MB, and at these caps ``verify --suite prop32`` 0.19 to
+#: 0.30 s and 21.6 to 21.9 MB, and ``classify --dim 9 --s 4`` 0.16 to
+#: 0.24 s and 20.9 to 21.2 MB.  Beyond them the time grows (with the secant
+#: coordinate count (d+1)m+1 times the Jacobian width 2m+2, and steeply in
+#: both catalog bounds), so larger inputs are rejected, not run.
 SIZE_CAPS = {
     "secant": {"-d": 12, "-m": 12, "--trials": 8},
     "classify": {"--nmax": 32, "--degmax": 5},

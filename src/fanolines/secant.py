@@ -32,7 +32,7 @@ so every reported projective dimension subtracts exactly one from a rank.
 Each parameterization keeps the sparse support of every monomial, its
 ``(param, exponent)`` pairs with a non-zero exponent (at most three here),
 and evaluation and gradients loop over that support only.  There is one
-monomial evaluator, ``_span_row``: each coordinate is one product of its
+monomial evaluator, ``_values``: each coordinate is one product of its
 factors x_j^e, reduced mod p.  The Jacobian methods call it at four
 points per (trial, prime), two for each method.
 
@@ -200,22 +200,22 @@ def _point(rng: random.Random, k: int, p: int) -> list[int]:
     return x
 
 
-def _span_row(par: Parameterization, x: list[int], p: int) -> list[int]:
+def _values(par: Parameterization, x: list[int], p: int) -> list[int]:
     """Every coordinate of ``par`` at ``x`` mod p: the product of its factors
-    x_j^e over its support."""
+    x_j^e over its support.  The values that :func:`_jacobian` scales."""
     return [prod([pow(x[j], e, p) for j, e in sup]) % p for sup in par.supports]
 
 
 def _jacobian(par: Parameterization, x: list[int], p: int,
               scale: int = 1) -> list[tuple[int, list[int]]]:
-    """Every coordinate of ``par`` at ``x`` as :func:`_span_row` gives it, with
+    """Every coordinate of ``par`` at ``x`` as :func:`_values` gives it, with
     ``scale`` times its gradient on the columns B_p (``Parameterization.
     columns``), column j scaled by x_j: x_j d/dx_j x^e = e_j x^e.  Each entry
     is the exponent mod p times the scaled value mod p, so below p**2."""
     basis, _, slots_by_coord = par.columns(p)
     width = len(basis)
     out = []
-    for value, slots in zip(_span_row(par, x, p), slots_by_coord):
+    for value, slots in zip(_values(par, x, p), slots_by_coord):
         grad = [0] * width
         v = value * scale % p
         for i, e in slots:

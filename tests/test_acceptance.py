@@ -8,7 +8,6 @@ import time
 
 import pytest
 
-from fanolines.catalog import build_catalog
 from fanolines.chains import ChainEngine
 from fanolines.checks import (
     classify_by_s,
@@ -38,11 +37,6 @@ from fanolines.terms import (
 def report(number: int, ok: bool, detail: str):
     print(f"ACCEPTANCE {number}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, detail
-
-
-@pytest.fixture(scope="module")
-def cat15():
-    return build_catalog(15, 4)
 
 
 def test_criterion_1_golden_values():
@@ -147,9 +141,9 @@ def test_criterion_7_cross_rule_isomorphisms():
            f" dim, ambient_dim through independent rule paths, in {elapsed:.3f}s")
 
 
-def test_criterion_8_property_suite():
+def test_criterion_8_property_suite(cat12):
     eng = ChainEngine()
-    cat = build_catalog(12, 4)
+    cat = cat12
     failures = []
     for v in cat:
         sv = eng.s_invariant(v)

@@ -295,7 +295,7 @@ _CATALOG_TEXT_DIGESTS = {(15, 4): "2fefb8386f299eda", (30, 5): "af40b84d73a9f685
 
 @pytest.mark.parametrize("grid", sorted(_CATALOG_TEXT_DIGESTS))
 def test_catalog_members_print_the_reference_text_and_parse_back(grid):
-    members = build_catalog(*grid).members
+    members = tuple(build_catalog(*grid).members)  # iterated once: each pass builds the triples
     texts = [to_text(v) for v in members]
     assert texts == [_reference_text(v) for v in members]
     assert all(parse_variety(text) == v for text, v in zip(texts, members))
@@ -342,11 +342,11 @@ def test_a_full_factor_table_keeps_nothing_and_prints_the_same(monkeypatch):
     # and the catalog order built from them, are unchanged, and nothing is
     # kept.
     kept = dict(FACTOR_TEXTS)
-    expected = build_catalog(12, 4).members
+    expected = tuple(build_catalog(12, 4).members)
     FACTOR_TEXTS.clear()
     try:
         monkeypatch.setattr(dsl, "_FACTOR_TEXTS_MAX", 0)
-        members = build_catalog(12, 4).members
+        members = tuple(build_catalog(12, 4).members)
         assert members == expected
         assert [to_text(v) for v in members] == [_reference_text(v) for v in members]
         big = PolarizedProduct(((10**9, 7), (3, 10**8), (1, 1)))

@@ -22,8 +22,8 @@ from fanolines.secant import (
     _dimension,
     _jacobian,
     _point,
-    _span_row,
     _stable_rank,
+    _values,
     expected_secant_dim,
     scroll,
     secant_dim_chordmap,
@@ -195,7 +195,7 @@ def span_rank_oracle(par, cfg):
     stable rank of ``2 * num_coords`` rows at random points per (trial,
     prime), under the ``"span:..."`` generator labels."""
     def rows(rng, p):
-        return [_span_row(par, _point(rng, par.num_params, p), p)
+        return [_values(par, _point(rng, par.num_params, p), p)
                 for _ in range(2 * par.num_coords)]
 
     return _dimension(par, cfg, "span", rows)
@@ -401,8 +401,8 @@ def _reduced(entries, p):
     return [a % p for a in entries]
 
 
-def _span_row_mod_p(par, x, p):
-    return _reduced(_span_row(par, x, p), p)
+def _values_mod_p(par, x, p):
+    return _reduced(_values(par, x, p), p)
 
 
 def _jacobian_mod_p(par, x, p, scale=1):
@@ -454,7 +454,7 @@ def parameterizations_and_points(draw):
 @given(parameterizations_and_points())
 def test_span_row_and_jacobian_match_the_oracles_on_drawn_parameterizations(drawn):
     par, x, p = drawn
-    assert _span_row_mod_p(par, x, p) == [value_oracle(exp, x, p) for exp in par.monomials]
+    assert _values_mod_p(par, x, p) == [value_oracle(exp, x, p) for exp in par.monomials]
     assert _jacobian_mod_p(par, x, p) == _jacobian_oracle(par, x, p)
 
 
@@ -527,7 +527,7 @@ def test_span_row_matches_monomial_evaluation(builder):
             for p in DEFAULT_PRIMES:
                 for _ in range(2):
                     x = [rng.randrange(1, p) for _ in range(par.num_params)]
-                    assert _span_row_mod_p(par, x, p) == [value_oracle(exp, x, p)
+                    assert _values_mod_p(par, x, p) == [value_oracle(exp, x, p)
                                                           for exp in par.monomials]
 
 
