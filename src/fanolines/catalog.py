@@ -73,10 +73,9 @@ from ``add`` is a run with none.  Only the pairs are built, from one
 column, and kept; at (30,5) they are 6,200 of the 93,425 products.  A
 triple is built only when something iterates over the catalog, which
 builds each run's triples from one column as it reaches the run and keeps
-none, or asks ``members[i]`` of one.  ``len`` comes from the counts, ``in``
-from the runs (a triple is a member when its pair heads a run whose third
-factors hold its last), and the index from the walk, so neither these nor
-any suite builds a triple.
+none.  ``len`` comes from the counts and the index from the walk, so
+neither these nor any suite builds a triple; ``in`` iterates once, to make
+the member set it answers from.
 
 The cyclic garbage collector is paused for the build, after the bounds
 check, and its state on entry is restored however the build ends.  The
@@ -107,20 +106,19 @@ counts the triples per pair from how many third factors of each dimension
 the pair takes.  Any other catalog, ``Catalog(n_max, deg_max, members)``
 from a tuple or a subclass, files its index on first use by the per-member
 pass over ``__iter__``, the one walk of a catalog, which the member set
-behind its ``in`` reads too; that pass is the reference the build's filing
-is tested against.
+behind ``in`` reads too; that pass is the reference the build's filing is
+tested against.
 """
 
 from __future__ import annotations
 
 import gc
-import operator
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
-from collections.abc import Container, Sequence
+from collections.abc import Collection
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import accumulate, chain, repeat
+from itertools import repeat
 from typing import Iterator, NamedTuple
 
 from .dsl import CI_OPEN, FACTOR_TEXTS, PRODUCT_OPEN, ci_prefix, to_text
@@ -154,7 +152,7 @@ class CatalogIndex(NamedTuple):
         return sum(c for (n, rho), c in self.counts.items() if pred(n, rho))
 
 
-class _Members(Sequence):
+class _Members(Collection):
     """The members of a built catalog, in catalog order: what ``add`` kept,
     sorted by text, with the complete intersections and the products spliced
     in where their openings sort (see the module docstring).
@@ -162,11 +160,9 @@ class _Members(Sequence):
     The products are held as the walk's runs: each run's pair term and its
     third factors, which iteration extends the pair by.  Only the pair terms
     are kept.  Iteration builds each run's triples from its third factors,
-    all at once, and ``[i]`` builds the one triple it returns; neither keeps
-    a triple.  ``len`` comes from the counts, and ``in`` answers from the
-    runs: a product is a member when its first two factors head a run, and
-    a triple when that run's third factors hold its last.  A read-only
-    sequence: two builds of the same grid compare equal."""
+    all at once, and keeps none.  ``len`` comes from the counts, and ``in``
+    is a pass of that iteration.  Read-only: two builds of the same grid
+    compare equal."""
 
     def __init__(self, added: tuple, ci_at: int, cis: list, product_at: int,
                  pairs: list, thirds: list):
@@ -175,9 +171,7 @@ class _Members(Sequence):
         self._cis = cis
         self._pairs = pairs  # each run's pair term
         self._thirds = thirds  # each run's third factors: shared lists, or () for ``add``'s
-        self._starts = list(accumulate((1 + len(t) for t in thirds), initial=0))  # of each run
-        self._n_products = self._starts.pop()
-        self._len = len(added) + len(cis) + self._n_products
+        self._len = len(added) + len(cis) + len(pairs) + sum(map(len, thirds))
 
     def __len__(self) -> int:
         return self._len
@@ -194,44 +188,8 @@ class _Members(Sequence):
                 yield from _trusted_columns(PolarizedProduct, list(zip(repeat(a), repeat(b), thirds)))
         yield from added[product_at:]
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(*i.indices(self._len))))
-        i = operator.index(i)
-        if i < 0:
-            i += self._len
-        if not 0 <= i < self._len:
-            raise IndexError("catalog member index out of range")
-        ci_at, n_cis = self._ci_at, len(self._cis)
-        if ci_at <= i < ci_at + n_cis:
-            return self._cis[i - ci_at]
-        if i >= ci_at:
-            i -= n_cis
-        j = i - self._product_at  # the place within the products, if it is one
-        if not 0 <= j < self._n_products:
-            return self._added[i if j < 0 else i - self._n_products]
-        run = bisect_right(self._starts, j) - 1
-        pair, k = self._pairs[run], j - self._starts[run]
-        if k == 0:
-            return pair
-        return _trusted_columns(PolarizedProduct, [(*pair.factors, self._thirds[run][k - 1])])[0]
-
     def __contains__(self, v) -> bool:
-        if type(v) is PolarizedProduct:
-            thirds = self._runs.get(v.factors[:2])
-            return thirds is not None and (len(v.factors) == 2 or
-                                           len(v.factors) == 3 and v.factors[2] in thirds)
-        return v in self._others
-
-    @cached_property
-    def _runs(self) -> dict:
-        """Each run's third factors by its pair's factors; built on the first lookup."""
-        return {pair.factors: thirds for pair, thirds in zip(self._pairs, self._thirds)}
-
-    @cached_property
-    def _others(self) -> frozenset[VarietyTerm]:
-        """The members that are not products; built on the first lookup."""
-        return frozenset(chain(self._added, self._cis))
+        return any(m == v for m in self)
 
     def __eq__(self, other):
         if not isinstance(other, _Members):
@@ -246,18 +204,18 @@ class _Members(Sequence):
 @dataclass(frozen=True)
 class Catalog:
     """``__iter__`` yields ``members`` in order: the one walk, read by ``in``
-    and by ``index`` where the build has not seeded them.
+    and by ``index`` where the build has not filed it.
 
-    A built catalog's ``members`` is a read-only sequence that keeps the
-    products as the walk's runs: ``len``, ``in``, ``index`` and the suites
-    build no three-factor product, and iteration builds each one anew.  A
-    catalog made from any other sequence, ``Catalog(n_max, deg_max,
-    members)`` or a subclass, answers ``in`` from ``frozenset(self)`` and
-    files ``index`` in one pass over ``__iter__``, both on first use."""
+    A built catalog's ``members`` keeps the products as the walk's runs:
+    ``len``, ``index`` and the suites build no three-factor product, and
+    each iteration builds them anew.  Every catalog answers ``in`` from
+    ``frozenset(self)``, made on first use; a catalog made from any other
+    collection, ``Catalog(n_max, deg_max, members)`` or a subclass, also
+    files ``index`` on first use, in one pass over ``__iter__``."""
 
     n_max: int
     deg_max: int
-    members: Sequence[VarietyTerm]
+    members: Collection[VarietyTerm]
 
     def __len__(self) -> int:
         return len(self.members)
@@ -269,9 +227,8 @@ class Catalog:
         return normalize(v) in self._member_set
 
     @cached_property
-    def _member_set(self) -> Container[VarietyTerm]:
-        """Built on the first lookup only; sweeps iterate and never need it.
-        The build seeds it with its own members, which answer from the runs."""
+    def _member_set(self) -> frozenset[VarietyTerm]:
+        """Built on the first lookup only; sweeps iterate and never need it."""
         return frozenset(self)
 
     @cached_property
@@ -489,6 +446,5 @@ def _build(n_max: int, deg_max: int) -> Catalog:
     _file(members[product_at:], filing)
     members = _Members(members, ci_at, cis, product_at, pairs, thirds)
     catalog = Catalog(n_max, deg_max, members)
-    vars(catalog)["index"] = _frozen(filing)  # the cached properties, seeded
-    vars(catalog)["_member_set"] = members
+    vars(catalog)["index"] = _frozen(filing)  # the cached property, seeded
     return catalog

@@ -1,8 +1,7 @@
 """Catalogs shared by the whole test session.
 
-A built catalog is frozen and files its index as it is built, so a test
-that only reads one can share it.  A test that patches what the build calls,
-or that checks what a catalog files on first use, builds its own.
+A built catalog is frozen and files its index as it is built, so the
+modules that only read the (15,4) catalog share one build.
 """
 
 import pytest
@@ -11,15 +10,5 @@ from fanolines.catalog import build_catalog
 
 
 @pytest.fixture(scope="session")
-def cat12():
-    return build_catalog(12, 4)
-
-
-@pytest.fixture(scope="session")
 def cat15():
     return build_catalog(15, 4)
-
-
-@pytest.fixture(scope="session")
-def cat20():
-    return build_catalog(20, 5)

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from fanolines.catalog import build_catalog
 from fanolines.chains import ChainEngine
 from fanolines.checks import (
     classify_by_s,
@@ -141,9 +142,9 @@ def test_criterion_7_cross_rule_isomorphisms():
            f" dim, ambient_dim through independent rule paths, in {elapsed:.3f}s")
 
 
-def test_criterion_8_property_suite(cat12):
+def test_criterion_8_property_suite():
     eng = ChainEngine()
-    cat = cat12
+    cat = build_catalog(12, 4)
     failures = []
     for v in cat:
         sv = eng.s_invariant(v)

@@ -380,7 +380,7 @@ def _views(eng, v):
 def test_views_agree_on_cold_and_warm_engines():
     from fanolines.catalog import build_catalog
 
-    members = build_catalog(10, 3).members
+    members = tuple(build_catalog(10, 3).members)
     warm = ChainEngine()
     for v in reversed(members):
         _views(warm, v)

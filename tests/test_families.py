@@ -294,9 +294,11 @@ def test_classification_lists_hold_their_invariants():
     assert [to_text(v) for v in even_dimension_list(5)] == ["Q(10)", "G(2,7)"]
 
 
-def test_provenance_table_covers_the_rules(cat20):
+def test_provenance_table_covers_the_rules():
     # One row per provenance row, each naming its constructor, and exactly
     # one row with a rule per constructor.
+    from fanolines.catalog import build_catalog
+
     for ctor, _, row in _RULE_TABLE:
         name = "recognition" if ctor is None else ctor.__name__
         assert row["constructor"].startswith(name), row
@@ -308,7 +310,7 @@ def test_provenance_table_covers_the_rules(cat20):
     # Every covered term finds its rule, and a ruleless case's rule returns
     # the text that NoRule carries.
     no_rule = []
-    for v in [*cat20, SympGrassmann(3, 7), LinearSectionG25(2)]:
+    for v in [*build_catalog(20, 5), SympGrassmann(3, 7), LinearSectionG25(2)]:
         _, end = family_outcome(v)
         if end == "not_covered":
             continue
@@ -323,14 +325,16 @@ def test_provenance_table_covers_the_rules(cat20):
     assert "SG(3,7)" in no_rule and "LS(G(2,5),2)" in no_rule
 
 
-def test_no_rule_returns_a_family_of_a_ruleless_constructor(cat20):
+def test_no_rule_returns_a_family_of_a_ruleless_constructor():
     # The classification suite skips S only outside the ruleless set, which
     # is sound because every other member then has an exact S: no rule, at
     # any depth below a catalog member, returns a family of the set.
+    from fanolines.catalog import build_catalog
+
     assert RULELESS_CONSTRUCTORS == {SympGrassmann, LinearSectionG25}
     assert [row["constructor"] for row in RULE_PROVENANCE if row["status"] == "none"] == [
         "SympGrassmann (k >= 3)", "LinearSectionG25 (c = 2)"]
-    starts = [*cat20, SympGrassmann(3, 7), LinearSectionG25(2)]
+    starts = [*build_catalog(20, 5), SympGrassmann(3, 7), LinearSectionG25(2)]
     pending, seen = list(starts), set(starts)
     while pending:
         v = pending.pop()
@@ -425,8 +429,8 @@ def test_drawn_terms_below_the_fact_have_one_family_within_family_dim(v):
 
 
 @pytest.mark.parametrize("extra", [PolarizedProduct, ProjBundleP1, SympGrassmann, LinearSectionG25])
-def test_a_set_claiming_another_constructor_breaks_the_fact(extra, cat15):
-    members = cat15.members
+def test_a_set_claiming_another_constructor_breaks_the_fact(extra):
+    members = build_catalog(15, 4).members
     widened = ONE_FAMILY_CONSTRUCTORS | {extra}
     broken = _one_family_breaks(lambda v: type(v) in widened, members)
     assert broken and {type(v) for v in broken} == {extra}

@@ -53,6 +53,7 @@ from pathlib import Path
 
 import pytest
 
+from fanolines.catalog import build_catalog
 from fanolines.chains import ChainEngine
 from fanolines.cli import main
 from fanolines.dsl import to_text
@@ -277,8 +278,8 @@ def test_cli_runs_without_a_term_and_domain_errors_are_pinned(name):
     assert _sha(transcript) == PINNED[name]
 
 
-def test_term_tables_are_pinned(cat20):
-    terms = [*cat20, *NON_NORMAL_PRESENTATIONS, *NON_FANO_TERMS,
+def test_term_tables_are_pinned():
+    terms = [*build_catalog(20, 5), *NON_NORMAL_PRESENTATIONS, *NON_FANO_TERMS,
              LinearSpace(0), LinearSpace(0), SympGrassmann(3, 7), LinearSectionG25(2)]
     max_linear_in = ChainEngine().max_linear_in
     rows = [
@@ -292,10 +293,10 @@ def test_term_tables_are_pinned(cat20):
     assert _sha("\n".join(rows).encode()) == PINNED["term tables"]
 
 
-def test_family_outcomes_are_pinned(cat20):
+def test_family_outcomes_are_pinned():
     # Each family is wrapped in a validated FamilyRecord, so this also
     # range-checks every rule output over the whole catalog.
-    terms = [*cat20, LinearSpace(0), LinearSpace(0), Quadric(1), Quadric(2),
+    terms = [*build_catalog(20, 5), LinearSpace(0), LinearSpace(0), Quadric(1), Quadric(2),
              SympGrassmann(3, 7), LinearSectionG25(2), LinearSectionG25(4)]
     rows = []
     for v in terms:
