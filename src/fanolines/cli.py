@@ -3,18 +3,21 @@
 Subcommands expose every engine operation; ``--json`` switches any of them
 to a structured envelope that validates against the schema shipped at
 ``fanolines/schemas/cli_output.schema.json``.  Exit codes: 0 on success or
-an all-pass verification, 1 on verification failures and domain errors, 2 on
-usage, parse, or term-validation errors, on sizes above ``SIZE_CAPS`` or
-integers above ``TERM_INT_CAP``, on a negative ``classify --dim`` or ``--s``,
-and, for ``s``, ``chain``, ``cover`` and ``trace``, on a covered term whose
-chain invariant may exceed ``DEPTH_CAP``.
+an all-pass verification (``verify``, ``suites``), 1 on verification
+failures and domain errors, 2 on usage, parse, or term-validation errors, on
+sizes above ``SIZE_CAPS`` or integers above ``TERM_INT_CAP``, on a negative
+``classify --dim`` or ``--s``, on a ``suites --json-out`` file that cannot be
+written, and, for ``s``, ``chain``, ``cover`` and ``trace``, on a covered
+term whose chain invariant may exceed ``DEPTH_CAP``.
 
 Each subcommand is a handler and a renderer, paired in ``_COMMANDS``.  The
 handler returns the exit code and one payload, the envelope's ``result``;
-the renderer writes the text from that payload alone (and ``--quiet``).
+the renderer writes the text from that payload alone (and ``quiet``: set by
+``verify --quiet``, cleared by ``suites --verbose``).
 
-The only randomized command is ``secant``; its seed is ``--seed``, or
-``DEFAULT_SEED`` when the option is not given, and it echoes the seed.
+The seeded commands are ``secant`` and ``suites``, whose secant suite draws
+random ranks; the seed is ``--seed``, or ``DEFAULT_SEED`` when the option is
+not given, and each echoes the seed.
 """
 
 from __future__ import annotations
@@ -28,13 +31,13 @@ from importlib import resources
 
 from .catalog import build_catalog
 from .chains import ChainEngine
-from .checks import SUITES, classify_by_s, run_suite
+from .checks import SUITES, classify_by_s, golden_suite, run_suite
 from .dsl import parse_variety, to_text
 from .errors import EngineError, ParseError, ValidationError
 from .families import FamilyRecord, family_outcome, no_rule_reason
 from .reports import report_text
 from .secant import (DEFAULT_PRIMES, DEFAULT_SEED, RankConfig, expected_secant_dim,
-                     secant_row, segre_veronese, scroll)
+                     secant_row, segre_veronese, scroll, verify_secant_dimensions)
 from .terms import Bound, normalize, s_ceiling
 from .trace import classification_trace
 
@@ -45,14 +48,18 @@ CHAIN_SYMBOL = " ⊨ "  # the "has a family of lines" turnstile
 #: of the process) the largest accepted inputs take under 1 s and 25 MB a
 #: process: ``secant --kind scroll -d 12 -m 12 --trials 8`` 0.19 to 0.26 s
 #: and 16.2 to 16.3 MB, and at these caps ``verify --suite prop32`` 0.19 to
-#: 0.30 s and 21.6 to 21.9 MB, and ``classify --dim 9 --s 4`` 0.16 to
-#: 0.24 s and 20.9 to 21.2 MB.  Beyond them the time grows (with the secant
-#: coordinate count (d+1)m+1 times the Jacobian width 2m+2, and steeply in
-#: both catalog bounds), so larger inputs are rejected, not run.
+#: 0.30 s and 21.6 to 21.9 MB, ``classify --dim 9 --s 4`` 0.16 to 0.24 s
+#: and 20.9 to 21.2 MB, and ``suites`` 0.30 to 0.31 s and 24.5 to 24.6 MB
+#: (golden bounds of 500 took 26.4 MB).  ``suites`` holds its whole text at
+#: once, so at its caps ``--verbose`` reads 25.3 MB and ``--json`` 29.0 MB.
+#: Beyond them the time grows (with the secant coordinate count (d+1)m+1
+#: times the Jacobian width 2m+2, and steeply in both catalog bounds), so
+#: larger inputs are rejected, not run.
 SIZE_CAPS = {
     "secant": {"-d": 12, "-m": 12, "--trials": 8},
     "classify": {"--nmax": 32, "--degmax": 5},
     "verify": {"--nmax": 32, "--degmax": 5},
+    "suites": {"--nmax": 32, "--degmax": 5, "--golden-nmax": 200, "--golden-mmax": 200},
 }
 
 #: Largest integer in a term expression: some families have one entry per unit
@@ -135,12 +142,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help=f"seed of the rank trials (default: {DEFAULT_SEED})")
 
+    p = sub.add_parser("suites", parents=[common],
+                       help="run every verification suite on one catalog")
+    p.add_argument("--nmax", type=int, default=15)
+    p.add_argument("--degmax", type=int, default=4)
+    p.add_argument("--golden-nmax", type=int, default=40)
+    p.add_argument("--golden-mmax", type=int, default=15)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help=f"seed of the secant rank trials (default: {DEFAULT_SEED})")
+    p.add_argument("--json-out", default=None, help="also write the reports to this file")
+    p.add_argument("--verbose", dest="quiet", action="store_false",
+                   help="print every record, not just summaries")
+
     return parser
 
 
 def _size_error(args) -> str | None:
     for flag, cap in SIZE_CAPS.get(args.command, {}).items():
-        value = getattr(args, flag.lstrip("-"))
+        value = getattr(args, flag.lstrip("-").replace("-", "_"))
         if value > cap:
             return f"{flag} {value} is above the cap {cap}; larger inputs are rejected"
     return None
@@ -292,6 +311,37 @@ def _render_secant(r, quiet):
             + f" seed={r['seed']} primes={','.join(map(str, r['primes']))}")
 
 
+def _cmd_suites(args):
+    # The golden suite goes first, so that its bounds are checked before the
+    # catalog is built; S does not depend on what the engine has memoized,
+    # so one engine serves every suite and its memo is shared among them.
+    eng = ChainEngine()
+    golden = golden_suite(args.golden_nmax, args.golden_mmax, eng)
+    cat = build_catalog(args.nmax, args.degmax)
+    reports = [suite(cat, eng).as_dict() for suite in SUITES.values()]
+    reports += [golden.as_dict(),
+                verify_secant_dimensions((2, 3), (2, 3, 4), RankConfig(seed=args.seed)).as_dict()]
+    if args.json_out is not None:
+        try:  # streamed into the file: the whole text is never held at once
+            with open(args.json_out, "w") as out:
+                json.dump(reports, out, indent=2, sort_keys=True)
+        except OSError as err:
+            raise ValidationError(f"cannot write {args.json_out}: {err.strerror}",
+                                  component="cli")
+    failures = sum(rep["failed"] for rep in reports)
+    return (0 if failures == 0 else 1), {
+        "n_max": args.nmax, "deg_max": args.degmax, "members": len(cat), "seed": args.seed,
+        "json_out": args.json_out, "failures": failures, "reports": reports}
+
+
+def _render_suites(r, quiet):
+    lines = [f"catalog: {r['members']} members (n_max={r['n_max']}, deg_max={r['deg_max']})"]
+    lines += [report_text(rep, verbose=not quiet).replace("\n", "\n  ") for rep in r["reports"]]
+    if r["json_out"] is not None:
+        lines.append(f"wrote {r['json_out']}")
+    return "\n".join([*lines, f"total failures: {r['failures']}"])
+
+
 #: Each command's handler and renderer; see the module docstring.
 _COMMANDS = {
     "s": (_cmd_s, _render_s),
@@ -302,6 +352,7 @@ _COMMANDS = {
     "verify": (_cmd_verify, _render_verify),
     "trace": (_cmd_trace, _render_trace),
     "secant": (_cmd_secant, _render_secant),
+    "suites": (_cmd_suites, _render_suites),
 }
 
 

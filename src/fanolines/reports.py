@@ -64,9 +64,6 @@ class SuiteReport:
         info = sum(1 for r in self.records if r.passed is None)
         return passed, len(self.failures), info
 
-    def summary(self) -> str:
-        return report_text(self.as_dict(), verbose=False).partition("\n")[0]
-
     def to_text(self, verbose: bool = True) -> str:
         return report_text(self.as_dict(), verbose)
 

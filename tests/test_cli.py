@@ -34,7 +34,8 @@ def run(capsys, *argv):
 
 def rendered(argv, result) -> str:
     """The text the CLI prints for ``argv``, rendered from its JSON ``result``."""
-    return _COMMANDS[argv[0]][1](result, "--quiet" in argv) + "\n"
+    quiet = getattr(cli.build_parser().parse_args(argv), "quiet", False)  # as main reads it
+    return _COMMANDS[argv[0]][1](result, quiet) + "\n"
 
 
 def run_json(capsys, schema, *argv):
@@ -168,7 +169,7 @@ def test_usage_error_exits_2(capsys):
     capsys.readouterr()
 
 
-#: A valid call of every subcommand but ``secant``, the only randomized one.
+#: A valid call of every subcommand but the seeded ones, ``secant`` and ``suites``.
 UNSEEDED = {
     "s": ["P(3)"], "chain": ["P(3)"], "families": ["P(3)"], "cover": ["P(3)"],
     "classify": ["--dim", "3", "--s", "1", "--nmax", "4", "--degmax", "2"],
@@ -178,7 +179,7 @@ UNSEEDED = {
 
 @pytest.mark.parametrize("command", sorted(UNSEEDED))
 def test_seed_is_a_usage_error_outside_secant(capsys, command):
-    assert {*UNSEEDED, "secant"} == set(_COMMANDS)
+    assert {*UNSEEDED, "secant", "suites"} == set(_COMMANDS)
     argv = [command, *UNSEEDED[command]]
     assert main(argv) == 0
     capsys.readouterr()
@@ -197,6 +198,10 @@ SIZE_CAPPED = [
     ("classify --dim 3 --s 1 --nmax 6 --degmax {}", 5),
     ("verify --suite lemmas --degmax 2 --nmax {}", 32),
     ("verify --suite thm1 --nmax 6 --degmax {}", 5),
+    ("suites --degmax 2 --golden-nmax 2 --golden-mmax 2 --nmax {}", 32),
+    ("suites --nmax 6 --golden-nmax 2 --golden-mmax 2 --degmax {}", 5),
+    ("suites --nmax 6 --degmax 2 --golden-mmax 2 --golden-nmax {}", 200),
+    ("suites --nmax 6 --degmax 2 --golden-nmax 2 --golden-mmax {}", 200),
 ]
 
 
@@ -215,6 +220,21 @@ def test_size_above_cap_exits_2(capsys, command, cap):
     assert out == ""
     flag = command.split()[-2]
     assert err == f"cli: {flag} {cap + 1} is above the cap {cap}; larger inputs are rejected\n"
+
+
+@pytest.mark.parametrize("command", [
+    *(f"verify --suite {suite} --nmax 32 --degmax 5" for suite in ("thm1", "prop32", "lemmas")),
+    "suites --nmax 32 --degmax 5 --golden-nmax 200 --golden-mmax 200",
+])
+def test_every_size_at_its_cap_together_is_accepted(capsys, command):
+    # Every size option of the command at its cap at once: the largest grid
+    # a call may ask, which the caps are stated for.
+    argv = command.split()
+    assert {flag: int(argv[argv.index(flag) + 1]) for flag in SIZE_CAPS[argv[0]]} == (
+        SIZE_CAPS[argv[0]])
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out
 
 
 # Term integers at the cap; the families of both have one entry per unit.
@@ -510,6 +530,18 @@ def test_json_trace(capsys, schema):
     assert doc["result"]["chain_dims"] == [7, 3, 1, 0]
 
 
+def test_json_suites_and_the_reports_file_validate(capsys, schema, tmp_path):
+    path = tmp_path / "reports.json"
+    code, doc, _ = run_json(capsys, schema, "suites", "--nmax", "6", "--degmax", "3",
+                            "--golden-nmax", "6", "--golden-mmax", "4", "--json-out", str(path))
+    assert code == 0 and doc["seed"] == doc["result"]["seed"] == cli.DEFAULT_SEED
+    reports = json.loads(path.read_text())
+    validate(reports, {"$defs": schema["$defs"], "type": "array",
+                       "items": {"$ref": "#/$defs/verifyResult"}})
+    assert doc["result"]["reports"] == reports
+    assert [r["suite"] for r in reports] == ["thm1", "prop32", "lemmas", "golden", "secant"]
+
+
 def test_json_secant(capsys, schema):
     code, doc, _ = run_json(capsys, schema, "secant", "--kind", "scroll",
                             "-d", "3", "-m", "2", "--seed", "7")
@@ -612,6 +644,12 @@ OPTION_ARGVS = {
         size_flag("secant", "-d", 4), size_flag("secant", "-m", 4),
         size_flag("secant", "--trials", 5),
         st.sampled_from([[], ["--seed", "7"], ["--seed", "-12345678901234567890"]]),
+    ),
+    "suites": _argv(
+        st.just(["suites"]),
+        size_flag("suites", "--nmax", 6), size_flag("suites", "--degmax", 3),
+        size_flag("suites", "--golden-nmax", 6), size_flag("suites", "--golden-mmax", 4),
+        st.sampled_from([[], ["--verbose"], ["--seed", "7"]]),
     ),
 }
 

@@ -220,6 +220,35 @@ def test_run_suites_checks_the_golden_bounds_before_the_catalog():
     assert done.stdout == ""  # no catalog: line, as no catalog was built
 
 
+def test_run_suites_prints_one_line_on_an_unwritable_json_out(tmp_path):
+    out = tmp_path / "missing" / "reports.json"
+    done = subprocess.run([sys.executable, str(SCRIPTS / "run_suites.py"), "--nmax", "2",
+                           "--degmax", "2", "--json-out", str(out)],
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 2
+    assert done.stderr == f"cli: cannot write {out}: No such file or directory\n"
+    assert done.stdout == ""
+
+
+def test_run_suites_on_a_closed_pipe_prints_nothing_to_stderr():
+    # `run_suites.py --verbose | head` closes the pipe before the output is written.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stdout:
+        done = subprocess.run([sys.executable, str(SCRIPTS / "run_suites.py"), "--nmax", "2",
+                               "--degmax", "2", "--verbose"],
+                              stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=30)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_run_suites_rejects_a_bound_above_its_cap():
+    done = subprocess.run([sys.executable, str(SCRIPTS / "run_suites.py"), "--nmax", "33"],
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 2
+    assert done.stderr == "cli: --nmax 33 is above the cap 32; larger inputs are rejected\n"
+    assert done.stdout == ""
+
+
 @pytest.mark.parametrize("command", ["s", "chain", "cover", "trace"])
 def test_cli_answers_on_the_showcase_terms_are_pinned(command):
     assert _sha(_cli_transcript(command)) == PINNED[f"cli {command}"]

@@ -1,14 +1,16 @@
-"""Where the collector is touched and where a product or a complete
-intersection is spelled, read from source with ``ast``.
+"""Where the collector is touched, where arguments are parsed and where a
+product or a complete intersection is spelled, read from source with ``ast``.
 
 The catalog build pauses the cyclic collector, and it is the one module that
 imports ``gc``: no other layer allocates a catalog's worth of objects at
-once.  A product's spelling, the factor ``P(n):d`` in the frame ``Prod(``
-... ``)``, and a complete intersection's, ``CI(`` d,... ``;`` N ``)``, are
-written once, in ``dsl``.  The build retypes none of them: it orders its
-products by their factor texts, which the factor format spells, orders its
-complete intersections by the prefix that ``dsl`` spells, and splices each
-block at ``dsl``'s opening.
+once.  The CLI is the one front end and the one module that imports
+``argparse``: ``run_suites.py`` calls ``cli.main``, and the gallery takes
+its expressions from ``sys.argv`` as they are.  A product's spelling, the
+factor ``P(n):d`` in the frame ``Prod(`` ... ``)``, and a complete
+intersection's, ``CI(`` d,... ``;`` N ``)``, are written once, in ``dsl``.
+The build retypes none of them: it orders its products by their factor
+texts, which the factor format spells, orders its complete intersections by
+the prefix that ``dsl`` spells, and splices each block at ``dsl``'s opening.
 
 In the secant laboratory every random value comes from ``_point``, whose
 stream ``tests/test_secant.py`` pins against ``randrange``, and every random
@@ -26,13 +28,21 @@ SPELLINGS = ("P(%s):%s", "Prod(")
 CI_OPEN = "CI("
 
 
-def _imports_gc(tree: ast.AST) -> bool:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "gc" for a in node.names):
-            return True
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "gc":
-            return True
-    return False
+def _imports(module: str):
+    """A predicate on a module's tree: it imports ``module``, by ``import``
+    or by ``from``."""
+    def imports(tree: ast.AST) -> bool:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) and any(a.name.split(".")[0] == module
+                                                    for a in node.names):
+                return True
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == module:
+                return True
+        return False
+    return imports
+
+
+_imports_gc, _imports_argparse = _imports("gc"), _imports("argparse")
 
 
 def _spells_a_product(tree: ast.AST) -> bool:
@@ -112,6 +122,10 @@ def test_only_the_catalog_imports_gc():
     assert _modules(_read(), _imports_gc) == {"catalog"}
 
 
+def test_only_the_cli_imports_argparse():
+    assert _modules(_read(), _imports_argparse) == {"cli"}
+
+
 def test_only_dsl_spells_a_product():
     assert _modules(_read(), _spells_a_product) == {"dsl"}
 
@@ -125,6 +139,7 @@ def test_the_guards_see_each_form():
         ("cli", "import gc\n"),
         ("checks", "from gc import disable\n"),
         ("trace", "import os, gc as collector\n"),
+        ("run_suites", "from argparse import ArgumentParser\n"),
         ("families", "x = 'Prod(' + a + ')'\n"),
         ("reports", "x = ','.join(['P(%s):%s'] * 2)\n"),
         ("chains", "x = f'Prod({a})'\n"),
@@ -134,6 +149,7 @@ def test_the_guards_see_each_form():
         ("modp", "OPEN, CLOSE = 'CI(', ')'\n"),
     ]
     assert _modules(sources, _imports_gc) == {"cli", "checks", "trace"}
+    assert _modules(sources, _imports_argparse) == {"run_suites"}
     assert _modules(sources, _spells_a_product) == {"families", "reports", "chains"}
     assert _modules(sources, _spells_a_complete_intersection) == {"catalog", "secant", "modp"}
 
