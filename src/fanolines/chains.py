@@ -15,8 +15,11 @@ single-family nodes (P -> P, Q -> Q, CI -> CI, the linear tail below a scroll
 or a Segre product) in a loop and stores the run's values on the way back
 up; only a node with several families (a product with several degree-1
 factors, whose families are linear spaces) recurses, so the depth of the
-Python stack does not grow with the chain.  Nothing is stored per node
-beyond the memo.
+Python stack does not grow with the chain.  The run keeps only each node's
+memo key.  On the way back up a node is exact when its family is, or when
+the family's value reaches the family's dimension, its cap; a normal form
+has the dimension of the family it came from, so the cap is read from the
+family's key, the node below.  Nothing is stored per node beyond the memo.
 
 The realizing chains follow the same runs by their rule alone: the
 invariant sets S(node) = 1 + S(family) on every single-family node, so the
@@ -46,7 +49,6 @@ from .terms import (
     VarietyTerm,
     at_least,
     covered_by_lines,
-    dim,
     exact,
     normalize,
 )
@@ -75,17 +77,17 @@ class ChainEngine:
     def s_invariant(self, v: VarietyTerm) -> Bound:
         """Greatest chain length below ``v`` (0 when not covered by lines)."""
         memo = self._s_memo
-        key = normalize(v)
+        key = v._normalize()
         out = memo.get(key)
         if out is not None:
             return out
-        run = []  # (key, family) of each single-family node walked through
+        run = []  # the key of each single-family node walked through
         while out is None:
             fams, end = family_outcome(v)
             if len(fams) == 1:
                 v = fams[0][0]
-                run.append((key, v))
-                key = normalize(v)
+                run.append(key)
+                key = v._normalize()
                 out = memo.get(key)
             elif end == "no_rule":
                 # Covered by lines, so a chain of length one exists; nothing
@@ -100,14 +102,19 @@ class ChainEngine:
                     if not sub.is_exact:
                         # The unknown branch can reach at most the dimension
                         # of its variety.
-                        cap = max(cap, 1 + dim(fam))
+                        cap = max(cap, 1 + fam._dim())
                 out = memo[key] = exact(best) if cap <= best else at_least(best)
         # Back up the run: one family is exact when its value is, or when it
-        # already reaches the cap dim(family) of the loop above.
-        for key, fam in reversed(run):
-            value = 1 + out.value
-            out = exact(value) if out.is_exact or out.value >= dim(fam) else at_least(value)
-            memo[key] = out
+        # already reaches the cap dim(family) of the loop above.  A normal
+        # form has the dimension of the family it came from, so the cap is
+        # read from the family's key, the one walked just below.
+        is_exact = out.kind == "exact"
+        value = out.value
+        for parent in reversed(run):
+            is_exact = is_exact or value >= key._dim()
+            value += 1
+            out = memo[parent] = exact(value) if is_exact else at_least(value)
+            key = parent
         return out
 
     def witness_chain(self, v: VarietyTerm) -> list[VarietyTerm]:

@@ -28,6 +28,7 @@ import os
 import re
 import sys
 from importlib import resources
+from itertools import islice
 
 from .catalog import build_catalog
 from .chains import ChainEngine
@@ -49,12 +50,12 @@ CHAIN_SYMBOL = " ⊨ "  # the "has a family of lines" turnstile
 #: process: ``secant --kind scroll -d 12 -m 12 --trials 8`` 0.19 to 0.26 s
 #: and 16.2 to 16.3 MB, and at these caps ``verify --suite prop32`` 0.19 to
 #: 0.30 s and 21.6 to 21.9 MB, ``classify --dim 9 --s 4`` 0.16 to 0.24 s
-#: and 20.9 to 21.2 MB, and ``suites`` 0.30 to 0.31 s and 24.5 to 24.6 MB
-#: (golden bounds of 500 took 26.4 MB).  ``suites`` holds its whole text at
-#: once, so at its caps ``--verbose`` reads 25.3 MB and ``--json`` 29.0 MB.
-#: Beyond them the time grows (with the secant coordinate count (d+1)m+1
-#: times the Jacobian width 2m+2, and steeply in both catalog bounds), so
-#: larger inputs are rejected, not run.
+#: and 20.9 to 21.2 MB, and ``suites`` 0.32 to 0.34 s and 24.3 MB (golden
+#: bounds of 500 took 26.4 MB).  ``suites --json`` streams its envelope, 0.39
+#: to 0.44 s and 24.3 to 24.4 MB; ``--verbose`` holds its whole text at once,
+#: 25.0 MB.  Beyond them the time grows (with the secant coordinate count
+#: (d+1)m+1 times the Jacobian width 2m+2, and steeply in both catalog
+#: bounds), so larger inputs are rejected, not run.
 SIZE_CAPS = {
     "secant": {"-d": 12, "-m": 12, "--trials": 8},
     "classify": {"--nmax": 32, "--degmax": 5},
@@ -70,12 +71,14 @@ TERM_INT_CAP = 10**6
 #: Largest accepted ceiling on the chain invariant, ``terms.s_ceiling(term)``
 #: (1 + family_dim(term) on a covered term), for the commands that walk its
 #: chains (``s``, ``chain``, ``cover``, ``trace``).  At the cap, on the same
-#: host, ``s 'P(200000)'`` takes 0.63 to 0.84 s, ``chain 'P(200000)' --json``
-#: 0.97 to 1.07 s, ``cover 'SG(2,200002)'`` 0.65 to 0.76 s and ``trace
-#: 'SG(2,200002)'`` 1.06 to 1.34 s; the time and the memo grow linearly in the
-#: chain length.  The bound is S's own, not the dimension, so a
-#: high-dimensional term with a short chain, such as ``CI(999998;1000000)``,
-#: still answers (``s`` in 0.20 to 0.25 s).  On quadrics it is about twice
+#: host (6 runs each, wall time and max RSS of the process, on a host whose
+#: speed varied between runs), ``s 'P(200000)'`` takes 0.58 to 0.97 s and
+#: 64 MB, ``chain 'P(200000)' --json`` 0.91 to 1.37 s and 90 to 92 MB,
+#: ``cover 'SG(2,200002)'`` 0.57 to 0.96 s and 70 MB and ``trace
+#: 'SG(2,200002)'`` 0.98 to 1.19 s and 98 MB; the time and the memo grow
+#: linearly in the chain length.  The bound is S's own, not the dimension, so
+#: a high-dimensional term with a short chain, such as ``CI(999998;1000000)``,
+#: still answers (``s`` in 0.23 to 0.37 s).  On quadrics it is about twice
 #: S, so ``Q(200001)`` (S = 100000) is the deepest quadric accepted.
 DEPTH_CAP = 200_000
 
@@ -357,15 +360,22 @@ _COMMANDS = {
 
 
 def print_stdout(text: str) -> None:
-    """Print ``text`` and a newline to stdout and flush, raising nothing on
-    an encoding or a reader that cannot take it, so the caller keeps its
+    """Print ``text`` and a newline to stdout and flush, as
+    :func:`_write_stdout` does."""
+    _write_stdout((text, "\n"))
+
+
+def _write_stdout(chunks) -> None:
+    """Write each string of ``chunks`` to stdout, then flush, raising nothing
+    on an encoding or a reader that cannot take it, so the caller keeps its
     exit code."""
     try:
-        try:
-            print(text)
-        except UnicodeEncodeError:  # the turnstile on an ASCII stdout: print its escape
-            encoding = sys.stdout.encoding
-            print(text.encode(encoding, "backslashreplace").decode(encoding))
+        for chunk in chunks:
+            try:
+                sys.stdout.write(chunk)
+            except UnicodeEncodeError:  # the turnstile on an ASCII stdout: write its escape
+                encoding = sys.stdout.encoding
+                sys.stdout.write(chunk.encode(encoding, "backslashreplace").decode(encoding))
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader has gone (``| head``): point stdout at os.devnull, so
@@ -373,6 +383,17 @@ def print_stdout(text: str) -> None:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+
+
+def _json_pieces(envelope: dict):
+    """``json.dumps(envelope, indent=2, sort_keys=True)`` and a newline, in
+    pieces: the whole text is never held at once (the ``suites`` envelope
+    runs to megabytes), and each piece joins many of the encoder's small
+    chunks, so stdout is not written once per chunk."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(envelope)
+    while piece := "".join(islice(chunks, 4096)):
+        yield piece
+    yield "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -395,10 +416,9 @@ def main(argv: list[str] | None = None) -> int:
         envelope = {"command": args.command, "result": payload}
         if "seed" in payload:  # the randomized command echoes its seed
             envelope["seed"] = payload["seed"]
-        text = json.dumps(envelope, indent=2, sort_keys=True)
+        _write_stdout(_json_pieces(envelope))
     else:
-        text = render(payload, getattr(args, "quiet", False))
-    print_stdout(text)
+        print_stdout(render(payload, getattr(args, "quiet", False)))
     return code
 
 

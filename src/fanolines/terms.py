@@ -109,7 +109,19 @@ class VarietyTerm:
     The constructors are frozen dataclasses with hand-written ``__slots__``
     (``dataclass(slots=True)`` would re-create each class): an instance
     holds its fields and nothing else, which keeps a catalog of 10^5
-    members small.
+    members small.  The dataclass writes ``__eq__`` and ``__repr__`` for
+    every constructor, and ``__init__`` and ``__hash__`` where the class
+    does not write its own.  A chain walk builds one family per node, and
+    on P^n and Q^n that family is a LinearSpace or a Quadric, so those two
+    write ``__init__`` by hand: the same check, then the slot set through its
+    member descriptor, one frame where the generated ``__init__`` and
+    ``__post_init__`` took two.  The five one-field constructors
+    (LinearSpace, Quadric, PolarizedProduct, ProjBundleP1, LinearSectionG25)
+    write ``__hash__`` as the hash of their field, which the memo asks twice
+    per node, where the generated one hashes a one-element tuple.  Equal
+    terms still hash equal; terms of two constructors with equal fields,
+    such as ``LinearSpace(3)`` and ``Quadric(3)``, hash equal and compare
+    unequal.
     """
 
     __slots__ = ()
@@ -136,9 +148,12 @@ class LinearSpace(VarietyTerm):
     __slots__ = ("n",)
     n: int
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int):
+        if n < 0:
             raise ValidationError("LinearSpace requires n >= 0")
+        _set_linear_space_n(self, n)
+
+    def __hash__(self): return hash(self.n)
 
     def _dim(self): return self.n
     def _ambient_dim(self): return self.n
@@ -155,9 +170,12 @@ class Quadric(VarietyTerm):
     __slots__ = ("n",)
     n: int
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int):
+        if n < 1:
             raise ValidationError("Quadric requires n >= 1")
+        _set_quadric_n(self, n)
+
+    def __hash__(self): return hash(self.n)
 
     def _dim(self): return self.n
     def _ambient_dim(self): return self.n + 1
@@ -287,6 +305,8 @@ class PolarizedProduct(VarietyTerm):
             if n < 1 or d < 1:
                 raise ValidationError("PolarizedProduct factors require n_i >= 1 and d_i >= 1")
 
+    def __hash__(self): return hash(self.factors)
+
     def _dim(self):
         # A loop, as in _family_dim: the catalog's per-member index pass
         # asks this of each product it files.
@@ -330,6 +350,8 @@ class ProjBundleP1(VarietyTerm):
         if tw[-1] < 1:
             raise ValidationError("ProjBundleP1 twists must all be >= 1")
 
+    def __hash__(self): return hash(self.twists)
+
     def _dim(self): return len(self.twists)
     def _ambient_dim(self): return sum(a + 1 for a in self.twists) - 1
     def _picard_number(self): return 2
@@ -359,6 +381,8 @@ class LinearSectionG25(VarietyTerm):
         if not 0 <= self.c <= 4:
             raise ValidationError("LinearSectionG25 requires 0 <= c <= 4")
 
+    def __hash__(self): return hash(self.c)
+
     def _dim(self): return 6 - self.c
     def _ambient_dim(self): return 9 - self.c
 
@@ -380,6 +404,11 @@ class LinearSectionG25(VarietyTerm):
 
 _new_instance = object.__new__
 _set_field = object.__setattr__
+
+# The member descriptors through which the hand-written ``__init__`` of
+# LinearSpace and Quadric set their one slot.
+_set_linear_space_n = vars(LinearSpace)["n"].__set__
+_set_quadric_n = vars(Quadric)["n"].__set__
 
 
 def _trusted(cls, *fields):

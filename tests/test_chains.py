@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import fanolines
+import fanolines.chains as chains_mod
 from fanolines.chains import ChainEngine
 from fanolines.dsl import parse_variety, to_text
 from fanolines.errors import NotCoveredByLines
@@ -318,6 +319,106 @@ def test_ruleless_branch_below_the_cap_keeps_exactness(monkeypatch):
     assert reached == [parent, ruleless]
     # the ruleless branch is capped by 1 + dim = 4 = the exact branch value
     assert sv == exact(4)
+
+
+# ---------------------------------------------------------------------------
+# the memo against a reference walk
+
+
+class _ReferenceEngine(ChainEngine):
+    """The invariant with the back-up as first written: the run holds each
+    node's key with its raw family, and a node's bound is exact when its
+    family's is, or when the family's value reaches ``dim(family)``.  It
+    reads ``family_outcome`` through ``chains``, so an injection there
+    reaches both engines."""
+
+    def s_invariant(self, v):
+        memo = self._s_memo
+        key = normalize(v)
+        out = memo.get(key)
+        if out is not None:
+            return out
+        run = []  # (key, family) of each single-family node walked through
+        while out is None:
+            fams, end = chains_mod.family_outcome(v)
+            if len(fams) == 1:
+                v = fams[0][0]
+                run.append((key, v))
+                key = normalize(v)
+                out = memo.get(key)
+            elif end == "no_rule":
+                out = memo[key] = at_least(1)
+            else:
+                best = 0
+                cap = 0
+                for fam, _, _ in fams:
+                    sub = self.s_invariant(fam)
+                    best = max(best, 1 + sub.value)
+                    if not sub.is_exact:
+                        cap = max(cap, 1 + dim(fam))
+                out = memo[key] = exact(best) if cap <= best else at_least(best)
+        for key, fam in reversed(run):
+            value = 1 + out.value
+            out = exact(value) if out.is_exact or out.value >= dim(fam) else at_least(value)
+            memo[key] = out
+        return out
+
+
+def _memo_after(engine: ChainEngine, terms) -> list:
+    """The memo's entries, in the order they were stored, once ``engine``
+    has been asked S of each of ``terms`` in turn."""
+    for v in terms:
+        engine.s_invariant(v)
+    return list(engine._s_memo.items())
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_the_memo_matches_the_reference_over_a_catalog(cat15, reverse):
+    members = list(cat15)[::-1] if reverse else list(cat15)
+    expected = _memo_after(_ReferenceEngine(), members)
+    assert _memo_after(ChainEngine(), members) == expected
+
+
+@pytest.mark.parametrize("expr", ["P(3000)", "Q(6001)", "G(2,3002)", "SG(2,3003)"])
+def test_the_memo_matches_the_reference_on_deep_runs(expr):
+    term = parse_variety(expr)
+    expected = _memo_after(_ReferenceEngine(), [term])
+    assert len(expected) > 1000
+    assert _memo_after(ChainEngine(), [term]) == expected
+
+
+#: Outcomes injected in place of ``family_outcome``'s, the root walked from
+#: above them, and the root's bound.  The first two are the ruleless
+#: injections above, reached at the end of a run from Q^13; in the third,
+#: P^1 made ruleless has the lower bound 1, which is its cap dim P^1, so the
+#: run above it is exact again, a bound that reading the parent's dimension
+#: would lose.
+_INJECTED = {
+    "inexact": ({Quadric(9): (((Quadric(7), 8, 8), (LinearSectionG25(2), 8, 8)), None)},
+                Quadric(13), at_least(6)),
+    "capped": ({Quadric(9): (((Quadric(7), 8, 8), (LinearSpace(3), 8, 8)), None),
+                LinearSpace(3): ((), "no_rule")}, Quadric(13), exact(6)),
+    "at its cap": ({LinearSpace(1): ((), "no_rule")}, LinearSpace(6), exact(6)),
+}
+
+
+@pytest.mark.parametrize("case", _INJECTED)
+def test_the_memo_matches_the_reference_through_ruleless_branches(case, monkeypatch):
+    injected, root, bound = _INJECTED[case]
+    real_outcome = chains_mod.family_outcome
+    reached = set()
+
+    def fake_outcome(v):
+        if v in injected:
+            reached.add(v)
+            return injected[v]
+        return real_outcome(v)
+
+    monkeypatch.setattr(chains_mod, "family_outcome", fake_outcome)
+    expected = _memo_after(_ReferenceEngine(), [root])
+    assert reached == set(injected)
+    assert _memo_after(ChainEngine(), [root]) == expected
+    assert dict(expected)[root] == bound
 
 
 def test_equally_deep_families_are_taken_in_text_order(monkeypatch):

@@ -447,6 +447,27 @@ def test_a_closed_pipe_prints_nothing_to_stderr_from_a_fresh_process():
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
+def test_a_closed_pipe_under_a_streamed_envelope_prints_nothing_to_stderr():
+    # The envelope is written in pieces; the pipe is closed before the first.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stdout:
+        proc = _fresh_cli("suites", "--nmax", "6", "--degmax", "3", "--golden-nmax", "5",
+                          "--golden-mmax", "3", "--json", stdout=stdout)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("argv", [["chain", "P(6000)"],
+                                  ["suites", "--nmax", "6", "--degmax", "3"]])
+def test_a_streamed_envelope_is_the_whole_text_in_pieces(capsys, argv):
+    # Both envelopes run to more encoder chunks than one piece joins.
+    code, out, err = run(capsys, *argv, "--json")
+    doc = json.loads(out)
+    assert (code, err) == (0, "")
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert sum(1 for _ in json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)) > 4096
+
+
 def test_a_stdout_without_the_turnstile_gets_its_escape(monkeypatch):
     buffer = io.BytesIO()
     stdout = io.TextIOWrapper(buffer, encoding="ascii")

@@ -1,6 +1,10 @@
 """Property-based checks of the algebraic identities the engine relies on."""
 
+import pickle
+from dataclasses import FrozenInstanceError
+
 import hypothesis.strategies as st
+import pytest
 from hypothesis import example, given, settings
 
 from fanolines.chains import ChainEngine
@@ -17,6 +21,8 @@ from fanolines.terms import (
     ProjBundleP1,
     Quadric,
     SympGrassmann,
+    _trusted,
+    _trusted_columns,
     ambient_dim,
     covered_by_lines,
     dim,
@@ -58,6 +64,60 @@ terms = st.one_of(
     linear_spaces, quadrics, grassmannians, symplectic, complete_intersections,
     products, scrolls, sections,
 )
+
+
+# ---------------------------------------------------------------------------
+# the hash and equality contract: however a term is built, equal terms hash
+# equal, and only terms of one constructor compare equal
+
+
+def _fields(v) -> tuple:
+    return tuple(getattr(v, name) for name in type(v).__slots__)
+
+
+@pytest.fixture(scope="module")
+def catalog_instances(cat15):
+    """Each member of the (15,4) catalog, the instance the build made
+    (products and complete intersections column by column), by its text: a
+    key that does not depend on the hash under test."""
+    return {to_text(m): m for m in cat15}
+
+
+@settings(max_examples=200)
+@given(terms, terms)
+def test_equal_terms_hash_equal_however_they_are_built(catalog_instances, v, other):
+    cls, fields = type(v), _fields(v)
+    built = [
+        _trusted(cls, *fields),
+        _trusted_columns(cls, *([field] for field in fields))[0],
+        pickle.loads(pickle.dumps(v)),
+        parse_variety(to_text(v)),
+        cls(**dict(zip(cls.__slots__, fields))),
+    ]
+    key = normalize(v)
+    member = catalog_instances.get(to_text(key))
+    if member is not None:  # compared with the normal form, which it equals
+        assert member == key and hash(member) == hash(key) and key in {member}
+    for w in built:
+        assert type(w) is cls and w == v and hash(w) == hash(v), (to_text(v), w)
+    assert len({v, *built}) == 1
+    if len(fields) == 1:  # a one-field constructor hashes as its field
+        assert hash(v) == hash(fields[0])
+    if type(other) is not cls:
+        assert other != v and v != other
+    else:
+        assert (other == v) == (_fields(other) == fields)
+    for w in (v, *built):
+        with pytest.raises(FrozenInstanceError):
+            setattr(w, cls.__slots__[0], fields[0])
+
+
+def test_terms_of_two_constructors_with_equal_fields_differ():
+    for k in range(1, 8):
+        assert LinearSpace(k) != Quadric(k) and Quadric(k) != LinearSpace(k)
+        assert hash(LinearSpace(k)) == hash(Quadric(k))
+        assert len({LinearSpace(k), Quadric(k), LinearSectionG25(k % 5)}) == 3
+        assert {LinearSpace(k): 1, Quadric(k): 2}[Quadric(k)] == 2
 
 
 @given(terms)

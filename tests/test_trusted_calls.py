@@ -6,7 +6,10 @@ are defined in ``terms`` alone and called only from the two layers whose
 terms are canonical by construction: ``_trusted`` from the
 complete-intersection family rule, ``_trusted_columns`` from the catalog
 build.  Every other module, the scripts included, goes through the
-validating constructors.
+validating constructors.  The means those two and the hand-written
+``__init__`` of ``terms`` use to fill a frozen instance, ``object.__new__``,
+``object.__setattr__`` and a slot descriptor's ``__set__``, appear in
+``terms`` alone, so no other module can grow a second trusted path.
 """
 
 import ast
@@ -85,3 +88,57 @@ def test_the_guard_sees_each_form_of_use():
         assert found["named"] == {"cli", "checks"}
         other = COLUMNS if name == TRUSTED else TRUSTED
         assert _modules_by_use(sources, other) == {"defined": set(), "called": set(), "named": set()}
+
+
+#: The attributes that make or fill an instance without its constructor:
+#: ``object.__new__``, ``object.__setattr__`` and a descriptor's ``__set__``.
+BYPASSES = frozenset({"__new__", "__setattr__", "__set__"})
+
+
+def _bypasses(tree: ast.AST) -> list[int]:
+    """Lines of ``tree`` that reach one of ``BYPASSES``: as an attribute of
+    anything (``object``, ``super()``, a class, a slot descriptor), called
+    or not, or through ``getattr`` with the name spelled out.  Defining a
+    method of that name is not a use."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+              and len(node.args) >= 2 and isinstance(node.args[1], ast.Constant)):
+            name = node.args[1].value
+        else:
+            continue
+        if name in BYPASSES:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_terms_makes_or_fills_an_instance_without_its_constructor():
+    found = {path.stem for path in SOURCES if _bypasses(ast.parse(path.read_text()))}
+    assert found == {"terms"}
+
+
+def test_the_bypass_guard_sees_each_form():
+    caught = [
+        "x = object.__new__(Quadric)",
+        "object.__setattr__(x, 'n', 3)",
+        "new = object.__new__",
+        "vars(Quadric)['n'].__set__(x, 3)",
+        "Quadric.n.__set__(x, 3)",
+        "setter = vars(Quadric)['n'].__set__",
+        "getattr(object, '__setattr__')(x, 'n', 3)",
+        "super().__setattr__('n', 3)",
+        "Quadric.__new__(Quadric)",
+    ]
+    for source in caught:
+        assert _bypasses(ast.parse(source)) == [1], source
+    missed = [
+        "x = Quadric(3)",
+        "setattr(x, 'n', 3)",
+        "getattr(x, 'n')",
+        "class D:\n    def __set__(self, obj, value):\n        pass\n",
+        "'a docstring naming __set__ and object.__new__'",
+    ]
+    for source in missed:
+        assert _bypasses(ast.parse(source)) == [], source
