@@ -81,15 +81,7 @@ The cyclic garbage collector is paused for the build, after the bounds
 check, and its state on entry is restored however the build ends.  The
 build frees almost nothing, and terms are frozen and slotted and hold only
 ints and tuples, so a collection would walk the growing catalog and find no
-cycle.  A build that returns then promotes every object the collector
-tracks to its oldest generation (``gc.freeze`` then ``gc.unfreeze``, each a
-constant-time list move), so that neither the first young collection after
-the pause nor a later middle one walks the catalog again.  The promotion is
-process-wide, and a caller sees it in one way: a young unreachable cycle of
-its own, made before the build, waits for the next full collection, which
-``gc.collect()`` or the collector's own full-collection trigger runs,
-instead of the next young one.  Nothing is left frozen, and a caller that
-has frozen objects itself is left as it was: the promotion is skipped.
+cycle.
 
 :attr:`Catalog.index` files the Picard-number-1 members (the slice that the
 classification suites and ``classify`` read), also by dimension, and the
@@ -209,9 +201,10 @@ class Catalog:
     A built catalog's ``members`` keeps the products as the walk's runs:
     ``len``, ``index`` and the suites build no three-factor product, and
     each iteration builds them anew.  Every catalog answers ``in`` from
-    ``frozenset(self)``, made on first use; a catalog made from any other
-    collection, ``Catalog(n_max, deg_max, members)`` or a subclass, also
-    files ``index`` on first use, in one pass over ``__iter__``."""
+    ``frozenset(self)``, made on first use, and anything but a term is not
+    a member.  A catalog made from any other collection,
+    ``Catalog(n_max, deg_max, members)`` or a subclass, also files
+    ``index`` on first use, in one pass over ``__iter__``."""
 
     n_max: int
     deg_max: int
@@ -223,8 +216,8 @@ class Catalog:
     def __iter__(self):
         return iter(self.members)
 
-    def __contains__(self, v: VarietyTerm) -> bool:
-        return normalize(v) in self._member_set
+    def __contains__(self, v: object) -> bool:
+        return isinstance(v, VarietyTerm) and normalize(v) in self._member_set
 
     @cached_property
     def _member_set(self) -> frozenset[VarietyTerm]:
@@ -371,8 +364,8 @@ def _products(n_max: int, deg_max: int, made: set[tuple[tuple[int, int], tuple[i
 
 def build_catalog(n_max: int, deg_max: int) -> Catalog:
     """Enumerate each constructor within the bounds, normalize what is not
-    canonical as enumerated, place the members in text order and promote
-    them to the collector's oldest generation; deterministic output."""
+    canonical as enumerated and place the members in text order;
+    deterministic output."""
     if n_max < 2 or deg_max < 2:
         raise ValidationError("build_catalog requires n_max >= 2 and deg_max >= 2",
                               component="catalog")
@@ -381,14 +374,7 @@ def build_catalog(n_max: int, deg_max: int) -> Catalog:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        catalog = _build(n_max, deg_max)
-        # Promote every tracked object to the oldest generation, so that no
-        # young collection walks the catalog again; a caller's own freeze
-        # is left as it is (see the module docstring).
-        if gc.get_freeze_count() == 0:
-            gc.freeze()
-            gc.unfreeze()
-        return catalog
+        return _build(n_max, deg_max)
     finally:
         if collecting:
             gc.enable()

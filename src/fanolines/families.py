@@ -350,9 +350,10 @@ def recognition_list(n: int, fam_dim: int) -> tuple[VarietyTerm, ...]:
 def symplectic_scroll(m: int) -> ProjBundleP1:
     """The family of lines of SG(2,C^{m+3}) for m >= 2: the scroll
     P(O(2) + O(1)^{m-1}), spanning the projectivised tangent space P^{2m}.
-    :func:`line_families` reads it forward; read backward it is the
-    conjectural recognition rule of :data:`RULE_PROVENANCE`, which the
-    odd-dimensional trace cites to identify X from its first family."""
+    The SympGrassmann rule, reached through :func:`family_outcome`, reads
+    it forward; read backward it is the conjectural recognition rule of
+    :data:`RULE_PROVENANCE`, which the odd-dimensional trace cites to
+    identify X from its first family."""
     return ProjBundleP1((2,) + (1,) * (m - 1))
 
 

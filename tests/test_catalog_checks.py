@@ -115,11 +115,9 @@ def test_catalog_is_deterministic():
 
 def test_catalog_rejects_tiny_bounds(monkeypatch):
     # The bounds are checked before the collector is paused: a spy in place
-    # of ``gc``, reporting it enabled and nothing frozen, sees no call until
-    # a build runs.
+    # of ``gc``, reporting it enabled, sees no call until a build runs.
     calls = []
-    answers = {"isenabled": True, "disable": None, "get_freeze_count": 0,
-               "freeze": None, "unfreeze": None, "enable": None}
+    answers = {"isenabled": True, "disable": None, "enable": None}
     spy = SimpleNamespace(**{name: (lambda name=name: calls.append(name) or answers[name])
                              for name in answers})
     monkeypatch.setattr(catalog, "gc", spy)
@@ -129,7 +127,7 @@ def test_catalog_rejects_tiny_bounds(monkeypatch):
         build_catalog(5, 1)
     assert calls == []
     build_catalog(2, 2)
-    assert calls == ["isenabled", "disable", "get_freeze_count", "freeze", "unfreeze", "enable"]
+    assert calls == ["isenabled", "disable", "enable"]
 
 
 @pytest.fixture
@@ -155,14 +153,10 @@ def test_build_pauses_the_collector_and_restores_its_state(monkeypatch, keep_col
         raise RuntimeError("midway")
 
     monkeypatch.setattr(catalog, "_degree_sequences", failing_sequences)
-    promotions = []
-    for name in ("freeze", "unfreeze"):
-        monkeypatch.setattr(gc, name, lambda name=name: promotions.append(name))
     with pytest.raises(RuntimeError, match="midway"):
         build_catalog(6, 3)
     assert seen == [False]  # paused during the build, whatever the caller had
     assert gc.isenabled() is on
-    assert promotions == []  # nothing is promoted from a build that raised
 
 
 class _Node:
@@ -177,22 +171,18 @@ def unfreeze_after():
     gc.unfreeze()
 
 
-def test_the_promotion_leaves_the_caller_a_full_collection_and_its_own_freeze(
+def test_a_build_leaves_the_callers_young_cycles_young_and_its_freeze_as_it_was(
         keep_collector_state, unfreeze_after):
-    # A young unreachable cycle made before a build is promoted with the
-    # catalog: no young collection reclaims it, the next full one does.
+    # A young unreachable cycle made before a build stays young: the next
+    # young collection reclaims it.
     gc.disable()  # keeps the cycle young until the build
-    assert gc.get_freeze_count() == 0
     reclaimed = []
     node = _Node()
     node.self = node
     weakref.finalize(node, reclaimed.append, True)
     del node
     build_catalog(6, 3)
-    assert gc.get_freeze_count() == 0  # nothing is left frozen
-    gc.collect(1)
-    assert reclaimed == []
-    gc.collect()
+    gc.collect(0)
     assert reclaimed == [True]
 
     # With the caller's own freeze in force, the build leaves it as it was.
@@ -201,6 +191,12 @@ def test_the_promotion_leaves_the_caller_a_full_collection_and_its_own_freeze(
     assert frozen > 0
     build_catalog(6, 3)
     assert gc.get_freeze_count() == frozen
+
+
+def test_in_answers_false_for_anything_but_a_term(cat15):
+    for other in ("P(3)", "G(2,5)", None, 3, (2, 5), [LinearSpace(3)], cat15):
+        assert other not in cat15
+    assert Grassmann(3, 5) in cat15 and LinearSpace(3) in cat15
 
 
 def test_catalog_contains_no_non_fano_scrolls():
